@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Record independent optima for the shipped default seed.
 
-For each reduced-scale scenario this script generates the instance, compiles
-the clamped placement program with and without the reuse ban, solves the
-exported MPS with the HiGHS engine inside scipy (an engine that shares no
-code with the built-in search), imports the solution and records the exact
-totals and migration counts into tests/data/acceptance_oracle.json.
+For each scenario of the table, at reduced and at full scale, this script
+generates the instance, compiles the clamped placement program with and
+without the reuse ban, solves the exported MPS with the HiGHS engine inside
+scipy (an engine that shares no code with the built-in search), imports the
+solution and records the exact totals and migration counts into
+tests/data/acceptance_oracle.json (reduced) and
+tests/data/acceptance_oracle_full.json (full).
 
-Exhaustive enumeration is far out of reach at this scale (the raw decision
-space is ~1e9 combinations), so the independent integer-programming engine
-stands in as the oracle. Run from the repository root:
+Exhaustive enumeration is far out of reach at these scales (the raw decision
+space is ~1e9 combinations at reduced scale), so the independent
+integer-programming engine stands in as the oracle. The full-scale no_reuse
+programs take HiGHS tens of seconds each. Run from the repository root:
 
     python scripts/freeze_acceptance_oracle.py
 """
@@ -46,20 +49,27 @@ def oracle_case(instance, no_reuse: bool) -> dict:
     }
 
 
-def main() -> None:
-    out = {"seed": DEFAULT_SEED, "scale": "reduced", "scenarios": {}}
+def oracle_table(reduced: bool) -> dict:
+    scale = "reduced" if reduced else "full"
+    out = {"seed": DEFAULT_SEED, "scale": scale, "scenarios": {}}
     for scenario_id in (1, 2, 3):
-        spec = ScenarioSpec.table_row(scenario_id, seed=DEFAULT_SEED, reduced=True)
+        spec = ScenarioSpec.table_row(scenario_id, seed=DEFAULT_SEED, reduced=reduced)
         instance = generate(spec)
         out["scenarios"][str(scenario_id)] = {
             "online": oracle_case(instance, no_reuse=False),
             "no_reuse": oracle_case(instance, no_reuse=True),
         }
-        print(f"scenario {scenario_id}: {out['scenarios'][str(scenario_id)]}")
-    target = ROOT / "tests" / "data" / "acceptance_oracle.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {target}")
+        print(f"{scale} scenario {scenario_id}: {out['scenarios'][str(scenario_id)]}")
+    return out
+
+
+def main() -> None:
+    data = ROOT / "tests" / "data"
+    data.mkdir(parents=True, exist_ok=True)
+    for reduced, name in ((True, "acceptance_oracle.json"), (False, "acceptance_oracle_full.json")):
+        target = data / name
+        target.write_text(json.dumps(oracle_table(reduced), indent=2, sort_keys=True) + "\n")
+        print(f"wrote {target}")
 
 
 if __name__ == "__main__":

@@ -62,35 +62,42 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    return int(raw) if raw else None
+class _UsageError(ChainplaceError):
+    """A flag or environment variable holds a value the CLI cannot use."""
 
 
-def _env_float(name: str) -> float | None:
+def _env(name: str, parse):
     raw = os.environ.get(name)
-    return float(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return parse(raw)
+    except ValueError:
+        raise _UsageError(f"{name}: cannot read {raw!r} as {parse.__name__}") from None
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = _env_int("CHAINPLACE_SEED")
+    env = _env("CHAINPLACE_SEED", int)
     return env if env is not None else _scenario.DEFAULT_SEED
 
 
 def _solve_options(args) -> SolveOptions:
     time_limit = args.time_limit
     if time_limit is None:
-        time_limit = _env_float("CHAINPLACE_TIME_LIMIT") or 600.0
+        time_limit = _env("CHAINPLACE_TIME_LIMIT", float)
     workers = args.workers
     if workers is None:
-        workers = _env_int("CHAINPLACE_WORKERS") or 1
-    return SolveOptions(
-        time_limit=time_limit,
-        no_reuse=getattr(args, "no_reuse", False),
-        parallel_workers=workers,
-    )
+        workers = _env("CHAINPLACE_WORKERS", int)
+    try:
+        return SolveOptions(
+            time_limit=600.0 if time_limit is None else time_limit,
+            no_reuse=getattr(args, "no_reuse", False),
+            parallel_workers=1 if workers is None else workers,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _parse_overrides(pairs) -> dict:

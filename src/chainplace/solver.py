@@ -1,12 +1,14 @@
 """Exact solvers for the placement program.
 
 ``solve_exact`` is a depth-first branch and bound over the structural
-decisions (content server per request, placement per instance, assignment
-per request chain slot); routes are derived, never branched, because every
-route coefficient is non-negative and the current routes only contribute a
-constant credit. ``brute_force`` is the independent oracle: it enumerates
-the same decision space exhaustively and filters with the model module's
-constraint checker instead of the incremental bookkeeping used here.
+decisions: placement per instance, then assignment per request chain slot.
+A request's content server is chosen once its chain is assigned, by trying
+each candidate in turn, because it changes only the request's entry link.
+Routes are derived, never branched, because every route coefficient is
+non-negative and the current routes only contribute a constant credit.
+``brute_force`` is the independent oracle: it enumerates the same decision
+space exhaustively and filters with the model module's constraint checker
+instead of the incremental bookkeeping used here.
 
 Both solvers break instance-permutation symmetry the same way: instances of
 one type that are absent from the snapshot are activated in identifier
@@ -20,7 +22,6 @@ import itertools
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -308,6 +309,7 @@ class _Worker:
         self.link_load: dict[Link, int] = {}
         self.routes: dict[str, frozenset[Link]] = {}
         self.committed = 0
+        self.candidates = [problem.candidates[r.id] for r in problem.requests]
 
     def _expired(self) -> bool:
         if self.aborted:
@@ -318,32 +320,9 @@ class _Worker:
         return self.aborted
 
     def run(self, pinned_first: str | None) -> None:
-        if self.p.requests:
-            if pinned_first is not None:
-                self.gamma[0] = pinned_first
-                self._branch_gamma(1)
-                self.gamma[0] = None
-            else:
-                self._branch_gamma(0)
-        else:
-            self._branch_tau(0)
-
-    # stage (a): content servers
-    def _branch_gamma(self, ri: int) -> None:
-        bound = self.committed + self.p.suffix_min[0] + self.p.suffix_credit[0]
-        if self._expired():
-            self.abort_lb = min(self.abort_lb, bound)
-            return
-        inc = self.incumbent.current_total()
-        if inc is not None and bound > inc:
-            return
-        if ri == len(self.p.requests):
-            self._branch_tau(0)
-            return
-        for s in self.p.candidates[self.p.requests[ri].id]:
-            self.gamma[ri] = s
-            self._branch_gamma(ri + 1)
-            self.gamma[ri] = None
+        if pinned_first is not None:
+            self.candidates[0] = (pinned_first,)
+        self._branch_tau(0)
 
     def _type_demand_covered(self, k: str) -> bool:
         pool = self.deployed.get(k, ())
@@ -357,7 +336,7 @@ class _Worker:
                 return False
         return True
 
-    # stage (b): instance placements
+    # stage (a): instance placements
     def _branch_tau(self, di: int) -> None:
         ended = self.p.type_end.get(di)
         if ended is not None and not self._type_demand_covered(ended):
@@ -427,7 +406,8 @@ class _Worker:
                     return False
         return True
 
-    # stage (c): chain assignments, then routing of the finished request
+    # stage (b): chain assignments; a finished chain is routed once per
+    # content-server candidate
     def _branch_lambda(self, ri: int, pos: int) -> None:
         bound = self.committed + self.p.suffix_credit[ri]
         if self._expired():
@@ -460,42 +440,52 @@ class _Worker:
         p = self.p
         r = p.requests[ri]
         net = p.net
-        cs = self.gamma[ri]
         hosts = [self.assign[(r.id, k)][0] for k in r.chain]
-        links = {net.link(cs, hosts[0])}
-        for a, b in zip(hosts, hosts[1:]):
-            links.add(net.link(a, b))
-        links.add(net.link(hosts[-1], r.user))
+        chain_links = {net.link(a, b) for a, b in zip(hosts, hosts[1:])}
+        chain_links.add(net.link(hosts[-1], r.user))
+        loaded = [(a, b) for a, b in chain_links if a != b]
 
         delay = 0
         route_cost = 0
-        for a, b in links:
-            if a == b:
-                continue
-            if self.link_load.get((a, b), 0) + r.traffic > p.link_limit[(a, b)]:
+        for link in loaded:
+            if self.link_load.get(link, 0) + r.traffic > p.link_limit[link]:
                 return
-            delay += r.traffic * net.delay_between(a, b)
-            route_cost += r.traffic * net.cost_between(a, b)
-        for k in r.chain:
-            s, _i = self.assign[(r.id, k)]
+            delay += r.traffic * net.delay_between(*link)
+            route_cost += r.traffic * net.cost_between(*link)
+        for k, s in zip(r.chain, hosts):
             delay += r.traffic * p.instance.catalog.get(k).processing_delay[s]
         if delay > r.delay_budget:
-            return
+            return  # an entry link only adds delay
 
-        for a, b in links:
-            if a != b:
-                self.link_load[(a, b)] = self.link_load.get((a, b), 0) + r.traffic
-        self.routes[r.id] = frozenset(links)
-        delta = route_cost - p.credit[r.id]
-        self.committed += delta
+        for link in loaded:
+            self.link_load[link] = self.link_load.get(link, 0) + r.traffic
+        # the content server changes only the entry link, so the chain part
+        # is checked and loaded once for all candidates
+        for cs in self.candidates[ri]:
+            entry = net.link(cs, hosts[0])
+            extra = entry[0] != entry[1] and entry not in chain_links
+            entry_cost = 0
+            if extra:
+                if self.link_load.get(entry, 0) + r.traffic > p.link_limit[entry]:
+                    continue
+                if delay + r.traffic * net.delay_between(*entry) > r.delay_budget:
+                    continue
+                entry_cost = r.traffic * net.cost_between(*entry)
+                self.link_load[entry] = self.link_load.get(entry, 0) + r.traffic
+            self.gamma[ri] = cs
+            self.routes[r.id] = frozenset(chain_links | {entry})
+            delta = route_cost + entry_cost - p.credit[r.id]
+            self.committed += delta
 
-        self._branch_lambda(ri + 1, 0)
+            self._branch_lambda(ri + 1, 0)
 
-        self.committed -= delta
-        del self.routes[r.id]
-        for a, b in links:
-            if a != b:
-                self.link_load[(a, b)] -= r.traffic
+            self.committed -= delta
+            if extra:
+                self.link_load[entry] -= r.traffic
+        self.gamma[ri] = None
+        self.routes.pop(r.id, None)
+        for link in loaded:
+            self.link_load[link] -= r.traffic
 
     def _offer_leaf(self) -> None:
         total = self.committed
@@ -532,6 +522,10 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     deadline = start + options.time_limit
 
     if problem.requests and options.parallel_workers > 1:
+        # imported here: the pool's modules add about 0.6 MB to every
+        # process, and single-worker solves never use them
+        from concurrent.futures import ThreadPoolExecutor
+
         firsts = problem.candidates[problem.requests[0].id]
         workers = [_Worker(problem, incumbent, deadline) for _ in firsts]
         with ThreadPoolExecutor(max_workers=options.parallel_workers) as pool:

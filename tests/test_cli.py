@@ -180,6 +180,27 @@ class TestCheck:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "flags, env, message",
+        [
+            (["--time-limit", "0"], None, "time_limit must be positive"),
+            (["--workers", "0"], None, "parallel_workers must be at least 1"),
+            ([], "abc", "CHAINPLACE_TIME_LIMIT: cannot read 'abc' as float"),
+            ([], "0", "time_limit must be positive"),
+        ],
+        ids=["time-limit-flag-zero", "workers-flag-zero", "time-limit-env-text",
+             "time-limit-env-zero"],
+    )
+    def test_bad_solver_setting_is_one_line_error(
+        self, tiny_file, capsys, monkeypatch, flags, env, message
+    ):
+        if env is not None:
+            monkeypatch.setenv("CHAINPLACE_TIME_LIMIT", env)
+        code, out, err = run(capsys, "solve", str(tiny_file), *flags)
+        assert code == 1
+        assert out == ""
+        assert err == message + "\n"
+
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -1,8 +1,14 @@
+import itertools
+import json
+import pathlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainplace.errors import TooLargeError
-from chainplace.model import check_feasibility
-from chainplace.scenario import ScenarioSpec, generate
+from chainplace.model import Network, check_feasibility
+from chainplace.scenario import DEFAULT_SEED, ScenarioSpec, generate, run_comparison
 from chainplace.solver import (
     SolveOptions,
     brute_force,
@@ -10,7 +16,17 @@ from chainplace.solver import (
     solve_exact,
 )
 
-from conftest import mk_instance, mk_network, mk_plan, mk_request, mk_type
+from conftest import (
+    MS,
+    UNIT_COST,
+    mk_instance,
+    mk_network,
+    mk_plan,
+    mk_request,
+    mk_type,
+)
+
+FULL_ORACLE = pathlib.Path(__file__).parent / "data" / "acceptance_oracle_full.json"
 
 
 def small_spec(seed, existing=1, new=1, servers=2, types=2):
@@ -84,8 +100,6 @@ class TestSolveExact:
         assert result.plan is None
 
     def test_candidate_choice_follows_route_costs(self):
-        from chainplace.model import Network
-
         base = mk_network(n_servers=2)
         rows = [list(r) for r in base.link_cost]
         iu = base.position("u0")
@@ -120,8 +134,9 @@ class TestSolveExact:
         assert ("r0", "s0") in plan2.content_server
 
     def test_time_limit_returns_incumbent_with_gap(self):
-        inst = generate(ScenarioSpec.table_row(1, seed=3, reduced=True))
-        result = solve_exact(inst, SolveOptions(time_limit=0.05))
+        # full-scale scenario 3 under no_reuse needs seconds to prove optimal
+        inst = generate(ScenarioSpec.table_row(3, seed=3))
+        result = solve_exact(inst, SolveOptions(time_limit=0.05, no_reuse=True))
         assert result.status == "time_limit"
         if result.plan is not None:
             assert check_feasibility(inst, result.plan).feasible
@@ -162,6 +177,119 @@ class TestOracleEquivalence:
         slow = brute_force(inst, options)
         assert fast.breakdown.total == slow.breakdown.total
         assert fast.plan == slow.plan
+
+
+@st.composite
+def binding_instances(draw):
+    """Two servers, one or two users, at most three VNF instances and two
+    requests, with link bandwidth, VNF capacity, server capacity, the usage
+    threshold and the delay budgets all small enough to bind. Each knob also
+    draws a loose value now and then, so that enough draws stay feasible."""
+    servers = ("s0", "s1")
+    users = tuple(f"u{i}" for i in range(draw(st.integers(1, 2))))
+    nodes = servers + users
+    n = len(nodes)
+    cost = [[0] * n for _ in range(n)]
+    delay = [[0] * n for _ in range(n)]
+    band = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        cost[i][j] = cost[j][i] = draw(st.sampled_from([90_000, 100_000, 115_000]))
+        delay[i][j] = delay[j][i] = draw(st.sampled_from([5 * MS, 20 * MS, 50 * MS]))
+        band[i][j] = band[j][i] = draw(st.sampled_from([1, 2, 10]))
+    net = Network(
+        servers=servers,
+        users=users,
+        bandwidth=band,
+        link_cost=cost,
+        link_delay=delay,
+        server_capacity={s: draw(st.sampled_from([4, 8])) for s in servers},
+        # unequal hosting prices make the cheap host and the content server
+        # differ, so entry links are common
+        server_unit_cost={
+            s: draw(st.sampled_from([UNIT_COST // 5, UNIT_COST, 4 * UNIT_COST]))
+            for s in servers
+        },
+    )
+    pools = draw(
+        st.lists(st.integers(1, 2), min_size=1, max_size=2).filter(lambda c: sum(c) <= 3)
+    )
+    types = [
+        mk_type(
+            net,
+            name=f"k{t}",
+            instances=count,
+            capacity=draw(st.sampled_from([2, 4])),
+            proc_delay=draw(st.sampled_from([10 * MS, 20 * MS])),
+        )
+        for t, count in enumerate(pools)
+    ]
+    snapshot = []
+    for t in types:
+        for i in t.instances:
+            server = draw(st.sampled_from((None,) + servers))
+            if server is not None:
+                snapshot.append((t.name, i, server))
+    links = [net.link(a, b) for a, b in itertools.combinations_with_replacement(nodes, 2)]
+    requests = []
+    for ri in range(draw(st.integers(1, 2))):
+        order = draw(st.permutations([t.name for t in types]))
+        existing = draw(st.booleans())
+        requests.append(
+            mk_request(
+                net,
+                rid=f"r{ri}",
+                chain=order[: draw(st.integers(1, len(order)))],
+                user=draw(st.sampled_from(users)),
+                traffic=draw(st.sampled_from([1, 1, 2])),
+                budget=draw(st.sampled_from([60, 100, 150, 1900, 1900])) * MS,
+                candidates=draw(
+                    st.lists(st.sampled_from(servers), min_size=1, max_size=2, unique=True)
+                ),
+                status="existing" if existing else "new",
+                route=draw(st.sets(st.sampled_from(links), max_size=3)) if existing else (),
+            )
+        )
+    return mk_instance(
+        net,
+        types=types,
+        requests=requests,
+        snapshot=snapshot,
+        mu=draw(st.sampled_from([0.5, 0.75, 1.0, 1.0])),
+    )
+
+
+class TestBindingRegimes:
+    @given(
+        instance=binding_instances(),
+        options=st.sampled_from(
+            [
+                SolveOptions(),
+                SolveOptions(no_reuse=True),
+                SolveOptions(clamp_instantiation=True),
+            ]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_search_matches_brute_force(self, instance, options):
+        fast = solve_exact(instance, options)
+        slow = brute_force(instance, options)
+        assert fast.status == slow.status
+        assert fast.plan == slow.plan
+        if slow.breakdown is not None:
+            assert fast.breakdown.total == slow.breakdown.total
+
+
+class TestFullScaleOracle:
+    @pytest.mark.parametrize("scenario_id", [1, 2, 3])
+    def test_table_row_proves_frozen_optimum(self, scenario_id):
+        frozen = json.loads(FULL_ORACLE.read_text())
+        assert frozen["seed"] == DEFAULT_SEED and frozen["scale"] == "full"
+        expect = frozen["scenarios"][str(scenario_id)]
+        report = run_comparison(ScenarioSpec.table_row(scenario_id, seed=DEFAULT_SEED))
+        for case in (report.online, report.no_reuse):
+            assert case.status == "optimal"
+            assert case.breakdown.total == expect[case.label]["total_micro"]
+            assert case.migration_count == expect[case.label]["migration_count"]
 
 
 class TestInvariants:
