@@ -87,14 +87,10 @@ def _solve_options(args) -> SolveOptions:
     time_limit = args.time_limit
     if time_limit is None:
         time_limit = _env("CHAINPLACE_TIME_LIMIT", float)
-    workers = args.workers
-    if workers is None:
-        workers = _env("CHAINPLACE_WORKERS", int)
     try:
         return SolveOptions(
             time_limit=600.0 if time_limit is None else time_limit,
             no_reuse=getattr(args, "no_reuse", False),
-            parallel_workers=1 if workers is None else workers,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -136,25 +132,31 @@ def _spec_from_args(args, scenario_id=None) -> _scenario.ScenarioSpec:
         return _scenario.ScenarioSpec.table_row(
             scenario_id, seed=seed, reduced=args.reduced, overrides=overrides
         )
-    n_servers = args.servers or (_scenario.REDUCED_SERVERS if args.reduced else 6)
-    n_users = args.users or (_scenario.REDUCED_USER_GROUPS if args.reduced else 6)
-    existing = args.existing if args.existing is not None else 2
-    new = args.new if args.new is not None else (2 if args.reduced else 4)
+    def count(given, reduced, full):
+        return given if given is not None else (reduced if args.reduced else full)
+
+    n_servers = count(args.servers, _scenario.REDUCED_SERVERS, 6)
+    n_users = count(args.users, _scenario.REDUCED_USER_GROUPS, 6)
     return _scenario.ScenarioSpec(
         seed=seed,
         n_servers=n_servers,
         n_user_groups=n_users,
-        existing_requests=existing,
-        new_requests=new,
+        existing_requests=count(args.existing, 2, 2),
+        new_requests=count(args.new, 2, 4),
         overrides=overrides,
     )
 
 
 def _parse_scenario_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--scenario expects an id, a range such as 1..3 or a list such as 1,3; got {text!r}"
+        ) from None
 
 
 def cmd_generate(args) -> int:
@@ -212,11 +214,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ids = _parse_scenario_range(args.scenario) if args.scenario else [None]
     options = _solve_options(args)
     reports = []
     worst = EXIT_OK
     try:
+        ids = _parse_scenario_range(args.scenario) if args.scenario else [None]
         for scenario_id in ids:
             spec = _spec_from_args(args, scenario_id)
             report = _scenario.run_comparison(
@@ -228,6 +230,9 @@ def cmd_compare(args) -> int:
     except BootstrapInfeasibleError as exc:
         _log(str(exc))
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        _log(str(exc))
+        return EXIT_USAGE
 
     if args.format == "json":
         payload = [
@@ -272,7 +277,6 @@ def cmd_check(args) -> int:
 def _add_common(parser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--time-limit", type=float, default=None, help="solver time limit in seconds")
-    parser.add_argument("--workers", type=int, default=None, help="parallel search workers")
     parser.add_argument("-o", "--output", default=None, help="write output to a file instead of stdout")
     parser.add_argument("--timing", action="store_true", help="include wall-clock timing in reports (non-reproducible bytes)")
 

@@ -20,9 +20,6 @@ from .model import (
     normalize_route,
 )
 
-ROUTING_ALL_NODES = "all-nodes"
-ROUTING_SERVERS = "servers"
-
 
 def format_money(micro: int) -> str:
     """Exact decimal money string for an integer micro-money amount."""
@@ -106,49 +103,34 @@ def instantiation_cost(
     )
 
 
-def _charged_links(instance: ProblemInstance, links, domain: str):
-    net = instance.network
-    servers = set(net.servers)
-    for a, b in normalize_route(net, links):
-        if a == b:
-            continue  # co-located hop, free
-        if domain == ROUTING_SERVERS and not (a in servers and b in servers):
-            continue
-        yield a, b
+def _charged_links(instance: ProblemInstance, links):
+    """The links of a route that cost money: all but co-located hops."""
+    return [(a, b) for a, b in normalize_route(instance.network, links) if a != b]
 
 
-def routing_delta(
-    instance: ProblemInstance, plan: PlacementPlan, domain: str = ROUTING_ALL_NODES
-) -> int:
+def routing_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
     """Differential link cost between plan routes and current routes, each
-    undirected link counted once per request.
-
-    ``domain`` limits the charged links to server-server pairs when set to
-    ``"servers"``; the default charges every node pair including the final
-    hop to the end-user.
-    """
+    undirected link counted once per request. Every node pair is charged,
+    the final hop to the end-user included."""
     ensure_plan_matches(instance, plan)
     net = instance.network
     total = 0
     for r in instance.requests:
-        for a, b in _charged_links(instance, plan.route(r.id), domain):
+        for a, b in _charged_links(instance, plan.route(r.id)):
             total += net.cost_between(a, b) * r.traffic
-        for a, b in _charged_links(instance, r.current_route, domain):
+        for a, b in _charged_links(instance, r.current_route):
             total -= net.cost_between(a, b) * r.traffic
     return total
 
 
 def total_objective(
-    instance: ProblemInstance,
-    plan: PlacementPlan,
-    clamp_instantiation: bool = False,
-    routing_domain: str = ROUTING_ALL_NODES,
+    instance: ProblemInstance, plan: PlacementPlan, clamp_instantiation: bool = False
 ) -> CostBreakdown:
     """All four components of the reconfiguration cost and their exact sum."""
     hosting = hosting_delta(instance, plan)
     migration = migration_cost(instance, plan)
     instantiation = instantiation_cost(instance, plan, clamp=clamp_instantiation)
-    routing = routing_delta(instance, plan, domain=routing_domain)
+    routing = routing_delta(instance, plan)
     return CostBreakdown(
         hosting_delta=hosting,
         migration=migration,

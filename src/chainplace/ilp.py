@@ -36,8 +36,6 @@ BINARY_TOL = 1e-6
 @dataclass(frozen=True)
 class BuildOptions:
     no_reuse: bool = False
-    deployment_scope: str = "required"  # "required" or "all"
-    routing_domain: str = _costs.ROUTING_ALL_NODES
     clamp_instantiation: bool = False  # removals stop refunding licenses;
     # exactly linear through the migration product variables
 
@@ -71,16 +69,14 @@ def sanitize_name(name: str) -> str:
     return name.replace("][", "_").replace("[", "_").replace("]", "")
 
 
-def _deployable_types(instance: ProblemInstance, scope: str):
-    if scope == "all":
-        return instance.catalog.types
+def _deployable_types(instance: ProblemInstance):
+    """Types some request needs; the others keep their snapshot deployments
+    (``ProblemInstance.frozen_deployments``) and get no variables."""
     required = set(instance.required_types())
     return tuple(t for t in instance.catalog.types if t.name in required)
 
 
-def enumerate_variables(
-    instance: ProblemInstance, deployment_scope: str = "required"
-) -> tuple[IlpVar, ...]:
+def enumerate_variables(instance: ProblemInstance) -> tuple[IlpVar, ...]:
     """All binary variables in canonical order: g, t, l, p, x, m, q."""
     net = instance.network
     nodes = net.nodes
@@ -90,7 +86,7 @@ def enumerate_variables(
         for s in net.servers:
             out.append(IlpVar(f"g[{r.id}][{s}]", "g", (r.id, s)))
 
-    deployable = _deployable_types(instance, deployment_scope)
+    deployable = _deployable_types(instance)
     for vnf in deployable:
         for i in vnf.instances:
             for s in net.servers:
@@ -214,7 +210,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         raise ValidationFailedError(report)
 
     net = instance.network
-    variables = enumerate_variables(instance, options.deployment_scope)
+    variables = enumerate_variables(instance)
     vidx = {v.name: i for i, v in enumerate(variables)}
 
     def g(f, s):
@@ -240,8 +236,9 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     def q(f, pos, s, d, i, j):
         return vidx[f"q[{f}][{s}][{d}][{pos}][{i}][{j}]"]
 
-    deployable = _deployable_types(instance, options.deployment_scope)
+    deployable = _deployable_types(instance)
     snap = instance.snapshot
+    frozen = instance.frozen_deployments()
 
     # objective: hosting + license coefficients on deployments, migration
     # prices on the product variables, link prices on route variables; the
@@ -264,23 +261,22 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                         micro -= vnf.license_cost
                     if micro:
                         objective.append((x(vnf.name, i, s, d), micro))
-    server_set = set(net.servers)
     nodes = net.nodes
     for r in instance.requests:
         for ai in range(len(nodes)):
             for bi in range(ai + 1, len(nodes)):
                 a, b = nodes[ai], nodes[bi]
-                if options.routing_domain == _costs.ROUTING_SERVERS and not (
-                    a in server_set and b in server_set
-                ):
-                    continue
                 micro = net.cost_between(a, b) * r.traffic
                 if micro:
                     objective.append((p(r.id, a, b), micro))
     objective.sort(key=lambda pair: pair[0])
 
+    # frozen instances stay on both sides and cancel out
     constant = 0
-    for k, _i, s in snap.deployed:
+    frozen_load = {s: 0 for s in net.servers}
+    for k, _i, s in frozen:
+        frozen_load[s] += instance.catalog.get(k).resource_req
+    for k, _i, s in snap.deployed - set(frozen):
         vnf = instance.catalog.get(k)
         constant -= vnf.resource_req * net.server_unit_cost[s]
         if not options.clamp_instantiation:
@@ -288,10 +284,6 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     for r in instance.requests:
         for a, b in normalize_route(net, r.current_route):
             if a == b:
-                continue
-            if options.routing_domain == _costs.ROUTING_SERVERS and not (
-                a in server_set and b in server_set
-            ):
                 continue
             constant -= net.cost_between(a, b) * r.traffic
 
@@ -360,11 +352,11 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                 1,
             )
 
-    def limit(cap):
-        exact = Fraction(instance.usage_threshold) * cap
+    def limit(cap, used=0):
+        exact = Fraction(instance.usage_threshold) * cap - used
         return int(exact) if exact.denominator == 1 else float(exact)
 
-    # server resources
+    # server resources left over by the frozen instances
     for s in net.servers:
         add(
             "12",
@@ -375,7 +367,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                 for i in vnf.instances
             ],
             "L",
-            limit(net.server_capacity[s]),
+            limit(net.server_capacity[s], frozen_load[s]),
         )
 
     # VNF processing capacity: only types with assignment variables
@@ -646,7 +638,8 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
 
     The four decision families must be present (canonical or sanitized
     names); auxiliary product variables are optional but are verified
-    against their defining products when given.
+    against their defining products when given. Frozen snapshot
+    deployments have no variables and come back unchanged.
     """
     instance = model.instance
     resolved: dict[str, int | None] = {}
@@ -690,7 +683,8 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
                 f"{var.name} = {got} but its defining product is {expect}"
             )
 
-    content, deployment, assignment = [], [], []
+    content, assignment = [], []
+    deployment = list(instance.frozen_deployments())
     routes: dict[str, set] = {r.id: set() for r in instance.requests}
     for var in model.variables:
         if not resolved[var.name]:

@@ -126,10 +126,6 @@ class VnfCatalog:
     def has(self, name: str) -> bool:
         return name in self._by_name
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.types)
-
 
 @dataclass(frozen=True)
 class ServiceRequest:
@@ -171,9 +167,6 @@ class Snapshot:
 
     def server_of(self, vnf_type: str, instance: int) -> str | None:
         return self._server_of.get((vnf_type, instance))
-
-    def has_instance(self, vnf_type: str, instance: int) -> bool:
-        return (vnf_type, instance) in self._server_of
 
 
 EMPTY_SNAPSHOT = Snapshot(frozenset())
@@ -240,13 +233,16 @@ class ProblemInstance:
                 return r
         raise IndexMismatchError(f"unknown request {request_id!r}")
 
-    def has_request(self, request_id: str) -> bool:
-        return any(r.id == request_id for r in self.requests)
-
     def required_types(self) -> tuple[str, ...]:
         """VNF types needed by at least one request, in catalog order."""
         needed = {k for r in self.requests for k in r.chain}
         return tuple(t.name for t in self.catalog.types if t.name in needed)
+
+    def frozen_deployments(self) -> tuple[tuple[str, int, str], ...]:
+        """Snapshot entries of types no request needs, sorted. They are not
+        decisions: every plan keeps them where they are, at no cost."""
+        required = set(self.required_types())
+        return tuple(sorted(e for e in self.snapshot.deployed if e[0] not in required))
 
     def usage_limit(self, capacity: int) -> Fraction:
         """Exact usable share of a capacity under the usage threshold."""
@@ -335,10 +331,44 @@ def _check_matrix(out, name, matrix, n, zero_diagonal):
             out.append(Violation("NONZERO_DIAGONAL", (name, i)))
 
 
+def _type_violations(instance: ProblemInstance) -> list[Violation]:
+    """Money, delay, capacity, bandwidth, traffic and instance-id entries
+    that are not strict ints (a bool is not one), and a usage threshold that
+    is not a number."""
+    net = instance.network
+    entries: list[tuple[tuple, object]] = []
+    for name in ("bandwidth", "link_cost", "link_delay"):
+        for i, row in enumerate(getattr(net, name)):
+            entries += (((name, i, j), v) for j, v in enumerate(row))
+    for name in ("server_capacity", "server_unit_cost"):
+        entries += (((name, s), v) for s, v in getattr(net, name).items())
+    for t in instance.catalog.types:
+        for name in ("license_cost", "capacity", "resource_req"):
+            entries.append(((name, t.name), getattr(t, name)))
+        entries += ((("instances", t.name, pos), i) for pos, i in enumerate(t.instances))
+        entries += ((("processing_delay", t.name, s), v) for s, v in t.processing_delay.items())
+        entries += ((("migration_cost", t.name) + pair, v) for pair, v in t.migration_cost.items())
+    for r in instance.requests:
+        entries += ((("traffic", r.id), r.traffic), (("delay_budget", r.id), r.delay_budget))
+    entries += ((("snapshot", k, s), i) for k, i, s in sorted(instance.snapshot.deployed, key=str))
+    out = [
+        Violation("NOT_AN_INTEGER", subject, repr(value))
+        for subject, value in entries
+        if type(value) is not int
+    ]
+    if type(instance.usage_threshold) not in (int, float):
+        out.append(Violation("NOT_A_NUMBER", ("usage_threshold",), repr(instance.usage_threshold)))
+    return out
+
+
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
     """Check every structural invariant; violations come back as report
-    entries with machine-readable codes, never as exceptions."""
-    out: list[Violation] = []
+    entries with machine-readable codes, never as exceptions. Entry types
+    are checked first, and alone when any is wrong, so that no comparison
+    below meets a value it cannot order."""
+    out = _type_violations(instance)
+    if out:
+        return ValidationReport(tuple(out))
     net = instance.network
     nodes = net.servers + net.users
 
@@ -481,17 +511,9 @@ def normalize_route(net: Network, links: Iterable[Link]) -> frozenset[Link]:
     return frozenset(net.link(a, b) for a, b in links)
 
 
-def check_feasibility(
-    instance: ProblemInstance,
-    plan: PlacementPlan,
-    deployment_scope: str = "required",
-) -> ConstraintReport:
+def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> ConstraintReport:
     """Evaluate each constraint family of the placement program on a plan.
-
-    ``deployment_scope`` controls the at-least-one-deployment rule: with
-    ``"required"`` (default) only types some request needs must be deployed,
-    with ``"all"`` every catalog type must be.
-    """
+    The at-least-one-deployment rule covers the types some request needs."""
     ensure_plan_matches(instance, plan)
     net = instance.network
     out: list[ConstraintViolation] = []
@@ -517,13 +539,9 @@ def check_feasibility(
         if (k, i, s) not in plan.deployment:
             out.append(ConstraintViolation("9", (f, s, k, i), "assigned but not deployed"))
 
-    # (10): at least one deployment per type in scope
-    if deployment_scope == "all":
-        scope = instance.catalog.names
-    else:
-        scope = instance.required_types()
+    # (10): at least one deployment per required type
     deployed_types = {k for k, _, _ in plan.deployment}
-    for k in scope:
+    for k in instance.required_types():
         if k not in deployed_types:
             out.append(ConstraintViolation("10", (k,), "no instance deployed"))
 

@@ -55,6 +55,15 @@ CSV_HEADER = (
 )
 
 
+# generator parameters that must be at least 1; the others at least 0
+_AT_LEAST_ONE = {"vnf_types", "server_capacity", "candidates_per_request", "chain_length_range"}
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """Tunable generator knobs, preset to the standard benchmark values.
@@ -81,6 +90,23 @@ class ScenarioParams:
     candidates_per_request: int = 3
     migration_traffic: int = 44
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            low = 1 if f.name in _AT_LEAST_ONE else 0
+            if f.name == "usage_threshold":
+                if type(value) not in (int, float) or not 0 < value <= 1:
+                    raise ValueError(f"usage_threshold must be a number in (0, 1], got {value!r}")
+            elif isinstance(f.default, tuple):
+                if not (isinstance(value, tuple) and len(value) == 2):
+                    raise ValueError(f"{f.name} must be a pair [low, high], got {value!r}")
+                _check_int(f.name, value[0], low)
+                _check_int(f.name, value[1], value[0])
+            else:
+                _check_int(f.name, value, low)
+        if self.chain_length_range[0] > self.vnf_types:
+            raise ValueError("chain_length_range cannot start above vnf_types")
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -91,6 +117,15 @@ class ScenarioSpec:
     new_requests: int = 4
     scenario_id: int | None = None
     overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_int("n_servers", self.n_servers, 1)
+        _check_int("n_user_groups", self.n_user_groups, 1)
+        _check_int("existing_requests", self.existing_requests, 0)
+        _check_int("new_requests", self.new_requests, 0)
+        if self.existing_requests + self.new_requests < 1:
+            raise ValueError("at least one service request is required")
+        self.params()  # builds, and so checks, the generator parameters
 
     def params(self) -> ScenarioParams:
         known = {f.name for f in fields(ScenarioParams)}
@@ -112,6 +147,9 @@ class ScenarioSpec:
         overrides: dict | None = None,
     ) -> "ScenarioSpec":
         table = REDUCED_SCENARIOS if reduced else FULL_SCENARIOS
+        if scenario_id not in table:
+            valid = ", ".join(str(k) for k in table)
+            raise ValueError(f"unknown scenario id {scenario_id!r}; valid ids are {valid}")
         existing, new = table[scenario_id]
         return cls(
             seed=seed,
@@ -130,8 +168,6 @@ def generate(spec: ScenarioSpec) -> ProblemInstance:
     All random draws happen before the bootstrap solve, so the drawn data
     never depends on solver behaviour.
     """
-    if spec.existing_requests + spec.new_requests < 1:
-        raise ValueError("at least one service request is required")
     params = spec.params()
     rng = random.Random(spec.seed)
 

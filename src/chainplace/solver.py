@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,17 +48,12 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 class SolveOptions:
     time_limit: float = 600.0
     no_reuse: bool = False
-    parallel_workers: int = 1
     clamp_instantiation: bool = False  # price removals at zero instead of a
     # license refund; the evaluation harness turns this on
-    tie_break: str = "lexicographic"  # fixed; equal-cost optima resolve on
-    # the canonical variable vector
 
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be at least 1")
 
 
 @dataclass
@@ -110,7 +104,7 @@ class _Decision:
 
 
 class _Problem:
-    """Immutable data shared by both solvers and all workers."""
+    """Immutable data shared by both solvers."""
 
     def __init__(self, instance: ProblemInstance, options: SolveOptions):
         report = validate_instance(instance)
@@ -143,15 +137,9 @@ class _Problem:
         snap_ids = {(k, i) for k, i, _s in instance.snapshot.deployed}
         self.snapshot_ids = snap_ids
 
-        # snapshot entries of types no request needs stay untouched: they are
-        # outside the decision space but still occupy server capacity
-        self.frozen = tuple(
-            sorted(
-                (k, i, s)
-                for k, i, s in instance.snapshot.deployed
-                if k not in required
-            )
-        )
+        # snapshot entries of unneeded types are outside the decision space,
+        # but they still occupy server capacity
+        self.frozen = instance.frozen_deployments()
         self.base_server_load = {s: 0 for s in net.servers}
         for k, _i, s in self.frozen:
             self.base_server_load[s] += instance.catalog.get(k).resource_req
@@ -260,35 +248,30 @@ class _Problem:
 
 class _Incumbent:
     def __init__(self):
-        self.lock = threading.Lock()
         self.total: int | None = None
         self.key: tuple | None = None
         self.plan: PlacementPlan | None = None
         self.updates = 0
 
     def offer(self, total: int, plan_factory, key_factory) -> None:
-        with self.lock:
-            if self.total is not None and total > self.total:
-                return
-            if self.total is None or total < self.total:
-                self.total = total
-                self.plan = plan_factory()
-                self.key = key_factory(self.plan)
-                self.updates += 1
-                return
-            key_plan = plan_factory()
-            key = key_factory(key_plan)
-            if key < self.key:
-                self.key = key
-                self.plan = key_plan
-                self.updates += 1
-
-    def current_total(self) -> int | None:
-        return self.total
+        if self.total is not None and total > self.total:
+            return
+        if self.total is None or total < self.total:
+            self.total = total
+            self.plan = plan_factory()
+            self.key = key_factory(self.plan)
+            self.updates += 1
+            return
+        key_plan = plan_factory()
+        key = key_factory(key_plan)
+        if key < self.key:
+            self.key = key
+            self.plan = key_plan
+            self.updates += 1
 
 
-class _Worker:
-    """One depth-first exploration of the search tree. State is mutated in
+class _Search:
+    """The depth-first exploration of the search tree. State is mutated in
     place along the path and restored on backtrack."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
@@ -309,7 +292,6 @@ class _Worker:
         self.link_load: dict[Link, int] = {}
         self.routes: dict[str, frozenset[Link]] = {}
         self.committed = 0
-        self.candidates = [problem.candidates[r.id] for r in problem.requests]
 
     def _expired(self) -> bool:
         if self.aborted:
@@ -318,11 +300,6 @@ class _Worker:
         if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
             self.aborted = True
         return self.aborted
-
-    def run(self, pinned_first: str | None) -> None:
-        if pinned_first is not None:
-            self.candidates[0] = (pinned_first,)
-        self._branch_tau(0)
 
     def _type_demand_covered(self, k: str) -> bool:
         pool = self.deployed.get(k, ())
@@ -345,7 +322,7 @@ class _Worker:
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
-        inc = self.incumbent.current_total()
+        inc = self.incumbent.total
         if inc is not None and bound > inc:
             return
         if di == len(self.p.decisions):
@@ -413,7 +390,7 @@ class _Worker:
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
-        inc = self.incumbent.current_total()
+        inc = self.incumbent.total
         if inc is not None and bound > inc:
             return
         if ri == len(self.p.requests):
@@ -461,7 +438,7 @@ class _Worker:
             self.link_load[link] = self.link_load.get(link, 0) + r.traffic
         # the content server changes only the entry link, so the chain part
         # is checked and loaded once for all candidates
-        for cs in self.candidates[ri]:
+        for cs in p.candidates[r.id]:
             entry = net.link(cs, hosts[0])
             extra = entry[0] != entry[1] and entry not in chain_links
             entry_cost = 0
@@ -513,47 +490,33 @@ class _Worker:
 def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) -> SolveResult:
     """Provably optimal plan, or infeasible, or the best incumbent when the
     time limit strikes. Equal-cost optima resolve to the lexicographically
-    smallest canonical variable vector, so results are unique and identical
-    for any worker count."""
+    smallest canonical variable vector, so results are unique and
+    repeatable."""
     options = options or SolveOptions()
     problem = _Problem(instance, options)
+    if any(problem.base_server_load[s] > problem.server_limit[s] for s in problem.servers):
+        # the untouched instances alone overfill a server
+        return SolveResult(STATUS_INFEASIBLE, None, None, SolveStats())
     incumbent = _Incumbent()
     start = time.monotonic()
-    deadline = start + options.time_limit
+    search = _Search(problem, incumbent, start + options.time_limit)
+    search._branch_tau(0)
 
-    if problem.requests and options.parallel_workers > 1:
-        # imported here: the pool's modules add about 0.6 MB to every
-        # process, and single-worker solves never use them
-        from concurrent.futures import ThreadPoolExecutor
-
-        firsts = problem.candidates[problem.requests[0].id]
-        workers = [_Worker(problem, incumbent, deadline) for _ in firsts]
-        with ThreadPoolExecutor(max_workers=options.parallel_workers) as pool:
-            futures = [
-                pool.submit(w.run, first) for w, first in zip(workers, firsts)
-            ]
-            for fut in futures:
-                fut.result()
-    else:
-        workers = [_Worker(problem, incumbent, deadline)]
-        workers[0].run(None)
-
-    wall = time.monotonic() - start
-    nodes = sum(w.nodes for w in workers)
-    aborted = any(w.aborted for w in workers)
-    abort_lb = min((w.abort_lb for w in workers), default=math.inf)
-
-    stats = SolveStats(nodes=nodes, incumbent_updates=incumbent.updates, wall_time=wall)
+    stats = SolveStats(
+        nodes=search.nodes,
+        incumbent_updates=incumbent.updates,
+        wall_time=time.monotonic() - start,
+    )
     if incumbent.plan is None:
-        if aborted:
+        if search.aborted:
             return SolveResult(STATUS_TIME_LIMIT, None, None, stats)
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
 
     breakdown = _costs.total_objective(
         instance, incumbent.plan, clamp_instantiation=options.clamp_instantiation
     )
-    if aborted:
-        lb = min(abort_lb, incumbent.total)
+    if search.aborted:
+        lb = min(search.abort_lb, incumbent.total)
         stats.gap = incumbent.total - lb if lb != math.inf else None
         return SolveResult(STATUS_TIME_LIMIT, incumbent.plan, breakdown, stats)
     return SolveResult(STATUS_OPTIMAL, incumbent.plan, breakdown, stats)

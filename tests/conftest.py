@@ -117,6 +117,21 @@ def mk_plan(content=(), deployment=(), assignment=(), routes=None):
     )
 
 
+def frozen_load_instance(mu):
+    """Two instances of k0, a type no request needs, fill s0 to its 4 units
+    of capacity; the one new request needs k1. At ``mu`` 1 the optimum puts
+    k1 on s1 (102.09 money); at ``mu`` 0.5 the frozen load alone overfills
+    s0."""
+    net = mk_network(capacity=4, unit_cost=UNIT_COST // 5, link_cost=90_000)
+    return mk_instance(
+        net,
+        types=[mk_type(net, name="k0", instances=2), mk_type(net, name="k1")],
+        requests=[mk_request(net, chain=("k1",))],
+        snapshot=[("k0", 0, "s0"), ("k0", 1, "s0")],
+        mu=mu,
+    )
+
+
 @pytest.fixture
 def net2():
     return mk_network(n_servers=2, n_users=1)

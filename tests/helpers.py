@@ -53,7 +53,8 @@ def parse_mps(text: str):
 
 def solve_mps_with_highs(text: str):
     """Objective value (money units, constant included) and variable values
-    of the optimal solution of an exported MPS model."""
+    of the optimal solution of an exported MPS model, or None when HiGHS
+    proves the model infeasible."""
     obj_name, senses, row_order, cols, rhs, var_order = parse_mps(text)
     vidx = {v: i for i, v in enumerate(var_order)}
     ridx = {r: i for i, r in enumerate(row_order)}
@@ -82,6 +83,8 @@ def solve_mps_with_highs(text: str):
         integrality=np.ones(len(var_order)),
         bounds=Bounds(0, 1),
     )
+    if result.status == 2:  # proven infeasible
+        return None
     assert result.success, result.message
     constant = -rhs.get(obj_name, 0.0)
     values = {v: float(result.x[vidx[v]]) for v in var_order}

@@ -184,12 +184,10 @@ class TestUsage:
         "flags, env, message",
         [
             (["--time-limit", "0"], None, "time_limit must be positive"),
-            (["--workers", "0"], None, "parallel_workers must be at least 1"),
             ([], "abc", "CHAINPLACE_TIME_LIMIT: cannot read 'abc' as float"),
             ([], "0", "time_limit must be positive"),
         ],
-        ids=["time-limit-flag-zero", "workers-flag-zero", "time-limit-env-text",
-             "time-limit-env-zero"],
+        ids=["time-limit-flag-zero", "time-limit-env-text", "time-limit-env-zero"],
     )
     def test_bad_solver_setting_is_one_line_error(
         self, tiny_file, capsys, monkeypatch, flags, env, message
@@ -200,6 +198,54 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--scenario", "0"], "unknown scenario id 0; valid ids are 1, 2, 3"),
+            (["generate", "--scenario", "7"], "unknown scenario id 7; valid ids are 1, 2, 3"),
+            (["compare", "--scenario", "7", "--reduced"],
+             "unknown scenario id 7; valid ids are 1, 2, 3"),
+            (["compare", "--scenario", "abc"],
+             "--scenario expects an id, a range such as 1..3 or a list such as 1,3; "
+             "got 'abc'"),
+            (["generate", "--set", "vnf_types=abc"],
+             "vnf_types must be an integer of at least 1, got 'abc'"),
+            (["generate", "--set", "vnf_types=0"],
+             "vnf_types must be an integer of at least 1, got 0"),
+            (["generate", "--new", "-1"],
+             "new_requests must be an integer of at least 0, got -1"),
+            (["generate", "--reduced", "--servers", "0"],
+             "n_servers must be an integer of at least 1, got 0"),
+        ],
+        ids=["generate-scenario-0", "generate-scenario-7", "compare-scenario-7",
+             "compare-scenario-text", "vnf-types-text", "vnf-types-zero",
+             "new-negative", "reduced-servers-zero"],
+    )
+    def test_bad_generator_argument_is_one_line_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize("value", ["abc", True, 1.5], ids=["text", "bool", "float"])
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_non_integer_entry_is_one_line_per_violation(
+        self, tiny_file, tmp_path, capsys, command, value
+    ):
+        document = json.loads(tiny_file.read_text())
+        document["network"]["link_cost"][0][1] = value
+        document["network"]["link_cost"][1][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        plan = [str(tmp_path / "never-read.json")] if command == "check" else []
+        code, out, err = run(capsys, command, str(path), *plan)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"invalid instance: NOT_AN_INTEGER(link_cost,0,1): {value!r}\n"
+            f"invalid instance: NOT_AN_INTEGER(link_cost,1,0): {value!r}\n"
+        )
 
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -136,9 +136,8 @@ class TestRouting:
         without = unit_plan(route=(("s0", "u0"),))
         assert routing_delta(tiny, with_self) == routing_delta(tiny, without)
 
-    def test_server_domain_ignores_user_links(self, tiny):
+    def test_user_links_are_charged(self, tiny):
         plan = unit_plan(route=(("s0", "u0"),))
-        assert routing_delta(tiny, plan, domain="servers") == 0
         assert routing_delta(tiny, plan) == tiny.network.cost_between("s0", "u0")
 
 

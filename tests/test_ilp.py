@@ -20,10 +20,10 @@ from chainplace.ilp import (
     sanitize_name,
 )
 from chainplace.model import check_feasibility
-from chainplace.solver import brute_force
+from chainplace.solver import brute_force, solve_exact
 
-from conftest import mk_instance, mk_network, mk_request, mk_type
-from helpers import full_assignment
+from conftest import frozen_load_instance, mk_instance, mk_network, mk_request, mk_type
+from helpers import full_assignment, solve_mps_with_highs
 
 
 def family_counts(model):
@@ -166,6 +166,30 @@ class TestImport:
         assert parse_solution_text(text) == {"g_r0_s0": 1.0, "t_k0_0_s0": 0.0}
         as_json = '{"variables": {"g_r0_s0": 1}}'
         assert parse_solution_text(as_json) == {"g_r0_s0": 1.0}
+
+
+class TestFrozenDeployments:
+    """Instances of types no request needs keep their servers: HiGHS on the
+    exported model agrees with both solvers, also when their load alone
+    overfills a server."""
+
+    @pytest.mark.parametrize("mu, expect", [(1.0, 102_090_000), (0.5, None)])
+    def test_highs_agrees_with_both_solvers(self, mu, expect):
+        inst = frozen_load_instance(mu)
+        fast, slow = solve_exact(inst), brute_force(inst)
+        model = build_ilp(inst)
+        solved = solve_mps_with_highs(export_mps(model))
+        if expect is None:
+            assert fast.status == slow.status == "infeasible"
+            assert solved is None
+            return
+        assert fast.breakdown.total == slow.breakdown.total == expect
+        money, values = solved
+        assert round(money * 10**6) == expect
+        plan = import_solution(model, values)
+        assert plan.deployment >= inst.snapshot.deployed
+        assert check_feasibility(inst, plan).feasible
+        assert total_objective(inst, plan).total == expect
 
 
 def snapshot_instance():

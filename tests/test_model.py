@@ -159,7 +159,7 @@ class TestFeasibility:
         with pytest.raises(IndexMismatchError):
             check_feasibility(tiny, plan)
 
-    def test_deployment_scope_all_requires_every_type(self, net2):
+    def test_unneeded_type_need_not_be_deployed(self, net2):
         unused = mk_type(net2, name="k1")
         inst = mk_instance(net2, types=[mk_type(net2), unused])
         plan = mk_plan(
@@ -169,7 +169,6 @@ class TestFeasibility:
             routes={"r0": [("s0", "s0"), ("s0", "u0")]},
         )
         assert check_feasibility(inst, plan).feasible
-        assert check_feasibility(inst, plan, deployment_scope="all").has("10", "k1")
 
 
 class TestSnapshotDiff:
