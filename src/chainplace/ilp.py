@@ -2,18 +2,22 @@
 
 The compiled model owns the canonical variable order used everywhere else
 (including the solver's tie-break), carries every product linearization as
-explicit rows, and exports to MPS and LP interchange text. Objective
-coefficients are held in exact micro-money; the text exporters emit them
-divided by 1e6 (plain money units) because several MILP readers dislike
-huge magnitudes. The scale is recorded in a comment header.
+explicit rows, and exports to MPS and LP interchange text. Variables
+(``IlpVar``) and rows (``Row``) are named tuples; each model computes its
+variables' interchange aliases once, and the exporters and the solution
+importer read them from ``IlpModel.aliases``. Objective coefficients are
+held in exact micro-money; the text exporters emit them divided by 1e6
+(plain money units) because several MILP readers dislike huge magnitudes.
+The scale is recorded in a comment header.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import costs as _costs
 from .errors import (
@@ -40,15 +44,17 @@ class BuildOptions:
     # exactly linear through the migration product variables
 
 
-@dataclass(frozen=True)
-class IlpVar:
+class IlpVar(NamedTuple):
     name: str
     family: str
     key: tuple
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
+    """One constraint: ``sum(coef * x[idx]) <sense> rhs``. Coefficients are
+    ints, sorted by variable index; ``rhs`` is a float only when the usage
+    threshold makes a limit fractional."""
+
     tag: str
     key: tuple
     coeffs: tuple[tuple[int, int], ...]  # (variable index, integer coefficient)
@@ -162,6 +168,9 @@ def plan_vector(
 
 @dataclass(frozen=True)
 class IlpModel:
+    """A compiled program. ``aliases[i]`` is ``sanitize_name`` of
+    ``variables[i].name``, computed once when the model is made."""
+
     instance: ProblemInstance
     options: BuildOptions
     variables: tuple[IlpVar, ...]
@@ -169,16 +178,19 @@ class IlpModel:
     objective: tuple[tuple[int, int], ...]  # (variable index, micro-money)
     constant: int  # micro-money
     name: str = "CHAINPLACE"
+    aliases: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {v.name: i for i, v in enumerate(self.variables)}
         if len(index) != len(self.variables):
             raise ValueError("variable names are not unique")
-        aliases = {sanitize_name(v.name): i for i, v in enumerate(self.variables)}
-        if len(aliases) != len(self.variables):
+        aliases = tuple(sanitize_name(v.name) for v in self.variables)
+        alias_index = {alias: i for i, alias in enumerate(aliases)}
+        if len(alias_index) != len(aliases):
             raise ValueError("sanitized variable aliases collide")
+        object.__setattr__(self, "aliases", aliases)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_alias_index", aliases)
+        object.__setattr__(self, "_alias_index", alias_index)
 
     def variable_index(self, name: str) -> int:
         if name in self._index:
@@ -210,31 +222,22 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         raise ValidationFailedError(report)
 
     net = instance.network
+    nodes = net.nodes
+    position = {node: n for n, node in enumerate(nodes)}
     variables = enumerate_variables(instance)
-    vidx = {v.name: i for i, v in enumerate(variables)}
-
-    def g(f, s):
-        return vidx[f"g[{f}][{s}]"]
-
-    def t(k, i, s):
-        return vidx[f"t[{k}][{i}][{s}]"]
-
-    def l(f, s, k, i):
-        return vidx[f"l[{f}][{s}][{k}][{i}]"]
+    vidx = {(v.family, *v.key): i for i, v in enumerate(variables)}
 
     def p(f, a, b):
-        if a != b and net.position(a) > net.position(b):
+        if a != b and position[a] > position[b]:
             a, b = b, a
-        return vidx[f"p[{f}][{a}][{b}]"]
+        return vidx["p", f, a, b]
 
-    def x(k, i, s, d):
-        return vidx[f"x[{k}][{i}][{s}][{d}]"]
-
-    def m(f, s, d, i):
-        return vidx[f"m[{f}][{s}][{d}][{i}]"]
-
-    def q(f, pos, s, d, i, j):
-        return vidx[f"q[{f}][{s}][{d}][{pos}][{i}][{j}]"]
+    # distinct node pairs in canonical order, with their matrix positions
+    pairs = [
+        (ai, bi, nodes[ai], nodes[bi])
+        for ai in range(len(nodes))
+        for bi in range(ai + 1, len(nodes))
+    ]
 
     deployable = _deployable_types(instance)
     snap = instance.snapshot
@@ -249,7 +252,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
             for s in net.servers:
                 micro = vnf.resource_req * net.server_unit_cost[s] + vnf.license_cost
                 if micro:
-                    objective.append((t(vnf.name, i, s), micro))
+                    objective.append((vidx["t", vnf.name, i, s], micro))
     for vnf in deployable:
         for i in vnf.instances:
             for s in net.servers:
@@ -260,15 +263,12 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                         # clamped license total is sum(L*t) - sum(L*x)
                         micro -= vnf.license_cost
                     if micro:
-                        objective.append((x(vnf.name, i, s, d), micro))
-    nodes = net.nodes
+                        objective.append((vidx["x", vnf.name, i, s, d], micro))
     for r in instance.requests:
-        for ai in range(len(nodes)):
-            for bi in range(ai + 1, len(nodes)):
-                a, b = nodes[ai], nodes[bi]
-                micro = net.cost_between(a, b) * r.traffic
-                if micro:
-                    objective.append((p(r.id, a, b), micro))
+        for ai, bi, a, b in pairs:
+            micro = net.link_cost[ai][bi] * r.traffic
+            if micro:
+                objective.append((vidx["p", r.id, a, b], micro))
     objective.sort(key=lambda pair: pair[0])
 
     # frozen instances stay on both sides and cancel out
@@ -290,28 +290,34 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     rows: list[Row] = []
 
     def add(tag, key, coeffs, sense, rhs):
-        coeffs = tuple(sorted((idx, coef) for idx, coef in coeffs if coef))
-        if coeffs:
-            rows.append(Row(tag, key, coeffs, sense, rhs))
+        coeffs = [c for c in coeffs if c[1]]
+        if len(coeffs) > 1:
+            coeffs.sort()
+        row = Row(tag, key, tuple(coeffs), sense, rhs)
+        # a row left without coefficients is kept only when 0 violates it
+        if coeffs or not row.satisfied_by(()):
+            rows.append(row)
 
     # migration product linearization
     for vnf in deployable:
+        k = vnf.name
         for i in vnf.instances:
             for s in net.servers:
-                cur = 1 if (vnf.name, i, s) in snap.deployed else 0
+                cur = 1 if (k, i, s) in snap.deployed else 0
                 for d in net.servers:
-                    xi = x(vnf.name, i, s, d)
-                    ti = t(vnf.name, i, d)
-                    add("2-2", (vnf.name, i, s, d), [(xi, 1)], "L", cur)
-                    add("2-3", (vnf.name, i, s, d), [(xi, 1), (ti, -1)], "L", 0)
-                    add("2-4", (vnf.name, i, s, d), [(xi, 1), (ti, -1)], "G", cur - 1)
+                    xi = vidx["x", k, i, s, d]
+                    ti = vidx["t", k, i, d]
+                    key = (k, i, s, d)
+                    add("2-2", key, [(xi, 1)], "L", cur)
+                    add("2-3", key, [(xi, 1), (ti, -1)], "L", 0)
+                    add("2-4", key, [(xi, 1), (ti, -1)], "G", cur - 1)
 
     # content server selection
     for r in instance.requests:
-        add("6", (r.id,), [(g(r.id, s), 1) for s in net.servers], "E", 1)
+        add("6", (r.id,), [(vidx["g", r.id, s], 1) for s in net.servers], "E", 1)
         for s in net.servers:
             cap = 1 if s in r.candidate_servers else 0
-            add("7", (r.id, s), [(g(r.id, s), 1)], "L", cap)
+            add("7", (r.id, s), [(vidx["g", r.id, s], 1)], "L", cap)
 
     # one assigned instance per required type, only on deployed instances
     for r in instance.requests:
@@ -320,7 +326,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
             add(
                 "8",
                 (r.id, k),
-                [(l(r.id, s, k, i), 1) for s in net.servers for i in pool],
+                [(vidx["l", r.id, s, k, i], 1) for s in net.servers for i in pool],
                 "E",
                 1,
             )
@@ -329,7 +335,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                     add(
                         "9",
                         (r.id, s, k, i),
-                        [(l(r.id, s, k, i), 1), (t(k, i, s), -1)],
+                        [(vidx["l", r.id, s, k, i], 1), (vidx["t", k, i, s], -1)],
                         "L",
                         0,
                     )
@@ -339,7 +345,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         add(
             "10",
             (vnf.name,),
-            [(t(vnf.name, i, s), 1) for i in vnf.instances for s in net.servers],
+            [(vidx["t", vnf.name, i, s], 1) for i in vnf.instances for s in net.servers],
             "G",
             1,
         )
@@ -347,7 +353,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
             add(
                 "11",
                 (vnf.name, i),
-                [(t(vnf.name, i, s), 1) for s in net.servers],
+                [(vidx["t", vnf.name, i, s], 1) for s in net.servers],
                 "L",
                 1,
             )
@@ -362,7 +368,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
             "12",
             (s,),
             [
-                (t(vnf.name, i, s), vnf.resource_req)
+                (vidx["t", vnf.name, i, s], vnf.resource_req)
                 for vnf in deployable
                 for i in vnf.instances
             ],
@@ -381,7 +387,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                     "13",
                     (vnf.name, i, s),
                     [
-                        (l(r.id, s, vnf.name, i), r.traffic)
+                        (vidx["l", r.id, s, vnf.name, i], r.traffic)
                         for r in instance.requests
                         if vnf.name in r.chain
                     ],
@@ -390,49 +396,46 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                 )
 
     # link bandwidth, self-links exempt
-    for ai in range(len(nodes)):
-        for bi in range(ai + 1, len(nodes)):
-            a, b = nodes[ai], nodes[bi]
-            add(
-                "14",
-                (a, b),
-                [(p(r.id, a, b), r.traffic) for r in instance.requests],
-                "L",
-                limit(net.bandwidth_between(a, b)),
-            )
+    for ai, bi, a, b in pairs:
+        add(
+            "14",
+            (a, b),
+            [(vidx["p", r.id, a, b], r.traffic) for r in instance.requests],
+            "L",
+            limit(net.bandwidth[ai][bi]),
+        )
 
     # chain entry link (content server to first VNF host)
     for r in instance.requests:
-        first = r.chain[0]
+        f, first = r.id, r.chain[0]
         for i in instance.catalog.get(first).instances:
             for s in net.servers:
+                gi = vidx["g", f, s]
                 for d in net.servers:
-                    mi = m(r.id, s, d, i)
-                    key = (r.id, s, d, i)
-                    add("15-2", key, [(mi, 1), (p(r.id, s, d), -1)], "L", 0)
-                    add("15-3", key, [(mi, 1), (g(r.id, s), -1)], "L", 0)
-                    add("15-4", key, [(mi, 1), (l(r.id, d, first, i), -1)], "L", 0)
-                    add(
-                        "15-5",
-                        key,
-                        [(mi, 1), (g(r.id, s), -1), (l(r.id, d, first, i), -1)],
-                        "G",
-                        -1,
-                    )
+                    mi = vidx["m", f, s, d, i]
+                    li = vidx["l", f, d, first, i]
+                    key = (f, s, d, i)
+                    add("15-2", key, [(mi, 1), (p(f, s, d), -1)], "L", 0)
+                    add("15-3", key, [(mi, 1), (gi, -1)], "L", 0)
+                    add("15-4", key, [(mi, 1), (li, -1)], "L", 0)
+                    add("15-5", key, [(mi, 1), (gi, -1), (li, -1)], "G", -1)
 
     # consecutive chain links
     for r in instance.requests:
-        for pos in range(len(r.chain) - 1):
-            ka, kb = r.chain[pos], r.chain[pos + 1]
+        f = r.id
+        for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:])):
+            pool_a = instance.catalog.get(ka).instances
+            pool_b = instance.catalog.get(kb).instances
             for s in net.servers:
                 for d in net.servers:
-                    for i in instance.catalog.get(ka).instances:
-                        for j in instance.catalog.get(kb).instances:
-                            qi = q(r.id, pos, s, d, i, j)
-                            la = l(r.id, s, ka, i)
-                            lb = l(r.id, d, kb, j)
-                            key = (r.id, pos, s, d, i, j)
-                            add("16-2", key, [(qi, 1), (p(r.id, s, d), -1)], "L", 0)
+                    pi = p(f, s, d)
+                    for i in pool_a:
+                        la = vidx["l", f, s, ka, i]
+                        for j in pool_b:
+                            qi = vidx["q", f, pos, s, d, i, j]
+                            lb = vidx["l", f, d, kb, j]
+                            key = (f, pos, s, d, i, j)
+                            add("16-2", key, [(qi, 1), (pi, -1)], "L", 0)
                             add("16-3", key, [(qi, 1), (la, -1)], "L", 0)
                             add("16-4", key, [(qi, 1), (lb, -1)], "L", 0)
                             add("16-5", key, [(qi, 1), (la, -1), (lb, -1)], "G", -1)
@@ -442,26 +445,24 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         last = r.chain[-1]
         pool = instance.catalog.get(last).instances
         for s in net.servers:
-            coeffs = [(l(r.id, s, last, i), 1) for i in pool]
+            coeffs = [(vidx["l", r.id, s, last, i], 1) for i in pool]
             coeffs.append((p(r.id, s, r.user), -1))
             add("17", (r.id, s), coeffs, "E", 0)
 
     # delay budget
     for r in instance.requests:
         coeffs = []
-        for ai in range(len(nodes)):
-            for bi in range(ai + 1, len(nodes)):
-                a, b = nodes[ai], nodes[bi]
-                coef = r.traffic * net.delay_between(a, b)
-                if coef:
-                    coeffs.append((p(r.id, a, b), coef))
+        for ai, bi, a, b in pairs:
+            coef = r.traffic * net.link_delay[ai][bi]
+            if coef:
+                coeffs.append((vidx["p", r.id, a, b], coef))
         for k in r.chain:
             vnf = instance.catalog.get(k)
             for i in vnf.instances:
                 for s in net.servers:
                     coef = r.traffic * vnf.processing_delay[s]
                     if coef:
-                        coeffs.append((l(r.id, s, k, i), coef))
+                        coeffs.append((vidx["l", r.id, s, k, i], coef))
         add("18", (r.id,), coeffs, "L", r.delay_budget)
 
     if options.no_reuse:
@@ -477,7 +478,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                         add(
                             "NOREUSE",
                             (r.id, s, k, i),
-                            [(l(r.id, s, k, i), 1)],
+                            [(vidx["l", r.id, s, k, i], 1)],
                             "E",
                             0,
                         )
@@ -529,22 +530,23 @@ def export_mps(model: IlpModel) -> str:
     for row, name in zip(model.rows, row_names):
         lines.append(f" {row.sense}  {name}")
 
-    width = max((len(sanitize_name(v.name)) for v in model.variables), default=8)
-    width = max(width, 8)
-    obj_by_var: dict[int, int] = {idx: micro for idx, micro in model.objective}
-    entries: dict[int, list[tuple[str, str]]] = {i: [] for i in range(len(model.variables))}
-    for i, micro in obj_by_var.items():
-        entries[i].append(("COST", _costs.format_money(micro)))
+    # each distinct coefficient or rhs value is formatted once
+    fmt = functools.cache(_fmt_value)
+    # per variable, its "<row name>  <value>" cells in row order, COST first
+    cells: list[list[str]] = [[] for _ in model.variables]
+    for i, micro in dict(model.objective).items():
+        cells[i].append(f"{'COST':<12}  {_costs.format_money(micro)}")
     for row, name in zip(model.rows, row_names):
+        name = f"{name:<12}  "
         for idx, coef in row.coeffs:
-            entries[idx].append((name, _fmt_value(coef)))
+            cells[idx].append(name + fmt(coef))
 
+    width = max(8, max(map(len, model.aliases), default=8))
     lines.append("COLUMNS")
     lines.append("    MARKER                 'MARKER'                 'INTORG'")
-    for i, var in enumerate(model.variables):
-        alias = sanitize_name(var.name)
-        for row_name, value in entries[i]:
-            lines.append(f"    {alias:<{width}}  {row_name:<12}  {value}")
+    for alias, own in zip(model.aliases, cells):
+        head = f"    {alias:<{width}}  "
+        lines.extend(head + cell for cell in own)
     lines.append("    MARKER                 'MARKER'                 'INTEND'")
 
     lines.append("RHS")
@@ -552,11 +554,10 @@ def export_mps(model: IlpModel) -> str:
         lines.append(f"    RHS  COST  {_costs.format_money(-model.constant)}")
     for row, name in zip(model.rows, row_names):
         if row.rhs != 0:
-            lines.append(f"    RHS  {name:<12}  {_fmt_value(row.rhs)}")
+            lines.append(f"    RHS  {name:<12}  {fmt(row.rhs)}")
 
     lines.append("BOUNDS")
-    for var in model.variables:
-        lines.append(f" BV BND  {sanitize_name(var.name)}")
+    lines.extend(" BV BND  " + alias for alias in model.aliases)
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -571,6 +572,7 @@ def export_lp(model: IlpModel) -> str:
             return f"{'-' if sign == '-' else ''}{mag} {name}"
         return f"{sign} {mag} {name}"
 
+    aliases = model.aliases
     lines = [
         "\\ chainplace LP export",
         "\\ money values are scaled: coefficient = micro-money / 1e6",
@@ -578,7 +580,7 @@ def export_lp(model: IlpModel) -> str:
     ]
     parts = []
     for idx, micro in model.objective:
-        parts.append(term(_costs.format_money(micro), sanitize_name(model.variables[idx].name), not parts))
+        parts.append(term(_costs.format_money(micro), aliases[idx], not parts))
     if model.constant:
         c = _costs.format_money(model.constant)
         parts.append(term(c, "", not parts).rstrip())
@@ -587,16 +589,23 @@ def export_lp(model: IlpModel) -> str:
     lines.append(" obj: " + " ".join(parts))
 
     lines.append("Subject To")
+    # a coefficient's text before the variable, as the first term and after
+    # it, formatted once per distinct value
+    lead = functools.cache(lambda coef: term(str(coef), "", True))
+    tail = functools.cache(lambda coef: term(str(coef), "", False))
+    fmt = functools.cache(_fmt_value)
     sense_txt = {"E": "=", "L": "<=", "G": ">="}
     for row, name in zip(model.rows, _row_names(model)):
-        parts = []
-        for idx, coef in row.coeffs:
-            parts.append(term(str(coef), sanitize_name(model.variables[idx].name), not parts))
-        lines.append(f" {name}: " + " ".join(parts) + f" {sense_txt[row.sense]} {_fmt_value(row.rhs)}")
+        parts = [tail(coef) + aliases[idx] for idx, coef in row.coeffs]
+        if parts:
+            idx, coef = row.coeffs[0]
+            parts[0] = lead(coef) + aliases[idx]
+        else:
+            parts = ["0"]
+        lines.append(f" {name}: {' '.join(parts)} {sense_txt[row.sense]} {fmt(row.rhs)}")
 
     lines.append("Binaries")
-    for var in model.variables:
-        lines.append(f" {sanitize_name(var.name)}")
+    lines.extend(" " + alias for alias in aliases)
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -642,40 +651,40 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
     deployments have no variables and come back unchanged.
     """
     instance = model.instance
-    resolved: dict[str, int | None] = {}
-    for var in model.variables:
+    variables = model.variables
+    bits: list[int | None] = []
+    for var, alias in zip(variables, model.aliases):
         raw = values.get(var.name)
         if raw is None:
-            raw = values.get(sanitize_name(var.name))
+            raw = values.get(alias)
         if raw is None:
             if var.family in ("g", "t", "l", "p"):
                 raise MissingVariableError(f"missing value for {var.name}")
-            resolved[var.name] = None
+            bits.append(None)
         else:
-            resolved[var.name] = _as_bit(var.name, raw)
+            bits.append(_as_bit(var.name, raw))
 
-    def val(name: str) -> int:
-        v = resolved[name]
-        return 0 if v is None else v
+    # index of each product factor by (family, *key)
+    factors = {(v.family, *v.key): i for i, v in enumerate(variables) if v.family in "gtl"}
 
-    snap = instance.snapshot
-    for var in model.variables:
-        got = resolved[var.name]
+    def val(*key) -> int:
+        return bits[factors[key]] or 0
+
+    deployed = instance.snapshot.deployed
+    chains = {r.id: r.chain for r in instance.requests}
+    for var, got in zip(variables, bits):
         if got is None:
             continue
         if var.family == "x":
             k, i, s, d = var.key
-            expect = (1 if (k, i, s) in snap.deployed else 0) * val(f"t[{k}][{i}][{d}]")
+            expect = (1 if (k, i, s) in deployed else 0) * val("t", k, i, d)
         elif var.family == "m":
             f, s, d, i = var.key
-            first = instance.request(f).chain[0]
-            expect = val(f"g[{f}][{s}]") * val(f"l[{f}][{d}][{first}][{i}]")
+            expect = val("g", f, s) * val("l", f, d, chains[f][0], i)
         elif var.family == "q":
             f, pos, s, d, i, j = var.key
-            chain = instance.request(f).chain
-            expect = val(f"l[{f}][{s}][{chain[pos]}][{i}]") * val(
-                f"l[{f}][{d}][{chain[pos + 1]}][{j}]"
-            )
+            chain = chains[f]
+            expect = val("l", f, s, chain[pos], i) * val("l", f, d, chain[pos + 1], j)
         else:
             continue
         if got != expect:
@@ -686,8 +695,8 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
     content, assignment = [], []
     deployment = list(instance.frozen_deployments())
     routes: dict[str, set] = {r.id: set() for r in instance.requests}
-    for var in model.variables:
-        if not resolved[var.name]:
+    for var, got in zip(variables, bits):
+        if not got:
             continue
         if var.family == "g":
             content.append(var.key)

@@ -176,16 +176,31 @@ def plan_to_document(plan: PlacementPlan) -> dict:
     }
 
 
+def _instance_id(field: str, entry, value) -> int:
+    """A plan entry's instance id. JSON ``false`` and ``0.0`` compare equal
+    to ``0``, so anything but a strict int is refused."""
+    if type(value) is not int:
+        raise ValueError(
+            f"{field} entry {json.dumps(entry)}: instance id {json.dumps(value)} is not an integer"
+        )
+    return value
+
+
 def document_to_plan(document: Mapping) -> PlacementPlan:
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported plan format_version {version!r}")
+    deployment, assignment = set(), set()
+    for entry in document["deployment"]:
+        k, i, s = entry
+        deployment.add((k, _instance_id("deployment", entry, i), s))
+    for entry in document["assignment"]:
+        f, s, k, i = entry
+        assignment.add((f, s, k, _instance_id("assignment", entry, i)))
     return PlacementPlan(
         content_server=frozenset((f, s) for f, s in document["content_server"]),
-        deployment=frozenset((k, i, s) for k, i, s in document["deployment"]),
-        assignment=frozenset(
-            (f, s, k, i) for f, s, k, i in document["assignment"]
-        ),
+        deployment=frozenset(deployment),
+        assignment=frozenset(assignment),
         routes={
             f: frozenset((a, b) for a, b in links)
             for f, links in document["routes"].items()

@@ -247,6 +247,25 @@ class TestUsage:
             f"invalid instance: NOT_AN_INTEGER(link_cost,1,0): {value!r}\n"
         )
 
+    @pytest.mark.parametrize("value", [False, 0.0], ids=["false", "float-zero"])
+    @pytest.mark.parametrize("field, at", [("deployment", 1), ("assignment", 3)])
+    def test_non_integer_plan_instance_id_is_one_line_error(
+        self, tiny_file, tmp_path, capsys, field, at, value
+    ):
+        instance = document_to_instance(json.loads(tiny_file.read_text()))
+        document = plan_to_document(solve_exact(instance).plan)
+        entry = document[field][0]
+        entry[at] = value
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "check", str(tiny_file), str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"cannot read plan {path}: {field} entry {json.dumps(entry)}: "
+            f"instance id {json.dumps(value)} is not an integer\n"
+        )
+
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -1,4 +1,8 @@
+import hashlib
+import json
+import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +24,15 @@ from chainplace.ilp import (
     sanitize_name,
 )
 from chainplace.model import check_feasibility
+from chainplace.scenario import ScenarioSpec, generate
 from chainplace.solver import brute_force, solve_exact
 
 from conftest import frozen_load_instance, mk_instance, mk_network, mk_request, mk_type
 from helpers import full_assignment, solve_mps_with_highs
+
+EXPORT_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "export_digests.json").read_text()
+)
 
 
 def family_counts(model):
@@ -82,6 +91,18 @@ class TestBuild:
         assert a.rows == b.rows
         assert a.objective == b.objective and a.constant == b.constant
 
+    def test_aliases_are_the_sanitized_names(self, net2):
+        types = [mk_type(net2, name="k0"), mk_type(net2, name="k1")]
+        requests = [mk_request(net2, chain=("k0", "k1"))]
+        inst = mk_instance(net2, types=types, requests=requests, snapshot=[("k0", 0, "s0")])
+        model = build_ilp(inst)
+        assert set(family_counts(model)) == set("gtlpxmq")
+        assert len(model.aliases) == len(model.variables)
+        for i, var in enumerate(model.variables):
+            assert model.aliases[i] == sanitize_name(var.name)
+            assert model.variable_index(var.name) == i
+            assert model.variable_index(model.aliases[i]) == i
+
 
 class TestExport:
     def test_mps_is_deterministic(self, tiny):
@@ -118,6 +139,27 @@ class TestExport:
         binaries = text.split("Binaries")[1]
         for var in model.variables:
             assert sanitize_name(var.name) in binaries
+
+
+class TestExportBytes:
+    """Exports of reduced scenario 1 at seed 3 keep the exact bytes frozen
+    by scripts/freeze_export_digests.py."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        spec = ScenarioSpec.table_row(
+            EXPORT_DIGESTS["scenario"], seed=EXPORT_DIGESTS["seed"], reduced=True
+        )
+        return generate(spec)
+
+    @pytest.mark.parametrize("case", sorted(EXPORT_DIGESTS["cases"]))
+    def test_exports_match_frozen_digests(self, instance, case):
+        want = EXPORT_DIGESTS["cases"][case]
+        model = build_ilp(instance, BuildOptions(**want["options"]))
+        assert (len(model.variables), len(model.rows)) == (want["vars"], want["rows"])
+        for fmt, export in (("mps", export_mps), ("lp", export_lp)):
+            digest = hashlib.sha256(export(model).encode()).hexdigest()
+            assert digest == want[f"{fmt}_sha256"], fmt
 
 
 class TestImport:
@@ -190,6 +232,27 @@ class TestFrozenDeployments:
         assert plan.deployment >= inst.snapshot.deployed
         assert check_feasibility(inst, plan).feasible
         assert total_objective(inst, plan).total == expect
+
+    @pytest.mark.parametrize("mu, kept", [(0.5, True), (1.0, False)])
+    def test_empty_row_is_kept_when_zero_violates_it(self, mu, kept):
+        # with no requests there are no variables; the frozen load alone
+        # must still make the model infeasible at threshold 0.5
+        inst = replace(frozen_load_instance(mu), requests=())
+        model = build_ilp(inst)
+        assert model.variables == ()
+        rows = [row for row in model.rows if row.tag == "12"]
+        if not kept:
+            assert rows == []
+            assert solve_exact(inst).status == "optimal"
+            return
+        [row] = rows
+        assert (row.key, row.coeffs, row.sense, row.rhs) == (("s0",), (), "L", -2)
+        assert not row.satisfied_by([])
+        assert solve_exact(inst).status == brute_force(inst).status == "infeasible"
+        text = export_mps(model)
+        assert " L  c12_0\n" in text.split("COLUMNS")[0]
+        assert "    RHS  c12_0         -2\n" in text
+        assert " c12_0: 0 <= -2\n" in export_lp(model)
 
 
 def snapshot_instance():
