@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Record the exact bytes of the ILP exporters on one fixed model.
+"""Record the exact bytes of the ILP exporters on a few fixed models.
 
 The script compiles reduced scenario 1 at seed 3 under three build options
-(online, no_reuse and clamped) and exports each model as MPS and as LP
-text. It writes the sha256 of every text, with the build options and the
-model's variable and row counts, into tests/data/export_digests.json;
+(online, no_reuse and clamped), and four more instances that reach rows the
+scenario leaves out: a usage threshold of 0.75 (fractional right-hand
+sides), chains of length 1 (no ``q`` variables or 16-x rows), and
+``tests/conftest.py::frozen_load_instance(0.5)`` with and without its
+request (the latter keeps a row-12 without coefficients). Each model is
+exported as MPS and as LP text. The script writes the sha256 of every text,
+with the instance description, the build options and the model's variable
+and row counts, into tests/data/export_digests.json;
 ``tests/test_ilp.py::TestExportBytes`` compares fresh exports against that
 file, so any change to the exported bytes fails a tier-1 test. No solver
 runs; it takes about a second. Run from the repository root:
@@ -16,18 +21,32 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import sys
 
 from chainplace.ilp import BuildOptions, build_ilp, export_lp, export_mps
-from chainplace.scenario import ScenarioSpec, generate
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from conftest import export_case_instance  # noqa: E402
+
 TARGET = ROOT / "tests" / "data" / "export_digests.json"
-SEED = 3
-SCENARIO = 1
+
+
+def scenario(**overrides) -> dict:
+    return {"scenario": 1, "seed": 3, "reduced": True, "overrides": overrides}
+
+
 CASES = {
-    "online": BuildOptions(),
-    "no_reuse": BuildOptions(no_reuse=True),
-    "clamped": BuildOptions(clamp_instantiation=True),
+    "online": (scenario(), BuildOptions()),
+    "no_reuse": (scenario(), BuildOptions(no_reuse=True)),
+    "clamped": (scenario(), BuildOptions(clamp_instantiation=True)),
+    "threshold_0.75": (scenario(usage_threshold=0.75), BuildOptions()),
+    "chain_length_1": (scenario(chain_length_range=[1, 1]), BuildOptions()),
+    "frozen_load_0.5": ({"frozen_load_mu": 0.5}, BuildOptions()),
+    "frozen_load_0.5_no_requests": (
+        {"frozen_load_mu": 0.5, "no_requests": True},
+        BuildOptions(),
+    ),
 }
 
 
@@ -36,11 +55,11 @@ def sha256(text: str) -> str:
 
 
 def main() -> None:
-    instance = generate(ScenarioSpec.table_row(SCENARIO, seed=SEED, reduced=True))
-    out = {"seed": SEED, "scenario": SCENARIO, "scale": "reduced", "cases": {}}
-    for case, options in CASES.items():
-        model = build_ilp(instance, options)
+    out = {"cases": {}}
+    for case, (described, options) in CASES.items():
+        model = build_ilp(export_case_instance(described), options)
         out["cases"][case] = {
+            "instance": described,
             "options": dataclasses.asdict(options),
             "vars": len(model.variables),
             "rows": len(model.rows),

@@ -19,7 +19,7 @@ import sys
 
 from . import io as _io
 from . import scenario as _scenario
-from .errors import BootstrapInfeasibleError, ChainplaceError
+from .errors import BootstrapInfeasibleError, ChainplaceError, ValidationFailedError
 from .ilp import BuildOptions, build_ilp, export_lp, export_mps
 from .model import check_feasibility, validate_instance
 from .costs import total_objective
@@ -117,12 +117,12 @@ def _load_instance(path: str):
     except (ValueError, KeyError, TypeError) as exc:
         _log(f"cannot read instance {path}: {exc}")
         return None
-    report = validate_instance(instance)
-    if not report.ok:
-        for v in report.violations:
-            _log(f"invalid instance: {v}")
-        return None
     return instance
+
+
+def _log_invalid(report) -> None:
+    for v in report.violations:
+        _log(f"invalid instance: {v}")
 
 
 def _spec_from_args(args, scenario_id=None) -> _scenario.ScenarioSpec:
@@ -184,16 +184,22 @@ def cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     if instance is None:
         return EXIT_USAGE
+    # build_ilp and solve_exact validate the instance before any work
+    try:
+        if args.export:
+            model = build_ilp(instance, BuildOptions(no_reuse=args.no_reuse))
+        else:
+            options = _solve_options(args)
+            result = solve_exact(instance, options)
+    except ValidationFailedError as exc:
+        _log_invalid(exc.report)
+        return EXIT_USAGE
 
     if args.export:
-        options = BuildOptions(no_reuse=args.no_reuse)
-        model = build_ilp(instance, options)
         text = export_mps(model) if args.export == "mps" else export_lp(model)
         _emit(text, args.output)
         return EXIT_OK
 
-    options = _solve_options(args)
-    result = solve_exact(instance, options)
     document = _io.solve_result_to_document(instance, result, include_timing=args.timing)
 
     if args.oracle:
@@ -247,6 +253,10 @@ def cmd_compare(args) -> int:
 def cmd_check(args) -> int:
     instance = _load_instance(args.instance)
     if instance is None:
+        return EXIT_USAGE
+    validation = validate_instance(instance)
+    if not validation.ok:
+        _log_invalid(validation)
         return EXIT_USAGE
     try:
         with open(args.plan) as fh:

@@ -9,11 +9,20 @@ importer read them from ``IlpModel.aliases``. Objective coefficients are
 held in exact micro-money; the text exporters emit them divided by 1e6
 (plain money units) because several MILP readers dislike huge magnitudes.
 The scale is recorded in a comment header.
+
+``build_ilp`` finds a variable's index by arithmetic on per-family block
+offsets (``_layout``). It builds the McCormick product rows (families
+2-2..2-4, 15-2..15-5 and 16-2..16-5, about 98% of the rows of a full-scale
+model) directly, with their coefficients already sorted. The rows whose
+coefficients depend on the instance data (6-14, 17, 18 and NOREUSE) go
+through one generic path that drops zero coefficients, sorts the rest and
+keeps a row left empty only when 0 violates it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -181,23 +190,24 @@ class IlpModel:
     aliases: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index = {v.name: i for i, v in enumerate(self.variables)}
-        if len(index) != len(self.variables):
-            raise ValueError("variable names are not unique")
         aliases = tuple(sanitize_name(v.name) for v in self.variables)
-        alias_index = {alias: i for i, alias in enumerate(aliases)}
-        if len(alias_index) != len(aliases):
+        # equal names give equal aliases, so one set covers both checks
+        if len(set(aliases)) != len(aliases):
+            if len({v.name for v in self.variables}) != len(self.variables):
+                raise ValueError("variable names are not unique")
             raise ValueError("sanitized variable aliases collide")
         object.__setattr__(self, "aliases", aliases)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_alias_index", alias_index)
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        # a name has brackets and an alias has none, so the two never clash
+        index = {alias: i for i, alias in enumerate(self.aliases)}
+        index.update((v.name, i) for i, v in enumerate(self.variables))
+        return index
 
     def variable_index(self, name: str) -> int:
-        if name in self._index:
-            return self._index[name]
-        if name in self._alias_index:
-            return self._alias_index[name]
-        raise KeyError(name)
+        """Index of a variable by its canonical name or its alias."""
+        return self._index[name]
 
     def objective_micro(self, values: Mapping[str, float] | list | tuple) -> int:
         """Exact objective (micro-money) of a 0/1 assignment, constant included."""
@@ -213,6 +223,58 @@ class IlpModel:
         return total
 
 
+def _layout(instance: ProblemInstance, deployable):
+    """The first index of each block of variables, in the canonical order
+    of ``enumerate_variables``; a variable's index is its block's base plus
+    its position inside the block. Returns, per family: ``g[r]``,
+    ``t[k][i]``, ``l[r][k][s]`` (then the instance), ``p[r]`` (then
+    ``pair``), ``x[k][i]`` (then ``s * n_servers + d``), ``m[r]`` (then
+    ``(s * n_servers + d) * n_instances + i``) and ``q[r][pos]`` (then
+    s, d, i, j in that nesting). Requests, types, instances and servers
+    count by position. ``pair[a][b]`` is the offset of the link between
+    node positions ``a`` and ``b`` in a request's ``p`` block, or of a
+    server's self-link when ``a == b``."""
+    net = instance.network
+    n_s, n_nodes = len(net.servers), len(net.nodes)
+    requests = instance.requests
+    pool_size = {vnf.name: len(vnf.instances) for vnf in instance.catalog.types}
+    at = 0
+
+    def block(size: int) -> int:
+        nonlocal at
+        at += size
+        return at - size
+
+    g_at = [block(n_s) for _r in requests]
+    t_at = {vnf.name: [block(n_s) for _i in vnf.instances] for vnf in deployable}
+    l_at = []
+    for r in requests:
+        # per server, the instances of each chain type in chain order
+        width = sum(pool_size[k] for k in r.chain)
+        first = block(n_s * width)
+        per_type, offset = {}, 0
+        for k in r.chain:
+            per_type[k] = [first + si * width + offset for si in range(n_s)]
+            offset += pool_size[k]
+        l_at.append(per_type)
+    pair = [[0] * n_nodes for _ in range(n_nodes)]
+    n = 0
+    for ai in range(n_nodes):
+        for bi in range(ai + 1, n_nodes):
+            pair[ai][bi] = pair[bi][ai] = n
+            n += 1
+    for si in range(n_s):
+        pair[si][si] = n + si
+    p_at = [block(n + n_s) for _r in requests]
+    x_at = {vnf.name: [block(n_s * n_s) for _i in vnf.instances] for vnf in deployable}
+    m_at = [block(n_s * n_s * pool_size[r.chain[0]]) for r in requests]
+    q_at = [
+        [block(n_s * n_s * pool_size[ka] * pool_size[kb]) for ka, kb in zip(r.chain, r.chain[1:])]
+        for r in requests
+    ]
+    return g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at
+
+
 def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) -> IlpModel:
     """Compile the placement program: canonical variables, objective with its
     snapshot constant, and every constraint row tagged with its family."""
@@ -222,24 +284,20 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         raise ValidationFailedError(report)
 
     net = instance.network
-    nodes = net.nodes
-    position = {node: n for n, node in enumerate(nodes)}
+    servers = net.servers
+    n_s = len(servers)
+    requests = instance.requests
+    pools = {vnf.name: vnf.instances for vnf in instance.catalog.types}
     variables = enumerate_variables(instance)
-    vidx = {(v.family, *v.key): i for i, v in enumerate(variables)}
-
-    def p(f, a, b):
-        if a != b and position[a] > position[b]:
-            a, b = b, a
-        return vidx["p", f, a, b]
-
-    # distinct node pairs in canonical order, with their matrix positions
+    deployable = _deployable_types(instance)
+    g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at = _layout(instance, deployable)
+    # distinct node pairs in canonical order: matrix positions, p offset
     pairs = [
-        (ai, bi, nodes[ai], nodes[bi])
-        for ai in range(len(nodes))
-        for bi in range(ai + 1, len(nodes))
+        (ai, bi, pair[ai][bi])
+        for ai in range(len(net.nodes))
+        for bi in range(ai + 1, len(net.nodes))
     ]
 
-    deployable = _deployable_types(instance)
     snap = instance.snapshot
     frozen = instance.frozen_deployments()
 
@@ -248,32 +306,32 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     # -snapshot terms fold into the constant.
     objective: list[tuple[int, int]] = []
     for vnf in deployable:
-        for i in vnf.instances:
-            for s in net.servers:
+        for base in t_at[vnf.name]:
+            for si, s in enumerate(servers):
                 micro = vnf.resource_req * net.server_unit_cost[s] + vnf.license_cost
                 if micro:
-                    objective.append((vidx["t", vnf.name, i, s], micro))
+                    objective.append((base + si, micro))
     for vnf in deployable:
-        for i in vnf.instances:
-            for s in net.servers:
-                for d in net.servers:
+        for base in x_at[vnf.name]:
+            for si, s in enumerate(servers):
+                for di, d in enumerate(servers):
                     micro = vnf.migration(s, d)
                     if options.clamp_instantiation:
                         # a kept identifier is not a new instantiation:
                         # clamped license total is sum(L*t) - sum(L*x)
                         micro -= vnf.license_cost
                     if micro:
-                        objective.append((vidx["x", vnf.name, i, s, d], micro))
-    for r in instance.requests:
-        for ai, bi, a, b in pairs:
+                        objective.append((base + si * n_s + di, micro))
+    for ri, r in enumerate(requests):
+        for ai, bi, off in pairs:
             micro = net.link_cost[ai][bi] * r.traffic
             if micro:
-                objective.append((vidx["p", r.id, a, b], micro))
-    objective.sort(key=lambda pair: pair[0])
+                objective.append((p_at[ri] + off, micro))
+    objective.sort()  # by variable index; no index repeats
 
     # frozen instances stay on both sides and cancel out
     constant = 0
-    frozen_load = {s: 0 for s in net.servers}
+    frozen_load = {s: 0 for s in servers}
     for k, _i, s in frozen:
         frozen_load[s] += instance.catalog.get(k).resource_req
     for k, _i, s in snap.deployed - set(frozen):
@@ -298,190 +356,202 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         if coeffs or not row.satisfied_by(()):
             rows.append(row)
 
+    # The product rows (2-x, 15-x, 16-x) are built directly: their ±1
+    # coefficients never vanish, and the canonical order g < t < l < p < x
+    # < m < q sorts them without a comparison, except the two l factors of
+    # 16-5. tuple.__new__ makes each Row from its five fields without the
+    # named tuple's Python-level constructor, which costs twice as much.
+    new = tuple.__new__
+
     # migration product linearization
+    deployed = snap.deployed
     for vnf in deployable:
         k = vnf.name
-        for i in vnf.instances:
-            for s in net.servers:
-                cur = 1 if (k, i, s) in snap.deployed else 0
-                for d in net.servers:
-                    xi = vidx["x", k, i, s, d]
-                    ti = vidx["t", k, i, d]
+        for i, t0, x0 in zip(vnf.instances, t_at[k], x_at[k]):
+            for si, s in enumerate(servers):
+                cur = 1 if (k, i, s) in deployed else 0
+                for di, d in enumerate(servers):
+                    xc = (x0 + si * n_s + di, 1)
+                    both = ((t0 + di, -1), xc)
                     key = (k, i, s, d)
-                    add("2-2", key, [(xi, 1)], "L", cur)
-                    add("2-3", key, [(xi, 1), (ti, -1)], "L", 0)
-                    add("2-4", key, [(xi, 1), (ti, -1)], "G", cur - 1)
+                    rows += (
+                        new(Row, ("2-2", key, (xc,), "L", cur)),
+                        new(Row, ("2-3", key, both, "L", 0)),
+                        new(Row, ("2-4", key, both, "G", cur - 1)),
+                    )
 
     # content server selection
-    for r in instance.requests:
-        add("6", (r.id,), [(vidx["g", r.id, s], 1) for s in net.servers], "E", 1)
-        for s in net.servers:
+    for ri, r in enumerate(requests):
+        g0 = g_at[ri]
+        add("6", (r.id,), [(g0 + si, 1) for si in range(n_s)], "E", 1)
+        for si, s in enumerate(servers):
             cap = 1 if s in r.candidate_servers else 0
-            add("7", (r.id, s), [(vidx["g", r.id, s], 1)], "L", cap)
+            add("7", (r.id, s), [(g0 + si, 1)], "L", cap)
 
     # one assigned instance per required type, only on deployed instances
-    for r in instance.requests:
+    for ri, r in enumerate(requests):
         for k in r.chain:
-            pool = instance.catalog.get(k).instances
+            pool = pools[k]
+            bases = l_at[ri][k]
             add(
                 "8",
                 (r.id, k),
-                [(vidx["l", r.id, s, k, i], 1) for s in net.servers for i in pool],
+                [(base + ii, 1) for base in bases for ii in range(len(pool))],
                 "E",
                 1,
             )
-            for s in net.servers:
-                for i in pool:
+            for si, s in enumerate(servers):
+                for ii, i in enumerate(pool):
                     add(
                         "9",
                         (r.id, s, k, i),
-                        [(vidx["l", r.id, s, k, i], 1), (vidx["t", k, i, s], -1)],
+                        [(bases[si] + ii, 1), (t_at[k][ii] + si, -1)],
                         "L",
                         0,
                     )
 
     # deployment cardinality
     for vnf in deployable:
+        t_bases = t_at[vnf.name]
         add(
             "10",
             (vnf.name,),
-            [(vidx["t", vnf.name, i, s], 1) for i in vnf.instances for s in net.servers],
+            [(base + si, 1) for base in t_bases for si in range(n_s)],
             "G",
             1,
         )
-        for i in vnf.instances:
-            add(
-                "11",
-                (vnf.name, i),
-                [(vidx["t", vnf.name, i, s], 1) for s in net.servers],
-                "L",
-                1,
-            )
+        for i, base in zip(vnf.instances, t_bases):
+            add("11", (vnf.name, i), [(base + si, 1) for si in range(n_s)], "L", 1)
 
     def limit(cap, used=0):
         exact = Fraction(instance.usage_threshold) * cap - used
         return int(exact) if exact.denominator == 1 else float(exact)
 
     # server resources left over by the frozen instances
-    for s in net.servers:
+    for si, s in enumerate(servers):
         add(
             "12",
             (s,),
             [
-                (vidx["t", vnf.name, i, s], vnf.resource_req)
+                (base + si, vnf.resource_req)
                 for vnf in deployable
-                for i in vnf.instances
+                for base in t_at[vnf.name]
             ],
             "L",
             limit(net.server_capacity[s], frozen_load[s]),
         )
 
     # VNF processing capacity: only types with assignment variables
-    assignable = {k for r in instance.requests for k in r.chain}
+    assignable = {k for r in requests for k in r.chain}
     for vnf in deployable:
-        if vnf.name not in assignable:
+        k = vnf.name
+        if k not in assignable:
             continue
-        for i in vnf.instances:
-            for s in net.servers:
+        requesters = [(l_at[ri][k], r.traffic) for ri, r in enumerate(requests) if k in r.chain]
+        for ii, i in enumerate(vnf.instances):
+            for si, s in enumerate(servers):
                 add(
                     "13",
-                    (vnf.name, i, s),
-                    [
-                        (vidx["l", r.id, s, vnf.name, i], r.traffic)
-                        for r in instance.requests
-                        if vnf.name in r.chain
-                    ],
+                    (k, i, s),
+                    [(bases[si] + ii, traffic) for bases, traffic in requesters],
                     "L",
                     limit(vnf.capacity),
                 )
 
     # link bandwidth, self-links exempt
-    for ai, bi, a, b in pairs:
+    nodes = net.nodes
+    for ai, bi, off in pairs:
         add(
             "14",
-            (a, b),
-            [(vidx["p", r.id, a, b], r.traffic) for r in instance.requests],
+            (nodes[ai], nodes[bi]),
+            [(p_at[ri] + off, r.traffic) for ri, r in enumerate(requests)],
             "L",
             limit(net.bandwidth[ai][bi]),
         )
 
     # chain entry link (content server to first VNF host)
-    for r in instance.requests:
+    for ri, r in enumerate(requests):
         f, first = r.id, r.chain[0]
-        for i in instance.catalog.get(first).instances:
-            for s in net.servers:
-                gi = vidx["g", f, s]
-                for d in net.servers:
-                    mi = vidx["m", f, s, d, i]
-                    li = vidx["l", f, d, first, i]
+        pool = pools[first]
+        n_i = len(pool)
+        g0, p0, m0, l_bases = g_at[ri], p_at[ri], m_at[ri], l_at[ri][first]
+        for ii, i in enumerate(pool):
+            for si, s in enumerate(servers):
+                gc = (g0 + si, -1)
+                for di, d in enumerate(servers):
+                    mc = (m0 + (si * n_s + di) * n_i + ii, 1)
+                    lc = (l_bases[di] + ii, -1)
                     key = (f, s, d, i)
-                    add("15-2", key, [(mi, 1), (p(f, s, d), -1)], "L", 0)
-                    add("15-3", key, [(mi, 1), (gi, -1)], "L", 0)
-                    add("15-4", key, [(mi, 1), (li, -1)], "L", 0)
-                    add("15-5", key, [(mi, 1), (gi, -1), (li, -1)], "G", -1)
+                    rows += (
+                        new(Row, ("15-2", key, ((p0 + pair[si][di], -1), mc), "L", 0)),
+                        new(Row, ("15-3", key, (gc, mc), "L", 0)),
+                        new(Row, ("15-4", key, (lc, mc), "L", 0)),
+                        new(Row, ("15-5", key, (gc, lc, mc), "G", -1)),
+                    )
 
     # consecutive chain links
-    for r in instance.requests:
-        f = r.id
+    for ri, r in enumerate(requests):
+        f, p0 = r.id, p_at[ri]
         for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:])):
-            pool_a = instance.catalog.get(ka).instances
-            pool_b = instance.catalog.get(kb).instances
-            for s in net.servers:
-                for d in net.servers:
-                    pi = p(f, s, d)
-                    for i in pool_a:
-                        la = vidx["l", f, s, ka, i]
-                        for j in pool_b:
-                            qi = vidx["q", f, pos, s, d, i, j]
-                            lb = vidx["l", f, d, kb, j]
+            pool_a, pool_b = pools[ka], pools[kb]
+            la_bases, lb_bases = l_at[ri][ka], l_at[ri][kb]
+            qi = q_at[ri][pos]  # q runs over s, d, i, j in this loop order
+            for si, s in enumerate(servers):
+                for di, d in enumerate(servers):
+                    pc = (p0 + pair[si][di], -1)
+                    lb_coeffs = [(lb_bases[di] + jj, -1) for jj in range(len(pool_b))]
+                    for ii, i in enumerate(pool_a):
+                        lac = (la_bases[si] + ii, -1)
+                        for j, lbc in zip(pool_b, lb_coeffs):
+                            qc = (qi, 1)
+                            qi += 1
+                            both = (lac, lbc, qc) if lac < lbc else (lbc, lac, qc)
                             key = (f, pos, s, d, i, j)
-                            add("16-2", key, [(qi, 1), (pi, -1)], "L", 0)
-                            add("16-3", key, [(qi, 1), (la, -1)], "L", 0)
-                            add("16-4", key, [(qi, 1), (lb, -1)], "L", 0)
-                            add("16-5", key, [(qi, 1), (la, -1), (lb, -1)], "G", -1)
+                            rows += (
+                                new(Row, ("16-2", key, (pc, qc), "L", 0)),
+                                new(Row, ("16-3", key, (lac, qc), "L", 0)),
+                                new(Row, ("16-4", key, (lbc, qc), "L", 0)),
+                                new(Row, ("16-5", key, both, "G", -1)),
+                            )
 
     # user link: present exactly when the last VNF is hosted on s
-    for r in instance.requests:
+    for ri, r in enumerate(requests):
         last = r.chain[-1]
-        pool = instance.catalog.get(last).instances
-        for s in net.servers:
-            coeffs = [(vidx["l", r.id, s, last, i], 1) for i in pool]
-            coeffs.append((p(r.id, s, r.user), -1))
+        n_i = len(pools[last])
+        user = net.position(r.user)
+        for si, s in enumerate(servers):
+            base = l_at[ri][last][si]
+            coeffs = [(base + ii, 1) for ii in range(n_i)]
+            coeffs.append((p_at[ri] + pair[si][user], -1))
             add("17", (r.id, s), coeffs, "E", 0)
 
     # delay budget
-    for r in instance.requests:
+    for ri, r in enumerate(requests):
         coeffs = []
-        for ai, bi, a, b in pairs:
+        for ai, bi, off in pairs:
             coef = r.traffic * net.link_delay[ai][bi]
             if coef:
-                coeffs.append((vidx["p", r.id, a, b], coef))
+                coeffs.append((p_at[ri] + off, coef))
         for k in r.chain:
             vnf = instance.catalog.get(k)
-            for i in vnf.instances:
-                for s in net.servers:
+            for ii in range(len(vnf.instances)):
+                for si, s in enumerate(servers):
                     coef = r.traffic * vnf.processing_delay[s]
                     if coef:
-                        coeffs.append((vidx["l", r.id, s, k, i], coef))
+                        coeffs.append((l_at[ri][k][si] + ii, coef))
         add("18", (r.id,), coeffs, "L", r.delay_budget)
 
     if options.no_reuse:
         snapshot_ids = {(k, i) for k, i, _s in snap.deployed}
-        for r in instance.requests:
+        for ri, r in enumerate(requests):
             if r.status != STATUS_NEW:
                 continue
             for k in r.chain:
-                for i in instance.catalog.get(k).instances:
+                for ii, i in enumerate(pools[k]):
                     if (k, i) not in snapshot_ids:
                         continue
-                    for s in net.servers:
-                        add(
-                            "NOREUSE",
-                            (r.id, s, k, i),
-                            [(vidx["l", r.id, s, k, i], 1)],
-                            "E",
-                            0,
-                        )
+                    for si, s in enumerate(servers):
+                        add("NOREUSE", (r.id, s, k, i), [(l_at[ri][k][si] + ii, 1)], "E", 0)
 
     return IlpModel(
         instance=instance,
@@ -502,14 +572,13 @@ def _fmt_value(v) -> str:
 
 
 def _row_names(model: IlpModel) -> list[str]:
-    counters: dict[str, int] = {}
-    names = []
-    for row in model.rows:
-        tag = row.tag.replace("-", "_")
-        n = counters.get(tag, 0)
-        counters[tag] = n + 1
-        names.append(f"c{tag}_{n}")
-    return names
+    """``c<tag>_<n>`` for the n-th row of each tag, ``-`` written as ``_``."""
+    # per tag, a callable giving its next name; the prefix is formatted once
+    next_name = {
+        tag: map(f"c{tag.replace('-', '_')}_".__add__, map(str, itertools.count())).__next__
+        for tag in {row.tag for row in model.rows}
+    }
+    return [next_name[row.tag]() for row in model.rows]
 
 
 def export_mps(model: IlpModel) -> str:
@@ -545,8 +614,9 @@ def export_mps(model: IlpModel) -> str:
     lines.append("COLUMNS")
     lines.append("    MARKER                 'MARKER'                 'INTORG'")
     for alias, own in zip(model.aliases, cells):
-        head = f"    {alias:<{width}}  "
-        lines.extend(head + cell for cell in own)
+        if own:
+            head = f"    {alias:<{width}}  "
+            lines.append(head + ("\n" + head).join(own))
     lines.append("    MARKER                 'MARKER'                 'INTEND'")
 
     lines.append("RHS")

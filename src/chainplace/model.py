@@ -484,10 +484,11 @@ def ensure_plan_matches(instance: ProblemInstance, plan: PlacementPlan) -> None:
             raise IndexMismatchError(f"plan selects content server for unknown request {f!r}")
         if s not in servers:
             raise IndexMismatchError(f"plan selects unknown server {s!r}")
+    # False and 0.0 equal the id 0 and would pass the membership tests
     for k, i, s in plan.deployment:
         if not instance.catalog.has(k):
             raise IndexMismatchError(f"plan deploys unknown VNF type {k!r}")
-        if i not in instance.catalog.get(k).instances:
+        if type(i) is not int or i not in instance.catalog.get(k).instances:
             raise IndexMismatchError(f"plan deploys unknown instance {(k, i)!r}")
         if s not in servers:
             raise IndexMismatchError(f"plan deploys on unknown server {s!r}")
@@ -496,7 +497,11 @@ def ensure_plan_matches(instance: ProblemInstance, plan: PlacementPlan) -> None:
             raise IndexMismatchError(f"plan assigns VNF to unknown request {f!r}")
         if s not in servers:
             raise IndexMismatchError(f"plan assigns VNF on unknown server {s!r}")
-        if not instance.catalog.has(k) or i not in instance.catalog.get(k).instances:
+        if (
+            not instance.catalog.has(k)
+            or type(i) is not int
+            or i not in instance.catalog.get(k).instances
+        ):
             raise IndexMismatchError(f"plan assigns unknown VNF instance {(k, i)!r}")
     for f, links in plan.routes.items():
         if f not in request_ids:

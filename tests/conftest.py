@@ -5,6 +5,8 @@ hosting, $100 license, 20 ms processing, 8 vCPU servers, unit traffic.
 Money is micro-money, delays are microseconds.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from chainplace.model import (
@@ -16,6 +18,7 @@ from chainplace.model import (
     VnfCatalog,
     VnfType,
 )
+from chainplace.scenario import ScenarioSpec, generate
 
 MONEY = 10**6
 MS = 1000
@@ -130,6 +133,22 @@ def frozen_load_instance(mu):
         snapshot=[("k0", 0, "s0"), ("k0", 1, "s0")],
         mu=mu,
     )
+
+
+def export_case_instance(described):
+    """The instance a case of tests/data/export_digests.json describes:
+    ``frozen_load_instance`` (optionally without its request), or a
+    scenario table row with generator overrides."""
+    if "frozen_load_mu" in described:
+        inst = frozen_load_instance(described["frozen_load_mu"])
+        return replace(inst, requests=()) if described.get("no_requests") else inst
+    spec = ScenarioSpec.table_row(
+        described["scenario"],
+        seed=described["seed"],
+        reduced=described["reduced"],
+        overrides=described["overrides"],
+    )
+    return generate(spec)
 
 
 @pytest.fixture

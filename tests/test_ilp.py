@@ -27,7 +27,14 @@ from chainplace.model import check_feasibility
 from chainplace.scenario import ScenarioSpec, generate
 from chainplace.solver import brute_force, solve_exact
 
-from conftest import frozen_load_instance, mk_instance, mk_network, mk_request, mk_type
+from conftest import (
+    export_case_instance,
+    frozen_load_instance,
+    mk_instance,
+    mk_network,
+    mk_request,
+    mk_type,
+)
 from helpers import full_assignment, solve_mps_with_highs
 
 EXPORT_DIGESTS = json.loads(
@@ -104,6 +111,36 @@ class TestBuild:
             assert model.variable_index(model.aliases[i]) == i
 
 
+ROW_CASES = {
+    "reduced-sc1": lambda: generate(ScenarioSpec.table_row(1, seed=3, reduced=True)),
+    "reduced-sc3": lambda: generate(ScenarioSpec.table_row(3, seed=3, reduced=True)),
+    "full-sc1": lambda: generate(ScenarioSpec.table_row(1, seed=3)),
+    "frozen-load-no-requests": lambda: replace(frozen_load_instance(0.5), requests=()),
+}
+
+
+class TestRowInvariants:
+    """The contract every row keeps, whether ``build_ilp`` builds it through
+    its generic path or directly: non-zero integer coefficients on strictly
+    increasing variable indices, and no row without coefficients unless 0
+    violates it."""
+
+    @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_rows_are_sorted_nonzero_and_empty_only_when_violated(self, case, no_reuse):
+        model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
+        n_vars = len(model.variables)
+        for row in model.rows:
+            indices = [idx for idx, _coef in row.coeffs]
+            assert all(type(coef) is int and coef != 0 for _idx, coef in row.coeffs), row
+            assert indices == sorted(set(indices)), row
+            assert all(0 <= idx < n_vars for idx in indices), row
+            if not row.coeffs:
+                assert not row.satisfied_by(()), row
+        if case == "frozen-load-no-requests":
+            assert [row.tag for row in model.rows] == ["12"]
+
+
 class TestExport:
     def test_mps_is_deterministic(self, tiny):
         model = build_ilp(tiny)
@@ -142,19 +179,14 @@ class TestExport:
 
 
 class TestExportBytes:
-    """Exports of reduced scenario 1 at seed 3 keep the exact bytes frozen
-    by scripts/freeze_export_digests.py."""
-
-    @pytest.fixture(scope="class")
-    def instance(self):
-        spec = ScenarioSpec.table_row(
-            EXPORT_DIGESTS["scenario"], seed=EXPORT_DIGESTS["seed"], reduced=True
-        )
-        return generate(spec)
+    """Exports keep the exact bytes frozen by scripts/freeze_export_digests.py:
+    reduced scenario 1 at seed 3 under three build options, a fractional
+    usage threshold, chains of length 1 and the frozen-load instances."""
 
     @pytest.mark.parametrize("case", sorted(EXPORT_DIGESTS["cases"]))
-    def test_exports_match_frozen_digests(self, instance, case):
+    def test_exports_match_frozen_digests(self, case):
         want = EXPORT_DIGESTS["cases"][case]
+        instance = export_case_instance(want["instance"])
         model = build_ilp(instance, BuildOptions(**want["options"]))
         assert (len(model.variables), len(model.rows)) == (want["vars"], want["rows"])
         for fmt, export in (("mps", export_mps), ("lp", export_lp)):

@@ -159,6 +159,19 @@ class TestFeasibility:
         with pytest.raises(IndexMismatchError):
             check_feasibility(tiny, plan)
 
+    @pytest.mark.parametrize("bad_id", [False, 0.0], ids=["false", "float-zero"])
+    @pytest.mark.parametrize("field", ["deployment", "assignment"])
+    def test_non_integer_instance_id_raises_index_mismatch(self, tiny, field, bad_id):
+        # both compare equal to the instance id 0
+        plan = mk_plan(
+            content=[("r0", "s0")],
+            deployment=[("k0", bad_id if field == "deployment" else 0, "s0")],
+            assignment=[("r0", "s0", "k0", bad_id if field == "assignment" else 0)],
+            routes={"r0": [("s0", "s0"), ("s0", "u0")]},
+        )
+        with pytest.raises(IndexMismatchError):
+            check_feasibility(tiny, plan)
+
     def test_unneeded_type_need_not_be_deployed(self, net2):
         unused = mk_type(net2, name="k1")
         inst = mk_instance(net2, types=[mk_type(net2), unused])
