@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record independent optima for the shipped default seed.
+"""Record independent optima for one scenario seed.
 
 For each scenario of the table, at reduced and at full scale, this script
 generates the instance, compiles the clamped placement program with and
@@ -7,16 +7,20 @@ without the reuse ban, solves the exported MPS with the HiGHS engine inside
 scipy (an engine that shares no code with the built-in search), imports the
 solution and records the exact totals and migration counts into
 tests/data/acceptance_oracle.json (reduced) and
-tests/data/acceptance_oracle_full.json (full).
+tests/data/acceptance_oracle_full.json (full). A seed other than the shipped
+default gets its own files, with a ``_seed<N>`` suffix, so that a held-out
+seed never overwrites the default's record.
 
 Exhaustive enumeration is far out of reach at these scales (the raw decision
 space is ~1e9 combinations at reduced scale), so the independent
 integer-programming engine stands in as the oracle. The full-scale no_reuse
 programs take HiGHS tens of seconds each. Run from the repository root:
 
-    python scripts/freeze_acceptance_oracle.py
+    python scripts/freeze_acceptance_oracle.py                        # default seed
+    python scripts/freeze_acceptance_oracle.py --seed 5 --scale full  # held out
 """
 
+import argparse
 import json
 import pathlib
 import sys
@@ -49,11 +53,11 @@ def oracle_case(instance, no_reuse: bool) -> dict:
     }
 
 
-def oracle_table(reduced: bool) -> dict:
+def oracle_table(seed: int, reduced: bool) -> dict:
     scale = "reduced" if reduced else "full"
-    out = {"seed": DEFAULT_SEED, "scale": scale, "scenarios": {}}
+    out = {"seed": seed, "scale": scale, "scenarios": {}}
     for scenario_id in (1, 2, 3):
-        spec = ScenarioSpec.table_row(scenario_id, seed=DEFAULT_SEED, reduced=reduced)
+        spec = ScenarioSpec.table_row(scenario_id, seed=seed, reduced=reduced)
         instance = generate(spec)
         out["scenarios"][str(scenario_id)] = {
             "online": oracle_case(instance, no_reuse=False),
@@ -63,12 +67,23 @@ def oracle_table(reduced: bool) -> dict:
     return out
 
 
+def oracle_path(seed: int, reduced: bool) -> pathlib.Path:
+    suffix = "" if seed == DEFAULT_SEED else f"_seed{seed}"
+    name = "acceptance_oracle" if reduced else "acceptance_oracle_full"
+    return ROOT / "tests" / "data" / f"{name}{suffix}.json"
+
+
 def main() -> None:
-    data = ROOT / "tests" / "data"
-    data.mkdir(parents=True, exist_ok=True)
-    for reduced, name in ((True, "acceptance_oracle.json"), (False, "acceptance_oracle_full.json")):
-        target = data / name
-        target.write_text(json.dumps(oracle_table(reduced), indent=2, sort_keys=True) + "\n")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--scale", choices=("reduced", "full", "both"), default="both")
+    args = parser.parse_args()
+    scales = {"reduced": (True,), "full": (False,), "both": (True, False)}[args.scale]
+    for reduced in scales:
+        target = oracle_path(args.seed, reduced)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        table = oracle_table(args.seed, reduced)
+        target.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
         print(f"wrote {target}")
 
 

@@ -28,8 +28,9 @@ from .solver import (
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     SolveOptions,
-    brute_force,
-    solve_exact,
+    _brute_force,
+    _Problem,
+    _solve_exact,
 )
 
 EXIT_OK = 0
@@ -184,13 +185,14 @@ def cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     if instance is None:
         return EXIT_USAGE
-    # build_ilp and solve_exact validate the instance before any work
+    # build_ilp and _Problem validate the instance before any work; the
+    # search and the oracle share one _Problem, so it is validated once
     try:
         if args.export:
             model = build_ilp(instance, BuildOptions(no_reuse=args.no_reuse))
         else:
-            options = _solve_options(args)
-            result = solve_exact(instance, options)
+            problem = _Problem(instance, _solve_options(args))
+            result = _solve_exact(problem)
     except ValidationFailedError as exc:
         _log_invalid(exc.report)
         return EXIT_USAGE
@@ -203,7 +205,7 @@ def cmd_solve(args) -> int:
     document = _io.solve_result_to_document(instance, result, include_timing=args.timing)
 
     if args.oracle:
-        oracle = brute_force(instance, options)
+        oracle = _brute_force(problem)
         match = (
             result.status == oracle.status
             and result.plan == oracle.plan

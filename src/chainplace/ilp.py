@@ -734,33 +734,48 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
         else:
             bits.append(_as_bit(var.name, raw))
 
-    # index of each product factor by (family, *key)
-    factors = {(v.family, *v.key): i for i, v in enumerate(variables) if v.family in "gtl"}
+    # each product's factors by arithmetic on the block offsets, in the
+    # canonical order of x, m and q; g, t and l bits are never missing
+    n_s = len(instance.network.servers)
+    deployable = _deployable_types(instance)
+    g_at, t_at, l_at, _p_at, _pair, x_at, m_at, q_at = _layout(instance, deployable)
+    pool_size = {vnf.name: len(vnf.instances) for vnf in instance.catalog.types}
 
-    def val(*key) -> int:
-        return bits[factors[key]] or 0
+    def check(idx: int, expect: int) -> None:
+        got = bits[idx]
+        if got is not None and got != expect:
+            raise AuxiliaryInconsistentError(
+                f"{variables[idx].name} = {got} but its defining product is {expect}"
+            )
 
     deployed = instance.snapshot.deployed
-    chains = {r.id: r.chain for r in instance.requests}
-    for var, got in zip(variables, bits):
-        if got is None:
-            continue
-        if var.family == "x":
-            k, i, s, d = var.key
-            expect = (1 if (k, i, s) in deployed else 0) * val("t", k, i, d)
-        elif var.family == "m":
-            f, s, d, i = var.key
-            expect = val("g", f, s) * val("l", f, d, chains[f][0], i)
-        elif var.family == "q":
-            f, pos, s, d, i, j = var.key
-            chain = chains[f]
-            expect = val("l", f, s, chain[pos], i) * val("l", f, d, chain[pos + 1], j)
-        else:
-            continue
-        if got != expect:
-            raise AuxiliaryInconsistentError(
-                f"{var.name} = {got} but its defining product is {expect}"
-            )
+    for vnf in deployable:
+        for i, t0, x0 in zip(vnf.instances, t_at[vnf.name], x_at[vnf.name]):
+            for si, s in enumerate(instance.network.servers):
+                cur = 1 if (vnf.name, i, s) in deployed else 0
+                for di in range(n_s):
+                    check(x0 + si * n_s + di, cur * bits[t0 + di])
+    for ri, r in enumerate(instance.requests):
+        n_i = pool_size[r.chain[0]]
+        l_bases = l_at[ri][r.chain[0]]
+        mi = m_at[ri]  # m runs over s, d, i in this loop order
+        for si in range(n_s):
+            g = bits[g_at[ri] + si]
+            for di in range(n_s):
+                for ii in range(n_i):
+                    check(mi, g * bits[l_bases[di] + ii])
+                    mi += 1
+    for ri, r in enumerate(instance.requests):
+        for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:])):
+            la_bases, lb_bases = l_at[ri][ka], l_at[ri][kb]
+            qi = q_at[ri][pos]  # q runs over s, d, i, j in this loop order
+            for si in range(n_s):
+                for di in range(n_s):
+                    for ii in range(pool_size[ka]):
+                        la = bits[la_bases[si] + ii]
+                        for jj in range(pool_size[kb]):
+                            check(qi, la * bits[lb_bases[di] + jj])
+                            qi += 1
 
     content, assignment = [], []
     deployment = list(instance.frozen_deployments())

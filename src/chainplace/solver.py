@@ -104,7 +104,10 @@ class _Decision:
 
 
 class _Problem:
-    """Immutable data shared by both solvers."""
+    """Immutable data shared by both solvers: the validated instance, the
+    options, the decisions with their exact contributions, and the suffix
+    sums the search bound reads. The instance is validated once, here, so
+    one ``_Problem`` can feed both engines (``solve --oracle`` does)."""
 
     def __init__(self, instance: ProblemInstance, options: SolveOptions):
         report = validate_instance(instance)
@@ -188,8 +191,18 @@ class _Problem:
                     )
                 )
 
-        # admissible tails: undecided instances take their cheapest option,
-        # unrouted requests keep only the credit for their current links
+        # admissible tails: undecided instances take their cheapest option;
+        # unrouted requests get the credit for their current links back
+        # (suffix_credit) and pay at least traffic x their cheapest
+        # server->user link (suffix_route), both set up below. Every route
+        # loads its last-host->user link: the user is a declared user node
+        # and node names are unique, so that link is never a self-link, and
+        # the route's other links cost nothing negative. So the bound never
+        # exceeds the total of a leaf below it, and pruning only when it is
+        # strictly above the incumbent still visits every leaf that could
+        # improve or tie: a search that finishes returns the optimum, the
+        # tie-break plan and the incumbent updates of a search without the
+        # routing term, in no more nodes.
         self.suffix_min = [0] * (len(self.decisions) + 1)
         for di in range(len(self.decisions) - 1, -1, -1):
             self.suffix_min[di] = self.suffix_min[di + 1] + self.decisions[di].min_contrib
@@ -226,10 +239,12 @@ class _Problem:
                     total += net.cost_between(a, b) * r.traffic
             self.credit[r.id] = total
         self.suffix_credit = [0] * (len(self.requests) + 1)
+        self.suffix_route = [0] * (len(self.requests) + 1)
         for ri in range(len(self.requests) - 1, -1, -1):
-            self.suffix_credit[ri] = (
-                self.suffix_credit[ri + 1] - self.credit[self.requests[ri].id]
-            )
+            r = self.requests[ri]
+            self.suffix_credit[ri] = self.suffix_credit[ri + 1] - self.credit[r.id]
+            user_link = min(net.cost_between(s, r.user) for s in net.servers)
+            self.suffix_route[ri] = self.suffix_route[ri + 1] + r.traffic * user_link
 
         self.candidates = {
             r.id: tuple(s for s in net.servers if s in r.candidate_servers)
@@ -318,7 +333,12 @@ class _Search:
         ended = self.p.type_end.get(di)
         if ended is not None and not self._type_demand_covered(ended):
             return
-        bound = self.committed + self.p.suffix_min[di] + self.p.suffix_credit[0]
+        bound = (
+            self.committed
+            + self.p.suffix_min[di]
+            + self.p.suffix_credit[0]
+            + self.p.suffix_route[0]
+        )
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
@@ -386,7 +406,7 @@ class _Search:
     # stage (b): chain assignments; a finished chain is routed once per
     # content-server candidate
     def _branch_lambda(self, ri: int, pos: int) -> None:
-        bound = self.committed + self.p.suffix_credit[ri]
+        bound = self.committed + self.p.suffix_credit[ri] + self.p.suffix_route[ri]
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
@@ -491,9 +511,16 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     """Provably optimal plan, or infeasible, or the best incumbent when the
     time limit strikes. Equal-cost optima resolve to the lexicographically
     smallest canonical variable vector, so results are unique and
-    repeatable."""
-    options = options or SolveOptions()
-    problem = _Problem(instance, options)
+    repeatable. The bound at each node adds the exact committed cost, the
+    cheapest contribution of each undecided instance, the credit of the
+    current routes not yet replaced and the cheapest user link of each
+    request not yet routed; on a time-limited run the least bound left
+    unexplored gives ``stats.gap``."""
+    return _solve_exact(_Problem(instance, options or SolveOptions()))
+
+
+def _solve_exact(problem: _Problem) -> SolveResult:
+    instance, options = problem.instance, problem.options
     if any(problem.base_server_load[s] > problem.server_limit[s] for s in problem.servers):
         # the untouched instances alone overfill a server
         return SolveResult(STATUS_INFEASIBLE, None, None, SolveStats())
@@ -535,10 +562,11 @@ def brute_force(
     Assignments are enumerated over deployed instances only; anything else
     would fail the deployment constraint the checker applies anyway.
     """
-    options = options or SolveOptions()
-    problem = _Problem(instance, options)
-    p = problem
+    return _brute_force(_Problem(instance, options or SolveOptions()), cap)
 
+
+def _brute_force(p: _Problem, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
+    instance, options = p.instance, p.options
     size = 1
     for r in p.requests:
         size *= max(1, len(p.candidates[r.id]))

@@ -74,10 +74,22 @@ class TestSolve:
             "hosting_delta", "migration", "instantiation", "routing_delta", "total",
         }
 
-    def test_oracle_flag_verifies_agreement(self, tiny_file, capsys):
+    def test_oracle_flag_verifies_agreement(self, tiny_file, capsys, monkeypatch):
+        from chainplace import solver
+
+        # the search and the oracle share one validated problem
+        calls = []
+        validate = solver.validate_instance
+
+        def counting(instance):
+            calls.append(instance)
+            return validate(instance)
+
+        monkeypatch.setattr(solver, "validate_instance", counting)
         code, out, _ = run(capsys, "solve", str(tiny_file), "--oracle")
         assert code == 0
         assert json.loads(out)["oracle_match"] is True
+        assert len(calls) == 1
 
     def test_export_mps_writes_model_not_solution(self, tiny_file, tmp_path, capsys):
         target = tmp_path / "model.mps"

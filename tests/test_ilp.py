@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -212,6 +213,25 @@ class TestImport:
         values[xnames[0]] = 1 - values[xnames[0]]
         with pytest.raises(AuxiliaryInconsistentError):
             import_solution(model, values)
+
+    def test_each_inconsistent_auxiliary_is_named(self, net2):
+        # two-slot chain, two instances per type, one of each in the
+        # snapshot: every x, m and q product has factors at distinct offsets
+        types = [mk_type(net2, name=k, instances=2) for k in ("k0", "k1")]
+        inst = mk_instance(
+            net2,
+            types=types,
+            requests=[mk_request(net2, chain=("k0", "k1"))],
+            snapshot=[("k0", 0, "s0"), ("k1", 1, "s1")],
+        )
+        model = build_ilp(inst)
+        values = full_assignment(model, brute_force(inst).plan)
+        aux = [v.name for v in model.variables if v.family in "xmq"]
+        assert {name[0] for name in aux} == {"x", "m", "q"}
+        for name in aux:
+            flipped = {**values, name: 1 - values[name]}
+            with pytest.raises(AuxiliaryInconsistentError, match=re.escape(f"{name} = ")):
+                import_solution(model, flipped)
 
     def test_missing_decision_variable_is_rejected(self, tiny):
         model = build_ilp(tiny)
