@@ -6,14 +6,14 @@ harness."""
 from .costs import CostBreakdown, total_objective, service_delay
 from .ilp import BuildOptions, IlpModel, build_ilp, export_lp, export_mps, import_solution
 from .model import (
-    ConstraintReport,
     DeploymentDelta,
     Network,
     PlacementPlan,
     ProblemInstance,
+    Report,
     ServiceRequest,
     Snapshot,
-    ValidationReport,
+    Violation,
     VnfCatalog,
     VnfType,
     check_feasibility,
@@ -27,19 +27,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BuildOptions",
-    "ConstraintReport",
     "CostBreakdown",
     "DeploymentDelta",
     "IlpModel",
     "Network",
     "PlacementPlan",
     "ProblemInstance",
+    "Report",
     "ScenarioSpec",
     "ServiceRequest",
     "Snapshot",
     "SolveOptions",
     "SolveResult",
-    "ValidationReport",
+    "Violation",
     "VnfCatalog",
     "VnfType",
     "brute_force",

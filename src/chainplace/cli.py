@@ -277,7 +277,7 @@ def cmd_check(args) -> int:
         "format_version": "1",
         "feasible": report.feasible,
         "violations": [
-            {"constraint": v.constraint, "subject": list(v.subject), "detail": v.detail}
+            {"constraint": v.code, "subject": list(v.subject), "detail": v.detail}
             for v in report.violations
         ],
         "breakdown": _io.breakdown_to_document(breakdown),

@@ -10,13 +10,15 @@ held in exact micro-money; the text exporters emit them divided by 1e6
 (plain money units) because several MILP readers dislike huge magnitudes.
 The scale is recorded in a comment header.
 
-``build_ilp`` finds a variable's index by arithmetic on per-family block
-offsets (``_layout``). It builds the McCormick product rows (families
-2-2..2-4, 15-2..15-5 and 16-2..16-5, about 98% of the rows of a full-scale
-model) directly, with their coefficients already sorted. The rows whose
-coefficients depend on the instance data (6-14, 17, 18 and NOREUSE) go
-through one generic path that drops zero coefficients, sorts the rest and
-keeps a row left empty only when 0 violates it.
+``build_ilp`` and ``import_solution`` find a variable's index by
+arithmetic on the per-family block offsets that ``_enumerate`` records as
+it appends the variables (``IlpModel.blocks``). ``build_ilp`` builds the
+McCormick product rows (families 2-2..2-4, 15-2..15-5 and 16-2..16-5,
+about 98% of the rows of a full-scale model) directly, with their
+coefficients already sorted. The rows whose coefficients depend on the
+instance data (6-14, 17, 18 and NOREUSE) go through one generic path that
+drops zero coefficients, sorts the rest and keeps a row left empty only
+when 0 violates it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from . import costs as _costs
@@ -91,53 +92,83 @@ def _deployable_types(instance: ProblemInstance):
     return tuple(t for t in instance.catalog.types if t.name in required)
 
 
-def enumerate_variables(instance: ProblemInstance) -> tuple[IlpVar, ...]:
-    """All binary variables in canonical order: g, t, l, p, x, m, q."""
+def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple]:
+    """All binary variables in canonical order (g, t, l, p, x, m, q), and
+    the first index of each block of them; a variable's index is its
+    block's base plus its position inside the block. The blocks are, per
+    family: ``g[r]``, ``t[k][i]``, ``l[r][k][s]`` (then the instance),
+    ``p[r]`` (then ``pair``), ``x[k][i]`` (then ``s * n_servers + d``),
+    ``m[r]`` (then ``(s * n_servers + d) * n_instances + i``) and
+    ``q[r][pos]`` (then s, d, i, j in that nesting). Requests, instances
+    and servers count by position. ``pair[a][b]`` is the offset of the link
+    between node positions ``a`` and ``b`` in a request's ``p`` block, or of
+    a server's self-link when ``a == b``."""
     net = instance.network
     nodes = net.nodes
     out: list[IlpVar] = []
 
+    g_at = []
     for r in instance.requests:
+        g_at.append(len(out))
         for s in net.servers:
             out.append(IlpVar(f"g[{r.id}][{s}]", "g", (r.id, s)))
 
     deployable = _deployable_types(instance)
+    t_at = {vnf.name: [] for vnf in deployable}
     for vnf in deployable:
         for i in vnf.instances:
+            t_at[vnf.name].append(len(out))
             for s in net.servers:
                 out.append(IlpVar(f"t[{vnf.name}][{i}][{s}]", "t", (vnf.name, i, s)))
 
+    l_at = []
     for r in instance.requests:
+        # per server, the instances of each chain type in chain order
+        per_type = {k: [] for k in r.chain}
+        l_at.append(per_type)
         for s in net.servers:
             for k in r.chain:
+                per_type[k].append(len(out))
                 for i in instance.catalog.get(k).instances:
                     out.append(IlpVar(f"l[{r.id}][{s}][{k}][{i}]", "l", (r.id, s, k, i)))
 
+    # a request's p block: node pairs in position order, then self-links
+    links = list(itertools.combinations(range(len(nodes)), 2))
+    links += [(si, si) for si in range(len(net.servers))]
+    pair = [[0] * len(nodes) for _ in nodes]
+    for off, (ai, bi) in enumerate(links):
+        pair[ai][bi] = pair[bi][ai] = off
+    p_at = []
     for r in instance.requests:
-        for ai in range(len(nodes)):
-            for bi in range(ai + 1, len(nodes)):
-                a, b = nodes[ai], nodes[bi]
-                out.append(IlpVar(f"p[{r.id}][{a}][{b}]", "p", (r.id, a, b)))
-        for s in net.servers:
-            out.append(IlpVar(f"p[{r.id}][{s}][{s}]", "p", (r.id, s, s)))
+        p_at.append(len(out))
+        for ai, bi in links:
+            a, b = nodes[ai], nodes[bi]
+            out.append(IlpVar(f"p[{r.id}][{a}][{b}]", "p", (r.id, a, b)))
 
+    x_at = {vnf.name: [] for vnf in deployable}
     for vnf in deployable:
         for i in vnf.instances:
+            x_at[vnf.name].append(len(out))
             for s in net.servers:
                 for t in net.servers:
                     out.append(
                         IlpVar(f"x[{vnf.name}][{i}][{s}][{t}]", "x", (vnf.name, i, s, t))
                     )
 
+    m_at = []
     for r in instance.requests:
+        m_at.append(len(out))
         first = r.chain[0]
         for s in net.servers:
             for t in net.servers:
                 for i in instance.catalog.get(first).instances:
                     out.append(IlpVar(f"m[{r.id}][{s}][{t}][{i}]", "m", (r.id, s, t, i)))
 
+    q_at = []
     for r in instance.requests:
+        q_at.append([])
         for pos in range(len(r.chain) - 1):
+            q_at[-1].append(len(out))
             ka, kb = r.chain[pos], r.chain[pos + 1]
             for s in net.servers:
                 for t in net.servers:
@@ -150,7 +181,12 @@ def enumerate_variables(instance: ProblemInstance) -> tuple[IlpVar, ...]:
                                     (r.id, pos, s, t, i, j),
                                 )
                             )
-    return tuple(out)
+    return tuple(out), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
+
+
+def enumerate_variables(instance: ProblemInstance) -> tuple[IlpVar, ...]:
+    """All binary variables in canonical order: g, t, l, p, x, m, q."""
+    return _enumerate(instance)[0]
 
 
 def plan_vector(
@@ -186,6 +222,7 @@ class IlpModel:
     rows: tuple[Row, ...]
     objective: tuple[tuple[int, int], ...]  # (variable index, micro-money)
     constant: int  # micro-money
+    blocks: tuple = field(repr=False, compare=False)  # see _enumerate
     name: str = "CHAINPLACE"
     aliases: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
@@ -223,58 +260,6 @@ class IlpModel:
         return total
 
 
-def _layout(instance: ProblemInstance, deployable):
-    """The first index of each block of variables, in the canonical order
-    of ``enumerate_variables``; a variable's index is its block's base plus
-    its position inside the block. Returns, per family: ``g[r]``,
-    ``t[k][i]``, ``l[r][k][s]`` (then the instance), ``p[r]`` (then
-    ``pair``), ``x[k][i]`` (then ``s * n_servers + d``), ``m[r]`` (then
-    ``(s * n_servers + d) * n_instances + i``) and ``q[r][pos]`` (then
-    s, d, i, j in that nesting). Requests, types, instances and servers
-    count by position. ``pair[a][b]`` is the offset of the link between
-    node positions ``a`` and ``b`` in a request's ``p`` block, or of a
-    server's self-link when ``a == b``."""
-    net = instance.network
-    n_s, n_nodes = len(net.servers), len(net.nodes)
-    requests = instance.requests
-    pool_size = {vnf.name: len(vnf.instances) for vnf in instance.catalog.types}
-    at = 0
-
-    def block(size: int) -> int:
-        nonlocal at
-        at += size
-        return at - size
-
-    g_at = [block(n_s) for _r in requests]
-    t_at = {vnf.name: [block(n_s) for _i in vnf.instances] for vnf in deployable}
-    l_at = []
-    for r in requests:
-        # per server, the instances of each chain type in chain order
-        width = sum(pool_size[k] for k in r.chain)
-        first = block(n_s * width)
-        per_type, offset = {}, 0
-        for k in r.chain:
-            per_type[k] = [first + si * width + offset for si in range(n_s)]
-            offset += pool_size[k]
-        l_at.append(per_type)
-    pair = [[0] * n_nodes for _ in range(n_nodes)]
-    n = 0
-    for ai in range(n_nodes):
-        for bi in range(ai + 1, n_nodes):
-            pair[ai][bi] = pair[bi][ai] = n
-            n += 1
-    for si in range(n_s):
-        pair[si][si] = n + si
-    p_at = [block(n + n_s) for _r in requests]
-    x_at = {vnf.name: [block(n_s * n_s) for _i in vnf.instances] for vnf in deployable}
-    m_at = [block(n_s * n_s * pool_size[r.chain[0]]) for r in requests]
-    q_at = [
-        [block(n_s * n_s * pool_size[ka] * pool_size[kb]) for ka, kb in zip(r.chain, r.chain[1:])]
-        for r in requests
-    ]
-    return g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at
-
-
 def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) -> IlpModel:
     """Compile the placement program: canonical variables, objective with its
     snapshot constant, and every constraint row tagged with its family."""
@@ -288,9 +273,9 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     n_s = len(servers)
     requests = instance.requests
     pools = {vnf.name: vnf.instances for vnf in instance.catalog.types}
-    variables = enumerate_variables(instance)
+    variables, blocks = _enumerate(instance)
     deployable = _deployable_types(instance)
-    g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at = _layout(instance, deployable)
+    g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at = blocks
     # distinct node pairs in canonical order: matrix positions, p offset
     pairs = [
         (ai, bi, pair[ai][bi])
@@ -424,8 +409,8 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
             add("11", (vnf.name, i), [(base + si, 1) for si in range(n_s)], "L", 1)
 
     def limit(cap, used=0):
-        exact = Fraction(instance.usage_threshold) * cap - used
-        return int(exact) if exact.denominator == 1 else float(exact)
+        exact = instance.usage_limit(cap) - used
+        return exact if type(exact) is int else float(exact)
 
     # server resources left over by the frozen instances
     for si, s in enumerate(servers):
@@ -560,6 +545,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         rows=tuple(rows),
         objective=tuple(objective),
         constant=constant,
+        blocks=blocks,
     )
 
 
@@ -738,7 +724,7 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
     # canonical order of x, m and q; g, t and l bits are never missing
     n_s = len(instance.network.servers)
     deployable = _deployable_types(instance)
-    g_at, t_at, l_at, _p_at, _pair, x_at, m_at, q_at = _layout(instance, deployable)
+    g_at, t_at, l_at, _p_at, _pair, x_at, m_at, q_at = model.blocks
     pool_size = {vnf.name: len(vnf.instances) for vnf in instance.catalog.types}
 
     def check(idx: int, expect: int) -> None:

@@ -244,9 +244,11 @@ class ProblemInstance:
         required = set(self.required_types())
         return tuple(sorted(e for e in self.snapshot.deployed if e[0] not in required))
 
-    def usage_limit(self, capacity: int) -> Fraction:
-        """Exact usable share of a capacity under the usage threshold."""
-        return Fraction(self.usage_threshold) * capacity
+    def usage_limit(self, capacity: int) -> int | Fraction:
+        """Exact usable share of a capacity under the usage threshold: an
+        int when it is whole, a Fraction otherwise."""
+        limit = Fraction(self.usage_threshold) * capacity
+        return int(limit) if limit.denominator == 1 else limit
 
 
 @dataclass(frozen=True)
@@ -261,6 +263,10 @@ class DeploymentDelta:
 
 @dataclass(frozen=True)
 class Violation:
+    """One broken rule: a ``validate_instance`` code such as
+    ``DUPLICATE_NODE``, or the number of the constraint ``check_feasibility``
+    found violated, such as ``"12"``."""
+
     code: str
     subject: tuple
     detail: str = ""
@@ -271,48 +277,18 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class Report:
     violations: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
+    feasible = ok
 
     def has(self, code: str, *subject) -> bool:
         return any(
             v.code == code and (not subject or v.subject == tuple(subject))
-            for v in self.violations
-        )
-
-
-@dataclass(frozen=True)
-class ConstraintViolation:
-    constraint: str
-    subject: tuple
-    detail: str = ""
-
-    def __str__(self):
-        where = ",".join(str(x) for x in self.subject)
-        return f"eq{self.constraint}[{where}]" + (f": {self.detail}" if self.detail else "")
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    violations: tuple[ConstraintViolation, ...] = ()
-
-    @property
-    def feasible(self) -> bool:
-        return not self.violations
-
-    def constraints(self) -> tuple[str, ...]:
-        return tuple(v.constraint for v in self.violations)
-
-    def has(self, constraint: str, *subject) -> bool:
-        return any(
-            v.constraint == constraint and (not subject or v.subject == tuple(subject))
             for v in self.violations
         )
 
@@ -361,14 +337,14 @@ def _type_violations(instance: ProblemInstance) -> list[Violation]:
     return out
 
 
-def validate_instance(instance: ProblemInstance) -> ValidationReport:
+def validate_instance(instance: ProblemInstance) -> Report:
     """Check every structural invariant; violations come back as report
     entries with machine-readable codes, never as exceptions. Entry types
     are checked first, and alone when any is wrong, so that no comparison
     below meets a value it cannot order."""
     out = _type_violations(instance)
     if out:
-        return ValidationReport(tuple(out))
+        return Report(tuple(out))
     net = instance.network
     nodes = net.servers + net.users
 
@@ -470,7 +446,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
             Violation("USAGE_THRESHOLD_RANGE", (instance.usage_threshold,))
         )
 
-    return ValidationReport(tuple(out))
+    return Report(tuple(out))
 
 
 def ensure_plan_matches(instance: ProblemInstance, plan: PlacementPlan) -> None:
@@ -516,39 +492,39 @@ def normalize_route(net: Network, links: Iterable[Link]) -> frozenset[Link]:
     return frozenset(net.link(a, b) for a, b in links)
 
 
-def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> ConstraintReport:
+def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
     """Evaluate each constraint family of the placement program on a plan.
     The at-least-one-deployment rule covers the types some request needs."""
     ensure_plan_matches(instance, plan)
     net = instance.network
-    out: list[ConstraintViolation] = []
+    out: list[Violation] = []
 
     # (6)/(7): exactly one content server, chosen among the capable ones
     for r in instance.requests:
         chosen = plan.servers_for(r.id)
         if len(chosen) != 1:
-            out.append(ConstraintViolation("6", (r.id,), f"{len(chosen)} servers selected"))
+            out.append(Violation("6", (r.id,), f"{len(chosen)} servers selected"))
         for s in chosen:
             if s not in r.candidate_servers:
-                out.append(ConstraintViolation("7", (r.id, s), "not a candidate server"))
+                out.append(Violation("7", (r.id, s), "not a candidate server"))
 
     # (8): one instance of each required type per request
     for r in instance.requests:
         for k in r.chain:
             count = len(plan.assigned(r.id, k))
             if count != 1:
-                out.append(ConstraintViolation("8", (r.id, k), f"{count} instances assigned"))
+                out.append(Violation("8", (r.id, k), f"{count} instances assigned"))
 
     # (9): assigned instances must be deployed where they are used
     for f, s, k, i in sorted(plan.assignment):
         if (k, i, s) not in plan.deployment:
-            out.append(ConstraintViolation("9", (f, s, k, i), "assigned but not deployed"))
+            out.append(Violation("9", (f, s, k, i), "assigned but not deployed"))
 
     # (10): at least one deployment per required type
     deployed_types = {k for k, _, _ in plan.deployment}
     for k in instance.required_types():
         if k not in deployed_types:
-            out.append(ConstraintViolation("10", (k,), "no instance deployed"))
+            out.append(Violation("10", (k,), "no instance deployed"))
 
     # (11): each instance lives on at most one server
     locations: dict[tuple[str, int], set[str]] = {}
@@ -556,7 +532,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Constra
         locations.setdefault((k, i), set()).add(s)
     for (k, i), servers in sorted(locations.items()):
         if len(servers) > 1:
-            out.append(ConstraintViolation("11", (k, i), f"on {len(servers)} servers"))
+            out.append(Violation("11", (k, i), f"on {len(servers)} servers"))
 
     # (12): server resources
     for s in net.servers:
@@ -567,7 +543,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Constra
         )
         limit = instance.usage_limit(net.server_capacity[s])
         if load > limit:
-            out.append(ConstraintViolation("12", (s,), f"load {load} > {float(limit):g}"))
+            out.append(Violation("12", (s,), f"load {load} > {float(limit):g}"))
 
     # (13): VNF processing capacity
     inst_load: dict[tuple[str, int, str], int] = {}
@@ -577,7 +553,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Constra
     for (k, i, s), load in sorted(inst_load.items()):
         limit = instance.usage_limit(instance.catalog.get(k).capacity)
         if load > limit:
-            out.append(ConstraintViolation("13", (k, i, s), f"load {load} > {float(limit):g}"))
+            out.append(Violation("13", (k, i, s), f"load {load} > {float(limit):g}"))
 
     # (14): link bandwidth, self-links exempt
     link_load: dict[Link, int] = {}
@@ -590,7 +566,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Constra
     for (a, b), load in sorted(link_load.items()):
         limit = instance.usage_limit(net.bandwidth_between(a, b))
         if load > limit:
-            out.append(ConstraintViolation("14", (a, b), f"load {load} > {float(limit):g}"))
+            out.append(Violation("14", (a, b), f"load {load} > {float(limit):g}"))
 
     # (15)-(17): the chain's links must be assigned, the user link exactly
     for r in instance.requests:
@@ -601,20 +577,20 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Constra
         for cs in chosen:
             for s, _i in plan.assigned(r.id, first):
                 if net.link(cs, s) not in route:
-                    out.append(ConstraintViolation("15", (r.id, cs, s), "missing chain entry link"))
+                    out.append(Violation("15", (r.id, cs, s), "missing chain entry link"))
         for pos in range(len(r.chain) - 1):
             for s, _i in plan.assigned(r.id, r.chain[pos]):
                 for t, _j in plan.assigned(r.id, r.chain[pos + 1]):
                     if net.link(s, t) not in route:
                         out.append(
-                            ConstraintViolation("16", (r.id, r.chain[pos], s, t), "missing chain link")
+                            Violation("16", (r.id, r.chain[pos], s, t), "missing chain link")
                         )
         last_hosts = {s for s, _i in plan.assigned(r.id, last)}
         for s in net.servers:
             has_link = net.link(s, r.user) in route
             if (s in last_hosts) != has_link:
                 out.append(
-                    ConstraintViolation(
+                    Violation(
                         "17", (r.id, s), "user link present iff last VNF hosted here"
                     )
                 )
@@ -627,9 +603,9 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Constra
             continue  # an (8) violation was already recorded
         delay = service_delay(instance, plan, r.id)
         if delay > r.delay_budget:
-            out.append(ConstraintViolation("18", (r.id,), f"{delay} > {r.delay_budget}"))
+            out.append(Violation("18", (r.id,), f"{delay} > {r.delay_budget}"))
 
-    return ConstraintReport(tuple(out))
+    return Report(tuple(out))
 
 
 def snapshot_diff(snapshot: Snapshot, plan: PlacementPlan) -> DeploymentDelta:

@@ -22,7 +22,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from . import costs as _costs
@@ -119,26 +118,16 @@ class _Problem:
         self.net = net
         self.servers = net.servers
         self.requests = instance.requests
-        self.mu_is_one = instance.usage_threshold == 1
-        mu = Fraction(instance.usage_threshold)
-
-        def limit(cap):
-            return cap if self.mu_is_one else mu * cap
-
+        limit = instance.usage_limit
         self.server_limit = {s: limit(net.server_capacity[s]) for s in net.servers}
-        self.vnf_limit = {
-            t.name: limit(t.capacity) for t in instance.catalog.types
+        self.vnf_limit = {t.name: limit(t.capacity) for t in instance.catalog.types}
+        self.link_limit = {
+            (a, b): limit(net.bandwidth_between(a, b))
+            for a, b in itertools.combinations(net.nodes, 2)
         }
-        self.link_limit = {}
-        nodes = net.nodes
-        for ai in range(len(nodes)):
-            for bi in range(ai + 1, len(nodes)):
-                a, b = nodes[ai], nodes[bi]
-                self.link_limit[(a, b)] = limit(net.bandwidth_between(a, b))
 
         required = set(instance.required_types())
-        snap_ids = {(k, i) for k, i, _s in instance.snapshot.deployed}
-        self.snapshot_ids = snap_ids
+        self.snapshot_ids = {(k, i) for k, i, _s in instance.snapshot.deployed}
 
         # snapshot entries of unneeded types are outside the decision space,
         # but they still occupy server capacity
@@ -262,26 +251,22 @@ class _Problem:
 
 
 class _Incumbent:
-    def __init__(self):
+    """The best plan offered so far, by total and then by the tie-break
+    key: the plan's canonical g, t, l, p vector."""
+
+    def __init__(self, problem: _Problem):
+        self.p = problem
         self.total: int | None = None
         self.key: tuple | None = None
         self.plan: PlacementPlan | None = None
         self.updates = 0
 
-    def offer(self, total: int, plan_factory, key_factory) -> None:
+    def offer(self, total: int, plan: PlacementPlan) -> None:
         if self.total is not None and total > self.total:
             return
-        if self.total is None or total < self.total:
-            self.total = total
-            self.plan = plan_factory()
-            self.key = key_factory(self.plan)
-            self.updates += 1
-            return
-        key_plan = plan_factory()
-        key = key_factory(key_plan)
-        if key < self.key:
-            self.key = key
-            self.plan = key_plan
+        key = plan_vector(self.p.instance, plan, self.p.gtlp_vars)
+        if self.total is None or (total, key) < (self.total, self.key):
+            self.total, self.key, self.plan = total, key, plan
             self.updates += 1
 
 
@@ -298,7 +283,6 @@ class _Search:
         self.nodes = 0
 
         self.gamma: list[str | None] = [None] * len(problem.requests)
-        self.tau: dict[tuple[str, int], str] = {}
         self.deployed: dict[str, list[tuple[int, str]]] = {}
         self.server_load = dict(problem.base_server_load)
         self.fresh_open: dict[str, bool] = {}
@@ -346,8 +330,8 @@ class _Search:
         if inc is not None and bound > inc:
             return
         if di == len(self.p.decisions):
-            if self._deployments_complete():
-                self._branch_lambda(0, 0)
+            # every type passed _type_demand_covered at its type_end
+            self._branch_lambda(0, 0)
             return
 
         d = self.p.decisions[di]
@@ -375,8 +359,6 @@ class _Search:
     def _commit_tau(self, d: _Decision, target, delta: int) -> None:
         self.committed += delta
         if target is not None:
-            key = (d.vnf_name, d.instance_id)
-            self.tau[key] = target
             self.deployed.setdefault(d.vnf_name, []).append((d.instance_id, target))
             self.server_load[target] += self.p.instance.catalog.get(d.vnf_name).resource_req
             if d.fresh_rank is not None:
@@ -385,23 +367,10 @@ class _Search:
     def _undo_tau(self, d: _Decision, target, delta: int) -> None:
         self.committed -= delta
         if target is not None:
-            del self.tau[(d.vnf_name, d.instance_id)]
             self.deployed[d.vnf_name].pop()
             self.server_load[target] -= self.p.instance.catalog.get(d.vnf_name).resource_req
             if d.fresh_rank is not None:
                 self.fresh_open[(d.vnf_name, d.fresh_rank)] = False
-
-    def _deployments_complete(self) -> bool:
-        for k in self.p.instance.required_types():
-            if not self.deployed.get(k):
-                return False
-        if self.p.options.no_reuse:
-            for k in self.p.required_by_new:
-                if not any(
-                    (k, i) not in self.p.snapshot_ids for i, _s in self.deployed[k]
-                ):
-                    return False
-        return True
 
     # stage (b): chain assignments; a finished chain is routed once per
     # content-server candidate
@@ -485,26 +454,22 @@ class _Search:
             self.link_load[link] -= r.traffic
 
     def _offer_leaf(self) -> None:
-        total = self.committed
+        # the leaf's bound is its total, so the plan is never worse than
+        # the incumbent
         p = self.p
-
-        def plan_factory() -> PlacementPlan:
-            deployment = {(k, i, s) for (k, i), s in self.tau.items()} | set(p.frozen)
-            return PlacementPlan(
-                content_server=frozenset(
-                    (r.id, self.gamma[ri]) for ri, r in enumerate(p.requests)
-                ),
-                deployment=frozenset(deployment),
-                assignment=frozenset(
-                    (f, s, k, i) for (f, k), (s, i) in self.assign.items()
-                ),
-                routes=dict(self.routes),
-            )
-
-        def key_factory(plan: PlacementPlan) -> tuple:
-            return plan_vector(p.instance, plan, p.gtlp_vars)
-
-        self.incumbent.offer(total, plan_factory, key_factory)
+        plan = PlacementPlan(
+            content_server=frozenset(
+                (r.id, self.gamma[ri]) for ri, r in enumerate(p.requests)
+            ),
+            deployment={
+                (k, i, s) for k, pool in self.deployed.items() for i, s in pool
+            } | set(p.frozen),
+            assignment=frozenset(
+                (f, s, k, i) for (f, k), (s, i) in self.assign.items()
+            ),
+            routes=dict(self.routes),
+        )
+        self.incumbent.offer(self.committed, plan)
 
 
 def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) -> SolveResult:
@@ -524,7 +489,7 @@ def _solve_exact(problem: _Problem) -> SolveResult:
     if any(problem.base_server_load[s] > problem.server_limit[s] for s in problem.servers):
         # the untouched instances alone overfill a server
         return SolveResult(STATUS_INFEASIBLE, None, None, SolveStats())
-    incumbent = _Incumbent()
+    incumbent = _Incumbent(problem)
     start = time.monotonic()
     search = _Search(problem, incumbent, start + options.time_limit)
     search._branch_tau(0)
@@ -579,9 +544,8 @@ def _brute_force(p: _Problem, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult
         raise TooLargeError(f"decision space {size} exceeds enumeration cap {cap}")
 
     start = time.monotonic()
-    best: tuple[int, tuple, PlacementPlan] | None = None
+    incumbent = _Incumbent(p)
     nodes = 0
-    updates = 0
 
     gamma_domains = [p.candidates[r.id] for r in p.requests]
     required = instance.required_types()
@@ -653,19 +617,13 @@ def _brute_force(p: _Problem, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult
                 total = _costs.total_objective(
                     instance, plan, clamp_instantiation=options.clamp_instantiation
                 ).total
-                if best is not None and total > best[0]:
-                    continue
-                key = plan_vector(instance, plan, p.gtlp_vars)
-                if best is None or (total, key) < (best[0], best[1]):
-                    best = (total, key, plan)
-                    updates += 1
+                incumbent.offer(total, plan)
 
     wall = time.monotonic() - start
-    stats = SolveStats(nodes=nodes, incumbent_updates=updates, wall_time=wall)
-    if best is None:
+    stats = SolveStats(nodes=nodes, incumbent_updates=incumbent.updates, wall_time=wall)
+    if incumbent.plan is None:
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
-    total, _key, plan = best
     breakdown = _costs.total_objective(
-        instance, plan, clamp_instantiation=options.clamp_instantiation
+        instance, incumbent.plan, clamp_instantiation=options.clamp_instantiation
     )
-    return SolveResult(STATUS_OPTIMAL, plan, breakdown, stats)
+    return SolveResult(STATUS_OPTIMAL, incumbent.plan, breakdown, stats)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 from chainplace.errors import IndexMismatchError
 from chainplace.model import (
     PlacementPlan,
+    Report,
     Snapshot,
     check_feasibility,
     snapshot_diff,
     validate_instance,
 )
-from chainplace.solver import brute_force, solve_exact
+from chainplace.solver import SolveOptions, _Problem, brute_force, solve_exact
 
 from conftest import mk_instance, mk_network, mk_plan, mk_request, mk_type
 
@@ -182,6 +185,45 @@ class TestFeasibility:
             routes={"r0": [("s0", "s0"), ("s0", "u0")]},
         )
         assert check_feasibility(inst, plan).feasible
+
+
+class TestReport:
+    def test_validation_and_feasibility_share_one_report(self, tiny):
+        good = brute_force(tiny).plan
+        bad = mk_plan(
+            content=[("r0", "s0"), ("r0", "s1")],
+            deployment=[("k0", 0, "s0")],
+            assignment=[("r0", "s0", "k0", 0)],
+            routes={"r0": [("s0", "s0"), ("s0", "u0")]},
+        )
+        reports = [validate_instance(tiny), check_feasibility(tiny, good),
+                   check_feasibility(tiny, bad)]
+        assert all(type(report) is Report for report in reports)
+        assert [(r.ok, r.feasible) for r in reports] == [(True, True), (True, True),
+                                                         (False, False)]
+        assert str(reports[2].violations[0]) == "6(r0): 2 servers selected"
+
+
+class TestUsageLimit:
+    def test_whole_limit_is_an_int(self, net2):
+        limit = mk_instance(net2, mu=0.5).usage_limit(8)
+        assert limit == 4 and type(limit) is int
+
+    def test_fractional_limit_is_exact(self, net2):
+        assert mk_instance(net2, mu=0.75).usage_limit(10) == Fraction(15, 2)
+
+    @pytest.mark.parametrize("mu", [1.0, 0.5, 0.75, 0.3])
+    def test_solver_limits_are_the_instance_limits(self, mu):
+        net = mk_network(n_servers=3, n_users=2, bandwidth=7, capacity=9)
+        inst = mk_instance(net, types=[mk_type(net, capacity=11)], mu=mu)
+        p = _Problem(inst, SolveOptions())
+        limit = inst.usage_limit
+        assert p.server_limit == {s: limit(9) for s in net.servers}
+        assert p.vnf_limit == {"k0": limit(11)}
+        assert len(p.link_limit) == 10
+        for (a, b), got in p.link_limit.items():
+            assert got == limit(net.bandwidth_between(a, b))
+            assert type(got) is type(limit(7))
 
 
 class TestSnapshotDiff:
