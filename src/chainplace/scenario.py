@@ -227,6 +227,13 @@ def generate(spec: ScenarioSpec) -> ProblemInstance:
     pool_size = {
         k: sum(1 for r in drawn if k in r.chain) for k in type_names
     }
+    # every type moves the same traffic, so one table serves them all
+    # (each VnfType keeps its own copy)
+    migration_cost = {
+        (s, d): params.migration_traffic * network.cost_between(s, d)
+        for s in servers
+        for d in servers
+    }
     types = tuple(
         VnfType(
             name=k,
@@ -235,11 +242,7 @@ def generate(spec: ScenarioSpec) -> ProblemInstance:
             resource_req=params.resource_req,
             instances=tuple(range(pool_size[k])),
             processing_delay={s: params.processing_delay_us for s in servers},
-            migration_cost={
-                (s, d): params.migration_traffic * network.cost_between(s, d)
-                for s in servers
-                for d in servers
-            },
+            migration_cost=migration_cost,
         )
         for k in type_names
     )

@@ -6,6 +6,10 @@ A request's content server is chosen once its chain is assigned, by trying
 each candidate in turn, because it changes only the request's entry link.
 Routes are derived, never branched, because every route coefficient is
 non-negative and the current routes only contribute a constant credit.
+The placement bound also charges each type that has no qualifying instance
+deployed yet the least extra cost of deploying one of its undecided
+qualifying instances: under no_reuse only a fresh instance qualifies for a
+type that new requests need, since each plan must deploy one.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
 instead of the incremental bookkeeping used here.
@@ -100,6 +104,7 @@ class _Decision:
     fresh_rank: int | None  # position among the type's fresh instances
     contrib: dict  # option (server or None) -> exact micro-money
     min_contrib: int
+    qualifies: bool  # deploying it covers its type (see _Problem.deploy_min)
 
 
 class _Problem:
@@ -143,6 +148,7 @@ class _Problem:
         for vnf in instance.catalog.types:
             if vnf.name not in required:
                 continue
+            fresh_only = options.no_reuse and vnf.name in self.required_by_new
             fresh_rank = 0
             for i in vnf.instances:
                 snap_server = instance.snapshot.server_of(vnf.name, i)
@@ -177,24 +183,9 @@ class _Problem:
                         fresh_rank=rank,
                         contrib=contrib,
                         min_contrib=min(contrib.values()),
+                        qualifies=snap_server is None or not fresh_only,
                     )
                 )
-
-        # admissible tails: undecided instances take their cheapest option;
-        # unrouted requests get the credit for their current links back
-        # (suffix_credit) and pay at least traffic x their cheapest
-        # server->user link (suffix_route), both set up below. Every route
-        # loads its last-host->user link: the user is a declared user node
-        # and node names are unique, so that link is never a self-link, and
-        # the route's other links cost nothing negative. So the bound never
-        # exceeds the total of a leaf below it, and pruning only when it is
-        # strictly above the incumbent still visits every leaf that could
-        # improve or tie: a search that finishes returns the optimum, the
-        # tie-break plan and the incumbent updates of a search without the
-        # routing term, in no more nodes.
-        self.suffix_min = [0] * (len(self.decisions) + 1)
-        for di in range(len(self.decisions) - 1, -1, -1):
-            self.suffix_min[di] = self.suffix_min[di + 1] + self.decisions[di].min_contrib
 
         # once the last instance of a type is decided, the deployed capacity
         # must already cover the type's demand; checking at the boundary
@@ -207,6 +198,50 @@ class _Problem:
             prev = d.vnf_name
         if prev is not None:
             self.type_end[len(self.decisions)] = prev
+
+        # admissible tails: undecided instances take their cheapest option
+        # (suffix_min); a type with no qualifying instance deployed yet adds
+        # the least extra of deploying one of its undecided qualifying
+        # instances (deploy_min, deploy_tail); unrouted requests get the
+        # credit for their current links back (suffix_credit) and pay at
+        # least traffic x their cheapest server->user link (suffix_route),
+        # both set up below.
+        # Every leaf deploys a qualifying instance of each decision type:
+        # _type_demand_covered asks for one, a fresh one for a type that new
+        # requests need under no_reuse. Deploying decision d costs at least
+        # min_contrib + extra, extra being its cheapest server option minus
+        # min_contrib. A type's term reads only its own undecided instances,
+        # which suffix_min counts at min_contrib, and adds one extra per
+        # type, so nothing is counted twice. Every route loads its
+        # last-host->user link: the user is a declared user node and node
+        # names are unique, so that link is never a self-link, and the
+        # route's other links cost nothing negative. So the bound never
+        # exceeds the total of a leaf below it, and pruning only when it is
+        # strictly above the incumbent still visits every leaf that could
+        # improve or tie: a search that finishes returns the optimum, the
+        # tie-break plan and the incumbent updates of a search without the
+        # deployment and routing terms, in no more nodes.
+        n = len(self.decisions)
+        self.suffix_min = [0] * (n + 1)
+        # deploy_min[di]: least extra over the qualifying decisions from di
+        # to the end of di's type, inf when there are none; deploy_tail[di]:
+        # the sum of deploy_min at the first decision of each later type
+        self.deploy_min = [math.inf] * n
+        self.deploy_tail = [0] * (n + 1)
+        least = math.inf
+        for di in range(n - 1, -1, -1):
+            d = self.decisions[di]
+            self.suffix_min[di] = self.suffix_min[di + 1] + d.min_contrib
+            self.deploy_tail[di] = self.deploy_tail[di + 1]
+            if di + 1 in self.type_end:  # di is the last of its type
+                if di + 1 < n:
+                    self.deploy_tail[di] += self.deploy_min[di + 1]
+                least = math.inf
+            if d.qualifies:
+                extra = min(d.contrib[s] for s in net.servers) - d.min_contrib
+                least = min(least, extra)
+            self.deploy_min[di] = least
+
         self.demand_all = {
             t.name: sum(r.traffic for r in self.requests if t.name in r.chain)
             for t in instance.catalog.types
@@ -242,6 +277,15 @@ class _Problem:
         self.gtlp_vars = tuple(
             v for v in enumerate_variables(instance) if v.family in "gtlp"
         )
+
+    def deploy_need(self, di: int, qualified: Mapping[str, int]) -> int | float:
+        """The deployment term of the placement bound at decision ``di``,
+        given how many qualifying instances each type has deployed so far;
+        inf when a type without one has no qualifying instance left."""
+        need = self.deploy_tail[di]
+        if di < len(self.decisions) and not qualified[self.decisions[di].vnf_name]:
+            need += self.deploy_min[di]
+        return need
 
     def tau_options(self, decision: _Decision) -> tuple:
         if decision.snap_server is not None:
@@ -286,6 +330,8 @@ class _Search:
         self.deployed: dict[str, list[tuple[int, str]]] = {}
         self.server_load = dict(problem.base_server_load)
         self.fresh_open: dict[str, bool] = {}
+        # qualifying instances deployed, per type (see _Problem.deploy_min)
+        self.qualified = {d.vnf_name: 0 for d in problem.decisions}
         self.assign: dict[tuple[str, str], tuple[str, int]] = {}
         self.inst_load: dict[tuple[str, int], int] = {}
         self.link_load: dict[Link, int] = {}
@@ -307,22 +353,26 @@ class _Search:
         if len(pool) * self.p.vnf_limit[k] < self.p.demand_all[k]:
             return False
         if self.p.options.no_reuse and k in self.p.required_by_new:
-            fresh = sum(1 for i, _s in pool if (k, i) not in self.p.snapshot_ids)
+            fresh = self.qualified[k]  # only fresh instances qualify here
             if not fresh or fresh * self.p.vnf_limit[k] < self.p.demand_new[k]:
                 return False
         return True
 
     # stage (a): instance placements
     def _branch_tau(self, di: int) -> None:
-        ended = self.p.type_end.get(di)
+        p = self.p
+        ended = p.type_end.get(di)
         if ended is not None and not self._type_demand_covered(ended):
             return
         bound = (
             self.committed
-            + self.p.suffix_min[di]
-            + self.p.suffix_credit[0]
-            + self.p.suffix_route[0]
+            + p.suffix_min[di]
+            + p.deploy_need(di, self.qualified)
+            + p.suffix_credit[0]
+            + p.suffix_route[0]
         )
+        if bound == math.inf:
+            return  # a type can no longer deploy a qualifying instance
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
@@ -363,6 +413,8 @@ class _Search:
             self.server_load[target] += self.p.instance.catalog.get(d.vnf_name).resource_req
             if d.fresh_rank is not None:
                 self.fresh_open[(d.vnf_name, d.fresh_rank)] = True
+            if d.qualifies:
+                self.qualified[d.vnf_name] += 1
 
     def _undo_tau(self, d: _Decision, target, delta: int) -> None:
         self.committed -= delta
@@ -371,6 +423,8 @@ class _Search:
             self.server_load[target] -= self.p.instance.catalog.get(d.vnf_name).resource_req
             if d.fresh_rank is not None:
                 self.fresh_open[(d.vnf_name, d.fresh_rank)] = False
+            if d.qualifies:
+                self.qualified[d.vnf_name] -= 1
 
     # stage (b): chain assignments; a finished chain is routed once per
     # content-server candidate
@@ -477,10 +531,11 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     time limit strikes. Equal-cost optima resolve to the lexicographically
     smallest canonical variable vector, so results are unique and
     repeatable. The bound at each node adds the exact committed cost, the
-    cheapest contribution of each undecided instance, the credit of the
-    current routes not yet replaced and the cheapest user link of each
-    request not yet routed; on a time-limited run the least bound left
-    unexplored gives ``stats.gap``."""
+    cheapest contribution of each undecided instance, for each type with no
+    qualifying instance deployed yet the least extra cost of deploying one,
+    the credit of the current routes not yet replaced and the cheapest user
+    link of each request not yet routed; on a time-limited run the least
+    bound left unexplored gives ``stats.gap``."""
     return _solve_exact(_Problem(instance, options or SolveOptions()))
 
 
