@@ -286,11 +286,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--time-limit", type=float, default=None, help="solver time limit in seconds")
+def _add_common(parser, seed: bool = False, solver: bool = False) -> None:
+    """``-o`` for every subcommand; ``--seed`` for those that generate an
+    instance, ``--time-limit`` and ``--timing`` for those that solve."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="random seed")
+    if solver:
+        parser.add_argument("--time-limit", type=float, default=None, help="solver time limit in seconds")
     parser.add_argument("-o", "--output", default=None, help="write output to a file instead of stdout")
-    parser.add_argument("--timing", action="store_true", help="include wall-clock timing in reports (non-reproducible bytes)")
+    if solver:
+        parser.add_argument("--timing", action="store_true", help="include wall-clock timing in reports (non-reproducible bytes)")
 
 
 def _add_scenario_flags(parser) -> None:
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="generate a seeded problem instance")
     _add_scenario_flags(p_gen)
-    _add_common(p_gen)
+    _add_common(p_gen, seed=True)
     p_gen.set_defaults(func=cmd_generate)
 
     p_solve = sub.add_parser("solve", help="solve an instance file (or export its MILP)")
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-reuse", action="store_true", help="forbid assigning new requests to snapshot instances")
     p_solve.add_argument("--export", choices=("mps", "lp"), default=None, help="write the MILP in this format instead of solving")
     p_solve.add_argument("--oracle", action="store_true", help="also run the brute-force oracle and verify agreement")
-    _add_common(p_solve)
+    _add_common(p_solve, solver=True)
     p_solve.set_defaults(func=cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="online vs deploy-from-scratch comparison report")
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="literal delta accounting: removals refund their license",
     )
-    _add_common(p_cmp)
+    _add_common(p_cmp, seed=True, solver=True)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_check = sub.add_parser("check", help="check a plan file against an instance")

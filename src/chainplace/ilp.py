@@ -92,9 +92,12 @@ def _deployable_types(instance: ProblemInstance):
     return tuple(t for t in instance.catalog.types if t.name in required)
 
 
-def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple]:
-    """All binary variables in canonical order (g, t, l, p, x, m, q), and
-    the first index of each block of them; a variable's index is its
+def _enumerate(
+    instance: ProblemInstance, decisions_only: bool = False
+) -> tuple[tuple[IlpVar, ...], tuple]:
+    """All binary variables in canonical order (g, t, l, p, x, m, q), or
+    with ``decisions_only`` the g, t, l, p blocks alone, and the first
+    index of each block of them; a variable's index is its
     block's base plus its position inside the block. The blocks are, per
     family: ``g[r]``, ``t[k][i]``, ``l[r][k][s]`` (then the instance),
     ``p[r]`` (then ``pair``), ``x[k][i]`` (then ``s * n_servers + d``),
@@ -144,6 +147,8 @@ def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple]:
         for ai, bi in links:
             a, b = nodes[ai], nodes[bi]
             out.append(IlpVar(f"p[{r.id}][{a}][{b}]", "p", (r.id, a, b)))
+    if decisions_only:
+        return tuple(out), (g_at, t_at, l_at, p_at, pair)
 
     x_at = {vnf.name: [] for vnf in deployable}
     for vnf in deployable:
@@ -184,9 +189,13 @@ def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple]:
     return tuple(out), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
 
 
-def enumerate_variables(instance: ProblemInstance) -> tuple[IlpVar, ...]:
-    """All binary variables in canonical order: g, t, l, p, x, m, q."""
-    return _enumerate(instance)[0]
+def enumerate_variables(
+    instance: ProblemInstance, decisions_only: bool = False
+) -> tuple[IlpVar, ...]:
+    """All binary variables in canonical order: g, t, l, p, x, m, q. With
+    ``decisions_only``, the decision families g, t, l, p alone: the prefix
+    of the full order that ``plan_vector`` reads."""
+    return _enumerate(instance, decisions_only)[0]
 
 
 def plan_vector(

@@ -12,9 +12,9 @@ threads; every operation in this module is a pure function.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import IndexMismatchError
 
@@ -22,6 +22,15 @@ Link = tuple[str, str]
 
 STATUS_EXISTING = "existing"
 STATUS_NEW = "new"
+
+
+def _frozen_tuples(items) -> frozenset:
+    """``items`` as a frozenset of tuples. One that already is one is kept
+    rather than copied, so a request, snapshot or plan made from another
+    plan's sets shares them."""
+    if type(items) is frozenset and all(type(t) is tuple for t in items):
+        return items
+    return frozenset(tuple(t) for t in items)
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,12 @@ class VnfType:
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
-        object.__setattr__(self, "processing_delay", dict(self.processing_delay))
-        object.__setattr__(self, "migration_cost", dict(self.migration_cost))
+        # a read-only mapping cannot change under the type, so types may
+        # share one; anything else is copied
+        for name in ("processing_delay", "migration_cost"):
+            table = getattr(self, name)
+            if not isinstance(table, Mapping) or isinstance(table, MutableMapping):
+                object.__setattr__(self, name, dict(table))
 
     def migration(self, src: str, dst: str) -> int:
         if src == dst:
@@ -145,9 +158,7 @@ class ServiceRequest:
     def __post_init__(self):
         object.__setattr__(self, "chain", tuple(self.chain))
         object.__setattr__(self, "candidate_servers", tuple(self.candidate_servers))
-        object.__setattr__(
-            self, "current_route", frozenset(tuple(l) for l in self.current_route)
-        )
+        object.__setattr__(self, "current_route", _frozen_tuples(self.current_route))
 
 
 @dataclass(frozen=True)
@@ -157,9 +168,7 @@ class Snapshot:
     deployed: frozenset[tuple[str, int, str]] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "deployed", frozenset(tuple(t) for t in self.deployed)
-        )
+        object.__setattr__(self, "deployed", _frozen_tuples(self.deployed))
         servers: dict[tuple[str, int], str] = {}
         for k, i, s in sorted(self.deployed):
             servers.setdefault((k, i), s)
@@ -187,19 +196,12 @@ class PlacementPlan:
     routes: Mapping[str, frozenset[Link]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "content_server", frozenset(tuple(t) for t in self.content_server)
-        )
-        object.__setattr__(
-            self, "deployment", frozenset(tuple(t) for t in self.deployment)
-        )
-        object.__setattr__(
-            self, "assignment", frozenset(tuple(t) for t in self.assignment)
-        )
+        for name in ("content_server", "deployment", "assignment"):
+            object.__setattr__(self, name, _frozen_tuples(getattr(self, name)))
         object.__setattr__(
             self,
             "routes",
-            {f: frozenset(tuple(l) for l in links) for f, links in self.routes.items()},
+            {f: _frozen_tuples(links) for f, links in self.routes.items()},
         )
 
     def route(self, request_id: str) -> frozenset[Link]:

@@ -16,10 +16,12 @@ become the snapshot the full instance must reconfigure.
 from __future__ import annotations
 
 import random
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
 from .costs import CostBreakdown, service_delay
-from .errors import BootstrapInfeasibleError
+from .errors import BootstrapInfeasibleError, IndexMismatchError
 from .io import breakdown_to_document
 from .model import (
     DeploymentDelta,
@@ -162,6 +164,57 @@ class ScenarioSpec:
         )
 
 
+# The generator's per-type tables are read-only views over the network, so
+# every type of an instance shares them and they store nothing per server.
+
+
+class _ProcessingDelays(Mapping):
+    """Every server of ``network`` processes in ``delay``."""
+
+    def __init__(self, network: Network, delay: int):
+        self._network = network
+        self._delay = delay
+
+    def __getitem__(self, server) -> int:
+        if server not in self._network.servers:
+            raise KeyError(server)
+        return self._delay
+
+    def __iter__(self):
+        return iter(self._network.servers)
+
+    def __len__(self) -> int:
+        return len(self._network.servers)
+
+
+class _MigrationPrices(Mapping):
+    """Moving an instance from server ``s`` to server ``d`` sends ``traffic``
+    units over their link, so it costs ``traffic`` times the link's unit
+    cost, 0 when ``s == d``."""
+
+    def __init__(self, network: Network, traffic: int):
+        self._network = network
+        self._traffic = traffic
+
+    def __getitem__(self, pair) -> int:
+        net = self._network
+        try:
+            s, d = pair
+            a, b = net.position(s), net.position(d)
+        except (TypeError, ValueError, IndexMismatchError):
+            raise KeyError(pair) from None
+        if max(a, b) >= len(net.servers):
+            raise KeyError(pair)
+        return self._traffic * net.link_cost[a][b]
+
+    def __iter__(self):
+        servers = self._network.servers
+        return ((s, d) for s in servers for d in servers)
+
+    def __len__(self) -> int:
+        return len(self._network.servers) ** 2
+
+
 def generate(spec: ScenarioSpec) -> ProblemInstance:
     """Deterministic instance for a spec: same seed, same bytes.
 
@@ -171,8 +224,10 @@ def generate(spec: ScenarioSpec) -> ProblemInstance:
     params = spec.params()
     rng = random.Random(spec.seed)
 
-    servers = tuple(f"s{j}" for j in range(spec.n_servers))
-    users = tuple(f"u{j}" for j in range(spec.n_user_groups))
+    # names repeat across generated instances; interned, they share one
+    # string each
+    servers = tuple(sys.intern(f"s{j}") for j in range(spec.n_servers))
+    users = tuple(sys.intern(f"u{j}") for j in range(spec.n_user_groups))
     nodes = servers + users
     n = len(nodes)
 
@@ -199,7 +254,7 @@ def generate(spec: ScenarioSpec) -> ProblemInstance:
         server_unit_cost={s: params.server_unit_cost for s in servers},
     )
 
-    type_names = tuple(f"k{j}" for j in range(params.vnf_types))
+    type_names = tuple(sys.intern(f"k{j}") for j in range(params.vnf_types))
     total_requests = spec.existing_requests + spec.new_requests
     lo_len, hi_len = params.chain_length_range
     hi_len = min(hi_len, params.vnf_types)
@@ -214,7 +269,7 @@ def generate(spec: ScenarioSpec) -> ProblemInstance:
         candidates = tuple(sorted(rng.sample(range(spec.n_servers), n_candidates)))
         drawn.append(
             ServiceRequest(
-                id=f"r{idx}",
+                id=sys.intern(f"r{idx}"),
                 user=users[idx % len(users)],
                 chain=tuple(type_names[t] for t in chain),
                 traffic=params.traffic,
@@ -227,13 +282,10 @@ def generate(spec: ScenarioSpec) -> ProblemInstance:
     pool_size = {
         k: sum(1 for r in drawn if k in r.chain) for k in type_names
     }
-    # every type moves the same traffic, so one table serves them all
-    # (each VnfType keeps its own copy)
-    migration_cost = {
-        (s, d): params.migration_traffic * network.cost_between(s, d)
-        for s in servers
-        for d in servers
-    }
+    # every type moves the same traffic and takes the same processing
+    # time, so one table of each serves them all
+    migration_cost = _MigrationPrices(network, params.migration_traffic)
+    processing_delay = _ProcessingDelays(network, params.processing_delay_us)
     types = tuple(
         VnfType(
             name=k,
@@ -241,7 +293,7 @@ def generate(spec: ScenarioSpec) -> ProblemInstance:
             capacity=params.vnf_capacity,
             resource_req=params.resource_req,
             instances=tuple(range(pool_size[k])),
-            processing_delay={s: params.processing_delay_us for s in servers},
+            processing_delay=processing_delay,
             migration_cost=migration_cost,
         )
         for k in type_names

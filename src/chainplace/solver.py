@@ -18,6 +18,17 @@ Both solvers break instance-permutation symmetry the same way: instances of
 one type that are absent from the snapshot are activated in identifier
 order. Snapshot instances are never restricted (they are distinguishable
 through their migration sources), so no optimum is excluded.
+
+The search runs on integer tables that ``_Problem`` builds once per solve,
+indexed by node position in ``net.nodes`` (servers first, so a server's
+position is its index in ``net.servers``): flat row-major link cost, delay
+and usage-limit tables, per request the user's and the candidate servers'
+positions and the processing delay of each chain slot by server, and per
+decision its resource need and its contribution by server. The search
+state holds server loads and link loads in lists, chain hosts as server
+positions and deployed instances as (decision, server) pairs, so no node
+looks a name up. Names appear only at a leaf, where the plan is built from
+the problem's table of link-name tuples.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ class SolveOptions:
     # license refund; the evaluation harness turns this on
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN compares false too
             raise ValueError("time_limit must be positive")
 
 
@@ -102,16 +113,28 @@ class _Decision:
     instance_id: int
     snap_server: str | None
     fresh_rank: int | None  # position among the type's fresh instances
-    contrib: dict  # option (server or None) -> exact micro-money
+    after: int | None  # the type's previous fresh decision, activated first
+    resource_req: int
+    # (type, id, server) per server position; the snapshot's own entry on
+    # its snapshot server, so a plan that keeps the instance shares it
+    placements: tuple
+    contrib: dict  # option (server position or None) -> exact micro-money
+    options: tuple  # (option, contrib) pairs in the order the search tries them
     min_contrib: int
     qualifies: bool  # deploying it covers its type (see _Problem.deploy_min)
 
 
 class _Problem:
     """Immutable data shared by both solvers: the validated instance, the
-    options, the decisions with their exact contributions, and the suffix
-    sums the search bound reads. The instance is validated once, here, so
-    one ``_Problem`` can feed both engines (``solve --oracle`` does)."""
+    options, the decisions with their exact contributions, the suffix sums
+    the search bound reads and the integer tables the search runs on. The
+    instance is validated once, here, so one ``_Problem`` can feed both
+    engines (``solve --oracle`` does).
+
+    The tables number nodes by their position in ``net.nodes``. Servers come
+    first, so a server's number is its index in ``net.servers``. Link tables
+    are flat and row-major: entry ``a * n_nodes + b`` is the link between
+    nodes ``a`` and ``b``."""
 
     def __init__(self, instance: ProblemInstance, options: SolveOptions):
         report = validate_instance(instance)
@@ -131,57 +154,83 @@ class _Problem:
             for a, b in itertools.combinations(net.nodes, 2)
         }
 
+        nodes = net.nodes
+        n = self.n_nodes = len(nodes)
+        self.server_cap = [self.server_limit[s] for s in net.servers]
+        self.link_cost = [c for row in net.link_cost for c in row]
+        self.link_delay = [d for row in net.link_delay for d in row]
+        # a self-link stands for a co-located hop: it costs nothing, adds no
+        # delay and never fills
+        self.link_cap = [math.inf] * (n * n)
+        for (a, b), cap in self.link_limit.items():
+            ai, bi = net.position(a), net.position(b)
+            self.link_cap[ai * n + bi] = self.link_cap[bi * n + ai] = cap
+        # canon[a * n + b]: the entry of the link's canonical orientation
+        # (a <= b), which keys link loads and routes; link_names holds its
+        # endpoint names, one tuple per link shared by every plan built here
+        self.canon = [min(a, b) * n + max(a, b) for a in range(n) for b in range(n)]
+        self.link_names = [(nodes[c // n], nodes[c % n]) for c in self.canon]
+
         required = set(instance.required_types())
         self.snapshot_ids = {(k, i) for k, i, _s in instance.snapshot.deployed}
+        snapshot_entries = {e: e for e in instance.snapshot.deployed}
 
         # snapshot entries of unneeded types are outside the decision space,
         # but they still occupy server capacity
         self.frozen = instance.frozen_deployments()
-        self.base_server_load = {s: 0 for s in net.servers}
+        self.base_load = [0] * len(net.servers)
         for k, _i, s in self.frozen:
-            self.base_server_load[s] += instance.catalog.get(k).resource_req
+            self.base_load[net.position(s)] += instance.catalog.get(k).resource_req
 
         self.decisions: list[_Decision] = []
         self.required_by_new: set[str] = {
             k for r in self.requests if r.status == STATUS_NEW for k in r.chain
         }
+        positions = range(len(net.servers))
         for vnf in instance.catalog.types:
             if vnf.name not in required:
                 continue
             fresh_only = options.no_reuse and vnf.name in self.required_by_new
+            hosting = [vnf.resource_req * net.server_unit_cost[s] for s in net.servers]
             fresh_rank = 0
+            last_fresh = None
             for i in vnf.instances:
                 snap_server = instance.snapshot.server_of(vnf.name, i)
-                rank = None
-                if snap_server is None:
-                    rank = fresh_rank
-                    fresh_rank += 1
+                rank = previous = None
+                placements = [(vnf.name, i, s) for s in net.servers]
                 contrib = {}
                 if snap_server is None:
+                    rank, previous, last_fresh = fresh_rank, last_fresh, len(self.decisions)
+                    fresh_rank += 1
                     contrib[None] = 0
-                    for s in net.servers:
-                        contrib[s] = (
-                            vnf.resource_req * net.server_unit_cost[s]
-                            + vnf.license_cost
-                        )
+                    for s in positions:
+                        contrib[s] = hosting[s] + vnf.license_cost
+                    order = (None,) + tuple(positions)
                 else:
-                    back = vnf.resource_req * net.server_unit_cost[snap_server]
+                    keep = net.position(snap_server)
+                    placements[keep] = snapshot_entries[placements[keep]]
+                    back = hosting[keep]
                     if not options.clamp_instantiation:
                         back += vnf.license_cost
                     contrib[None] = -back
-                    for s in net.servers:
+                    for s in positions:
                         contrib[s] = (
-                            vnf.resource_req * net.server_unit_cost[s]
-                            - vnf.resource_req * net.server_unit_cost[snap_server]
-                            + vnf.migration(snap_server, s)
+                            hosting[s]
+                            - hosting[keep]
+                            + vnf.migration(snap_server, net.servers[s])
                         )
+                    order = (keep, None) + tuple(s for s in positions if s != keep)
                 self.decisions.append(
                     _Decision(
                         vnf_name=vnf.name,
                         instance_id=i,
                         snap_server=snap_server,
                         fresh_rank=rank,
+                        after=previous,
+                        resource_req=vnf.resource_req,
+                        placements=tuple(placements),
                         contrib=contrib,
+                        options=tuple((t, contrib[t]) for t in order),
                         min_contrib=min(contrib.values()),
                         qualifies=snap_server is None or not fresh_only,
                     )
@@ -221,24 +270,24 @@ class _Problem:
         # improve or tie: a search that finishes returns the optimum, the
         # tie-break plan and the incumbent updates of a search without the
         # deployment and routing terms, in no more nodes.
-        n = len(self.decisions)
-        self.suffix_min = [0] * (n + 1)
+        count = len(self.decisions)
+        self.suffix_min = [0] * (count + 1)
         # deploy_min[di]: least extra over the qualifying decisions from di
         # to the end of di's type, inf when there are none; deploy_tail[di]:
         # the sum of deploy_min at the first decision of each later type
-        self.deploy_min = [math.inf] * n
-        self.deploy_tail = [0] * (n + 1)
+        self.deploy_min = [math.inf] * count
+        self.deploy_tail = [0] * (count + 1)
         least = math.inf
-        for di in range(n - 1, -1, -1):
+        for di in range(count - 1, -1, -1):
             d = self.decisions[di]
             self.suffix_min[di] = self.suffix_min[di + 1] + d.min_contrib
             self.deploy_tail[di] = self.deploy_tail[di + 1]
             if di + 1 in self.type_end:  # di is the last of its type
-                if di + 1 < n:
+                if di + 1 < count:
                     self.deploy_tail[di] += self.deploy_min[di + 1]
                 least = math.inf
             if d.qualifies:
-                extra = min(d.contrib[s] for s in net.servers) - d.min_contrib
+                extra = min(d.contrib[s] for s in positions) - d.min_contrib
                 least = min(least, extra)
             self.deploy_min[di] = least
 
@@ -270,13 +319,27 @@ class _Problem:
             user_link = min(net.cost_between(s, r.user) for s in net.servers)
             self.suffix_route[ri] = self.suffix_route[ri + 1] + r.traffic * user_link
 
-        self.candidates = {
-            r.id: tuple(s for s in net.servers if s in r.candidate_servers)
+        # per request, by request index: the user's position, the candidate
+        # content servers' positions, and per chain slot the type's usage
+        # limit and its processing delay by server position
+        self.user_at = [net.position(r.user) for r in self.requests]
+        self.candidates = [
+            tuple(s for s in positions if net.servers[s] in r.candidate_servers)
             for r in self.requests
-        }
-        self.gtlp_vars = tuple(
-            v for v in enumerate_variables(instance) if v.family in "gtlp"
-        )
+        ]
+        self.slot_limit = [tuple(self.vnf_limit[k] for k in r.chain) for r in self.requests]
+        self.proc_delay = [
+            tuple(
+                tuple(instance.catalog.get(k).processing_delay[s] for s in net.servers)
+                for k in r.chain
+            )
+            for r in self.requests
+        ]
+        # new requests under no_reuse may not use snapshot instances
+        self.skips_snapshot = [
+            options.no_reuse and r.status == STATUS_NEW for r in self.requests
+        ]
+        self.gtlp_vars = enumerate_variables(instance, decisions_only=True)
 
     def deploy_need(self, di: int, qualified: Mapping[str, int]) -> int | float:
         """The deployment term of the placement bound at decision ``di``,
@@ -286,12 +349,6 @@ class _Problem:
         if di < len(self.decisions) and not qualified[self.decisions[di].vnf_name]:
             need += self.deploy_min[di]
         return need
-
-    def tau_options(self, decision: _Decision) -> tuple:
-        if decision.snap_server is not None:
-            keep = decision.snap_server
-            return (keep, None) + tuple(s for s in self.servers if s != keep)
-        return (None,) + tuple(self.servers)
 
 
 class _Incumbent:
@@ -316,7 +373,9 @@ class _Incumbent:
 
 class _Search:
     """The depth-first exploration of the search tree. State is mutated in
-    place along the path and restored on backtrack."""
+    place along the path and restored on backtrack. It holds positions and
+    indices only: servers and links by their ``_Problem`` table position,
+    instances by decision index. Names appear at the leaf."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
         self.p = problem
@@ -326,16 +385,24 @@ class _Search:
         self.abort_lb = math.inf
         self.nodes = 0
 
-        self.gamma: list[str | None] = [None] * len(problem.requests)
-        self.deployed: dict[str, list[tuple[int, str]]] = {}
-        self.server_load = dict(problem.base_server_load)
-        self.fresh_open: dict[str, bool] = {}
+        # per decision: its server, None while not deployed
+        self.target: list[int | None] = [None] * len(problem.decisions)
+        # per type: (decision, server) of each deployed instance, in
+        # decision order
+        self.deployed: dict[str, list[tuple[int, int]]] = {
+            d.vnf_name: [] for d in problem.decisions
+        }
+        self.server_load = list(problem.base_load)
         # qualifying instances deployed, per type (see _Problem.deploy_min)
         self.qualified = {d.vnf_name: 0 for d in problem.decisions}
-        self.assign: dict[tuple[str, str], tuple[str, int]] = {}
-        self.inst_load: dict[tuple[str, int], int] = {}
-        self.link_load: dict[Link, int] = {}
-        self.routes: dict[str, frozenset[Link]] = {}
+        # per request: content server, then per chain slot its host and
+        # decision, and the (chain links, entry link) of its route
+        self.gamma: list[int | None] = [None] * len(problem.requests)
+        self.hosts = [[0] * len(r.chain) for r in problem.requests]
+        self.picks = [[0] * len(r.chain) for r in problem.requests]
+        self.routes: list[tuple | None] = [None] * len(problem.requests)
+        self.inst_load = [0] * len(problem.decisions)
+        self.link_load = [0] * len(problem.link_cap)
         self.committed = 0
 
     def _expired(self) -> bool:
@@ -347,7 +414,7 @@ class _Search:
         return self.aborted
 
     def _type_demand_covered(self, k: str) -> bool:
-        pool = self.deployed.get(k, ())
+        pool = self.deployed[k]
         if not pool:  # decision types are required by some request
             return False
         if len(pool) * self.p.vnf_limit[k] < self.p.demand_all[k]:
@@ -379,121 +446,119 @@ class _Search:
         inc = self.incumbent.total
         if inc is not None and bound > inc:
             return
-        if di == len(self.p.decisions):
+        if di == len(p.decisions):
             # every type passed _type_demand_covered at its type_end
             self._branch_lambda(0, 0)
             return
 
-        d = self.p.decisions[di]
-        fresh_blocked = (
-            d.fresh_rank is not None
-            and d.fresh_rank > 0
-            and not self.fresh_open.get((d.vnf_name, d.fresh_rank - 1), False)
-        )
-        vnf = self.p.instance.catalog.get(d.vnf_name)
-        for target in self.p.tau_options(d):
-            delta = d.contrib[target]
-            if target is None:
-                self._commit_tau(d, None, delta)
-                self._branch_tau(di + 1)
-                self._undo_tau(d, None, delta)
+        d = p.decisions[di]
+        # fresh instances activate in identifier order
+        fresh_blocked = d.after is not None and self.target[d.after] is None
+        for target, delta in d.options:
+            if target is not None and (
+                fresh_blocked
+                or self.server_load[target] + d.resource_req > p.server_cap[target]
+            ):
                 continue
-            if fresh_blocked:
-                continue  # fresh instances activate in identifier order
-            if self.server_load[target] + vnf.resource_req > self.p.server_limit[target]:
-                continue
-            self._commit_tau(d, target, delta)
+            self._commit_tau(di, target, delta)
             self._branch_tau(di + 1)
-            self._undo_tau(d, target, delta)
+            self._undo_tau(di, target, delta)
 
-    def _commit_tau(self, d: _Decision, target, delta: int) -> None:
+    def _commit_tau(self, di: int, target: int | None, delta: int) -> None:
         self.committed += delta
         if target is not None:
-            self.deployed.setdefault(d.vnf_name, []).append((d.instance_id, target))
-            self.server_load[target] += self.p.instance.catalog.get(d.vnf_name).resource_req
-            if d.fresh_rank is not None:
-                self.fresh_open[(d.vnf_name, d.fresh_rank)] = True
+            d = self.p.decisions[di]
+            self.target[di] = target
+            self.deployed[d.vnf_name].append((di, target))
+            self.server_load[target] += d.resource_req
             if d.qualifies:
                 self.qualified[d.vnf_name] += 1
 
-    def _undo_tau(self, d: _Decision, target, delta: int) -> None:
+    def _undo_tau(self, di: int, target: int | None, delta: int) -> None:
         self.committed -= delta
         if target is not None:
+            d = self.p.decisions[di]
+            self.target[di] = None
             self.deployed[d.vnf_name].pop()
-            self.server_load[target] -= self.p.instance.catalog.get(d.vnf_name).resource_req
-            if d.fresh_rank is not None:
-                self.fresh_open[(d.vnf_name, d.fresh_rank)] = False
+            self.server_load[target] -= d.resource_req
             if d.qualifies:
                 self.qualified[d.vnf_name] -= 1
 
     # stage (b): chain assignments; a finished chain is routed once per
     # content-server candidate
     def _branch_lambda(self, ri: int, pos: int) -> None:
-        bound = self.committed + self.p.suffix_credit[ri] + self.p.suffix_route[ri]
+        p = self.p
+        bound = self.committed + p.suffix_credit[ri] + p.suffix_route[ri]
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
         inc = self.incumbent.total
         if inc is not None and bound > inc:
             return
-        if ri == len(self.p.requests):
+        if ri == len(p.requests):
             self._offer_leaf()
             return
-        r = self.p.requests[ri]
+        r = p.requests[ri]
         if pos == len(r.chain):
             self._route_and_descend(ri)
             return
-        k = r.chain[pos]
-        no_reuse_blocked = self.p.options.no_reuse and r.status == STATUS_NEW
-        for i, s in self.deployed.get(k, ()):
-            if no_reuse_blocked and (k, i) in self.p.snapshot_ids:
+        traffic = r.traffic
+        limit = p.slot_limit[ri][pos]
+        skips_snapshot = p.skips_snapshot[ri]
+        hosts, picks, inst_load = self.hosts[ri], self.picks[ri], self.inst_load
+        for di, s in self.deployed[r.chain[pos]]:
+            if skips_snapshot and p.decisions[di].snap_server is not None:
                 continue
-            if self.inst_load.get((k, i), 0) + r.traffic > self.p.vnf_limit[k]:
+            load = inst_load[di] + traffic
+            if load > limit:
                 continue
-            self.assign[(r.id, k)] = (s, i)
-            self.inst_load[(k, i)] = self.inst_load.get((k, i), 0) + r.traffic
+            hosts[pos], picks[pos] = s, di
+            inst_load[di] = load
             self._branch_lambda(ri, pos + 1)
-            self.inst_load[(k, i)] -= r.traffic
-            del self.assign[(r.id, k)]
+            inst_load[di] = load - traffic
 
     def _route_and_descend(self, ri: int) -> None:
         p = self.p
         r = p.requests[ri]
-        net = p.net
-        hosts = [self.assign[(r.id, k)][0] for k in r.chain]
-        chain_links = {net.link(a, b) for a, b in zip(hosts, hosts[1:])}
-        chain_links.add(net.link(hosts[-1], r.user))
-        loaded = [(a, b) for a, b in chain_links if a != b]
+        traffic = r.traffic
+        n, canon = p.n_nodes, p.canon
+        link_cap, link_load = p.link_cap, self.link_load
+        hosts = self.hosts[ri]
+        chain_links = {canon[a * n + b] for a, b in zip(hosts, hosts[1:])}
+        chain_links.add(canon[hosts[-1] * n + p.user_at[ri]])
 
+        # delay and cost per traffic unit until the chain part is checked
         delay = 0
         route_cost = 0
-        for link in loaded:
-            if self.link_load.get(link, 0) + r.traffic > p.link_limit[link]:
+        for link in chain_links:
+            if link_load[link] + traffic > link_cap[link]:
                 return
-            delay += r.traffic * net.delay_between(*link)
-            route_cost += r.traffic * net.cost_between(*link)
-        for k, s in zip(r.chain, hosts):
-            delay += r.traffic * p.instance.catalog.get(k).processing_delay[s]
+            delay += p.link_delay[link]
+            route_cost += p.link_cost[link]
+        for proc, s in zip(p.proc_delay[ri], hosts):
+            delay += proc[s]
+        delay *= traffic
+        route_cost *= traffic
         if delay > r.delay_budget:
             return  # an entry link only adds delay
 
-        for link in loaded:
-            self.link_load[link] = self.link_load.get(link, 0) + r.traffic
+        for link in chain_links:
+            link_load[link] += traffic
         # the content server changes only the entry link, so the chain part
         # is checked and loaded once for all candidates
-        for cs in p.candidates[r.id]:
-            entry = net.link(cs, hosts[0])
-            extra = entry[0] != entry[1] and entry not in chain_links
+        for cs in p.candidates[ri]:
+            entry = canon[cs * n + hosts[0]]
+            extra = entry not in chain_links
             entry_cost = 0
             if extra:
-                if self.link_load.get(entry, 0) + r.traffic > p.link_limit[entry]:
+                if link_load[entry] + traffic > link_cap[entry]:
                     continue
-                if delay + r.traffic * net.delay_between(*entry) > r.delay_budget:
+                if delay + traffic * p.link_delay[entry] > r.delay_budget:
                     continue
-                entry_cost = r.traffic * net.cost_between(*entry)
-                self.link_load[entry] = self.link_load.get(entry, 0) + r.traffic
+                entry_cost = traffic * p.link_cost[entry]
+                link_load[entry] += traffic
             self.gamma[ri] = cs
-            self.routes[r.id] = frozenset(chain_links | {entry})
+            self.routes[ri] = (chain_links, entry)
             delta = route_cost + entry_cost - p.credit[r.id]
             self.committed += delta
 
@@ -501,27 +566,34 @@ class _Search:
 
             self.committed -= delta
             if extra:
-                self.link_load[entry] -= r.traffic
-        self.gamma[ri] = None
-        self.routes.pop(r.id, None)
-        for link in loaded:
-            self.link_load[link] -= r.traffic
+                link_load[entry] -= traffic
+        for link in chain_links:
+            link_load[link] -= traffic
 
     def _offer_leaf(self) -> None:
         # the leaf's bound is its total, so the plan is never worse than
         # the incumbent
         p = self.p
+        servers, decisions, names = p.servers, p.decisions, p.link_names
+        assignment = []
+        routes = {}
+        for ri, r in enumerate(p.requests):
+            for s, di in zip(self.hosts[ri], self.picks[ri]):
+                d = decisions[di]
+                assignment.append((r.id, servers[s], d.vnf_name, d.instance_id))
+            chain_links, entry = self.routes[ri]
+            route = frozenset([names[c] for c in chain_links] + [names[entry]])
+            # an unchanged route shares the request's set
+            routes[r.id] = r.current_route if route == r.current_route else route
         plan = PlacementPlan(
             content_server=frozenset(
-                (r.id, self.gamma[ri]) for ri, r in enumerate(p.requests)
+                (r.id, servers[self.gamma[ri]]) for ri, r in enumerate(p.requests)
             ),
             deployment={
-                (k, i, s) for k, pool in self.deployed.items() for i, s in pool
+                d.placements[s] for d, s in zip(decisions, self.target) if s is not None
             } | set(p.frozen),
-            assignment=frozenset(
-                (f, s, k, i) for (f, k), (s, i) in self.assign.items()
-            ),
-            routes=dict(self.routes),
+            assignment=frozenset(assignment),
+            routes=routes,
         )
         self.incumbent.offer(self.committed, plan)
 
@@ -541,7 +613,7 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
 
 def _solve_exact(problem: _Problem) -> SolveResult:
     instance, options = problem.instance, problem.options
-    if any(problem.base_server_load[s] > problem.server_limit[s] for s in problem.servers):
+    if any(load > cap for load, cap in zip(problem.base_load, problem.server_cap)):
         # the untouched instances alone overfill a server
         return SolveResult(STATUS_INFEASIBLE, None, None, SolveStats())
     incumbent = _Incumbent(problem)
@@ -588,8 +660,9 @@ def brute_force(
 def _brute_force(p: _Problem, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
     instance, options = p.instance, p.options
     size = 1
-    for r in p.requests:
-        size *= max(1, len(p.candidates[r.id]))
+    gamma_domains = [tuple(p.servers[s] for s in cands) for cands in p.candidates]
+    for domain in gamma_domains:
+        size *= max(1, len(domain))
     for _d in p.decisions:
         size *= 1 + len(p.servers)
     for r in p.requests:
@@ -602,7 +675,6 @@ def _brute_force(p: _Problem, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult
     incumbent = _Incumbent(p)
     nodes = 0
 
-    gamma_domains = [p.candidates[r.id] for r in p.requests]
     required = instance.required_types()
 
     def tau_combos(di: int, fresh_used: dict[str, int]):

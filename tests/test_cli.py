@@ -196,10 +196,13 @@ class TestUsage:
         "flags, env, message",
         [
             (["--time-limit", "0"], None, "time_limit must be positive"),
+            (["--time-limit", "nan"], None, "time_limit must be positive"),
             ([], "abc", "CHAINPLACE_TIME_LIMIT: cannot read 'abc' as float"),
             ([], "0", "time_limit must be positive"),
+            ([], "nan", "time_limit must be positive"),
         ],
-        ids=["time-limit-flag-zero", "time-limit-env-text", "time-limit-env-zero"],
+        ids=["time-limit-flag-zero", "time-limit-flag-nan", "time-limit-env-text",
+             "time-limit-env-zero", "time-limit-env-nan"],
     )
     def test_bad_solver_setting_is_one_line_error(
         self, tiny_file, capsys, monkeypatch, flags, env, message
@@ -287,3 +290,24 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["solve", "--bogus"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--timing"],
+            ["generate", "--time-limit", "5"],
+            ["solve", "--seed", "3"],
+            ["check", "--seed", "3"],
+            ["check", "--time-limit", "5"],
+            ["check", "--timing"],
+        ],
+        ids=["generate-timing", "generate-time-limit", "solve-seed", "check-seed",
+             "check-time-limit", "check-timing"],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_one(self, tiny_file, capsys, argv):
+        command, *flags = argv
+        files = {"generate": [], "solve": [str(tiny_file)], "check": [str(tiny_file)] * 2}
+        with pytest.raises(SystemExit) as err:
+            main([command, *files[command], *flags])
+        assert err.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

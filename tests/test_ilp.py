@@ -18,6 +18,7 @@ from chainplace.errors import (
 from chainplace.ilp import (
     BuildOptions,
     build_ilp,
+    enumerate_variables,
     export_lp,
     export_mps,
     import_solution,
@@ -118,6 +119,16 @@ ROW_CASES = {
     "full-sc1": lambda: generate(ScenarioSpec.table_row(1, seed=3)),
     "frozen-load-no-requests": lambda: replace(frozen_load_instance(0.5), requests=()),
 }
+
+
+class TestEnumerate:
+    @pytest.mark.parametrize("case", ["tiny", "full-s3-sc1"])
+    def test_decisions_only_is_the_gtlp_prefix(self, tiny, case):
+        instance = tiny if case == "tiny" else generate(ScenarioSpec.table_row(1, seed=3))
+        every = enumerate_variables(instance)
+        decisions = enumerate_variables(instance, decisions_only=True)
+        assert decisions == tuple(v for v in every if v.family in "gtlp")
+        assert every[: len(decisions)] == decisions
 
 
 class TestRowInvariants:

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,36 @@ class TestUsageLimit:
         for (a, b), got in p.link_limit.items():
             assert got == limit(net.bandwidth_between(a, b))
             assert type(got) is type(limit(7))
+        # the search's position-indexed tables carry the same limits
+        assert p.server_cap == [p.server_limit[s] for s in net.servers]
+        n = len(net.nodes)
+        for (a, b), got in p.link_limit.items():
+            ai, bi = net.position(a), net.position(b)
+            assert p.link_cap[ai * n + bi] == p.link_cap[bi * n + ai] == got
+
+
+class TestSharing:
+    def test_read_only_tables_are_kept_and_others_copied(self, net2):
+        delays = {s: 1 for s in net2.servers}
+        shared = MappingProxyType(dict(delays))  # a Mapping, not a MutableMapping
+        a = replace(mk_type(net2, name="k0"), processing_delay=shared)
+        b = replace(mk_type(net2, name="k1"), processing_delay=delays)
+        assert a.processing_delay is shared
+        assert b.processing_delay == delays and b.processing_delay is not delays
+
+    def test_frozensets_of_tuples_are_kept(self, net2):
+        route = frozenset({("s0", "u0")})
+        request = mk_request(net2, status="existing", route=route)
+        assert request.current_route is route
+        plan = PlacementPlan(
+            content_server=frozenset({("r0", "s0")}),
+            deployment={("k0", 0, "s0")},
+            assignment=[("r0", "s0", "k0", 0)],
+            routes={"r0": route},
+        )
+        assert plan.routes["r0"] is route
+        assert Snapshot(plan.deployment).deployed is plan.deployment
+        assert plan.assignment == frozenset({("r0", "s0", "k0", 0)})
 
 
 class TestSnapshotDiff:

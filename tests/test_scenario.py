@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from chainplace.costs import service_delay
@@ -54,6 +56,30 @@ class TestGenerate:
         inst = generate(fast_spec(existing=0, new=2))
         assert not inst.snapshot.deployed
         assert all(r.status == "new" for r in inst.requests)
+
+    def test_types_share_one_read_only_table_of_each_kind(self):
+        inst = generate(fast_spec())
+        net = inst.network
+        first, *rest = inst.catalog.types
+        assert rest
+        for t in rest:
+            assert t.migration_cost is first.migration_cost
+            assert t.processing_delay is first.processing_delay
+        prices = first.migration_cost
+        assert len(prices) == len(net.servers) ** 2
+        assert list(prices) == [(a, b) for a in net.servers for b in net.servers]
+        assert prices[("s0", "s0")] == 0
+        assert prices.get(("s0", net.users[0])) is None
+        assert prices.get(("s0",)) is None
+        with pytest.raises(TypeError):
+            prices[("s0", "s1")] = 0
+        assert dict(first.processing_delay) == {s: 20_000 for s in net.servers}
+        assert first.processing_delay.get(net.users[0]) is None
+        # the views pickle and compare like the dicts they stand for
+        assert pickle.loads(pickle.dumps(inst)) == inst
+        assert first.migration_cost == {
+            (a, b): 44 * net.cost_between(a, b) for a in net.servers for b in net.servers
+        }
 
     def test_benchmark_parameter_values(self):
         inst = generate(fast_spec())
