@@ -6,13 +6,15 @@ The script compiles reduced scenario 1 at seed 3 under three build options
 scenario leaves out: a usage threshold of 0.75 (fractional right-hand
 sides), chains of length 1 (no ``q`` variables or 16-x rows), and
 ``tests/conftest.py::frozen_load_instance(0.5)`` with and without its
-request (the latter keeps a row-12 without coefficients). Each model is
+request (the latter keeps a row-12 without coefficients). Full-scale
+scenario 1 at seed 3, online and no_reuse, has rows of up to 156
+coefficients, where the reduced models stop at 64. Each model is
 exported as MPS and as LP text. The script writes the sha256 of every text,
 with the instance description, the build options and the model's variable
 and row counts, into tests/data/export_digests.json;
 ``tests/test_ilp.py::TestExportBytes`` compares fresh exports against that
 file, so any change to the exported bytes fails a tier-1 test. No solver
-runs; it takes about a second. Run from the repository root:
+runs; it takes a few seconds. Run from the repository root:
 
     PYTHONPATH=src python scripts/freeze_export_digests.py
 """
@@ -32,8 +34,8 @@ from conftest import export_case_instance  # noqa: E402
 TARGET = ROOT / "tests" / "data" / "export_digests.json"
 
 
-def scenario(**overrides) -> dict:
-    return {"scenario": 1, "seed": 3, "reduced": True, "overrides": overrides}
+def scenario(reduced: bool = True, **overrides) -> dict:
+    return {"scenario": 1, "seed": 3, "reduced": reduced, "overrides": overrides}
 
 
 CASES = {
@@ -47,6 +49,8 @@ CASES = {
         {"frozen_load_mu": 0.5, "no_requests": True},
         BuildOptions(),
     ),
+    "full_online": (scenario(reduced=False), BuildOptions()),
+    "full_no_reuse": (scenario(reduced=False), BuildOptions(no_reuse=True)),
 }
 
 

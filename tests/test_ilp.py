@@ -193,7 +193,8 @@ class TestExport:
 class TestExportBytes:
     """Exports keep the exact bytes frozen by scripts/freeze_export_digests.py:
     reduced scenario 1 at seed 3 under three build options, a fractional
-    usage threshold, chains of length 1 and the frozen-load instances."""
+    usage threshold, chains of length 1, the frozen-load instances, and
+    full-scale scenario 1 at seed 3 online and no_reuse."""
 
     @pytest.mark.parametrize("case", sorted(EXPORT_DIGESTS["cases"]))
     def test_exports_match_frozen_digests(self, case):
