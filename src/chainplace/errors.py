@@ -27,6 +27,13 @@ class ValidationFailedError(ChainplaceError):
         super().__init__(f"instance failed validation: {codes}")
 
 
+class AliasCollisionError(ChainplaceError):
+    """Two variables of a compiled program would share one interchange
+    alias (``ilp.sanitize_name`` turns ``[`` into ``_`` and drops ``]``), so
+    MPS/LP text could not tell them apart. Ids whose underscores line up
+    with the brackets of another name cause it."""
+
+
 class SolutionImportError(ChainplaceError):
     """Base class for errors while importing an external solver solution."""
 

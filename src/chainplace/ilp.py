@@ -3,12 +3,14 @@
 The compiled model owns the canonical variable order used everywhere else
 (including the solver's tie-break), carries every product linearization as
 explicit rows, and exports to MPS and LP interchange text. Variables
-(``IlpVar``) and rows (``Row``) are named tuples; each model computes its
-variables' interchange aliases once, and the exporters and the solution
-importer read them from ``IlpModel.aliases``. Objective coefficients are
-held in exact micro-money; the text exporters emit them divided by 1e6
-(plain money units) because several MILP readers dislike huge magnitudes.
-The scale is recorded in a comment header.
+(``IlpVar``) and rows (``Row``) are named tuples. ``_enumerate`` makes each
+variable's interchange alias beside its name, from the sanitized parts of
+the name; the model refuses aliases that collide
+(``AliasCollisionError``), and the exporters and the solution importer read
+them from ``IlpModel.aliases``. Objective coefficients are held in exact
+micro-money; the text exporters emit them divided by 1e6 (plain money
+units) because several MILP readers dislike huge magnitudes. The scale is
+recorded in a comment header.
 
 ``build_ilp`` and ``import_solution`` find a variable's index by
 arithmetic on the per-family block offsets that ``_enumerate`` records as
@@ -19,11 +21,19 @@ coefficients already sorted. The rows whose coefficients depend on the
 instance data (6-14, 17, 18 and NOREUSE) go through one generic path that
 drops zero coefficients, sorts the rest and keeps a row left empty only
 when 0 violates it.
+
+``build_ilp`` and both exporters run with the cyclic garbage collector
+paused (the model's tuples form no cycles) and restore its previous state
+when they return or raise. The exporters make their text a section at a
+time and join it once: MPS keeps, per variable, references to shared cell
+strings until its column is made, and LP joins its rows in blocks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -31,6 +41,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import costs as _costs
 from .errors import (
+    AliasCollisionError,
     AuxiliaryInconsistentError,
     MissingVariableError,
     NonBinaryValueError,
@@ -80,6 +91,21 @@ class Row(NamedTuple):
         return lhs >= self.rhs
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector and restore its previous state on
+    return or raise. Compiling and exporting allocate hundreds of thousands
+    of tuples and lists that form no cycles; left on, the collector would
+    scan the growing model again and again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def sanitize_name(name: str) -> str:
     """Interchange-safe alias: ``g[r0][s0]`` becomes ``g_r0_s0``."""
     return name.replace("][", "_").replace("[", "_").replace("]", "")
@@ -94,10 +120,10 @@ def _deployable_types(instance: ProblemInstance):
 
 def _enumerate(
     instance: ProblemInstance, decisions_only: bool = False
-) -> tuple[tuple[IlpVar, ...], tuple]:
+) -> tuple[tuple[IlpVar, ...], tuple[str, ...], tuple]:
     """All binary variables in canonical order (g, t, l, p, x, m, q), or
-    with ``decisions_only`` the g, t, l, p blocks alone, and the first
-    index of each block of them; a variable's index is its
+    with ``decisions_only`` the g, t, l, p blocks alone, their aliases, and
+    the first index of each block of them; a variable's index is its
     block's base plus its position inside the block. The blocks are, per
     family: ``g[r]``, ``t[k][i]``, ``l[r][k][s]`` (then the instance),
     ``p[r]`` (then ``pair``), ``x[k][i]`` (then ``s * n_servers + d``),
@@ -105,88 +131,123 @@ def _enumerate(
     ``q[r][pos]`` (then s, d, i, j in that nesting). Requests, instances
     and servers count by position. ``pair[a][b]`` is the offset of the link
     between node positions ``a`` and ``b`` in a request's ``p`` block, or of
-    a server's self-link when ``a == b``."""
+    a server's self-link when ``a == b``.
+
+    A name is ``family[part]...[part]``; its alias is the family and the
+    ``sanitize_name`` of each part, joined by ``_``. This equals
+    ``sanitize_name`` of the whole name for any ids, because
+    ``sanitize_name`` maps each character on its own: ``[`` becomes ``_``
+    and ``]`` goes (its ``][`` rule gives the same text)."""
     net = instance.network
     nodes = net.nodes
+    servers = net.servers
     out: list[IlpVar] = []
+    aliases: list[str] = []
+
+    def part(v) -> str:  # an id's text in an alias; ids need not be str
+        return sanitize_name(str(v))
+
+    s_al = [part(s) for s in servers]
+
+    # tuple.__new__ makes each IlpVar without the named tuple's Python-level
+    # constructor; names and aliases share the prefix of their inner loop
+    new = tuple.__new__
 
     g_at = []
     for r in instance.requests:
         g_at.append(len(out))
-        for s in net.servers:
-            out.append(IlpVar(f"g[{r.id}][{s}]", "g", (r.id, s)))
+        ra = part(r.id)
+        for s, sa in zip(servers, s_al):
+            out.append(new(IlpVar, (f"g[{r.id}][{s}]", "g", (r.id, s))))
+            aliases.append(f"g_{ra}_{sa}")
 
     deployable = _deployable_types(instance)
     t_at = {vnf.name: [] for vnf in deployable}
     for vnf in deployable:
+        k, ka = vnf.name, part(vnf.name)
         for i in vnf.instances:
-            t_at[vnf.name].append(len(out))
-            for s in net.servers:
-                out.append(IlpVar(f"t[{vnf.name}][{i}][{s}]", "t", (vnf.name, i, s)))
+            t_at[k].append(len(out))
+            for s, sa in zip(servers, s_al):
+                out.append(new(IlpVar, (f"t[{k}][{i}][{s}]", "t", (k, i, s))))
+                aliases.append(f"t_{ka}_{i}_{sa}")
 
     l_at = []
     for r in instance.requests:
         # per server, the instances of each chain type in chain order
         per_type = {k: [] for k in r.chain}
         l_at.append(per_type)
-        for s in net.servers:
-            for k in r.chain:
+        ra = part(r.id)
+        chain = [(k, part(k), instance.catalog.get(k).instances) for k in r.chain]
+        for s, sa in zip(servers, s_al):
+            for k, ka, pool in chain:
                 per_type[k].append(len(out))
-                for i in instance.catalog.get(k).instances:
-                    out.append(IlpVar(f"l[{r.id}][{s}][{k}][{i}]", "l", (r.id, s, k, i)))
+                name, alias = f"l[{r.id}][{s}][{k}][", f"l_{ra}_{sa}_{ka}_"
+                for i in pool:
+                    out.append(new(IlpVar, (f"{name}{i}]", "l", (r.id, s, k, i))))
+                    aliases.append(f"{alias}{i}")
 
     # a request's p block: node pairs in position order, then self-links
     links = list(itertools.combinations(range(len(nodes)), 2))
-    links += [(si, si) for si in range(len(net.servers))]
+    links += [(si, si) for si in range(len(servers))]
     pair = [[0] * len(nodes) for _ in nodes]
     for off, (ai, bi) in enumerate(links):
         pair[ai][bi] = pair[bi][ai] = off
+    n_al = [part(n) for n in nodes]
+    # per link: its ends, and the end of its name and of its alias
+    ends = [
+        (nodes[ai], nodes[bi], f"][{nodes[ai]}][{nodes[bi]}]", f"_{n_al[ai]}_{n_al[bi]}")
+        for ai, bi in links
+    ]
     p_at = []
     for r in instance.requests:
         p_at.append(len(out))
-        for ai, bi in links:
-            a, b = nodes[ai], nodes[bi]
-            out.append(IlpVar(f"p[{r.id}][{a}][{b}]", "p", (r.id, a, b)))
+        name, alias = f"p[{r.id}", f"p_{part(r.id)}"
+        for a, b, name_end, alias_end in ends:
+            out.append(new(IlpVar, (name + name_end, "p", (r.id, a, b))))
+            aliases.append(alias + alias_end)
     if decisions_only:
-        return tuple(out), (g_at, t_at, l_at, p_at, pair)
+        return tuple(out), tuple(aliases), (g_at, t_at, l_at, p_at, pair)
 
     x_at = {vnf.name: [] for vnf in deployable}
     for vnf in deployable:
+        k, ka = vnf.name, part(vnf.name)
         for i in vnf.instances:
-            x_at[vnf.name].append(len(out))
-            for s in net.servers:
-                for t in net.servers:
-                    out.append(
-                        IlpVar(f"x[{vnf.name}][{i}][{s}][{t}]", "x", (vnf.name, i, s, t))
-                    )
+            x_at[k].append(len(out))
+            for s, sa in zip(servers, s_al):
+                name, alias = f"x[{k}][{i}][{s}][", f"x_{ka}_{i}_{sa}_"
+                for d, da in zip(servers, s_al):
+                    out.append(new(IlpVar, (f"{name}{d}]", "x", (k, i, s, d))))
+                    aliases.append(alias + da)
 
     m_at = []
     for r in instance.requests:
         m_at.append(len(out))
-        first = r.chain[0]
-        for s in net.servers:
-            for t in net.servers:
-                for i in instance.catalog.get(first).instances:
-                    out.append(IlpVar(f"m[{r.id}][{s}][{t}][{i}]", "m", (r.id, s, t, i)))
+        ra = part(r.id)
+        pool = instance.catalog.get(r.chain[0]).instances
+        for s, sa in zip(servers, s_al):
+            for d, da in zip(servers, s_al):
+                name, alias = f"m[{r.id}][{s}][{d}][", f"m_{ra}_{sa}_{da}_"
+                for i in pool:
+                    out.append(new(IlpVar, (f"{name}{i}]", "m", (r.id, s, d, i))))
+                    aliases.append(f"{alias}{i}")
 
     q_at = []
     for r in instance.requests:
         q_at.append([])
+        ra = part(r.id)
         for pos in range(len(r.chain) - 1):
             q_at[-1].append(len(out))
-            ka, kb = r.chain[pos], r.chain[pos + 1]
-            for s in net.servers:
-                for t in net.servers:
-                    for i in instance.catalog.get(ka).instances:
-                        for j in instance.catalog.get(kb).instances:
-                            out.append(
-                                IlpVar(
-                                    f"q[{r.id}][{s}][{t}][{pos}][{i}][{j}]",
-                                    "q",
-                                    (r.id, pos, s, t, i, j),
-                                )
-                            )
-    return tuple(out), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
+            pool_a = instance.catalog.get(r.chain[pos]).instances
+            pool_b = instance.catalog.get(r.chain[pos + 1]).instances
+            for s, sa in zip(servers, s_al):
+                for d, da in zip(servers, s_al):
+                    for i in pool_a:
+                        name = f"q[{r.id}][{s}][{d}][{pos}][{i}]["
+                        alias = f"q_{ra}_{sa}_{da}_{pos}_{i}_"
+                        for j in pool_b:
+                            out.append(new(IlpVar, (f"{name}{j}]", "q", (r.id, pos, s, d, i, j))))
+                            aliases.append(f"{alias}{j}")
+    return tuple(out), tuple(aliases), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
 
 
 def enumerate_variables(
@@ -223,7 +284,8 @@ def plan_vector(
 @dataclass(frozen=True)
 class IlpModel:
     """A compiled program. ``aliases[i]`` is ``sanitize_name`` of
-    ``variables[i].name``, computed once when the model is made."""
+    ``variables[i].name``, made by ``_enumerate`` beside the name; a model
+    whose aliases are not unique raises ``AliasCollisionError``."""
 
     instance: ProblemInstance
     options: BuildOptions
@@ -232,17 +294,20 @@ class IlpModel:
     objective: tuple[tuple[int, int], ...]  # (variable index, micro-money)
     constant: int  # micro-money
     blocks: tuple = field(repr=False, compare=False)  # see _enumerate
+    aliases: tuple[str, ...] = field(repr=False, compare=False)
     name: str = "CHAINPLACE"
-    aliases: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        aliases = tuple(sanitize_name(v.name) for v in self.variables)
-        # equal names give equal aliases, so one set covers both checks
-        if len(set(aliases)) != len(aliases):
-            if len({v.name for v in self.variables}) != len(self.variables):
-                raise ValueError("variable names are not unique")
-            raise ValueError("sanitized variable aliases collide")
-        object.__setattr__(self, "aliases", aliases)
+        # equal names give equal aliases, so one check covers both
+        if len(set(self.aliases)) != len(self.aliases):
+            seen: dict[str, str] = {}
+            for var, alias in zip(self.variables, self.aliases):
+                if alias in seen:
+                    raise AliasCollisionError(
+                        f"variables {seen[alias]} and {var.name} share the MPS/LP alias "
+                        f"{alias}; choose ids that keep the aliases apart"
+                    )
+                seen[alias] = var.name
 
     @functools.cached_property
     def _index(self) -> dict[str, int]:
@@ -269,6 +334,7 @@ class IlpModel:
         return total
 
 
+@_collector_paused()
 def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) -> IlpModel:
     """Compile the placement program: canonical variables, objective with its
     snapshot constant, and every constraint row tagged with its family."""
@@ -282,7 +348,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     n_s = len(servers)
     requests = instance.requests
     pools = {vnf.name: vnf.instances for vnf in instance.catalog.types}
-    variables, blocks = _enumerate(instance)
+    variables, aliases, blocks = _enumerate(instance)
     deployable = _deployable_types(instance)
     g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at = blocks
     # distinct node pairs in canonical order: matrix positions, p offset
@@ -555,6 +621,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         objective=tuple(objective),
         constant=constant,
         blocks=blocks,
+        aliases=aliases,
     )
 
 
@@ -576,57 +643,66 @@ def _row_names(model: IlpModel) -> list[str]:
     return [next_name[row.tag]() for row in model.rows]
 
 
+@_collector_paused()
 def export_mps(model: IlpModel) -> str:
     """Deterministic MPS text. Objective coefficients and the objective-row
     RHS are money units (micro-money / 1e6); the RHS entry on the COST row
     carries the negated objective constant."""
-    lines = [
-        "* chainplace MPS export",
-        "* money values are scaled: coefficient = micro-money / 1e6",
-        "* the RHS entry on the COST row is the negated objective constant",
-        f"NAME          {model.name}",
-        "OBJSENSE",
-        "    MIN",
-        "ROWS",
-        " N  COST",
+    # The text is made section by section, one string per section and one
+    # per column, and joined once at the end.
+    rows, aliases = model.rows, model.aliases
+    names = _row_names(model)
+    parts = [
+        "* chainplace MPS export\n"
+        "* money values are scaled: coefficient = micro-money / 1e6\n"
+        "* the RHS entry on the COST row is the negated objective constant\n"
+        f"NAME          {model.name}\n"
+        "OBJSENSE\n"
+        "    MIN\n"
+        "ROWS\n"
+        " N  COST\n",
+        "".join([f" {row.sense}  {name}\n" for row, name in zip(rows, names)]),
+        "COLUMNS\n    MARKER                 'MARKER'                 'INTORG'\n",
     ]
-    row_names = _row_names(model)
-    for row, name in zip(model.rows, row_names):
-        lines.append(f" {row.sense}  {name}")
+    # row names padded to the cell width of COLUMNS and RHS
+    names = [f"{name:<12}  " for name in names]
 
-    # each distinct coefficient or rhs value is formatted once
-    fmt = functools.cache(_fmt_value)
-    # per variable, its "<row name>  <value>" cells in row order, COST first
-    cells: list[list[str]] = [[] for _ in model.variables]
-    for i, micro in dict(model.objective).items():
-        cells[i].append(f"{'COST':<12}  {_costs.format_money(micro)}")
-    for row, name in zip(model.rows, row_names):
-        name = f"{name:<12}  "
+    # A variable's column is its cells in row order, COST first; a cell is
+    # its head, the row name and the value. ``cells`` keeps references to
+    # those shared strings, not a string per coefficient, and a variable's
+    # references go once its column text is made.
+    width = max(8, max(map(len, aliases), default=8))
+    heads = [f"    {alias:<{width}}  " for alias in aliases]
+    value = functools.cache(lambda v: _fmt_value(v) + "\n")  # once per distinct value
+    cells: list[list[str] | None] = [[] for _ in aliases]
+    for idx, micro in model.objective:
+        cells[idx] += (heads[idx], f"{'COST':<12}  ", _costs.format_money(micro) + "\n")
+    for row, name in zip(rows, names):
         for idx, coef in row.coeffs:
-            cells[idx].append(name + fmt(coef))
-
-    width = max(8, max(map(len, model.aliases), default=8))
-    lines.append("COLUMNS")
-    lines.append("    MARKER                 'MARKER'                 'INTORG'")
-    for alias, own in zip(model.aliases, cells):
+            own = cells[idx]
+            own.append(heads[idx])
+            own.append(name)
+            own.append(value(coef))
+    del heads
+    for idx, own in enumerate(cells):
         if own:
-            head = f"    {alias:<{width}}  "
-            lines.append(head + ("\n" + head).join(own))
-    lines.append("    MARKER                 'MARKER'                 'INTEND'")
+            parts.append("".join(own))
+            cells[idx] = None
 
-    lines.append("RHS")
+    rhs = ["    MARKER                 'MARKER'                 'INTEND'\nRHS\n"]
     if model.constant:
-        lines.append(f"    RHS  COST  {_costs.format_money(-model.constant)}")
-    for row, name in zip(model.rows, row_names):
-        if row.rhs != 0:
-            lines.append(f"    RHS  {name:<12}  {fmt(row.rhs)}")
+        rhs.append(f"    RHS  COST  {_costs.format_money(-model.constant)}\n")
+    rhs += [f"    RHS  {name}{value(row.rhs)}" for row, name in zip(rows, names) if row.rhs != 0]
+    parts.append("".join(rhs))
+    del names, rhs
 
-    lines.append("BOUNDS")
-    lines.extend(" BV BND  " + alias for alias in model.aliases)
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    parts.append("BOUNDS\n")
+    parts.append("".join([f" BV BND  {alias}\n" for alias in aliases]))
+    parts.append("ENDATA\n")
+    return "".join(parts)
 
 
+@_collector_paused()
 def export_lp(model: IlpModel) -> str:
     """Deterministic CPLEX-style LP text with the same scaling as MPS."""
 
@@ -638,41 +714,47 @@ def export_lp(model: IlpModel) -> str:
         return f"{sign} {mag} {name}"
 
     aliases = model.aliases
-    lines = [
-        "\\ chainplace LP export",
-        "\\ money values are scaled: coefficient = micro-money / 1e6",
-        "Minimize",
+    objective = [
+        term(_costs.format_money(micro), aliases[idx], i == 0)
+        for i, (idx, micro) in enumerate(model.objective)
     ]
-    parts = []
-    for idx, micro in model.objective:
-        parts.append(term(_costs.format_money(micro), aliases[idx], not parts))
     if model.constant:
         c = _costs.format_money(model.constant)
-        parts.append(term(c, "", not parts).rstrip())
-    if not parts:
-        parts = ["0"]
-    lines.append(" obj: " + " ".join(parts))
+        objective.append(term(c, "", not objective).rstrip())
+    parts = [
+        "\\ chainplace LP export\n"
+        "\\ money values are scaled: coefficient = micro-money / 1e6\n"
+        "Minimize\n"
+        f" obj: {' '.join(objective) or '0'}\n"
+        "Subject To\n"
+    ]
 
-    lines.append("Subject To")
     # a coefficient's text before the variable, as the first term and after
     # it, formatted once per distinct value
     lead = functools.cache(lambda coef: term(str(coef), "", True))
     tail = functools.cache(lambda coef: term(str(coef), "", False))
     fmt = functools.cache(_fmt_value)
     sense_txt = {"E": "=", "L": "<=", "G": ">="}
-    for row, name in zip(model.rows, _row_names(model)):
-        parts = [tail(coef) + aliases[idx] for idx, coef in row.coeffs]
-        if parts:
-            idx, coef = row.coeffs[0]
-            parts[0] = lead(coef) + aliases[idx]
-        else:
-            parts = ["0"]
-        lines.append(f" {name}: {' '.join(parts)} {sense_txt[row.sense]} {fmt(row.rhs)}")
 
-    lines.append("Binaries")
-    lines.extend(" " + alias for alias in aliases)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    def row_lines():
+        for row, name in zip(model.rows, _row_names(model)):
+            terms = [tail(coef) + aliases[idx] for idx, coef in row.coeffs]
+            if terms:
+                idx, coef = row.coeffs[0]
+                terms[0] = lead(coef) + aliases[idx]
+            else:
+                terms = ["0"]
+            yield f" {name}: {' '.join(terms)} {sense_txt[row.sense]} {fmt(row.rhs)}\n"
+
+    # the rows are joined a block at a time, so only one block's lines exist
+    lines = row_lines()
+    while block := "".join(itertools.islice(lines, 4096)):
+        parts.append(block)
+
+    parts.append("Binaries\n")
+    parts.append("".join([f" {alias}\n" for alias in aliases]))
+    parts.append("End\n")
+    return "".join(parts)
 
 
 def parse_solution_text(text: str) -> dict[str, float]:

@@ -135,6 +135,18 @@ def frozen_load_instance(mu):
     )
 
 
+def colliding_instance():
+    """Two variables whose aliases collide: ``l[r0][s0][s0_k0][0]`` and
+    ``l[r0_s0][s0][k0][0]`` both sanitize to ``l_r0_s0_s0_k0_0``."""
+    net = mk_network()
+    types = [mk_type(net, name="k0"), mk_type(net, name="s0_k0")]
+    requests = [
+        mk_request(net, rid="r0", chain=("s0_k0",)),
+        mk_request(net, rid="r0_s0", chain=("k0",)),
+    ]
+    return mk_instance(net, types=types, requests=requests)
+
+
 def export_case_instance(described):
     """The instance a case of tests/data/export_digests.json describes:
     ``frozen_load_instance`` (optionally without its request), or a

@@ -8,6 +8,8 @@ from chainplace.model import PlacementPlan
 from chainplace.scenario import ScenarioSpec, generate
 from chainplace.solver import solve_exact
 
+from conftest import colliding_instance
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -279,6 +281,18 @@ class TestUsage:
         assert err == (
             f"cannot read plan {path}: {field} entry {json.dumps(entry)}: "
             f"instance id {json.dumps(value)} is not an integer\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    def test_colliding_aliases_are_one_line_error(self, tmp_path, capsys, fmt):
+        path = tmp_path / "collide.json"
+        path.write_text(dumps(instance_to_document(colliding_instance())))
+        code, out, err = run(capsys, "solve", str(path), "--export", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "variables l[r0][s0][s0_k0][0] and l[r0_s0][s0][k0][0] share the MPS/LP "
+            "alias l_r0_s0_s0_k0_0; choose ids that keep the aliases apart\n"
         )
 
     def test_unknown_subcommand_exits_one(self, capsys):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import pathlib
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from chainplace.costs import total_objective
 from chainplace.errors import (
+    AliasCollisionError,
     AuxiliaryInconsistentError,
     MissingVariableError,
     ValidationFailedError,
@@ -30,6 +32,7 @@ from chainplace.scenario import ScenarioSpec, generate
 from chainplace.solver import brute_force, solve_exact
 
 from conftest import (
+    colliding_instance,
     export_case_instance,
     frozen_load_instance,
     mk_instance,
@@ -129,6 +132,71 @@ class TestEnumerate:
         decisions = enumerate_variables(instance, decisions_only=True)
         assert decisions == tuple(v for v in every if v.family in "gtlp")
         assert every[: len(decisions)] == decisions
+
+
+BRACKETED_IDS = st.text(alphabet="a[]_", min_size=1, max_size=4)
+
+
+class TestAliases:
+    def test_colliding_aliases_are_refused(self):
+        with pytest.raises(AliasCollisionError, match="l_r0_s0_s0_k0_0"):
+            build_ilp(colliding_instance())
+
+    @given(
+        nodes=st.lists(BRACKETED_IDS, min_size=3, max_size=3, unique=True),
+        types=st.lists(BRACKETED_IDS, min_size=2, max_size=2, unique=True),
+        rids=st.lists(BRACKETED_IDS, min_size=2, max_size=2, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_aliases_are_the_sanitized_names_for_any_ids(self, nodes, types, rids):
+        net = replace(
+            mk_network(),
+            servers=tuple(nodes[:2]),
+            users=(nodes[2],),
+            server_capacity=dict.fromkeys(nodes[:2], 8),
+            server_unit_cost=dict.fromkeys(nodes[:2], 1),
+        )
+        inst = mk_instance(
+            net,
+            types=[mk_type(net, name=types[0], instances=2), mk_type(net, name=types[1])],
+            requests=[
+                mk_request(net, rid=rids[0], chain=(types[0], types[1])),
+                mk_request(net, rid=rids[1], chain=(types[1],)),
+            ],
+        )
+        want = [sanitize_name(var.name) for var in enumerate_variables(inst)]
+        if len(set(want)) != len(want):
+            with pytest.raises(AliasCollisionError):
+                build_ilp(inst)
+            return
+        model = build_ilp(inst)
+        assert list(model.aliases) == want
+        for i, var in enumerate(model.variables):
+            assert model.variable_index(var.name) == i
+            assert model.variable_index(want[i]) == i
+
+
+class TestCollector:
+    """Compiling and exporting pause the cyclic collector and leave it as
+    they found it, also when the compile is refused."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_state_is_restored(self, tiny, net2, enabled):
+        invalid = mk_instance(net2, requests=[mk_request(net2, chain=("k9",))])
+        before = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            model = build_ilp(tiny)
+            assert gc.isenabled() is enabled
+            export_mps(model)
+            assert gc.isenabled() is enabled
+            export_lp(model)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValidationFailedError):
+                build_ilp(invalid)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if before else gc.disable()
 
 
 class TestRowInvariants:
