@@ -55,16 +55,21 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+_SLICE = 1 << 16
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
+        # in slices, so that the text layer never encodes a second full copy
         with open(output, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(text[i:i + _SLICE] for i in range(0, len(text), _SLICE))
     else:
         sys.stdout.write(text)
 
 
 class _UsageError(ChainplaceError):
-    """A flag or environment variable holds a value the CLI cannot use."""
+    """A flag, environment variable or input document holds a value the CLI
+    cannot use."""
 
 
 def _env(name: str, parse):
@@ -110,15 +115,14 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
-def _load_instance(path: str):
+def _read(kind: str, path: str, convert):
+    """The JSON document at ``path`` converted by ``convert``. A document
+    that does not convert is a usage error naming it."""
     try:
         with open(path) as fh:
-            document = json.load(fh)
-        instance = _io.document_to_instance(document)
-    except (ValueError, KeyError, TypeError) as exc:
-        _log(f"cannot read instance {path}: {exc}")
-        return None
-    return instance
+            return convert(json.load(fh))
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
+        raise _UsageError(f"cannot read {kind} {path}: {exc}") from None
 
 
 def _log_invalid(report) -> None:
@@ -182,9 +186,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
-    if instance is None:
-        return EXIT_USAGE
+    instance = _read("instance", args.instance, _io.document_to_instance)
     # build_ilp and _Problem validate the instance before any work; the
     # search and the oracle share one _Problem, so it is validated once
     try:
@@ -253,19 +255,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    instance = _load_instance(args.instance)
-    if instance is None:
-        return EXIT_USAGE
+    instance = _read("instance", args.instance, _io.document_to_instance)
     validation = validate_instance(instance)
     if not validation.ok:
         _log_invalid(validation)
         return EXIT_USAGE
-    try:
-        with open(args.plan) as fh:
-            plan = _io.document_to_plan(json.load(fh))
-    except (ValueError, KeyError, TypeError) as exc:
-        _log(f"cannot read plan {args.plan}: {exc}")
-        return EXIT_USAGE
+    plan = _read("plan", args.plan, _io.document_to_plan)
 
     try:
         report = check_feasibility(instance, plan)

@@ -108,7 +108,7 @@ def _collector_paused():
 
 def sanitize_name(name: str) -> str:
     """Interchange-safe alias: ``g[r0][s0]`` becomes ``g_r0_s0``."""
-    return name.replace("][", "_").replace("[", "_").replace("]", "")
+    return name.replace("[", "_").replace("]", "")
 
 
 def _deployable_types(instance: ProblemInstance):
@@ -137,7 +137,7 @@ def _enumerate(
     ``sanitize_name`` of each part, joined by ``_``. This equals
     ``sanitize_name`` of the whole name for any ids, because
     ``sanitize_name`` maps each character on its own: ``[`` becomes ``_``
-    and ``]`` goes (its ``][`` rule gives the same text)."""
+    and ``]`` goes."""
     net = instance.network
     nodes = net.nodes
     servers = net.servers

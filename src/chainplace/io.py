@@ -45,8 +45,11 @@ def _route_matrix(net: Network, links) -> list[list[int]]:
     return matrix
 
 
-def _matrix_links(net: Network, matrix) -> frozenset[Link]:
+def _matrix_links(net: Network, matrix, request_id) -> frozenset[Link]:
     nodes = net.nodes
+    n = len(nodes)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"request {request_id}: current_route is not a {n}x{n} matrix")
     links = set()
     for i, row in enumerate(matrix):
         for j, flag in enumerate(row):
@@ -105,10 +108,17 @@ def instance_to_document(instance: ProblemInstance) -> dict:
     }
 
 
-def document_to_instance(document: Mapping) -> ProblemInstance:
+def _check_version(document, kind: str) -> None:
+    """Refuse anything but a JSON object of the supported format version."""
+    if not isinstance(document, Mapping):
+        raise ValueError(f"{kind} document is not a JSON object")
     version = document.get("format_version")
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported instance format_version {version!r}")
+        raise ValueError(f"unsupported {kind} format_version {version!r}")
+
+
+def document_to_instance(document: Mapping) -> ProblemInstance:
+    _check_version(document, "instance")
     netdoc = document["network"]
     servers = list(netdoc["servers"])
     network = Network(
@@ -148,7 +158,7 @@ def document_to_instance(document: Mapping) -> ProblemInstance:
                 delay_budget=rdoc["delay_budget"],
                 candidate_servers=tuple(rdoc["candidate_servers"]),
                 status=rdoc["status"],
-                current_route=_matrix_links(network, rdoc["current_route"]),
+                current_route=_matrix_links(network, rdoc["current_route"], rdoc["id"]),
             )
         )
     snapshot = Snapshot(
@@ -187,9 +197,9 @@ def _instance_id(field: str, entry, value) -> int:
 
 
 def document_to_plan(document: Mapping) -> PlacementPlan:
-    version = document.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported plan format_version {version!r}")
+    _check_version(document, "plan")
+    if not isinstance(document["routes"], Mapping):
+        raise ValueError("plan routes is not a JSON object")
     deployment, assignment = set(), set()
     for entry in document["deployment"]:
         k, i, s = entry

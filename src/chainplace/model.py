@@ -311,8 +311,8 @@ def _check_matrix(out, name, matrix, n, zero_diagonal):
 
 def _type_violations(instance: ProblemInstance) -> list[Violation]:
     """Money, delay, capacity, bandwidth, traffic and instance-id entries
-    that are not strict ints (a bool is not one), and a usage threshold that
-    is not a number."""
+    that are not strict ints (a bool is not one), names and ids that are not
+    strings, and a usage threshold that is not a number."""
     net = instance.network
     entries: list[tuple[tuple, object]] = []
     for name in ("bandwidth", "link_cost", "link_delay"):
@@ -334,6 +334,18 @@ def _type_violations(instance: ProblemInstance) -> list[Violation]:
         for subject, value in entries
         if type(value) is not int
     ]
+    names = [(("servers", pos), s) for pos, s in enumerate(net.servers)]
+    names += ((("users", pos), u) for pos, u in enumerate(net.users))
+    names += ((("types", pos), t.name) for pos, t in enumerate(instance.catalog.types))
+    for pos, r in enumerate(instance.requests):
+        names += ((("requests", pos), r.id), (("user", r.id), r.user))
+        names += ((("chain", r.id, at), k) for at, k in enumerate(r.chain))
+        names += ((("candidate_servers", r.id, at), s) for at, s in enumerate(r.candidate_servers))
+    out += (
+        Violation("NOT_A_STRING", subject, repr(value))
+        for subject, value in names
+        if not isinstance(value, str)
+    )
     if type(instance.usage_threshold) not in (int, float):
         out.append(Violation("NOT_A_NUMBER", ("usage_threshold",), repr(instance.usage_threshold)))
     return out
@@ -343,7 +355,7 @@ def validate_instance(instance: ProblemInstance) -> Report:
     """Check every structural invariant; violations come back as report
     entries with machine-readable codes, never as exceptions. Entry types
     are checked first, and alone when any is wrong, so that no comparison
-    below meets a value it cannot order."""
+    below meets a value it cannot order or hash."""
     out = _type_violations(instance)
     if out:
         return Report(tuple(out))

@@ -6,10 +6,12 @@ A request's content server is chosen once its chain is assigned, by trying
 each candidate in turn, because it changes only the request's entry link.
 Routes are derived, never branched, because every route coefficient is
 non-negative and the current routes only contribute a constant credit.
-The placement bound also charges each type that has no qualifying instance
-deployed yet the least extra cost of deploying one of its undecided
-qualifying instances: under no_reuse only a fresh instance qualifies for a
-type that new requests need, since each plan must deploy one.
+Each decision type needs two counts of instances (see ``_Problem``):
+enough to carry the traffic of every request that uses it, and under
+no_reuse, for a type that new requests use, enough fresh ones for the new
+requests' traffic. Every leaf meets both counts. The placement bound also
+charges each type with no qualifying instance deployed yet the least extra
+cost of deploying one of its undecided qualifying instances.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
 instead of the incremental bookkeeping used here.
@@ -24,11 +26,11 @@ indexed by node position in ``net.nodes`` (servers first, so a server's
 position is its index in ``net.servers``): flat row-major link cost, delay
 and usage-limit tables, per request the user's and the candidate servers'
 positions and the processing delay of each chain slot by server, and per
-decision its resource need and its contribution by server. The search
-state holds server loads and link loads in lists, chain hosts as server
-positions and deployed instances as (decision, server) pairs, so no node
-looks a name up. Names appear only at a leaf, where the plan is built from
-the problem's table of link-name tuples.
+decision its resource need and its options with their contributions. The
+search state holds server loads and link loads in lists, chain hosts as
+server positions and deployed instances as (decision, server) pairs, so no
+node looks a name up. Names appear only at a leaf, where the plan is built
+from the problem's table of link-name tuples.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 from . import costs as _costs
@@ -48,6 +51,7 @@ from .model import (
     ProblemInstance,
     STATUS_NEW,
     check_feasibility,
+    normalize_route,
     validate_instance,
 )
 
@@ -107,19 +111,28 @@ def derive_routes(
     return routes
 
 
+def _instances_for(demand: int, limit: int | Fraction) -> int | float:
+    """The fewest instances, at least one, whose usage limits together carry
+    ``demand``; inf when the limit is 0 and the demand is not. The ceiling is
+    exact for int and Fraction limits alike."""
+    if not limit:
+        return math.inf if demand else 1
+    return max(1, -(-demand // limit))
+
+
 @dataclass(frozen=True)
 class _Decision:
     vnf_name: str
     instance_id: int
     snap_server: str | None
-    fresh_rank: int | None  # position among the type's fresh instances
     after: int | None  # the type's previous fresh decision, activated first
     resource_req: int
     # (type, id, server) per server position; the snapshot's own entry on
     # its snapshot server, so a plan that keeps the instance shares it
     placements: tuple
-    contrib: dict  # option (server position or None) -> exact micro-money
-    options: tuple  # (option, contrib) pairs in the order the search tries them
+    # (option, exact micro-money) pairs in the order the search tries them;
+    # an option is a server position, or None for not deployed
+    options: tuple
     min_contrib: int
     qualifies: bool  # deploying it covers its type (see _Problem.deploy_min)
 
@@ -130,6 +143,12 @@ class _Problem:
     the search bound reads and the integer tables the search runs on. The
     instance is validated once, here, so one ``_Problem`` can feed both
     engines (``solve --oracle`` does).
+
+    Per decision type, ``need`` is the fewest instances, at least one, whose
+    usage limit carries the traffic of every request that uses the type.
+    ``need_qualified`` is the same count for the new requests' traffic when
+    the type is fresh-only (no_reuse, and some new request uses it), else 1.
+    A count is inf when the limit is 0 and the traffic is not.
 
     The tables number nodes by their position in ``net.nodes``. Servers come
     first, so a server's number is its index in ``net.servers``. Link tables
@@ -147,31 +166,23 @@ class _Problem:
         self.servers = net.servers
         self.requests = instance.requests
         limit = instance.usage_limit
-        self.server_limit = {s: limit(net.server_capacity[s]) for s in net.servers}
-        self.vnf_limit = {t.name: limit(t.capacity) for t in instance.catalog.types}
-        self.link_limit = {
-            (a, b): limit(net.bandwidth_between(a, b))
-            for a, b in itertools.combinations(net.nodes, 2)
-        }
 
         nodes = net.nodes
         n = self.n_nodes = len(nodes)
-        self.server_cap = [self.server_limit[s] for s in net.servers]
+        self.server_cap = [limit(net.server_capacity[s]) for s in net.servers]
         self.link_cost = [c for row in net.link_cost for c in row]
         self.link_delay = [d for row in net.link_delay for d in row]
         # a self-link stands for a co-located hop: it costs nothing, adds no
-        # delay and never fills
+        # delay and never fills; the bandwidth matrix is symmetric
         self.link_cap = [math.inf] * (n * n)
-        for (a, b), cap in self.link_limit.items():
-            ai, bi = net.position(a), net.position(b)
-            self.link_cap[ai * n + bi] = self.link_cap[bi * n + ai] = cap
+        for a, b in itertools.combinations(range(n), 2):
+            self.link_cap[a * n + b] = self.link_cap[b * n + a] = limit(net.bandwidth[a][b])
         # canon[a * n + b]: the entry of the link's canonical orientation
         # (a <= b), which keys link loads and routes; link_names holds its
         # endpoint names, one tuple per link shared by every plan built here
         self.canon = [min(a, b) * n + max(a, b) for a in range(n) for b in range(n)]
         self.link_names = [(nodes[c // n], nodes[c % n]) for c in self.canon]
 
-        required = set(instance.required_types())
         self.snapshot_ids = {(k, i) for k, i, _s in instance.snapshot.deployed}
         snapshot_entries = {e: e for e in instance.snapshot.deployed}
 
@@ -183,70 +194,64 @@ class _Problem:
             self.base_load[net.position(s)] += instance.catalog.get(k).resource_req
 
         self.decisions: list[_Decision] = []
-        self.required_by_new: set[str] = {
-            k for r in self.requests if r.status == STATUS_NEW for k in r.chain
-        }
+        # once the last instance of a type is decided, the deployed instances
+        # must already meet the type's counts; type_end maps the index after
+        # it to the type, so checking at the boundary keeps the placement
+        # stage from wading through dead subtrees
+        self.type_end: dict[int, str] = {}
+        self.need: dict[str, int | float] = {}
+        self.need_qualified: dict[str, int | float] = {}
+        type_limit = {}
         positions = range(len(net.servers))
         for vnf in instance.catalog.types:
-            if vnf.name not in required:
+            users = [r for r in self.requests if vnf.name in r.chain]
+            if not users:
                 continue
-            fresh_only = options.no_reuse and vnf.name in self.required_by_new
+            new_users = [r for r in users if r.status == STATUS_NEW]
+            fresh_only = options.no_reuse and bool(new_users)
+            cap = type_limit[vnf.name] = limit(vnf.capacity)
+            self.need[vnf.name] = _instances_for(sum(r.traffic for r in users), cap)
+            self.need_qualified[vnf.name] = (
+                _instances_for(sum(r.traffic for r in new_users), cap) if fresh_only else 1
+            )
             hosting = [vnf.resource_req * net.server_unit_cost[s] for s in net.servers]
-            fresh_rank = 0
             last_fresh = None
             for i in vnf.instances:
                 snap_server = instance.snapshot.server_of(vnf.name, i)
-                rank = previous = None
+                previous = None
                 placements = [(vnf.name, i, s) for s in net.servers]
-                contrib = {}
                 if snap_server is None:
-                    rank, previous, last_fresh = fresh_rank, last_fresh, len(self.decisions)
-                    fresh_rank += 1
-                    contrib[None] = 0
-                    for s in positions:
-                        contrib[s] = hosting[s] + vnf.license_cost
-                    order = (None,) + tuple(positions)
+                    previous, last_fresh = last_fresh, len(self.decisions)
+                    choices = ((None, 0),) + tuple(
+                        (s, hosting[s] + vnf.license_cost) for s in positions
+                    )
                 else:
                     keep = net.position(snap_server)
                     placements[keep] = snapshot_entries[placements[keep]]
                     back = hosting[keep]
                     if not options.clamp_instantiation:
                         back += vnf.license_cost
-                    contrib[None] = -back
-                    for s in positions:
-                        contrib[s] = (
-                            hosting[s]
-                            - hosting[keep]
-                            + vnf.migration(snap_server, net.servers[s])
-                        )
-                    order = (keep, None) + tuple(s for s in positions if s != keep)
+                    moves = [
+                        (s, hosting[s] - hosting[keep] + vnf.migration(snap_server, server))
+                        for s, server in enumerate(net.servers)
+                    ]
+                    choices = (moves[keep], (None, -back)) + tuple(
+                        m for m in moves if m[0] != keep
+                    )
                 self.decisions.append(
                     _Decision(
                         vnf_name=vnf.name,
                         instance_id=i,
                         snap_server=snap_server,
-                        fresh_rank=rank,
                         after=previous,
                         resource_req=vnf.resource_req,
                         placements=tuple(placements),
-                        contrib=contrib,
-                        options=tuple((t, contrib[t]) for t in order),
-                        min_contrib=min(contrib.values()),
+                        options=choices,
+                        min_contrib=min(c for _t, c in choices),
                         qualifies=snap_server is None or not fresh_only,
                     )
                 )
-
-        # once the last instance of a type is decided, the deployed capacity
-        # must already cover the type's demand; checking at the boundary
-        # keeps the placement stage from wading through dead subtrees
-        self.type_end: dict[int, str] = {}
-        prev = None
-        for idx, d in enumerate(self.decisions):
-            if prev is not None and d.vnf_name != prev:
-                self.type_end[idx] = prev
-            prev = d.vnf_name
-        if prev is not None:
-            self.type_end[len(self.decisions)] = prev
+            self.type_end[len(self.decisions)] = vnf.name
 
         # admissible tails: undecided instances take their cheapest option
         # (suffix_min); a type with no qualifying instance deployed yet adds
@@ -256,20 +261,20 @@ class _Problem:
         # least traffic x their cheapest server->user link (suffix_route),
         # both set up below.
         # Every leaf deploys a qualifying instance of each decision type:
-        # _type_demand_covered asks for one, a fresh one for a type that new
-        # requests need under no_reuse. Deploying decision d costs at least
-        # min_contrib + extra, extra being its cheapest server option minus
-        # min_contrib. A type's term reads only its own undecided instances,
-        # which suffix_min counts at min_contrib, and adds one extra per
-        # type, so nothing is counted twice. Every route loads its
-        # last-host->user link: the user is a declared user node and node
-        # names are unique, so that link is never a self-link, and the
-        # route's other links cost nothing negative. So the bound never
-        # exceeds the total of a leaf below it, and pruning only when it is
-        # strictly above the incumbent still visits every leaf that could
-        # improve or tie: a search that finishes returns the optimum, the
-        # tie-break plan and the incumbent updates of a search without the
-        # deployment and routing terms, in no more nodes.
+        # _type_demand_covered asks for need_qualified of them, at least
+        # one. Deploying decision d costs at least min_contrib + extra,
+        # extra being its cheapest server option minus min_contrib. A
+        # type's term reads only its own undecided instances, which
+        # suffix_min counts at min_contrib, and adds one extra per type, so
+        # nothing is counted twice. Every route loads its last-host->user
+        # link: the user is a declared user node and node names are unique,
+        # so that link is never a self-link, and the route's other links
+        # cost nothing negative. So the bound never exceeds the total of a
+        # leaf below it, and pruning only when it is strictly above the
+        # incumbent still visits every leaf that could improve or tie: a
+        # search that finishes returns the optimum, the tie-break plan and
+        # the incumbent updates of a search without the deployment and
+        # routing terms, in no more nodes.
         count = len(self.decisions)
         self.suffix_min = [0] * (count + 1)
         # deploy_min[di]: least extra over the qualifying decisions from di
@@ -287,35 +292,21 @@ class _Problem:
                     self.deploy_tail[di] += self.deploy_min[di + 1]
                 least = math.inf
             if d.qualifies:
-                extra = min(d.contrib[s] for s in positions) - d.min_contrib
+                extra = min(c for t, c in d.options if t is not None) - d.min_contrib
                 least = min(least, extra)
             self.deploy_min[di] = least
 
-        self.demand_all = {
-            t.name: sum(r.traffic for r in self.requests if t.name in r.chain)
-            for t in instance.catalog.types
-        }
-        self.demand_new = {
-            t.name: sum(
-                r.traffic
-                for r in self.requests
-                if r.status == STATUS_NEW and t.name in r.chain
-            )
-            for t in instance.catalog.types
-        }
-
-        self.credit = {}
+        # per request, by request index: the cost of its current links,
+        # which its new route replaces
+        self.credit = []
         for r in self.requests:
-            total = 0
-            for a, b in {net.link(x, y) for x, y in r.current_route}:
-                if a != b:
-                    total += net.cost_between(a, b) * r.traffic
-            self.credit[r.id] = total
+            links = normalize_route(net, r.current_route)
+            self.credit.append(r.traffic * sum(net.cost_between(a, b) for a, b in links))
         self.suffix_credit = [0] * (len(self.requests) + 1)
         self.suffix_route = [0] * (len(self.requests) + 1)
         for ri in range(len(self.requests) - 1, -1, -1):
             r = self.requests[ri]
-            self.suffix_credit[ri] = self.suffix_credit[ri + 1] - self.credit[r.id]
+            self.suffix_credit[ri] = self.suffix_credit[ri + 1] - self.credit[ri]
             user_link = min(net.cost_between(s, r.user) for s in net.servers)
             self.suffix_route[ri] = self.suffix_route[ri + 1] + r.traffic * user_link
 
@@ -327,7 +318,7 @@ class _Problem:
             tuple(s for s in positions if net.servers[s] in r.candidate_servers)
             for r in self.requests
         ]
-        self.slot_limit = [tuple(self.vnf_limit[k] for k in r.chain) for r in self.requests]
+        self.slot_limit = [tuple(type_limit[k] for k in r.chain) for r in self.requests]
         self.proc_delay = [
             tuple(
                 tuple(instance.catalog.get(k).processing_delay[s] for s in net.servers)
@@ -414,16 +405,8 @@ class _Search:
         return self.aborted
 
     def _type_demand_covered(self, k: str) -> bool:
-        pool = self.deployed[k]
-        if not pool:  # decision types are required by some request
-            return False
-        if len(pool) * self.p.vnf_limit[k] < self.p.demand_all[k]:
-            return False
-        if self.p.options.no_reuse and k in self.p.required_by_new:
-            fresh = self.qualified[k]  # only fresh instances qualify here
-            if not fresh or fresh * self.p.vnf_limit[k] < self.p.demand_new[k]:
-                return False
-        return True
+        p = self.p
+        return len(self.deployed[k]) >= p.need[k] and self.qualified[k] >= p.need_qualified[k]
 
     # stage (a): instance placements
     def _branch_tau(self, di: int) -> None:
@@ -559,7 +542,7 @@ class _Search:
                 link_load[entry] += traffic
             self.gamma[ri] = cs
             self.routes[ri] = (chain_links, entry)
-            delta = route_cost + entry_cost - p.credit[r.id]
+            delta = route_cost + entry_cost - p.credit[ri]
             self.committed += delta
 
             self._branch_lambda(ri + 1, 0)
@@ -675,53 +658,32 @@ def _brute_force(p: _Problem, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult
     incumbent = _Incumbent(p)
     nodes = 0
 
-    required = instance.required_types()
-
-    def tau_combos(di: int, fresh_used: dict[str, int]):
-        if di == len(p.decisions):
-            yield {}
-            return
-        d = p.decisions[di]
-        blocked = (
-            d.fresh_rank is not None and d.fresh_rank > fresh_used.get(d.vnf_name, 0)
-        )
-        for target in (None,) + tuple(p.servers):
-            if target is not None and blocked:
-                continue
-            if target is not None and d.fresh_rank is not None:
-                fresh_used[d.vnf_name] = fresh_used.get(d.vnf_name, 0) + 1
-            for rest in tau_combos(di + 1, fresh_used):
-                combo = {(d.vnf_name, d.instance_id): target} if target else {}
-                combo.update(rest)
-                yield combo
-            if target is not None and d.fresh_rank is not None:
-                fresh_used[d.vnf_name] -= 1
-
+    targets = (None,) + tuple(p.servers)
     for gamma in itertools.product(*gamma_domains) if p.requests else [()]:
         content = {r.id: s for r, s in zip(p.requests, gamma)}
-        for tau in tau_combos(0, {}):
+        for choice in itertools.product(targets, repeat=len(p.decisions)):
+            # fresh instances activate in identifier order
+            if any(
+                s is not None and d.after is not None and choice[d.after] is None
+                for d, s in zip(p.decisions, choice)
+            ):
+                continue
+            tau = {
+                (d.vnf_name, d.instance_id): s
+                for d, s in zip(p.decisions, choice)
+                if s is not None
+            }
             deployed: dict[str, list[tuple[int, str]]] = {}
             for (k, i), s in sorted(tau.items()):
                 deployed.setdefault(k, []).append((i, s))
-            if any(not deployed.get(k) for k in required):
-                continue
+            # a type with no instance to assign leaves an empty domain
             lam_domains = []
-            feasible_domains = True
             for r in p.requests:
                 for k in r.chain:
                     pool = deployed.get(k, [])
                     if options.no_reuse and r.status == STATUS_NEW:
-                        pool = [
-                            (i, s) for i, s in pool if (k, i) not in p.snapshot_ids
-                        ]
-                    if not pool:
-                        feasible_domains = False
-                        break
+                        pool = [(i, s) for i, s in pool if (k, i) not in p.snapshot_ids]
                     lam_domains.append(((r.id, k), pool))
-                if not feasible_domains:
-                    break
-            if not feasible_domains:
-                continue
             for picks in itertools.product(*(dom for _key, dom in lam_domains)):
                 nodes += 1
                 assignment = {

@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
-from chainplace.cli import main
+from chainplace.cli import _emit, main
 from chainplace.io import document_to_instance, dumps, instance_to_document, plan_to_document
 from chainplace.model import PlacementPlan
 from chainplace.scenario import ScenarioSpec, generate
@@ -193,6 +194,22 @@ class TestCheck:
         assert any(v["constraint"] == "6" for v in doc["violations"])
 
 
+class TestEmit:
+    def test_output_file_holds_no_second_copy(self, tmp_path):
+        # 4.4 MB, about the MPS text of a full-scale case
+        text = "x" * 999 + "\n"
+        text *= 4400
+        path = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            _emit(text, str(path))
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert path.read_bytes() == text.encode()
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "flags, env, message",
@@ -282,6 +299,66 @@ class TestUsage:
             f"cannot read plan {path}: {field} entry {json.dumps(entry)}: "
             f"instance id {json.dumps(value)} is not an integer\n"
         )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "cannot read instance {path}: instance document is not a JSON object"),
+            (lambda doc: doc["requests"][0]["current_route"][1].append(1),
+             "cannot read instance {path}: request r0: current_route is not a 3x3 matrix"),
+            (lambda doc: doc["requests"][0]["current_route"].extend([[0, 1, 0]] * 9),
+             "cannot read instance {path}: request r0: current_route is not a 3x3 matrix"),
+            (lambda doc: doc["requests"][0].update(id=["x"]),
+             "invalid instance: NOT_A_STRING(requests,0): ['x']"),
+            (lambda doc: doc["requests"][0]["chain"].__setitem__(0, ["x"]),
+             "invalid instance: NOT_A_STRING(chain,r0,0): ['x']"),
+        ],
+        ids=["array", "long-route-row", "extra-route-rows", "request-id", "chain-entry"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_malformed_instance_is_one_line_error(
+        self, tiny_file, tmp_path, capsys, command, edit, message
+    ):
+        document = json.loads(tiny_file.read_text())
+        document = edit(document) or document
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        plan = [str(tmp_path / "never-read.json")] if command == "check" else []
+        code, out, err = run(capsys, command, str(path), *plan)
+        assert code == 1
+        assert out == ""
+        assert err == message.format(path=path) + "\n"
+
+    def test_deeply_nested_instance_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"cannot read instance {path}: maximum recursion depth exceeded "
+            "while decoding a JSON array from a unicode string\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "plan document is not a JSON object"),
+            (lambda doc: doc.update(routes=list(doc["routes"].items())),
+             "plan routes is not a JSON object"),
+        ],
+        ids=["array", "routes-array"],
+    )
+    def test_malformed_plan_is_one_line_error(self, tiny_file, tmp_path, capsys, edit, message):
+        instance = document_to_instance(json.loads(tiny_file.read_text()))
+        document = plan_to_document(solve_exact(instance).plan)
+        document = edit(document) or document
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "check", str(tiny_file), str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"cannot read plan {path}: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["mps", "lp"])
     def test_colliding_aliases_are_one_line_error(self, tmp_path, capsys, fmt):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -174,6 +175,16 @@ class TestAliases:
         for i, var in enumerate(model.variables):
             assert model.variable_index(var.name) == i
             assert model.variable_index(want[i]) == i
+
+
+    @pytest.mark.parametrize("length", range(8))
+    def test_two_passes_match_the_bracket_pair_rule(self, length):
+        """``][`` first becoming one ``_`` gives the text of ``[`` becoming
+        ``_`` and ``]`` going, on every string over the bracket alphabet."""
+        for chars in itertools.product("a[]_", repeat=length):
+            name = "".join(chars)
+            old = name.replace("][", "_").replace("[", "_").replace("]", "")
+            assert sanitize_name(name) == old, name
 
 
 class TestCollector:

@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -85,6 +87,42 @@ class TestValidation:
     def test_usage_threshold_out_of_range(self, net2):
         inst = mk_instance(net2, mu=0.0)
         assert validate_instance(inst).has("USAGE_THRESHOLD_RANGE", 0.0)
+
+    @pytest.mark.parametrize(
+        "field, subject",
+        [
+            ("servers", ("servers", 1)),
+            ("users", ("users", 0)),
+            ("types", ("types", 0)),
+            ("requests", ("requests", 0)),
+            ("user", ("user", "r0")),
+            ("chain", ("chain", "r0", 0)),
+            ("candidate_servers", ("candidate_servers", "r0", 1)),
+        ],
+        ids=["servers", "users", "types", "requests", "user", "chain", "candidate_servers"],
+    )
+    def test_name_that_is_not_a_string_is_flagged(self, net2, field, subject):
+        # node and type names key tables, so an unhashable one cannot even
+        # be built; the others stay lists, which no set may hold
+        net, types, request = net2, None, {}
+        if field == "servers":
+            net = replace(net2, servers=("s0", 5))
+        elif field == "users":
+            net = replace(net2, users=(5,))
+        elif field == "types":
+            types = [mk_type(net2, name=5)]
+        elif field == "requests":
+            request = {"rid": ["r0"]}
+        elif field == "user":
+            request = {"user": ["u0"]}
+        elif field == "chain":
+            request = {"chain": (["k0"],)}
+        else:
+            request = {"candidates": ("s0", ["s1"])}
+        inst = mk_instance(net, types=types, requests=[mk_request(net, **request)])
+        report = validate_instance(inst)
+        assert report.has("NOT_A_STRING", *subject)
+        assert {v.code for v in report.violations} == {"NOT_A_STRING"}
 
     def test_nonzero_self_migration_is_flagged(self, net2):
         from dataclasses import replace
@@ -216,22 +254,29 @@ class TestUsageLimit:
 
     @pytest.mark.parametrize("mu", [1.0, 0.5, 0.75, 0.3])
     def test_solver_limits_are_the_instance_limits(self, mu):
-        net = mk_network(n_servers=3, n_users=2, bandwidth=7, capacity=9)
-        inst = mk_instance(net, types=[mk_type(net, capacity=11)], mu=mu)
+        net = mk_network(n_servers=3, n_users=2, capacity=9)
+        n = len(net.nodes)
+        # a symmetric bandwidth matrix with a distinct value per link
+        def bandwidth(a, b):
+            return 3 + min(a, b) * n + max(a, b)
+
+        net = replace(net, bandwidth=[[bandwidth(a, b) for b in range(n)] for a in range(n)])
+        types = [mk_type(net, capacity=11), mk_type(net, name="k1", capacity=4)]
+        requests = [mk_request(net, chain=("k1", "k0"))]
+        inst = mk_instance(net, types=types, requests=requests, mu=mu)
         p = _Problem(inst, SolveOptions())
         limit = inst.usage_limit
-        assert p.server_limit == {s: limit(9) for s in net.servers}
-        assert p.vnf_limit == {"k0": limit(11)}
-        assert len(p.link_limit) == 10
-        for (a, b), got in p.link_limit.items():
-            assert got == limit(net.bandwidth_between(a, b))
-            assert type(got) is type(limit(7))
-        # the search's position-indexed tables carry the same limits
-        assert p.server_cap == [p.server_limit[s] for s in net.servers]
-        n = len(net.nodes)
-        for (a, b), got in p.link_limit.items():
-            ai, bi = net.position(a), net.position(b)
-            assert p.link_cap[ai * n + bi] == p.link_cap[bi * n + ai] == got
+        assert p.server_cap == [limit(9)] * 3
+        assert p.slot_limit == [(limit(4), limit(11))]
+        # a self-link never fills; every other entry, in either orientation,
+        # is the link's limit
+        for a, b in itertools.product(range(n), repeat=2):
+            got = p.link_cap[a * n + b]
+            if a == b:
+                assert got == math.inf
+            else:
+                assert got == limit(bandwidth(a, b))
+                assert type(got) is type(limit(bandwidth(a, b)))
 
 
 class TestSharing:

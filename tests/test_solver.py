@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,9 @@ from chainplace.scenario import DEFAULT_SEED, ScenarioSpec, generate, run_compar
 from chainplace.solver import (
     SolveOptions,
     _brute_force,
+    _Incumbent,
     _Problem,
+    _Search,
     brute_force,
     derive_routes,
     solve_exact,
@@ -307,8 +310,8 @@ def path_bounds(p, plan) -> tuple[list[int], int]:
     decision order, then one node per request before it is routed. Also
     returns the committed cost at the leaf, which is the plan's total. The
     placement bounds count, per type, the qualifying instances the path has
-    deployed so far, as the search does. A decision's contributions are
-    keyed by server position."""
+    deployed so far, as the search does. A decision's options are keyed by
+    server position."""
     placed ={(k, i): p.net.position(s) for k, i, s in plan.deployment}
     route_tail = p.suffix_credit[0] + p.suffix_route[0]
     qualified = {d.vnf_name: 0 for d in p.decisions}
@@ -318,7 +321,7 @@ def path_bounds(p, plan) -> tuple[list[int], int]:
             committed + p.suffix_min[di] + p.deploy_need(di, qualified) + route_tail
         )
         target = placed.get((d.vnf_name, d.instance_id))
-        committed += d.contrib[target]
+        committed += dict(d.options)[target]
         if target is not None and d.qualifies:
             qualified[d.vnf_name] += 1
     for ri, r in enumerate(p.requests):
@@ -326,7 +329,7 @@ def path_bounds(p, plan) -> tuple[list[int], int]:
         committed += sum(
             p.net.cost_between(a, b) * r.traffic for a, b in plan.routes[r.id] if a != b
         )
-        committed -= p.credit[r.id]
+        committed -= p.credit[ri]
     return bounds, committed
 
 
@@ -347,6 +350,50 @@ class TestAdmissibleBound:
         assert committed == total
         assert bounds[0] == root_bound(p)
         assert max(bounds) <= total
+
+
+def demand_rule(deployed, qualified, limit, demand_all, demand_new, fresh_only):
+    """The per-type coverage rule written as capacity products: some
+    instance deployed, their limits carry all the type's traffic, and under
+    no_reuse, for a type that new requests use, some fresh instance deployed
+    whose limits carry the new requests' traffic."""
+    if not deployed or deployed * limit < demand_all:
+        return False
+    return not fresh_only or (qualified > 0 and qualified * limit >= demand_new)
+
+
+class TestTypeCounts:
+    """``_type_demand_covered`` compares counts; it must accept exactly the
+    states the capacity products accept. Existing and new traffic of 0, 1
+    and 7 (or no new request) give every demand the rule tells apart."""
+
+    @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
+    @pytest.mark.parametrize(
+        "capacity, mu, limit",
+        [(0, 1.0, 0), (1, 1.0, 1), (3, 1.0, 3), (5, 0.5, Fraction(5, 2))],
+        ids=["limit0", "limit1", "limit3", "limit5/2"],
+    )
+    def test_counts_match_the_capacity_rule(self, net2, capacity, mu, limit, no_reuse):
+        vnf = mk_type(net2, capacity=capacity)
+        for old_traffic, new_traffic in itertools.product([0, 1, 7], [None, 0, 1, 7]):
+            requests = [mk_request(net2, rid="old", traffic=old_traffic, status="existing")]
+            if new_traffic is not None:
+                requests.append(mk_request(net2, rid="new", traffic=new_traffic))
+            inst = mk_instance(net2, types=[vnf], requests=requests, mu=mu)
+            assert inst.usage_limit(capacity) == limit
+            p = _Problem(inst, SolveOptions(no_reuse=no_reuse))
+            search = _Search(p, _Incumbent(p), deadline=0.0)
+            demand_new = new_traffic or 0
+            fresh_only = no_reuse and new_traffic is not None
+            for deployed in range(5):
+                # every deployed instance qualifies unless the type is fresh-only
+                for qualified in range(deployed + 1) if fresh_only else [deployed]:
+                    search.deployed["k0"] = [(0, 0)] * deployed
+                    search.qualified["k0"] = qualified
+                    expect = demand_rule(deployed, qualified, limit,
+                                         old_traffic + demand_new, demand_new, fresh_only)
+                    got = search._type_demand_covered("k0")
+                    assert got == expect, (old_traffic, new_traffic, deployed, qualified)
 
 
 class TestSearchEffort:
