@@ -295,7 +295,6 @@ class IlpModel:
     constant: int  # micro-money
     blocks: tuple = field(repr=False, compare=False)  # see _enumerate
     aliases: tuple[str, ...] = field(repr=False, compare=False)
-    name: str = "CHAINPLACE"
 
     def __post_init__(self):
         # equal names give equal aliases, so one check covers both
@@ -501,12 +500,9 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
             limit(net.server_capacity[s], frozen_load[s]),
         )
 
-    # VNF processing capacity: only types with assignment variables
-    assignable = {k for r in requests for k in r.chain}
+    # VNF processing capacity; every deployable type has assignment variables
     for vnf in deployable:
         k = vnf.name
-        if k not in assignable:
-            continue
         requesters = [(l_at[ri][k], r.traffic) for ri, r in enumerate(requests) if k in r.chain]
         for ii, i in enumerate(vnf.instances):
             for si, s in enumerate(servers):
@@ -656,7 +652,7 @@ def export_mps(model: IlpModel) -> str:
         "* chainplace MPS export\n"
         "* money values are scaled: coefficient = micro-money / 1e6\n"
         "* the RHS entry on the COST row is the negated objective constant\n"
-        f"NAME          {model.name}\n"
+        "NAME          CHAINPLACE\n"
         "OBJSENSE\n"
         "    MIN\n"
         "ROWS\n"

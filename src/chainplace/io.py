@@ -117,6 +117,13 @@ def _check_version(document, kind: str) -> None:
         raise ValueError(f"unsupported {kind} format_version {version!r}")
 
 
+def _per_server(field: str, values, servers) -> dict:
+    """``values`` keyed by server, refused unless there is one per server."""
+    if len(values) == len(servers):
+        return dict(zip(servers, values))
+    raise ValueError(f"{field} needs one entry per server: got {len(values)} for {len(servers)}")
+
+
 def document_to_instance(document: Mapping) -> ProblemInstance:
     _check_version(document, "instance")
     netdoc = document["network"]
@@ -127,11 +134,17 @@ def document_to_instance(document: Mapping) -> ProblemInstance:
         bandwidth=tuple(tuple(row) for row in netdoc["bandwidth"]),
         link_cost=tuple(tuple(row) for row in netdoc["link_cost"]),
         link_delay=tuple(tuple(row) for row in netdoc["link_delay"]),
-        server_capacity=dict(zip(servers, netdoc["server_capacity"])),
-        server_unit_cost=dict(zip(servers, netdoc["server_unit_cost"])),
+        server_capacity=_per_server("server_capacity", netdoc["server_capacity"], servers),
+        server_unit_cost=_per_server("server_unit_cost", netdoc["server_unit_cost"], servers),
     )
     types = []
     for tdoc in document["catalog"]["types"]:
+        prefix = f"type {tdoc['name']}: "
+        rows = _per_server(prefix + "migration_cost", tdoc["migration_cost"], servers)
+        rows = {
+            s: _per_server(f"{prefix}migration_cost row {s}", row, servers)
+            for s, row in rows.items()
+        }
         types.append(
             VnfType(
                 name=tdoc["name"],
@@ -139,12 +152,10 @@ def document_to_instance(document: Mapping) -> ProblemInstance:
                 capacity=tdoc["capacity"],
                 resource_req=tdoc["resource_req"],
                 instances=tuple(tdoc["instances"]),
-                processing_delay=dict(zip(servers, tdoc["processing_delay"])),
-                migration_cost={
-                    (s, d): tdoc["migration_cost"][i][j]
-                    for i, s in enumerate(servers)
-                    for j, d in enumerate(servers)
-                },
+                processing_delay=_per_server(
+                    prefix + "processing_delay", tdoc["processing_delay"], servers
+                ),
+                migration_cost={(s, d): c for s, row in rows.items() for d, c in row.items()},
             )
         )
     requests = []

@@ -9,9 +9,11 @@ non-negative and the current routes only contribute a constant credit.
 Each decision type needs two counts of instances (see ``_Problem``):
 enough to carry the traffic of every request that uses it, and under
 no_reuse, for a type that new requests use, enough fresh ones for the new
-requests' traffic. Every leaf meets both counts. The placement bound also
-charges each type with no qualifying instance deployed yet the least extra
-cost of deploying one of its undecided qualifying instances.
+requests' traffic. Every leaf meets both counts. Each stage reads one
+precomputed tail of its bound: the placement bound is the committed cost
+plus ``place_tail``, plus ``deploy_min`` while the current decision's type
+has no qualifying instance deployed; the assignment bound is the committed
+cost plus ``route_tail``.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
 instead of the incremental bookkeeping used here.
@@ -25,12 +27,15 @@ The search runs on integer tables that ``_Problem`` builds once per solve,
 indexed by node position in ``net.nodes`` (servers first, so a server's
 position is its index in ``net.servers``): flat row-major link cost, delay
 and usage-limit tables, per request the user's and the candidate servers'
-positions and the processing delay of each chain slot by server, and per
-decision its resource need and its options with their contributions. The
-search state holds server loads and link loads in lists, chain hosts as
-server positions and deployed instances as (decision, server) pairs, so no
-node looks a name up. Names appear only at a leaf, where the plan is built
-from the problem's table of link-name tuples.
+positions, per chain slot the type's position and usage limit and its
+processing delay by server, and per decision its type's position, its
+resource need and its options with their contributions. Every per-type
+fact is a list indexed by the type's position among the decision types.
+The search state holds server loads and link loads in lists, chain hosts
+as server positions and deployed instances as (decision, server) pairs per
+type position, so no node looks a name up. Names appear only at a leaf,
+where the plan is built from the problem's table of link-name tuples, and
+in the ``brute_force`` oracle.
 """
 
 from __future__ import annotations
@@ -123,6 +128,7 @@ def _instances_for(demand: int, limit: int | Fraction) -> int | float:
 @dataclass(frozen=True)
 class _Decision:
     vnf_name: str
+    type_pos: int  # the type's position among the decision types
     instance_id: int
     snap_server: str | None
     after: int | None  # the type's previous fresh decision, activated first
@@ -133,22 +139,29 @@ class _Decision:
     # (option, exact micro-money) pairs in the order the search tries them;
     # an option is a server position, or None for not deployed
     options: tuple
-    min_contrib: int
     qualifies: bool  # deploying it covers its type (see _Problem.deploy_min)
 
 
 class _Problem:
     """Immutable data shared by both solvers: the validated instance, the
-    options, the decisions with their exact contributions, the suffix sums
-    the search bound reads and the integer tables the search runs on. The
+    options, the decisions with their exact contributions, the bound tails
+    the search reads and the integer tables the search runs on. The
     instance is validated once, here, so one ``_Problem`` can feed both
     engines (``solve --oracle`` does).
 
-    Per decision type, ``need`` is the fewest instances, at least one, whose
-    usage limit carries the traffic of every request that uses the type.
-    ``need_qualified`` is the same count for the new requests' traffic when
-    the type is fresh-only (no_reuse, and some new request uses it), else 1.
-    A count is inf when the limit is 0 and the traffic is not.
+    Decision types (the catalog types some chain uses) are numbered in
+    catalog order, and every per-type table is a list by that position.
+    ``need[k]`` is the fewest instances, at least one, whose usage limit
+    carries the traffic of every request that uses type ``k``.
+    ``need_qualified[k]`` is the same count for the new requests' traffic
+    when the type is fresh-only (no_reuse, and some new request uses it),
+    else 1. A count is inf when the limit is 0 and the traffic is not.
+
+    ``place_tail[di]`` is the least cost still to come once decisions
+    before ``di`` are made; ``deploy_min[di]`` is what the placement bound
+    adds while di's type has no qualifying instance deployed.
+    ``route_tail[ri]`` is the least cost still to come once requests before
+    ``ri`` are routed.
 
     The tables number nodes by their position in ``net.nodes``. Servers come
     first, so a server's number is its index in ``net.servers``. Link tables
@@ -183,7 +196,6 @@ class _Problem:
         self.canon = [min(a, b) * n + max(a, b) for a in range(n) for b in range(n)]
         self.link_names = [(nodes[c // n], nodes[c % n]) for c in self.canon]
 
-        self.snapshot_ids = {(k, i) for k, i, _s in instance.snapshot.deployed}
         snapshot_entries = {e: e for e in instance.snapshot.deployed}
 
         # snapshot entries of unneeded types are outside the decision space,
@@ -196,12 +208,12 @@ class _Problem:
         self.decisions: list[_Decision] = []
         # once the last instance of a type is decided, the deployed instances
         # must already meet the type's counts; type_end maps the index after
-        # it to the type, so checking at the boundary keeps the placement
-        # stage from wading through dead subtrees
-        self.type_end: dict[int, str] = {}
-        self.need: dict[str, int | float] = {}
-        self.need_qualified: dict[str, int | float] = {}
-        type_limit = {}
+        # it to the type's position, so checking at the boundary keeps the
+        # placement stage from wading through dead subtrees
+        self.type_end: dict[int, int] = {}
+        self.need: list[int | float] = []
+        self.need_qualified: list[int | float] = []
+        slot = {}  # type name -> (type position, usage limit)
         positions = range(len(net.servers))
         for vnf in instance.catalog.types:
             users = [r for r in self.requests if vnf.name in r.chain]
@@ -209,9 +221,11 @@ class _Problem:
                 continue
             new_users = [r for r in users if r.status == STATUS_NEW]
             fresh_only = options.no_reuse and bool(new_users)
-            cap = type_limit[vnf.name] = limit(vnf.capacity)
-            self.need[vnf.name] = _instances_for(sum(r.traffic for r in users), cap)
-            self.need_qualified[vnf.name] = (
+            k = len(self.need)
+            cap = limit(vnf.capacity)
+            slot[vnf.name] = (k, cap)
+            self.need.append(_instances_for(sum(r.traffic for r in users), cap))
+            self.need_qualified.append(
                 _instances_for(sum(r.traffic for r in new_users), cap) if fresh_only else 1
             )
             hosting = [vnf.resource_req * net.server_unit_cost[s] for s in net.servers]
@@ -241,60 +255,17 @@ class _Problem:
                 self.decisions.append(
                     _Decision(
                         vnf_name=vnf.name,
+                        type_pos=k,
                         instance_id=i,
                         snap_server=snap_server,
                         after=previous,
                         resource_req=vnf.resource_req,
                         placements=tuple(placements),
                         options=choices,
-                        min_contrib=min(c for _t, c in choices),
                         qualifies=snap_server is None or not fresh_only,
                     )
                 )
-            self.type_end[len(self.decisions)] = vnf.name
-
-        # admissible tails: undecided instances take their cheapest option
-        # (suffix_min); a type with no qualifying instance deployed yet adds
-        # the least extra of deploying one of its undecided qualifying
-        # instances (deploy_min, deploy_tail); unrouted requests get the
-        # credit for their current links back (suffix_credit) and pay at
-        # least traffic x their cheapest server->user link (suffix_route),
-        # both set up below.
-        # Every leaf deploys a qualifying instance of each decision type:
-        # _type_demand_covered asks for need_qualified of them, at least
-        # one. Deploying decision d costs at least min_contrib + extra,
-        # extra being its cheapest server option minus min_contrib. A
-        # type's term reads only its own undecided instances, which
-        # suffix_min counts at min_contrib, and adds one extra per type, so
-        # nothing is counted twice. Every route loads its last-host->user
-        # link: the user is a declared user node and node names are unique,
-        # so that link is never a self-link, and the route's other links
-        # cost nothing negative. So the bound never exceeds the total of a
-        # leaf below it, and pruning only when it is strictly above the
-        # incumbent still visits every leaf that could improve or tie: a
-        # search that finishes returns the optimum, the tie-break plan and
-        # the incumbent updates of a search without the deployment and
-        # routing terms, in no more nodes.
-        count = len(self.decisions)
-        self.suffix_min = [0] * (count + 1)
-        # deploy_min[di]: least extra over the qualifying decisions from di
-        # to the end of di's type, inf when there are none; deploy_tail[di]:
-        # the sum of deploy_min at the first decision of each later type
-        self.deploy_min = [math.inf] * count
-        self.deploy_tail = [0] * (count + 1)
-        least = math.inf
-        for di in range(count - 1, -1, -1):
-            d = self.decisions[di]
-            self.suffix_min[di] = self.suffix_min[di + 1] + d.min_contrib
-            self.deploy_tail[di] = self.deploy_tail[di + 1]
-            if di + 1 in self.type_end:  # di is the last of its type
-                if di + 1 < count:
-                    self.deploy_tail[di] += self.deploy_min[di + 1]
-                least = math.inf
-            if d.qualifies:
-                extra = min(c for t, c in d.options if t is not None) - d.min_contrib
-                least = min(least, extra)
-            self.deploy_min[di] = least
+            self.type_end[len(self.decisions)] = k
 
         # per request, by request index: the cost of its current links,
         # which its new route replaces
@@ -302,23 +273,60 @@ class _Problem:
         for r in self.requests:
             links = normalize_route(net, r.current_route)
             self.credit.append(r.traffic * sum(net.cost_between(a, b) for a, b in links))
-        self.suffix_credit = [0] * (len(self.requests) + 1)
-        self.suffix_route = [0] * (len(self.requests) + 1)
+
+        # Admissible tails. route_tail[ri]: each request from ri on gets the
+        # credit for its current links back and pays at least traffic x its
+        # cheapest server->user link. Every route loads its last-host->user
+        # link: the user is a declared user node and node names are unique,
+        # so that link is never a self-link, and the route's other links
+        # cost nothing negative.
+        # place_tail[di]: each undecided instance takes its cheapest option,
+        # each later type adds deploy_min at its first decision, and every
+        # request is still to route (route_tail[0]); inf passes through.
+        # deploy_min[di]: the least extra over the cheapest option among the
+        # qualifying decisions from di to the end of di's type, inf when
+        # there are none. Every leaf deploys a qualifying instance of each
+        # decision type: _type_demand_covered asks for need_qualified of
+        # them, at least one. A type's term reads only its own undecided
+        # instances, which place_tail counts at their cheapest option, and
+        # adds one extra per type, so nothing is counted twice. So the bound
+        # never exceeds the total of a leaf below it, and pruning only when
+        # it is strictly above the incumbent still visits every leaf that
+        # could improve or tie: a search that finishes returns the optimum,
+        # the tie-break plan and the incumbent updates of a search without
+        # the deployment and routing terms, in no more nodes.
+        self.route_tail = [0] * (len(self.requests) + 1)
         for ri in range(len(self.requests) - 1, -1, -1):
             r = self.requests[ri]
-            self.suffix_credit[ri] = self.suffix_credit[ri + 1] - self.credit[ri]
             user_link = min(net.cost_between(s, r.user) for s in net.servers)
-            self.suffix_route[ri] = self.suffix_route[ri + 1] + r.traffic * user_link
+            self.route_tail[ri] = self.route_tail[ri + 1] + r.traffic * user_link - self.credit[ri]
+        count = len(self.decisions)
+        self.deploy_min = [math.inf] * count
+        self.place_tail = [self.route_tail[0]] * (count + 1)
+        least = math.inf
+        for di in range(count - 1, -1, -1):
+            d = self.decisions[di]
+            tail = self.place_tail[di + 1]
+            if di + 1 in self.type_end:  # di is the last of its type
+                if di + 1 < count:
+                    tail += self.deploy_min[di + 1]
+                least = math.inf
+            cheapest = min(c for _t, c in d.options)
+            self.place_tail[di] = tail + cheapest
+            if d.qualifies:
+                extra = min(c for t, c in d.options if t is not None) - cheapest
+                least = min(least, extra)
+            self.deploy_min[di] = least
 
         # per request, by request index: the user's position, the candidate
-        # content servers' positions, and per chain slot the type's usage
-        # limit and its processing delay by server position
+        # content servers' positions, and per chain slot the type's
+        # (position, usage limit) and its processing delay by server position
         self.user_at = [net.position(r.user) for r in self.requests]
         self.candidates = [
             tuple(s for s in positions if net.servers[s] in r.candidate_servers)
             for r in self.requests
         ]
-        self.slot_limit = [tuple(type_limit[k] for k in r.chain) for r in self.requests]
+        self.slots = [tuple(slot[k] for k in r.chain) for r in self.requests]
         self.proc_delay = [
             tuple(
                 tuple(instance.catalog.get(k).processing_delay[s] for s in net.servers)
@@ -331,15 +339,6 @@ class _Problem:
             options.no_reuse and r.status == STATUS_NEW for r in self.requests
         ]
         self.gtlp_vars = enumerate_variables(instance, decisions_only=True)
-
-    def deploy_need(self, di: int, qualified: Mapping[str, int]) -> int | float:
-        """The deployment term of the placement bound at decision ``di``,
-        given how many qualifying instances each type has deployed so far;
-        inf when a type without one has no qualifying instance left."""
-        need = self.deploy_tail[di]
-        if di < len(self.decisions) and not qualified[self.decisions[di].vnf_name]:
-            need += self.deploy_min[di]
-        return need
 
 
 class _Incumbent:
@@ -378,14 +377,13 @@ class _Search:
 
         # per decision: its server, None while not deployed
         self.target: list[int | None] = [None] * len(problem.decisions)
-        # per type: (decision, server) of each deployed instance, in
-        # decision order
-        self.deployed: dict[str, list[tuple[int, int]]] = {
-            d.vnf_name: [] for d in problem.decisions
-        }
+        # per type position: (decision, server) of each deployed instance,
+        # in decision order
+        self.deployed: list[list[tuple[int, int]]] = [[] for _k in problem.need]
         self.server_load = list(problem.base_load)
-        # qualifying instances deployed, per type (see _Problem.deploy_min)
-        self.qualified = {d.vnf_name: 0 for d in problem.decisions}
+        # qualifying instances deployed, per type position (see
+        # _Problem.deploy_min)
+        self.qualified = [0] * len(problem.need)
         # per request: content server, then per chain slot its host and
         # decision, and the (chain links, entry link) of its route
         self.gamma: list[int | None] = [None] * len(problem.requests)
@@ -404,7 +402,7 @@ class _Search:
             self.aborted = True
         return self.aborted
 
-    def _type_demand_covered(self, k: str) -> bool:
+    def _type_demand_covered(self, k: int) -> bool:
         p = self.p
         return len(self.deployed[k]) >= p.need[k] and self.qualified[k] >= p.need_qualified[k]
 
@@ -414,13 +412,9 @@ class _Search:
         ended = p.type_end.get(di)
         if ended is not None and not self._type_demand_covered(ended):
             return
-        bound = (
-            self.committed
-            + p.suffix_min[di]
-            + p.deploy_need(di, self.qualified)
-            + p.suffix_credit[0]
-            + p.suffix_route[0]
-        )
+        bound = self.committed + p.place_tail[di]
+        if di < len(p.decisions) and not self.qualified[p.decisions[di].type_pos]:
+            bound += p.deploy_min[di]
         if bound == math.inf:
             return  # a type can no longer deploy a qualifying instance
         if self._expired():
@@ -452,26 +446,26 @@ class _Search:
         if target is not None:
             d = self.p.decisions[di]
             self.target[di] = target
-            self.deployed[d.vnf_name].append((di, target))
+            self.deployed[d.type_pos].append((di, target))
             self.server_load[target] += d.resource_req
             if d.qualifies:
-                self.qualified[d.vnf_name] += 1
+                self.qualified[d.type_pos] += 1
 
     def _undo_tau(self, di: int, target: int | None, delta: int) -> None:
         self.committed -= delta
         if target is not None:
             d = self.p.decisions[di]
             self.target[di] = None
-            self.deployed[d.vnf_name].pop()
+            self.deployed[d.type_pos].pop()
             self.server_load[target] -= d.resource_req
             if d.qualifies:
-                self.qualified[d.vnf_name] -= 1
+                self.qualified[d.type_pos] -= 1
 
     # stage (b): chain assignments; a finished chain is routed once per
     # content-server candidate
     def _branch_lambda(self, ri: int, pos: int) -> None:
         p = self.p
-        bound = self.committed + p.suffix_credit[ri] + p.suffix_route[ri]
+        bound = self.committed + p.route_tail[ri]
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
@@ -481,15 +475,15 @@ class _Search:
         if ri == len(p.requests):
             self._offer_leaf()
             return
-        r = p.requests[ri]
-        if pos == len(r.chain):
+        slots = p.slots[ri]
+        if pos == len(slots):
             self._route_and_descend(ri)
             return
-        traffic = r.traffic
-        limit = p.slot_limit[ri][pos]
+        traffic = p.requests[ri].traffic
+        k, limit = slots[pos]
         skips_snapshot = p.skips_snapshot[ri]
         hosts, picks, inst_load = self.hosts[ri], self.picks[ri], self.inst_load
-        for di, s in self.deployed[r.chain[pos]]:
+        for di, s in self.deployed[k]:
             if skips_snapshot and p.decisions[di].snap_server is not None:
                 continue
             load = inst_load[di] + traffic
@@ -624,35 +618,32 @@ def _solve_exact(problem: _Problem) -> SolveResult:
     return SolveResult(STATUS_OPTIMAL, incumbent.plan, breakdown, stats)
 
 
-def brute_force(
-    instance: ProblemInstance,
-    options: SolveOptions | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> SolveResult:
+def brute_force(instance: ProblemInstance, options: SolveOptions | None = None) -> SolveResult:
     """Exhaustive oracle: enumerate every content-server, placement and
     assignment combination, derive routes, keep what ``check_feasibility``
     accepts and minimize ``total_objective`` under the same tie-break as
     ``solve_exact``.
 
     Assignments are enumerated over deployed instances only; anything else
-    would fail the deployment constraint the checker applies anyway.
+    would fail the deployment constraint the checker applies anyway. A
+    decision space above ``DEFAULT_ENUMERATION_CAP`` raises ``TooLargeError``.
     """
-    return _brute_force(_Problem(instance, options or SolveOptions()), cap)
+    return _brute_force(_Problem(instance, options or SolveOptions()))
 
 
-def _brute_force(p: _Problem, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
+def _brute_force(p: _Problem) -> SolveResult:
     instance, options = p.instance, p.options
-    size = 1
+    snapshot = instance.snapshot
     gamma_domains = [tuple(p.servers[s] for s in cands) for cands in p.candidates]
-    for domain in gamma_domains:
-        size *= max(1, len(domain))
-    for _d in p.decisions:
-        size *= 1 + len(p.servers)
-    for r in p.requests:
-        for k in r.chain:
-            size *= max(1, len(instance.catalog.get(k).instances))
-    if size > cap:
-        raise TooLargeError(f"decision space {size} exceeds enumeration cap {cap}")
+    size = math.prod(max(1, len(domain)) for domain in gamma_domains)
+    size *= (1 + len(p.servers)) ** len(p.decisions)
+    size *= math.prod(
+        max(1, len(instance.catalog.get(k).instances)) for r in p.requests for k in r.chain
+    )
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise TooLargeError(
+            f"decision space {size} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
+        )
 
     start = time.monotonic()
     incumbent = _Incumbent(p)
@@ -682,7 +673,7 @@ def _brute_force(p: _Problem, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult
                 for k in r.chain:
                     pool = deployed.get(k, [])
                     if options.no_reuse and r.status == STATUS_NEW:
-                        pool = [(i, s) for i, s in pool if (k, i) not in p.snapshot_ids]
+                        pool = [(i, s) for i, s in pool if snapshot.server_of(k, i) is None]
                     lam_domains.append(((r.id, k), pool))
             for picks in itertools.product(*(dom for _key, dom in lam_domains)):
                 nodes += 1

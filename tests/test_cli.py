@@ -251,10 +251,11 @@ class TestUsage:
              "new_requests must be an integer of at least 0, got -1"),
             (["generate", "--reduced", "--servers", "0"],
              "n_servers must be an integer of at least 1, got 0"),
+            (["generate", "--scenario", "1..2"], "generate expects a single scenario id"),
         ],
         ids=["generate-scenario-0", "generate-scenario-7", "compare-scenario-7",
              "compare-scenario-text", "vnf-types-text", "vnf-types-zero",
-             "new-negative", "reduced-servers-zero"],
+             "new-negative", "reduced-servers-zero", "generate-scenario-range"],
     )
     def test_bad_generator_argument_is_one_line_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -312,8 +313,13 @@ class TestUsage:
              "invalid instance: NOT_A_STRING(requests,0): ['x']"),
             (lambda doc: doc["requests"][0]["chain"].__setitem__(0, ["x"]),
              "invalid instance: NOT_A_STRING(chain,r0,0): ['x']"),
+            (lambda doc: doc["network"]["server_capacity"].__setitem__(0, 0),
+             "invalid instance: NONPOSITIVE_CAPACITY(s0): G=0"),
+            (lambda doc: doc["requests"][0].update(status="gone"),
+             "invalid instance: BAD_STATUS(r0,gone)"),
         ],
-        ids=["array", "long-route-row", "extra-route-rows", "request-id", "chain-entry"],
+        ids=["array", "long-route-row", "extra-route-rows", "request-id", "chain-entry",
+             "zero-capacity", "bad-status"],
     )
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_malformed_instance_is_one_line_error(
@@ -328,6 +334,73 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert err == message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize(
+        "table, field",
+        [
+            (lambda doc: doc["network"]["server_capacity"], "server_capacity"),
+            (lambda doc: doc["network"]["server_unit_cost"], "server_unit_cost"),
+            (lambda doc: doc["catalog"]["types"][0]["processing_delay"],
+             "type k0: processing_delay"),
+            (lambda doc: doc["catalog"]["types"][0]["migration_cost"], "type k0: migration_cost"),
+            (lambda doc: doc["catalog"]["types"][0]["migration_cost"][0],
+             "type k0: migration_cost row s0"),
+        ],
+        ids=["server-capacity", "server-unit-cost", "processing-delay", "migration-rows",
+             "migration-row"],
+    )
+    @pytest.mark.parametrize("length", [1, 3], ids=["short", "long"])
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_per_server_table_needs_one_entry_per_server(
+        self, tiny_file, tmp_path, capsys, command, table, field, length
+    ):
+        document = json.loads(tiny_file.read_text())
+        entries = table(document)
+        entries[:] = (entries * 2)[:length]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        plan = [str(tmp_path / "never-read.json")] if command == "check" else []
+        code, out, err = run(capsys, command, str(path), *plan)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"cannot read instance {path}: {field} needs one entry per server: "
+            f"got {length} for 2\n"
+        )
+
+    def test_missing_instance_file_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"[Errno 2] No such file or directory: {str(path)!r}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["content_server"].append(["r9", "s0"]),
+             "plan selects content server for unknown request 'r9'"),
+            (lambda doc: doc["deployment"].append(["k0", 0, "s9"]),
+             "plan deploys on unknown server 's9'"),
+            (lambda doc: doc["deployment"].append(["k0", 99, "s0"]),
+             "plan deploys unknown instance ('k0', 99)"),
+            (lambda doc: doc["routes"]["r0"].append(["s0", "x9"]),
+             "plan routes over unknown link ('s0', 'x9')"),
+        ],
+        ids=["request", "server", "instance", "link"],
+    )
+    def test_plan_naming_what_the_instance_lacks_is_one_line_error(
+        self, tiny_file, tmp_path, capsys, edit, message
+    ):
+        instance = document_to_instance(json.loads(tiny_file.read_text()))
+        document = plan_to_document(solve_exact(instance).plan)
+        edit(document)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "check", str(tiny_file), str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"plan does not match the instance: {message}\n"
 
     def test_deeply_nested_instance_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -13,6 +13,7 @@ from chainplace.model import (
     PlacementPlan,
     Report,
     Snapshot,
+    VnfCatalog,
     check_feasibility,
     snapshot_diff,
     validate_instance,
@@ -22,7 +23,70 @@ from chainplace.solver import SolveOptions, _Problem, brute_force, solve_exact
 from conftest import mk_instance, mk_network, mk_plan, mk_request, mk_type
 
 
+def _network(inst, **changes):
+    return replace(inst, network=replace(inst.network, **changes))
+
+
+def _vnf(inst, **changes):
+    return replace(inst, catalog=VnfCatalog((replace(inst.catalog.types[0], **changes),)))
+
+
+def _request(inst, **changes):
+    return replace(inst, requests=(replace(inst.requests[0], **changes),))
+
+
+def _entry(table, key, value):
+    """``table`` with ``key`` set to ``value``, or dropped when it is None."""
+    table = {k: v for k, v in table.items() if k != key}
+    return table if value is None else {**table, key: value}
+
+
+# (code, subject, mutation of the tiny instance: 2 servers, 1 user, type k0
+# with one instance, new request r0 with chain k0)
+MUTATIONS = [
+    ("DUPLICATE_NODE", ("s0",), lambda i: _network(i, users=("s0",))),
+    ("MATRIX_SHAPE", ("bandwidth",),
+     lambda i: _network(i, bandwidth=i.network.bandwidth[:-1])),
+    ("NEGATIVE_ENTRY", ("link_delay", 0, 1), lambda i: _network(
+        i, link_delay=[[0, -1, 5], [-1, 0, 5], [5, 5, 0]])),
+    ("MISSING_SERVER_CAPACITY", ("s1",), lambda i: _network(
+        i, server_capacity=_entry(i.network.server_capacity, "s1", None))),
+    ("NONPOSITIVE_CAPACITY", ("s0",), lambda i: _network(
+        i, server_capacity=_entry(i.network.server_capacity, "s0", 0))),
+    ("MISSING_SERVER_COST", ("s1",), lambda i: _network(
+        i, server_unit_cost=_entry(i.network.server_unit_cost, "s1", None))),
+    ("NEGATIVE_COST", ("s0",), lambda i: _network(
+        i, server_unit_cost=_entry(i.network.server_unit_cost, "s0", -1))),
+    ("DUPLICATE_VNF_TYPE", ("k0",),
+     lambda i: replace(i, catalog=VnfCatalog(i.catalog.types * 2))),
+    ("EMPTY_INSTANCE_POOL", ("k0",), lambda i: _vnf(i, instances=())),
+    ("DUPLICATE_INSTANCE_ID", ("k0",), lambda i: _vnf(i, instances=(0, 0))),
+    ("MISSING_PROCESSING_DELAY", ("k0", "s1"), lambda i: _vnf(
+        i, processing_delay=_entry(i.catalog.types[0].processing_delay, "s1", None))),
+    ("MISSING_MIGRATION_COST", ("k0", "s0", "s1"), lambda i: _vnf(
+        i, migration_cost=_entry(i.catalog.types[0].migration_cost, ("s0", "s1"), None))),
+    ("DUPLICATE_REQUEST_ID", ("r0",), lambda i: replace(i, requests=i.requests * 2)),
+    ("UNKNOWN_USER", ("r0", "u9"), lambda i: _request(i, user="u9")),
+    ("EMPTY_CHAIN", ("r0",), lambda i: _request(i, chain=())),
+    ("DUPLICATE_CHAIN_TYPE", ("r0",), lambda i: _request(i, chain=("k0", "k0"))),
+    ("UNKNOWN_SERVER", ("r0", "s9"), lambda i: _request(i, candidate_servers=("s0", "s9"))),
+    ("BAD_STATUS", ("r0", "gone"), lambda i: _request(i, status="gone")),
+    ("UNKNOWN_NODE", ("r0", "s0", "x9"),
+     lambda i: _request(i, status="existing", current_route={("s0", "x9")})),
+    ("UNKNOWN_INSTANCE", ("snapshot", "k0", 5),
+     lambda i: replace(i, snapshot=Snapshot({("k0", 5, "s0")}))),
+    ("NOT_A_NUMBER", ("usage_threshold",), lambda i: replace(i, usage_threshold="1")),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize(
+        "code, subject, mutate", MUTATIONS, ids=[code for code, _s, _m in MUTATIONS]
+    )
+    def test_each_code_is_reported_without_raising(self, tiny, code, subject, mutate):
+        report = validate_instance(mutate(tiny))
+        assert report.has(code, *subject)
+
     def test_well_formed_instance_has_empty_report(self, tiny):
         assert validate_instance(tiny).ok
 
@@ -267,7 +331,8 @@ class TestUsageLimit:
         p = _Problem(inst, SolveOptions())
         limit = inst.usage_limit
         assert p.server_cap == [limit(9)] * 3
-        assert p.slot_limit == [(limit(4), limit(11))]
+        # slots name each chain type by its position in catalog order
+        assert p.slots == [((1, limit(4)), (0, limit(11)))]
         # a self-link never fills; every other entry, in either orientation,
         # is the link's limit
         for a, b in itertools.product(range(n), repeat=2):

@@ -300,9 +300,7 @@ class TestBindingRegimes:
 
 def root_bound(p) -> int:
     """The search bound at the root, before any instance is placed."""
-    qualified = {d.vnf_name: 0 for d in p.decisions}
-    tail = p.suffix_credit[0] + p.suffix_route[0]
-    return p.suffix_min[0] + p.deploy_need(0, qualified) + tail
+    return p.place_tail[0] + (p.deploy_min[0] if p.decisions else 0)
 
 
 def path_bounds(p, plan) -> tuple[list[int], int]:
@@ -312,20 +310,18 @@ def path_bounds(p, plan) -> tuple[list[int], int]:
     placement bounds count, per type, the qualifying instances the path has
     deployed so far, as the search does. A decision's options are keyed by
     server position."""
-    placed ={(k, i): p.net.position(s) for k, i, s in plan.deployment}
-    route_tail = p.suffix_credit[0] + p.suffix_route[0]
-    qualified = {d.vnf_name: 0 for d in p.decisions}
+    placed = {(k, i): p.net.position(s) for k, i, s in plan.deployment}
+    qualified = [0] * len(p.need)
     committed, bounds = 0, []
     for di, d in enumerate(p.decisions):
-        bounds.append(
-            committed + p.suffix_min[di] + p.deploy_need(di, qualified) + route_tail
-        )
+        missing = p.deploy_min[di] if not qualified[d.type_pos] else 0
+        bounds.append(committed + p.place_tail[di] + missing)
         target = placed.get((d.vnf_name, d.instance_id))
         committed += dict(d.options)[target]
         if target is not None and d.qualifies:
-            qualified[d.vnf_name] += 1
+            qualified[d.type_pos] += 1
     for ri, r in enumerate(p.requests):
-        bounds.append(committed + p.suffix_credit[ri] + p.suffix_route[ri])
+        bounds.append(committed + p.route_tail[ri])
         committed += sum(
             p.net.cost_between(a, b) * r.traffic for a, b in plan.routes[r.id] if a != b
         )
@@ -388,11 +384,11 @@ class TestTypeCounts:
             for deployed in range(5):
                 # every deployed instance qualifies unless the type is fresh-only
                 for qualified in range(deployed + 1) if fresh_only else [deployed]:
-                    search.deployed["k0"] = [(0, 0)] * deployed
-                    search.qualified["k0"] = qualified
+                    search.deployed[0] = [(0, 0)] * deployed
+                    search.qualified[0] = qualified
                     expect = demand_rule(deployed, qualified, limit,
                                          old_traffic + demand_new, demand_new, fresh_only)
-                    got = search._type_demand_covered("k0")
+                    got = search._type_demand_covered(0)
                     assert got == expect, (old_traffic, new_traffic, deployed, qualified)
 
 
