@@ -156,12 +156,16 @@ def _parse_scenario_range(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",")]
+            ids = list(range(int(lo), int(hi) + 1))
+        else:
+            ids = [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(
             f"--scenario expects an id, a range such as 1..3 or a list such as 1,3; got {text!r}"
         ) from None
+    if not ids:
+        raise ValueError(f"--scenario range {text!r} is empty")
+    return ids
 
 
 def cmd_generate(args) -> int:

@@ -10,10 +10,12 @@ Each decision type needs two counts of instances (see ``_Problem``):
 enough to carry the traffic of every request that uses it, and under
 no_reuse, for a type that new requests use, enough fresh ones for the new
 requests' traffic. Every leaf meets both counts. Each stage reads one
-precomputed tail of its bound: the placement bound is the committed cost
-plus ``place_tail``, plus ``deploy_min`` while the current decision's type
-has no qualifying instance deployed; the assignment bound is the committed
-cost plus ``route_tail``.
+tail of its bound: the placement bound is the committed cost plus
+``place_tail`` (which prices each request at its cheapest server->user
+link), plus ``deploy_min`` while the current decision's type has no
+qualifying instance deployed. At the placement leaf the servers of each
+type are fixed, so the assignment bound is the committed cost plus
+``_Problem.leaf_tail``: each unrouted request's cheapest route over them.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
 instead of the incremental bookkeeping used here.
@@ -158,10 +160,11 @@ class _Problem:
     else 1. A count is inf when the limit is 0 and the traffic is not.
 
     ``place_tail[di]`` is the least cost still to come once decisions
-    before ``di`` are made; ``deploy_min[di]`` is what the placement bound
-    adds while di's type has no qualifying instance deployed.
-    ``route_tail[ri]`` is the least cost still to come once requests before
-    ``ri`` are routed.
+    before ``di`` are made, with every request priced at its cheapest
+    server->user link; ``deploy_min[di]`` is what the placement bound adds
+    while di's type has no qualifying instance deployed. The assignment
+    stage reads ``leaf_tail`` instead, built from the servers the placement
+    leaf deploys.
 
     The tables number nodes by their position in ``net.nodes``. Servers come
     first, so a server's number is its index in ``net.servers``. Link tables
@@ -274,15 +277,16 @@ class _Problem:
             links = normalize_route(net, r.current_route)
             self.credit.append(r.traffic * sum(net.cost_between(a, b) for a, b in links))
 
-        # Admissible tails. route_tail[ri]: each request from ri on gets the
-        # credit for its current links back and pays at least traffic x its
-        # cheapest server->user link. Every route loads its last-host->user
-        # link: the user is a declared user node and node names are unique,
-        # so that link is never a self-link, and the route's other links
-        # cost nothing negative.
+        # Admissible tails of the placement stage (leaf_tail serves the
+        # assignment stage). routes: each request gets the credit for its
+        # current links back and pays at least traffic x its cheapest
+        # server->user link. Every route loads its last-host->user link: the
+        # user is a declared user node and node names are unique, so that
+        # link is never a self-link, and the route's other links cost
+        # nothing negative.
         # place_tail[di]: each undecided instance takes its cheapest option,
         # each later type adds deploy_min at its first decision, and every
-        # request is still to route (route_tail[0]); inf passes through.
+        # request is still to route; inf passes through.
         # deploy_min[di]: the least extra over the cheapest option among the
         # qualifying decisions from di to the end of di's type, inf when
         # there are none. Every leaf deploys a qualifying instance of each
@@ -294,15 +298,14 @@ class _Problem:
         # it is strictly above the incumbent still visits every leaf that
         # could improve or tie: a search that finishes returns the optimum,
         # the tie-break plan and the incumbent updates of a search without
-        # the deployment and routing terms, in no more nodes.
-        self.route_tail = [0] * (len(self.requests) + 1)
-        for ri in range(len(self.requests) - 1, -1, -1):
-            r = self.requests[ri]
-            user_link = min(net.cost_between(s, r.user) for s in net.servers)
-            self.route_tail[ri] = self.route_tail[ri + 1] + r.traffic * user_link - self.credit[ri]
+        # the deployment and routing terms (leaf_tail's too), in no more nodes.
+        routes = sum(
+            r.traffic * min(net.cost_between(s, r.user) for s in net.servers) - credit
+            for r, credit in zip(self.requests, self.credit)
+        )
         count = len(self.decisions)
         self.deploy_min = [math.inf] * count
-        self.place_tail = [self.route_tail[0]] * (count + 1)
+        self.place_tail = [routes] * (count + 1)
         least = math.inf
         for di in range(count - 1, -1, -1):
             d = self.decisions[di]
@@ -339,6 +342,41 @@ class _Problem:
             options.no_reuse and r.status == STATUS_NEW for r in self.requests
         ]
         self.gtlp_vars = enumerate_variables(instance, decisions_only=True)
+        # leaf_tail's memo, the only state that changes after construction:
+        # cheapest route per traffic unit by (user, candidates, slot masks)
+        self._route_min: dict[tuple, int | float] = {}
+
+    def leaf_tail(self, masks: tuple) -> list:
+        """The assignment stage's tail once the placement is fixed: entry
+        ``ri`` is the least cost still to come once requests before ``ri``
+        are routed. ``masks[k]`` holds two server bitmasks for type position
+        ``k``: the servers deploying it, and those deploying a qualifying
+        instance of it. Each request pays traffic x its cheapest route,
+        minus its credit. The route's content server is a candidate and its
+        hosts deploy its slots' types; a request that skips snapshot
+        instances reads the qualifying masks, since every type it uses is
+        fresh-only. Capacities and delay are ignored. A route is a set of
+        links, so a link used twice is priced once, as the objective prices
+        it, and a self-link costs nothing: no leaf below pays less."""
+        n, canon, cost = self.n_nodes, self.canon, self.link_cost
+        tail = [0] * (len(self.requests) + 1)
+        for ri in range(len(self.requests) - 1, -1, -1):
+            fresh = self.skips_snapshot[ri]
+            slot_masks = tuple(masks[k][fresh] for k, _limit in self.slots[ri])
+            key = (self.user_at[ri], self.candidates[ri], slot_masks)
+            route = self._route_min.get(key)
+            if route is None:
+                route = math.inf
+                pools = [[s for s in range(len(self.servers)) if m >> s & 1] for m in slot_masks]
+                for hosts in itertools.product(*pools):
+                    links = {canon[a * n + b] for a, b in zip(hosts, hosts[1:])}
+                    links.add(canon[hosts[-1] * n + self.user_at[ri]])
+                    entries = (canon[cs * n + hosts[0]] for cs in self.candidates[ri])
+                    entry = min(0 if e in links else cost[e] for e in entries)
+                    route = min(route, entry + sum(cost[c] for c in links))
+                self._route_min[key] = route
+            tail[ri] = tail[ri + 1] + self.requests[ri].traffic * route - self.credit[ri]
+        return tail
 
 
 class _Incumbent:
@@ -393,6 +431,7 @@ class _Search:
         self.inst_load = [0] * len(problem.decisions)
         self.link_load = [0] * len(problem.link_cap)
         self.committed = 0
+        self.route_tail: list = []  # the leaf tail, set at each placement leaf
 
     def _expired(self) -> bool:
         if self.aborted:
@@ -424,7 +463,10 @@ class _Search:
         if inc is not None and bound > inc:
             return
         if di == len(p.decisions):
-            # every type passed _type_demand_covered at its type_end
+            # every type passed _type_demand_covered at its type_end; the
+            # placement is fixed, so the assignment stage prices routes over
+            # the servers it deploys
+            self.route_tail = p.leaf_tail(self._host_masks())
             self._branch_lambda(0, 0)
             return
 
@@ -440,6 +482,21 @@ class _Search:
             self._commit_tau(di, target, delta)
             self._branch_tau(di + 1)
             self._undo_tau(di, target, delta)
+
+    def _host_masks(self) -> tuple:
+        """Per type position, the bitmasks of the servers deploying it and
+        of those deploying a qualifying instance of it, as
+        ``_Problem.leaf_tail`` reads them."""
+        decisions = self.p.decisions
+        masks = []
+        for placed in self.deployed:
+            every = qualified = 0
+            for di, s in placed:
+                every |= 1 << s
+                if decisions[di].qualifies:
+                    qualified |= 1 << s
+            masks.append((every, qualified))
+        return tuple(masks)
 
     def _commit_tau(self, di: int, target: int | None, delta: int) -> None:
         self.committed += delta
@@ -465,7 +522,7 @@ class _Search:
     # content-server candidate
     def _branch_lambda(self, ri: int, pos: int) -> None:
         p = self.p
-        bound = self.committed + p.route_tail[ri]
+        bound = self.committed + self.route_tail[ri]
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
@@ -582,9 +639,10 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     repeatable. The bound at each node adds the exact committed cost, the
     cheapest contribution of each undecided instance, for each type with no
     qualifying instance deployed yet the least extra cost of deploying one,
-    the credit of the current routes not yet replaced and the cheapest user
-    link of each request not yet routed; on a time-limited run the least
-    bound left unexplored gives ``stats.gap``."""
+    the credit of the current routes not yet replaced and, for each request
+    not yet routed, its cheapest user link while placing and its cheapest
+    route over the deployed servers once placed; on a time-limited run the
+    least bound left unexplored gives ``stats.gap``."""
     return _solve_exact(_Problem(instance, options or SolveOptions()))
 
 

@@ -252,10 +252,15 @@ class TestUsage:
             (["generate", "--reduced", "--servers", "0"],
              "n_servers must be an integer of at least 1, got 0"),
             (["generate", "--scenario", "1..2"], "generate expects a single scenario id"),
+            (["compare", "--scenario", "3..1", "--reduced"], "--scenario range '3..1' is empty"),
+            (["compare", "--scenario", "3..1", "--reduced", "--format", "json"],
+             "--scenario range '3..1' is empty"),
+            (["generate", "--scenario", "3..1"], "--scenario range '3..1' is empty"),
         ],
         ids=["generate-scenario-0", "generate-scenario-7", "compare-scenario-7",
              "compare-scenario-text", "vnf-types-text", "vnf-types-zero",
-             "new-negative", "reduced-servers-zero", "generate-scenario-range"],
+             "new-negative", "reduced-servers-zero", "generate-scenario-range",
+             "compare-empty-range-csv", "compare-empty-range-json", "generate-empty-range"],
     )
     def test_bad_generator_argument_is_one_line_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -23,6 +23,7 @@ from chainplace.solver import (
 
 from conftest import (
     MS,
+    RESOURCE,
     UNIT_COST,
     frozen_load_instance,
     mk_instance,
@@ -155,20 +156,22 @@ class TestSolveExact:
     def test_time_limited_gap_stays_below_the_incumbent(self):
         # the deployment term keeps the lower bound positive on the hardest
         # full-scale case measured; without it the gap exceeds the incumbent.
-        # The whole solve takes about 0.8 s of CPU on a 2-vCPU Xeon host, so
-        # a 0.1 s limit binds with room to spare
+        # The whole solve takes about 0.1 s of CPU on a 2-vCPU Xeon host, so
+        # a 0.01 s limit binds with room to spare; the first leaf comes at
+        # node 44, before the first deadline check at node 256, so the run
+        # stops with an incumbent
         frozen = json.loads(FULL_ORACLE[7].read_text())
         optimum = frozen["scenarios"]["3"]["no_reuse"]["total_micro"]
         inst = generate(ScenarioSpec.table_row(3, seed=7))
-        options = SolveOptions(time_limit=0.1, no_reuse=True, clamp_instantiation=True)
+        options = SolveOptions(time_limit=0.01, no_reuse=True, clamp_instantiation=True)
         assert 0 < root_bound(_Problem(inst, options)) <= optimum
         result = solve_exact(inst, options)
         assert result.status == "time_limit"
         assert 0 <= result.stats.gap < result.breakdown.total
 
     def test_time_limit_returns_incumbent_with_gap(self):
-        # full-scale scenario 3 under no_reuse takes about 0.2 s of CPU to
-        # prove optimal on a 2-vCPU Xeon host, far above the limit
+        # full-scale scenario 3 under no_reuse takes about 0.08 s of CPU to
+        # prove optimal on a 2-vCPU Xeon host, well above the limit
         inst = generate(ScenarioSpec.table_row(3, seed=3))
         result = solve_exact(inst, SolveOptions(time_limit=0.01, no_reuse=True))
         assert result.status == "time_limit"
@@ -285,6 +288,25 @@ def binding_instances(draw):
     )
 
 
+def snapshot_beside_fresh_instance():
+    """Each server holds one instance of k0, and an instance carries one
+    request. The existing request keeps the snapshot instance on s0; the
+    new request's content is on s0 too, but under no_reuse it must use the
+    fresh instance, which only fits on s1. So its cheapest route is
+    s0 -> s1 -> u0, where reusing would cost only the s0 -> u0 link."""
+    net = mk_network(n_servers=2, capacity=RESOURCE)
+    return mk_instance(
+        net,
+        types=[mk_type(net, instances=2, capacity=1)],
+        requests=[
+            mk_request(net, rid="r0", status="existing",
+                       route=[net.link("s0", "s0"), net.link("s0", "u0")]),
+            mk_request(net, rid="r1", candidates=("s0",)),
+        ],
+        snapshot=[("k0", 0, "s0")],
+    )
+
+
 class TestBindingRegimes:
     @given(instance=binding_instances(), options=st.sampled_from(OPTION_SETS))
     @example(instance=frozen_load_instance(0.5), options=SolveOptions())
@@ -303,13 +325,38 @@ def root_bound(p) -> int:
     return p.place_tail[0] + (p.deploy_min[0] if p.decisions else 0)
 
 
+def host_masks(p, plan) -> tuple:
+    """Per type position, the bitmasks of the servers that deploy the type
+    in ``plan`` and of those that deploy a qualifying instance of it: any
+    instance, or a fresh one when the type is fresh-only (no_reuse, and a
+    new request uses it). This is the key ``_Problem.leaf_tail`` reads at
+    the placement leaf of ``plan``'s path."""
+    position = {d.vnf_name: d.type_pos for d in p.decisions}
+    fresh_only = {
+        k for r in p.requests if p.options.no_reuse and r.status == "new" for k in r.chain
+    }
+    masks = [[0, 0] for _k in p.need]
+    for k, i, s in plan.deployment:
+        if k in position:
+            bit = 1 << p.net.position(s)
+            masks[position[k]][0] |= bit
+            if k not in fresh_only or p.instance.snapshot.server_of(k, i) is None:
+                masks[position[k]][1] |= bit
+    return tuple(tuple(pair) for pair in masks)
+
+
+def route_cost(net, route) -> int:
+    return sum(net.cost_between(a, b) for a, b in route if a != b)
+
+
 def path_bounds(p, plan) -> tuple[list[int], int]:
     """The search bound at each node on the path to ``plan``: placements in
     decision order, then one node per request before it is routed. Also
     returns the committed cost at the leaf, which is the plan's total. The
     placement bounds count, per type, the qualifying instances the path has
     deployed so far, as the search does. A decision's options are keyed by
-    server position."""
+    server position. The assignment bounds read the leaf tail of the plan's
+    deployment."""
     placed = {(k, i): p.net.position(s) for k, i, s in plan.deployment}
     qualified = [0] * len(p.need)
     committed, bounds = 0, []
@@ -320,13 +367,37 @@ def path_bounds(p, plan) -> tuple[list[int], int]:
         committed += dict(d.options)[target]
         if target is not None and d.qualifies:
             qualified[d.type_pos] += 1
+    tail = p.leaf_tail(host_masks(p, plan))
     for ri, r in enumerate(p.requests):
-        bounds.append(committed + p.route_tail[ri])
-        committed += sum(
-            p.net.cost_between(a, b) * r.traffic for a, b in plan.routes[r.id] if a != b
-        )
-        committed -= p.credit[ri]
+        bounds.append(committed + tail[ri])
+        committed += r.traffic * route_cost(p.net, plan.routes[r.id]) - p.credit[ri]
     return bounds, committed
+
+
+def cheapest_routes(instance, plan, no_reuse) -> list[int]:
+    """Per request, traffic x the cost of its cheapest route by brute force
+    over names: any candidate content server, and per chain slot any
+    instance of the slot's type that ``plan`` deploys, a fresh one for a new
+    request under no_reuse. Capacities and delay are ignored."""
+    out = []
+    for r in instance.requests:
+        pools = []
+        for k in r.chain:
+            pool = [(s, i) for kind, i, s in plan.deployment if kind == k]
+            if no_reuse and r.status == "new":
+                pool = [(s, i) for s, i in pool if instance.snapshot.server_of(k, i) is None]
+            pools.append(pool)
+        keys = [(r.id, k) for k in r.chain]
+        costs = [
+            route_cost(
+                instance.network,
+                derive_routes(instance, {r.id: cs}, dict(zip(keys, picks)))[r.id],
+            )
+            for cs in r.candidate_servers
+            for picks in itertools.product(*pools)
+        ]
+        out.append(r.traffic * min(costs))
+    return out
 
 
 class TestAdmissibleBound:
@@ -346,6 +417,49 @@ class TestAdmissibleBound:
         assert committed == total
         assert bounds[0] == root_bound(p)
         assert max(bounds) <= total
+
+    @given(instance=binding_instances(), options=st.sampled_from(OPTION_SETS))
+    @example(instance=snapshot_beside_fresh_instance(), options=SolveOptions(no_reuse=True))
+    @example(instance=snapshot_beside_fresh_instance(), options=SolveOptions())
+    @settings(max_examples=200, deadline=None)
+    def test_leaf_minimum_is_the_cheapest_route(self, instance, options):
+        """At the optimum's placement leaf, each request's share of the leaf
+        tail is its cheapest route less its credit, and that route costs no
+        more than the one the optimum takes. The search builds the leaf's
+        masks from its own state, so replaying the optimum's placement on
+        it must give the masks read off the plan."""
+        p = _Problem(instance, options)
+        slow = _brute_force(p)
+        if slow.breakdown is None:
+            return
+        search = _Search(p, _Incumbent(p), deadline=0.0)
+        placed = {(k, i): p.net.position(s) for k, i, s in slow.plan.deployment}
+        for di, d in enumerate(p.decisions):
+            target = placed.get((d.vnf_name, d.instance_id))
+            search._commit_tau(di, target, dict(d.options)[target])
+        masks = host_masks(p, slow.plan)
+        assert search._host_masks() == masks
+        tail = p.leaf_tail(masks)
+        cheapest = cheapest_routes(instance, slow.plan, options.no_reuse)
+        for ri, r in enumerate(instance.requests):
+            assert tail[ri] - tail[ri + 1] == cheapest[ri] - p.credit[ri]
+            assert cheapest[ri] <= r.traffic * route_cost(instance.network, slow.plan.routes[r.id])
+
+    def test_a_link_used_twice_is_priced_once(self):
+        """Content on s0, k0 only on s1 and k1 only on s0: the one route is
+        s0 -> s1 -> s0 -> u0, whose links are {s0-s1, s0-u0}. Pricing it hop
+        by hop would charge s0-s1 twice and overshoot the route's cost."""
+        net = mk_network(n_servers=2, link_cost=100_000)
+        types = [mk_type(net, name="k0"), mk_type(net, name="k1")]
+        inst = mk_instance(
+            net,
+            types=types,
+            requests=[mk_request(net, chain=("k0", "k1"), traffic=2, candidates=("s0",))],
+        )
+        p = _Problem(inst, SolveOptions())
+        assert p.leaf_tail(((0b10, 0b10), (0b01, 0b01))) == [2 * 200_000, 0]
+        # co-located on the content server, the route pays its user link only
+        assert p.leaf_tail(((0b01, 0b01), (0b01, 0b01))) == [2 * 100_000, 0]
 
 
 def demand_rule(deployed, qualified, limit, demand_all, demand_new, fresh_only):
@@ -393,18 +507,19 @@ class TestTypeCounts:
 
 
 class TestSearchEffort:
-    """(nodes, incumbent_updates, nodes before the deployment term) for the
-    reduced seed-3 table. A bound term that stays admissible only prunes
-    more, so the count may fall but never rise above the count without it,
-    and the incumbent updates do not change."""
+    """(nodes, incumbent_updates, nodes before the assignment stage priced
+    routes over the deployed servers) for the reduced seed-3 table. A bound
+    term that stays admissible only prunes more, so the count may fall but
+    never rise above the count without it, and the incumbent updates do not
+    change."""
 
     PINNED = {
-        (1, "online"): (1504, 12, 2452),
-        (1, "no_reuse"): (3892, 12, 6910),
-        (2, "online"): (714, 9, 962),
-        (2, "no_reuse"): (6164, 20, 11584),
-        (3, "online"): (216, 11, 534),
-        (3, "no_reuse"): (11732, 50, 28383),
+        (1, "online"): (411, 12, 1504),
+        (1, "no_reuse"): (1048, 12, 3892),
+        (2, "online"): (273, 9, 714),
+        (2, "no_reuse"): (1279, 20, 6164),
+        (3, "online"): (115, 11, 216),
+        (3, "no_reuse"): (2887, 50, 11732),
     }
 
     @pytest.mark.parametrize("scenario_id", [1, 2, 3])
@@ -419,18 +534,18 @@ class TestSearchEffort:
 
 
 class TestFullScaleOracle:
-    # no_reuse nodes on the default seed before the deployment term: the
-    # search may only get smaller
-    NODE_CEILING = {1: 271_526, 2: 311_796, 3: 336_077}
+    # no_reuse nodes on the default seed before the assignment stage priced
+    # routes over the deployed servers: the search may only get smaller
+    NODE_CEILING = {1: 69_135, 2: 109_405, 3: 133_686}
     # (nodes, incumbent_updates) on the default seed: a change in the order
     # the search explores shows here
     PINNED = {
-        (1, "online"): (856, 16),
-        (2, "online"): (850, 21),
-        (3, "online"): (652, 9),
-        (1, "no_reuse"): (69_135, 31),
-        (2, "no_reuse"): (109_405, 70),
-        (3, "no_reuse"): (133_686, 72),
+        (1, "online"): (151, 16),
+        (2, "online"): (318, 21),
+        (3, "online"): (184, 9),
+        (1, "no_reuse"): (8_884, 31),
+        (2, "no_reuse"): (9_893, 70),
+        (3, "no_reuse"): (10_301, 72),
     }
 
     # the default seed keeps its plain scenario ids
@@ -457,6 +572,28 @@ class TestFullScaleOracle:
                 stats = case.stats
                 effort = (stats.nodes, stats.incumbent_updates)
                 assert effort == self.PINNED[(scenario_id, case.label)]
+
+
+class TestFrontier:
+    """A case past the paper's table: 6 servers, 6 user groups, 4 existing
+    and 6 new requests at seed 5, under no_reuse. HiGHS proves 300 813 746
+    on the exported MPS file, in about 50 s of CPU on a 2-vCPU Xeon host;
+    the search took 6.3 s and 3 139 225 nodes before the assignment stage
+    priced routes over the deployed servers, and takes about 0.4 s now."""
+
+    NODE_CEILING = 3_139_225
+
+    def test_proves_the_highs_optimum(self):
+        spec = ScenarioSpec(
+            seed=5, n_servers=6, n_user_groups=6, existing_requests=4, new_requests=6
+        )
+        result = solve_exact(
+            generate(spec), SolveOptions(no_reuse=True, clamp_instantiation=True)
+        )
+        assert result.status == "optimal"
+        assert result.breakdown.total == 300_813_746
+        assert result.stats.incumbent_updates == 439
+        assert result.stats.nodes < self.NODE_CEILING
 
 
 class TestInvariants:
