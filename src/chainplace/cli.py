@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import io as _io
 from . import scenario as _scenario
@@ -165,6 +166,12 @@ def _parse_scenario_range(text: str) -> list[int]:
         ) from None
     if not ids:
         raise ValueError(f"--scenario range {text!r} is empty")
+    if ".." in text:
+        return ids  # a range never repeats an id
+    repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
+    if repeated:
+        listed = ", ".join(map(str, repeated))
+        raise ValueError(f"--scenario lists id {listed} more than once; got {text!r}")
     return ids
 
 

@@ -118,13 +118,10 @@ def _deployable_types(instance: ProblemInstance):
     return tuple(t for t in instance.catalog.types if t.name in required)
 
 
-def _enumerate(
-    instance: ProblemInstance, decisions_only: bool = False
-) -> tuple[tuple[IlpVar, ...], tuple[str, ...], tuple]:
-    """All binary variables in canonical order (g, t, l, p, x, m, q), or
-    with ``decisions_only`` the g, t, l, p blocks alone, their aliases, and
-    the first index of each block of them; a variable's index is its
-    block's base plus its position inside the block. The blocks are, per
+def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple[str, ...], tuple]:
+    """All binary variables in canonical order (g, t, l, p, x, m, q), their
+    aliases, and the first index of each block of them; a variable's index
+    is its block's base plus its position inside the block. The blocks are, per
     family: ``g[r]``, ``t[k][i]``, ``l[r][k][s]`` (then the instance),
     ``p[r]`` (then ``pair``), ``x[k][i]`` (then ``s * n_servers + d``),
     ``m[r]`` (then ``(s * n_servers + d) * n_instances + i``) and
@@ -205,9 +202,6 @@ def _enumerate(
         for a, b, name_end, alias_end in ends:
             out.append(new(IlpVar, (name + name_end, "p", (r.id, a, b))))
             aliases.append(alias + alias_end)
-    if decisions_only:
-        return tuple(out), tuple(aliases), (g_at, t_at, l_at, p_at, pair)
-
     x_at = {vnf.name: [] for vnf in deployable}
     for vnf in deployable:
         k, ka = vnf.name, part(vnf.name)
@@ -250,13 +244,11 @@ def _enumerate(
     return tuple(out), tuple(aliases), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
 
 
-def enumerate_variables(
-    instance: ProblemInstance, decisions_only: bool = False
-) -> tuple[IlpVar, ...]:
-    """All binary variables in canonical order: g, t, l, p, x, m, q. With
-    ``decisions_only``, the decision families g, t, l, p alone: the prefix
-    of the full order that ``plan_vector`` reads."""
-    return _enumerate(instance, decisions_only)[0]
+def enumerate_variables(instance: ProblemInstance) -> tuple[IlpVar, ...]:
+    """All binary variables in canonical order: g, t, l, p, x, m, q. The
+    decision families g, t, l, p come first, so a vector over them, as
+    ``plan_vector`` makes, orders plans as the full vector's prefix."""
+    return _enumerate(instance)[0]
 
 
 def plan_vector(

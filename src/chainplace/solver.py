@@ -35,9 +35,14 @@ resource need and its options with their contributions. Every per-type
 fact is a list indexed by the type's position among the decision types.
 The search state holds server loads and link loads in lists, chain hosts
 as server positions and deployed instances as (decision, server) pairs per
-type position, so no node looks a name up. Names appear only at a leaf,
-where the plan is built from the problem's table of link-name tuples, and
-in the ``brute_force`` oracle.
+type position, so no node looks a name up. A leaf offers the incumbent a
+copy of that state. Equal totals are ordered by ``_Problem.leaf_key``: the
+positions of the ones in the plan's canonical g, t, l, p vector, found by
+arithmetic on per-problem position maps and made only when two totals tie.
+Names appear once, when the search ends and the winning leaf is built into
+a plan from the problem's placement entries and link-name tuples.
+``brute_force`` keys its plans with the named variables and ``plan_vector``
+instead, so the oracle stays independent of the position maps.
 """
 
 from __future__ import annotations
@@ -147,7 +152,8 @@ class _Decision:
 class _Problem:
     """Immutable data shared by both solvers: the validated instance, the
     options, the decisions with their exact contributions, the bound tails
-    the search reads and the integer tables the search runs on. The
+    the search reads, the integer tables the search runs on and the
+    position maps its tie-break key reads (see ``leaf_key``). The
     instance is validated once, here, so one ``_Problem`` can feed both
     engines (``solve --oracle`` does).
 
@@ -341,7 +347,36 @@ class _Problem:
         self.skips_snapshot = [
             options.no_reuse and r.status == STATUS_NEW for r in self.requests
         ]
-        self.gtlp_vars = enumerate_variables(instance, decisions_only=True)
+        # position maps of the decision variables g, t, l, p in the compiled
+        # program's order (``ilp._enumerate``), which leaf_key reads. With
+        # S servers, request ri's content server s is at ri * S + s, and
+        # decision di on server s at t_at + di * S + s. A request's l block
+        # runs per server over its chain slots' instances: chain slot pos on
+        # server s by decision di is at l_slot[ri][pos] + s * l_width[ri] + di.
+        # Its p block lists node pairs in combinations order, then the
+        # servers' self-links: canonical link entry c is at p_at[ri] + p_off[c]
+        n_servers = len(net.servers)
+        self.t_at = len(self.requests) * n_servers
+        size = [0] * len(self.need)  # instances per type position
+        for d in self.decisions:
+            size[d.type_pos] += 1
+        first = list(itertools.accumulate(size, initial=0))  # decisions run by type
+        at = self.t_at + len(self.decisions) * n_servers
+        self.l_slot, self.l_width = [], []
+        for slots in self.slots:
+            offsets, width = [], 0
+            for k, _limit in slots:
+                offsets.append(at + width - first[k])
+                width += size[k]
+            self.l_slot.append(tuple(offsets))
+            self.l_width.append(width)
+            at += n_servers * width
+        pairs = list(itertools.combinations(range(n), 2))
+        pairs += [(s, s) for s in positions]
+        self.p_off = [0] * (n * n)
+        for off, (a, b) in enumerate(pairs):
+            self.p_off[a * n + b] = off
+        self.p_at = [at + ri * len(pairs) for ri in range(len(self.requests))]
         # leaf_tail's memo, the only state that changes after construction:
         # cheapest route per traffic unit by (user, candidates, slot masks)
         self._route_min: dict[tuple, int | float] = {}
@@ -378,32 +413,88 @@ class _Problem:
             tail[ri] = tail[ri + 1] + self.requests[ri].traffic * route - self.credit[ri]
         return tail
 
+    def leaf_key(self, leaf: tuple) -> tuple:
+        """The tie-break key of a search leaf, the (target, gamma, hosts,
+        picks, routes) state that ``_Search._offer_leaf`` copies: the
+        positions of the ones in its plan's canonical g, t, l, p vector,
+        ascending and negated. Two leaves' keys compare as the vectors of
+        their plans do, equality included: at the first position where the
+        vectors differ, the plan with the 0 there has its next one later, so
+        its key holds a smaller number there or ends first."""
+        target, gamma, hosts, picks, routes = leaf
+        n_servers, t_at, p_off = len(self.servers), self.t_at, self.p_off
+        ones = [ri * n_servers + cs for ri, cs in enumerate(gamma)]
+        ones += [t_at + di * n_servers + s for di, s in enumerate(target) if s is not None]
+        for ri, (chain_links, entry) in enumerate(routes):
+            l_slot, width = self.l_slot[ri], self.l_width[ri]
+            ones += [at + s * width + di for at, s, di in zip(l_slot, hosts[ri], picks[ri])]
+            p_at = self.p_at[ri]
+            ones += [p_at + p_off[c] for c in chain_links | {entry}]
+        ones.sort()
+        return tuple(-i for i in ones)
+
+    def leaf_plan(self, leaf: tuple) -> PlacementPlan:
+        """The named plan of a search leaf, made of the problem's shared
+        placement entries and link-name tuples."""
+        target, gamma, hosts, picks, routes = leaf
+        servers, decisions, names = self.servers, self.decisions, self.link_names
+        assignment = []
+        plan_routes = {}
+        for ri, r in enumerate(self.requests):
+            for s, di in zip(hosts[ri], picks[ri]):
+                d = decisions[di]
+                assignment.append((r.id, servers[s], d.vnf_name, d.instance_id))
+            chain_links, entry = routes[ri]
+            route = frozenset([names[c] for c in chain_links] + [names[entry]])
+            # an unchanged route shares the request's set
+            plan_routes[r.id] = r.current_route if route == r.current_route else route
+        return PlacementPlan(
+            content_server=frozenset(
+                (r.id, servers[cs]) for r, cs in zip(self.requests, gamma)
+            ),
+            deployment={
+                d.placements[s] for d, s in zip(decisions, target) if s is not None
+            } | set(self.frozen),
+            assignment=frozenset(assignment),
+            routes=plan_routes,
+        )
+
 
 class _Incumbent:
-    """The best plan offered so far, by total and then by the tie-break
-    key: the plan's canonical g, t, l, p vector."""
+    """The best leaf offered so far, by total and then by the tie-break
+    key: the canonical g, t, l, p vector of its plan. The payload is what
+    the engine offers (``brute_force`` a plan, the search a snapshot of its
+    state) and ``key_of`` makes its key. A key is made only when two totals
+    tie, and at most once per payload."""
 
-    def __init__(self, problem: _Problem):
-        self.p = problem
+    def __init__(self):
         self.total: int | None = None
-        self.key: tuple | None = None
-        self.plan: PlacementPlan | None = None
+        self.payload = None
+        self.key: tuple | None = None  # the payload's key, once a tie asked for it
+        self.key_of = None
         self.updates = 0
 
-    def offer(self, total: int, plan: PlacementPlan) -> None:
-        if self.total is not None and total > self.total:
-            return
-        key = plan_vector(self.p.instance, plan, self.p.gtlp_vars)
-        if self.total is None or (total, key) < (self.total, self.key):
-            self.total, self.key, self.plan = total, key, plan
-            self.updates += 1
+    def offer(self, total: int, payload, key_of) -> None:
+        key = None
+        if self.total is not None:
+            if total > self.total:
+                return
+            if total == self.total:
+                if self.key is None:
+                    self.key = self.key_of(self.payload)
+                key = key_of(payload)
+                if not key < self.key:
+                    return
+        self.total, self.payload, self.key, self.key_of = total, payload, key, key_of
+        self.updates += 1
 
 
 class _Search:
     """The depth-first exploration of the search tree. State is mutated in
     place along the path and restored on backtrack. It holds positions and
     indices only: servers and links by their ``_Problem`` table position,
-    instances by decision index. Names appear at the leaf."""
+    instances by decision index. Names appear only in the plan that
+    ``_solve_exact`` builds from the winning leaf."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
         self.p = problem
@@ -605,31 +696,16 @@ class _Search:
             link_load[link] -= traffic
 
     def _offer_leaf(self) -> None:
-        # the leaf's bound is its total, so the plan is never worse than
-        # the incumbent
-        p = self.p
-        servers, decisions, names = p.servers, p.decisions, p.link_names
-        assignment = []
-        routes = {}
-        for ri, r in enumerate(p.requests):
-            for s, di in zip(self.hosts[ri], self.picks[ri]):
-                d = decisions[di]
-                assignment.append((r.id, servers[s], d.vnf_name, d.instance_id))
-            chain_links, entry = self.routes[ri]
-            route = frozenset([names[c] for c in chain_links] + [names[entry]])
-            # an unchanged route shares the request's set
-            routes[r.id] = r.current_route if route == r.current_route else route
-        plan = PlacementPlan(
-            content_server=frozenset(
-                (r.id, servers[self.gamma[ri]]) for ri, r in enumerate(p.requests)
-            ),
-            deployment={
-                d.placements[s] for d, s in zip(decisions, self.target) if s is not None
-            } | set(p.frozen),
-            assignment=frozenset(assignment),
-            routes=routes,
+        # the leaf's bound is its total, so it is never worse than the
+        # incumbent; the offer keeps a copy of the state that makes the plan
+        leaf = (
+            list(self.target),
+            list(self.gamma),
+            [list(h) for h in self.hosts],
+            [list(p) for p in self.picks],
+            list(self.routes),  # route tuples are never changed once made
         )
-        self.incumbent.offer(self.committed, plan)
+        self.incumbent.offer(self.committed, leaf, self.p.leaf_key)
 
 
 def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) -> SolveResult:
@@ -651,7 +727,7 @@ def _solve_exact(problem: _Problem) -> SolveResult:
     if any(load > cap for load, cap in zip(problem.base_load, problem.server_cap)):
         # the untouched instances alone overfill a server
         return SolveResult(STATUS_INFEASIBLE, None, None, SolveStats())
-    incumbent = _Incumbent(problem)
+    incumbent = _Incumbent()
     start = time.monotonic()
     search = _Search(problem, incumbent, start + options.time_limit)
     search._branch_tau(0)
@@ -661,19 +737,20 @@ def _solve_exact(problem: _Problem) -> SolveResult:
         incumbent_updates=incumbent.updates,
         wall_time=time.monotonic() - start,
     )
-    if incumbent.plan is None:
+    if incumbent.payload is None:
         if search.aborted:
             return SolveResult(STATUS_TIME_LIMIT, None, None, stats)
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
 
+    plan = problem.leaf_plan(incumbent.payload)
     breakdown = _costs.total_objective(
-        instance, incumbent.plan, clamp_instantiation=options.clamp_instantiation
+        instance, plan, clamp_instantiation=options.clamp_instantiation
     )
     if search.aborted:
         lb = min(search.abort_lb, incumbent.total)
         stats.gap = incumbent.total - lb if lb != math.inf else None
-        return SolveResult(STATUS_TIME_LIMIT, incumbent.plan, breakdown, stats)
-    return SolveResult(STATUS_OPTIMAL, incumbent.plan, breakdown, stats)
+        return SolveResult(STATUS_TIME_LIMIT, plan, breakdown, stats)
+    return SolveResult(STATUS_OPTIMAL, plan, breakdown, stats)
 
 
 def brute_force(instance: ProblemInstance, options: SolveOptions | None = None) -> SolveResult:
@@ -703,8 +780,13 @@ def _brute_force(p: _Problem) -> SolveResult:
             f"decision space {size} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
 
+    decision_vars = tuple(v for v in enumerate_variables(instance) if v.family in "gtlp")
+
+    def key_of(plan: PlacementPlan) -> tuple[int, ...]:
+        return plan_vector(instance, plan, decision_vars)
+
     start = time.monotonic()
-    incumbent = _Incumbent(p)
+    incumbent = _Incumbent()
     nodes = 0
 
     targets = (None,) + tuple(p.servers)
@@ -755,13 +837,13 @@ def _brute_force(p: _Problem) -> SolveResult:
                 total = _costs.total_objective(
                     instance, plan, clamp_instantiation=options.clamp_instantiation
                 ).total
-                incumbent.offer(total, plan)
+                incumbent.offer(total, plan, key_of)
 
     wall = time.monotonic() - start
     stats = SolveStats(nodes=nodes, incumbent_updates=incumbent.updates, wall_time=wall)
-    if incumbent.plan is None:
+    if incumbent.payload is None:
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
     breakdown = _costs.total_objective(
-        instance, incumbent.plan, clamp_instantiation=options.clamp_instantiation
+        instance, incumbent.payload, clamp_instantiation=options.clamp_instantiation
     )
-    return SolveResult(STATUS_OPTIMAL, incumbent.plan, breakdown, stats)
+    return SolveResult(STATUS_OPTIMAL, incumbent.payload, breakdown, stats)

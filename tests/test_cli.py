@@ -256,11 +256,18 @@ class TestUsage:
             (["compare", "--scenario", "3..1", "--reduced", "--format", "json"],
              "--scenario range '3..1' is empty"),
             (["generate", "--scenario", "3..1"], "--scenario range '3..1' is empty"),
+            (["compare", "--scenario", "1,1", "--reduced"],
+             "--scenario lists id 1 more than once; got '1,1'"),
+            (["compare", "--scenario", "2,1,2", "--reduced", "--format", "json"],
+             "--scenario lists id 2 more than once; got '2,1,2'"),
+            (["generate", "--scenario", "3,3"],
+             "--scenario lists id 3 more than once; got '3,3'"),
         ],
         ids=["generate-scenario-0", "generate-scenario-7", "compare-scenario-7",
              "compare-scenario-text", "vnf-types-text", "vnf-types-zero",
              "new-negative", "reduced-servers-zero", "generate-scenario-range",
-             "compare-empty-range-csv", "compare-empty-range-json", "generate-empty-range"],
+             "compare-empty-range-csv", "compare-empty-range-json", "generate-empty-range",
+             "compare-repeated-id-csv", "compare-repeated-id-json", "generate-repeated-id"],
     )
     def test_bad_generator_argument_is_one_line_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

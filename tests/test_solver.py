@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainplace.costs import total_objective
 from chainplace.errors import TooLargeError
+from chainplace.ilp import enumerate_variables, plan_vector
 from chainplace.model import Network, check_feasibility
 from chainplace.scenario import DEFAULT_SEED, ScenarioSpec, generate, run_comparison
 from chainplace.solver import (
@@ -16,6 +18,7 @@ from chainplace.solver import (
     _Incumbent,
     _Problem,
     _Search,
+    _solve_exact,
     brute_force,
     derive_routes,
     solve_exact,
@@ -432,7 +435,7 @@ class TestAdmissibleBound:
         slow = _brute_force(p)
         if slow.breakdown is None:
             return
-        search = _Search(p, _Incumbent(p), deadline=0.0)
+        search = _Search(p, _Incumbent(), deadline=0.0)
         placed = {(k, i): p.net.position(s) for k, i, s in slow.plan.deployment}
         for di, d in enumerate(p.decisions):
             target = placed.get((d.vnf_name, d.instance_id))
@@ -492,7 +495,7 @@ class TestTypeCounts:
             inst = mk_instance(net2, types=[vnf], requests=requests, mu=mu)
             assert inst.usage_limit(capacity) == limit
             p = _Problem(inst, SolveOptions(no_reuse=no_reuse))
-            search = _Search(p, _Incumbent(p), deadline=0.0)
+            search = _Search(p, _Incumbent(), deadline=0.0)
             demand_new = new_traffic or 0
             fresh_only = no_reuse and new_traffic is not None
             for deployed in range(5):
@@ -531,6 +534,73 @@ class TestSearchEffort:
             nodes, updates, before = self.PINNED[(scenario_id, case.label)]
             assert nodes <= before
             assert (case.stats.nodes, case.stats.incumbent_updates) == (nodes, updates)
+
+    def test_search_never_calls_plan_vector(self, monkeypatch):
+        """The search breaks ties on keys read from its own state, so the
+        named variables and ``plan_vector`` are the oracle's alone."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the search called into the ILP layer")
+
+        monkeypatch.setattr("chainplace.solver.plan_vector", refuse)
+        monkeypatch.setattr("chainplace.solver.enumerate_variables", refuse)
+        report = run_comparison(ScenarioSpec.table_row(3, seed=DEFAULT_SEED, reduced=True))
+        for case in (report.online, report.no_reuse):
+            nodes, updates, _before = self.PINNED[(3, case.label)]
+            assert (case.stats.nodes, case.stats.incumbent_updates) == (nodes, updates)
+
+
+def offered_leaves(problem) -> list[tuple]:
+    """(total, leaf) of every leaf the search offers its incumbent."""
+    offers = []
+    offer = _Incumbent.offer
+
+    def record(incumbent, total, leaf, key_of):
+        offers.append((total, leaf))
+        offer(incumbent, total, leaf, key_of)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Incumbent, "offer", record)
+        _solve_exact(problem)
+    return offers
+
+
+def assert_keys_order_as_plan_vector(problem, offers) -> None:
+    """Every pair of offered leaves compares by ``leaf_key`` exactly as
+    their built plans compare by ``plan_vector``, equality included, and
+    each key holds the negated positions of its vector's ones. Each leaf's
+    plan checks out at the total it was offered with, so the leaf is a copy
+    of the search state and not a view of it."""
+    instance = problem.instance
+    decision_vars = [v for v in enumerate_variables(instance) if v.family in "gtlp"]
+    keys, vectors = [], []
+    for total, leaf in offers:
+        plan = problem.leaf_plan(leaf)
+        assert check_feasibility(instance, plan).feasible
+        clamp = problem.options.clamp_instantiation
+        assert total_objective(instance, plan, clamp_instantiation=clamp).total == total
+        keys.append(problem.leaf_key(leaf))
+        vectors.append(plan_vector(instance, plan, decision_vars))
+        assert keys[-1] == tuple(-i for i, bit in enumerate(vectors[-1]) if bit)
+    for (key_a, vec_a), (key_b, vec_b) in itertools.combinations(zip(keys, vectors), 2):
+        assert (key_a < key_b, key_a == key_b) == (vec_a < vec_b, vec_a == vec_b)
+
+
+class TestTieBreakKey:
+    @given(instance=binding_instances(), no_reuse=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_key_orders_leaves_as_plan_vector(self, instance, no_reuse):
+        problem = _Problem(instance, SolveOptions(no_reuse=no_reuse))
+        assert_keys_order_as_plan_vector(problem, offered_leaves(problem))
+
+    def test_reduced_case_with_ties(self):
+        """Reduced seed-3 scenario 3 under no_reuse offers 62 leaves, and
+        33 of them tie the incumbent's total."""
+        instance = generate(ScenarioSpec.table_row(3, seed=DEFAULT_SEED, reduced=True))
+        problem = _Problem(instance, SolveOptions(no_reuse=True, clamp_instantiation=True))
+        offers = offered_leaves(problem)
+        assert len({total for total, _leaf in offers}) < len(offers)
+        assert_keys_order_as_plan_vector(problem, offers)
 
 
 class TestFullScaleOracle:
