@@ -131,33 +131,47 @@ def _log_invalid(report) -> None:
         _log(f"invalid instance: {v}")
 
 
-def _spec_from_args(args, scenario_id=None) -> _scenario.ScenarioSpec:
+# the ScenarioSpec field each size flag sets, by the flag's name
+_SIZE_FIELDS = {
+    "servers": "n_servers",
+    "users": "n_user_groups",
+    "existing": "existing_requests",
+    "new": "new_requests",
+}
+
+
+def _specs_from_args(args) -> list[_scenario.ScenarioSpec]:
+    """Every spec the scenario flags name: one per table row ``--scenario``
+    names, else one from the size flags. Each is built, and so checked,
+    before the caller generates or compares any; a flag that makes no valid
+    spec is a usage error."""
     seed = _resolve_seed(args)
-    overrides = _parse_overrides(getattr(args, "set", None))
-    if scenario_id is not None:
-        return _scenario.ScenarioSpec.table_row(
-            scenario_id, seed=seed, reduced=args.reduced, overrides=overrides
-        )
-    def count(given, reduced, full):
-        return given if given is not None else (reduced if args.reduced else full)
+    given = [name for name in _SIZE_FIELDS if getattr(args, name) is not None]
+    try:
+        overrides = _parse_overrides(args.set)
+        if args.scenario is None:
+            size = {_SIZE_FIELDS[name]: getattr(args, name) for name in given}
+            if args.reduced:
+                size = {**_scenario.REDUCED_SIZE, **size}
+            return [_scenario.ScenarioSpec(seed=seed, overrides=overrides, **size)]
+        if given:
+            flags = ", ".join(f"--{name}" for name in given)
+            raise ValueError(f"{flags} cannot be given with --scenario")
+        return [
+            _scenario.ScenarioSpec.table_row(
+                scenario_id, seed=seed, reduced=args.reduced, overrides=overrides
+            )
+            for scenario_id in _parse_scenario_range(args.scenario)
+        ]
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
-    n_servers = count(args.servers, _scenario.REDUCED_SERVERS, 6)
-    n_users = count(args.users, _scenario.REDUCED_USER_GROUPS, 6)
-    return _scenario.ScenarioSpec(
-        seed=seed,
-        n_servers=n_servers,
-        n_user_groups=n_users,
-        existing_requests=count(args.existing, 2, 2),
-        new_requests=count(args.new, 2, 4),
-        overrides=overrides,
-    )
 
-
-def _parse_scenario_range(text: str) -> list[int]:
+def _parse_scenario_range(text: str) -> range | list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            ids = list(range(int(lo), int(hi) + 1))
+            ids = range(int(lo), int(hi) + 1)
         else:
             ids = [int(part) for part in text.split(",")]
     except ValueError:
@@ -176,22 +190,10 @@ def _parse_scenario_range(text: str) -> list[int]:
 
 
 def cmd_generate(args) -> int:
-    try:
-        if args.scenario is not None:
-            ids = _parse_scenario_range(args.scenario)
-            if len(ids) != 1:
-                _log("generate expects a single scenario id")
-                return EXIT_USAGE
-            spec = _spec_from_args(args, ids[0])
-        else:
-            spec = _spec_from_args(args)
-        instance = _scenario.generate(spec)
-    except BootstrapInfeasibleError as exc:
-        _log(str(exc))
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        _log(str(exc))
-        return EXIT_USAGE
+    specs = _specs_from_args(args)
+    if len(specs) != 1:
+        raise _UsageError("generate expects a single scenario id")
+    instance = _scenario.generate(specs[0])
     _emit(_io.dumps(_io.instance_to_document(instance)), args.output)
     return EXIT_OK
 
@@ -236,30 +238,16 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     options = _solve_options(args)
-    reports = []
-    worst = EXIT_OK
-    try:
-        ids = _parse_scenario_range(args.scenario) if args.scenario else [None]
-        for scenario_id in ids:
-            spec = _spec_from_args(args, scenario_id)
-            report = _scenario.run_comparison(
-                spec, options, license_refunds=args.license_refunds
-            )
-            reports.append(report)
-            for case in (report.online, report.no_reuse):
-                worst = max(worst, _STATUS_EXIT[case.status])
-    except BootstrapInfeasibleError as exc:
-        _log(str(exc))
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        _log(str(exc))
-        return EXIT_USAGE
-
+    reports = [
+        _scenario.run_comparison(spec, options, license_refunds=args.license_refunds)
+        for spec in _specs_from_args(args)
+    ]
+    worst = max(_STATUS_EXIT[c.status] for r in reports for c in (r.online, r.no_reuse))
     if args.format == "json":
         payload = [
             _scenario.report_to_document(r, include_timing=args.timing) for r in reports
         ]
-        _emit(_io.dumps({"format_version": "1", "reports": payload}), args.output)
+        _emit(_io.dumps({"format_version": _io.FORMAT_VERSION, "reports": payload}), args.output)
     else:
         _emit(_scenario.reports_to_csv(reports, include_timing=args.timing), args.output)
     return worst
@@ -280,7 +268,7 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
     breakdown = total_objective(instance, plan)
     document = {
-        "format_version": "1",
+        "format_version": _io.FORMAT_VERSION,
         "feasible": report.feasible,
         "violations": [
             {"constraint": v.code, "subject": list(v.subject), "detail": v.detail}
@@ -356,10 +344,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChainplaceError as exc:
+    except BootstrapInfeasibleError as exc:
         _log(str(exc))
-        return EXIT_USAGE
-    except OSError as exc:
+        return EXIT_INFEASIBLE
+    except (ChainplaceError, OSError) as exc:
         _log(str(exc))
         return EXIT_USAGE
 

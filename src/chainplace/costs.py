@@ -39,13 +39,8 @@ class CostBreakdown:
     total: int
 
     def as_money(self) -> dict[str, str]:
-        return {
-            "hosting_delta": format_money(self.hosting_delta),
-            "migration": format_money(self.migration),
-            "instantiation": format_money(self.instantiation),
-            "routing_delta": format_money(self.routing_delta),
-            "total": format_money(self.total),
-        }
+        # the vars of a dataclass instance are its fields
+        return {name: format_money(micro) for name, micro in vars(self).items()}
 
 
 def hosting_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:

@@ -230,16 +230,20 @@ def document_to_plan(document: Mapping) -> PlacementPlan:
 
 
 def breakdown_to_document(breakdown: CostBreakdown) -> dict:
-    return {
-        "micro": {
-            "hosting_delta": breakdown.hosting_delta,
-            "migration": breakdown.migration,
-            "instantiation": breakdown.instantiation,
-            "routing_delta": breakdown.routing_delta,
-            "total": breakdown.total,
-        },
-        "money": breakdown.as_money(),
+    return {"micro": dict(vars(breakdown)), "money": breakdown.as_money()}
+
+
+def stats_to_document(stats, include_timing: bool) -> dict:
+    """The search stats of one solve. Timing is zeroed unless requested, so
+    report bytes are stable; ``gap_micro`` appears on time-limited runs."""
+    doc = {
+        "nodes": stats.nodes,
+        "incumbent_updates": stats.incumbent_updates,
+        "wall_time_s": round(stats.wall_time, 3) if include_timing else 0.0,
     }
+    if stats.gap is not None:
+        doc["gap_micro"] = stats.gap
+    return doc
 
 
 def solve_result_to_document(
@@ -247,28 +251,17 @@ def solve_result_to_document(
 ) -> dict:
     """Structured report for one solve: status, plan, cost breakdown, the
     deployment delta against the snapshot, per-request delays and search
-    stats. Timing is zeroed unless requested so report bytes are stable."""
+    stats (see ``stats_to_document``)."""
     doc: dict = {
         "format_version": FORMAT_VERSION,
         "status": result.status,
-        "stats": {
-            "nodes": result.stats.nodes,
-            "incumbent_updates": result.stats.incumbent_updates,
-            "wall_time_s": round(result.stats.wall_time, 3) if include_timing else 0.0,
-        },
+        "stats": stats_to_document(result.stats, include_timing),
     }
-    if result.stats.gap is not None:
-        doc["stats"]["gap_micro"] = result.stats.gap
     if result.plan is not None:
-        delta = snapshot_diff(instance.snapshot, result.plan)
+        delta = vars(snapshot_diff(instance.snapshot, result.plan))
         doc["plan"] = plan_to_document(result.plan)
         doc["breakdown"] = breakdown_to_document(result.breakdown)
-        doc["delta"] = {
-            "reused": [list(x) for x in delta.reused],
-            "migrated": [list(x) for x in delta.migrated],
-            "instantiated": [list(x) for x in delta.instantiated],
-            "removed": [list(x) for x in delta.removed],
-        }
+        doc["delta"] = {kind: [list(x) for x in entries] for kind, entries in delta.items()}
         doc["delays_us"] = {
             r.id: service_delay(instance, result.plan, r.id)
             for r in instance.requests

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .costs import CostBreakdown, service_delay
 from .errors import BootstrapInfeasibleError, IndexMismatchError
-from .io import breakdown_to_document
+from .io import FORMAT_VERSION, breakdown_to_document, stats_to_document
 from .model import (
     DeploymentDelta,
     EMPTY_SNAPSHOT,
@@ -47,8 +47,8 @@ DEFAULT_SEED = 3
 
 FULL_SCENARIOS = {1: (2, 4), 2: (3, 3), 3: (4, 2)}
 REDUCED_SCENARIOS = {1: (1, 3), 2: (2, 2), 3: (3, 1)}
-REDUCED_SERVERS = 4
-REDUCED_USER_GROUPS = 4
+# a reduced-scale spec; a table row takes its request counts from its table
+REDUCED_SIZE = {"n_servers": 4, "n_user_groups": 4, "existing_requests": 2, "new_requests": 2}
 
 CSV_HEADER = (
     "format_version,scenario,seed,case,total_micro,hosting_micro,"
@@ -153,15 +153,8 @@ class ScenarioSpec:
             valid = ", ".join(str(k) for k in table)
             raise ValueError(f"unknown scenario id {scenario_id!r}; valid ids are {valid}")
         existing, new = table[scenario_id]
-        return cls(
-            seed=seed,
-            n_servers=REDUCED_SERVERS if reduced else 6,
-            n_user_groups=REDUCED_USER_GROUPS if reduced else 6,
-            existing_requests=existing,
-            new_requests=new,
-            scenario_id=scenario_id,
-            overrides=overrides or {},
-        )
+        size = dict(REDUCED_SIZE if reduced else {}, existing_requests=existing, new_requests=new)
+        return cls(seed=seed, scenario_id=scenario_id, overrides=overrides or {}, **size)
 
 
 # The generator's per-type tables are read-only views over the network, so
@@ -411,7 +404,7 @@ def _csv_row(report: ComparisonReport, case: CaseResult, include_timing: bool) -
     b = case.breakdown
     return ",".join(
         [
-            "1",
+            FORMAT_VERSION,
             scenario,
             str(report.spec.seed),
             case.label,
@@ -439,25 +432,16 @@ def _case_document(case: CaseResult, include_timing: bool) -> dict:
     return {
         "status": case.status,
         "breakdown": breakdown_to_document(case.breakdown),
-        "delta_counts": {
-            "reused": len(case.delta.reused),
-            "migrated": len(case.delta.migrated),
-            "instantiated": len(case.delta.instantiated),
-            "removed": len(case.delta.removed),
-        },
+        "delta_counts": {kind: len(entries) for kind, entries in vars(case.delta).items()},
         "migration_count": case.migration_count,
         "delays_us": dict(sorted(case.delays.items())),
-        "stats": {
-            "nodes": case.stats.nodes,
-            "incumbent_updates": case.stats.incumbent_updates,
-            "wall_time_s": round(case.stats.wall_time, 3) if include_timing else 0.0,
-        },
+        "stats": stats_to_document(case.stats, include_timing),
     }
 
 
 def report_to_document(report: ComparisonReport, include_timing: bool = False) -> dict:
     return {
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "scenario": report.spec.scenario_id,
         "seed": report.spec.seed,
         "existing_requests": report.spec.existing_requests,

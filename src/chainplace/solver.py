@@ -9,7 +9,10 @@ non-negative and the current routes only contribute a constant credit.
 Each decision type needs two counts of instances (see ``_Problem``):
 enough to carry the traffic of every request that uses it, and under
 no_reuse, for a type that new requests use, enough fresh ones for the new
-requests' traffic. Every leaf meets both counts. Each stage reads one
+requests' traffic. Every leaf meets both counts. An instance that counts
+toward the second is a qualifying one, and the no_reuse rule reads only
+that flag: a new request under no_reuse uses fresh-only types alone, so it
+is assigned, and priced, over qualifying instances. Each stage reads one
 tail of its bound: the placement bound is the committed cost plus
 ``place_tail`` (which prices each request at its cheapest server->user
 link), plus ``deploy_min`` while the current decision's type has no
@@ -36,7 +39,8 @@ fact is a list indexed by the type's position among the decision types.
 The search state holds server loads and link loads in lists, chain hosts
 as server positions and deployed instances as (decision, server) pairs per
 type position, so no node looks a name up. A leaf offers the incumbent a
-copy of that state. Equal totals are ordered by ``_Problem.leaf_key``: the
+copy of that state. Equal totals are ordered by ``_Problem.leaf_key``, the
+search's one key function, which ``_Incumbent`` is given once: the
 positions of the ones in the plan's canonical g, t, l, p vector, found by
 arithmetic on per-problem position maps and made only when two totals tie.
 Names appear once, when the search ends and the winning leaf is built into
@@ -137,7 +141,6 @@ class _Decision:
     vnf_name: str
     type_pos: int  # the type's position among the decision types
     instance_id: int
-    snap_server: str | None
     after: int | None  # the type's previous fresh decision, activated first
     resource_req: int
     # (type, id, server) per server position; the snapshot's own entry on
@@ -146,7 +149,9 @@ class _Decision:
     # (option, exact micro-money) pairs in the order the search tries them;
     # an option is a server position, or None for not deployed
     options: tuple
-    qualifies: bool  # deploying it covers its type (see _Problem.deploy_min)
+    # deploying it covers its type (see _Problem.deploy_min); a request that
+    # skips snapshot instances may use only qualifying ones
+    qualifies: bool
 
 
 class _Problem:
@@ -266,7 +271,6 @@ class _Problem:
                         vnf_name=vnf.name,
                         type_pos=k,
                         instance_id=i,
-                        snap_server=snap_server,
                         after=previous,
                         resource_req=vnf.resource_req,
                         placements=tuple(placements),
@@ -461,20 +465,22 @@ class _Problem:
 
 
 class _Incumbent:
-    """The best leaf offered so far, by total and then by the tie-break
+    """The best payload offered so far, by total and then by the tie-break
     key: the canonical g, t, l, p vector of its plan. The payload is what
     the engine offers (``brute_force`` a plan, the search a snapshot of its
-    state) and ``key_of`` makes its key. A key is made only when two totals
-    tie, and at most once per payload."""
+    state); ``key_of``, given once, is the engine's one key function
+    (``_Problem.leaf_key`` for the search, ``plan_vector`` over the named
+    variables for the oracle). A key is made only when two totals tie, and
+    at most once per payload."""
 
-    def __init__(self):
+    def __init__(self, key_of):
+        self.key_of = key_of
         self.total: int | None = None
         self.payload = None
         self.key: tuple | None = None  # the payload's key, once a tie asked for it
-        self.key_of = None
         self.updates = 0
 
-    def offer(self, total: int, payload, key_of) -> None:
+    def offer(self, total: int, payload) -> None:
         key = None
         if self.total is not None:
             if total > self.total:
@@ -482,10 +488,10 @@ class _Incumbent:
             if total == self.total:
                 if self.key is None:
                     self.key = self.key_of(self.payload)
-                key = key_of(payload)
+                key = self.key_of(payload)
                 if not key < self.key:
                     return
-        self.total, self.payload, self.key, self.key_of = total, payload, key, key_of
+        self.total, self.payload, self.key = total, payload, key
         self.updates += 1
 
 
@@ -632,7 +638,7 @@ class _Search:
         skips_snapshot = p.skips_snapshot[ri]
         hosts, picks, inst_load = self.hosts[ri], self.picks[ri], self.inst_load
         for di, s in self.deployed[k]:
-            if skips_snapshot and p.decisions[di].snap_server is not None:
+            if skips_snapshot and not p.decisions[di].qualifies:
                 continue
             load = inst_load[di] + traffic
             if load > limit:
@@ -705,7 +711,7 @@ class _Search:
             [list(p) for p in self.picks],
             list(self.routes),  # route tuples are never changed once made
         )
-        self.incumbent.offer(self.committed, leaf, self.p.leaf_key)
+        self.incumbent.offer(self.committed, leaf)
 
 
 def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) -> SolveResult:
@@ -727,7 +733,7 @@ def _solve_exact(problem: _Problem) -> SolveResult:
     if any(load > cap for load, cap in zip(problem.base_load, problem.server_cap)):
         # the untouched instances alone overfill a server
         return SolveResult(STATUS_INFEASIBLE, None, None, SolveStats())
-    incumbent = _Incumbent()
+    incumbent = _Incumbent(problem.leaf_key)
     start = time.monotonic()
     search = _Search(problem, incumbent, start + options.time_limit)
     search._branch_tau(0)
@@ -786,7 +792,7 @@ def _brute_force(p: _Problem) -> SolveResult:
         return plan_vector(instance, plan, decision_vars)
 
     start = time.monotonic()
-    incumbent = _Incumbent()
+    incumbent = _Incumbent(key_of)
     nodes = 0
 
     targets = (None,) + tuple(p.servers)
@@ -837,7 +843,7 @@ def _brute_force(p: _Problem) -> SolveResult:
                 total = _costs.total_objective(
                     instance, plan, clamp_instantiation=options.clamp_instantiation
                 ).total
-                incumbent.offer(total, plan, key_of)
+                incumbent.offer(total, plan)
 
     wall = time.monotonic() - start
     stats = SolveStats(nodes=nodes, incumbent_updates=incumbent.updates, wall_time=wall)

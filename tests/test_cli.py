@@ -262,18 +262,65 @@ class TestUsage:
              "--scenario lists id 2 more than once; got '2,1,2'"),
             (["generate", "--scenario", "3,3"],
              "--scenario lists id 3 more than once; got '3,3'"),
+            (["compare", "--scenario", "", "--reduced"],
+             "--scenario expects an id, a range such as 1..3 or a list such as 1,3; got ''"),
+            (["generate", "--scenario", "1", "--servers", "10", "--existing", "5"],
+             "--servers, --existing cannot be given with --scenario"),
+            (["generate", "--scenario", "2", "--reduced", "--users", "2", "--new", "1"],
+             "--users, --new cannot be given with --scenario"),
+            (["compare", "--scenario", "1..3", "--reduced", "--new", "3"],
+             "--new cannot be given with --scenario"),
+            (["compare", "--scenario", "1", "--servers", "4", "--users", "4",
+              "--existing", "1", "--new", "1", "--format", "json"],
+             "--servers, --users, --existing, --new cannot be given with --scenario"),
         ],
         ids=["generate-scenario-0", "generate-scenario-7", "compare-scenario-7",
              "compare-scenario-text", "vnf-types-text", "vnf-types-zero",
              "new-negative", "reduced-servers-zero", "generate-scenario-range",
              "compare-empty-range-csv", "compare-empty-range-json", "generate-empty-range",
-             "compare-repeated-id-csv", "compare-repeated-id-json", "generate-repeated-id"],
+             "compare-repeated-id-csv", "compare-repeated-id-json", "generate-repeated-id",
+             "compare-empty-scenario", "generate-scenario-with-sizes",
+             "generate-reduced-scenario-with-sizes", "compare-scenario-with-new",
+             "compare-scenario-with-every-size"],
     )
     def test_bad_generator_argument_is_one_line_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == message + "\n"
+
+    @pytest.mark.parametrize("command", ["generate", "compare"])
+    def test_infeasible_bootstrap_is_one_line_error(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "--servers", "2", "--users", "1", "--existing", "1",
+            "--new", "1", "--set", "vnf_types=1", "--set", "chain_length_range=[1,1]",
+            "--set", "delay_budget_ms_range=[0,0]", "--seed", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "offline placement of the existing requests is infeasible (seed 5)\n"
+
+    @pytest.mark.parametrize("ids", ["1..4", "1..1000000"])
+    @pytest.mark.parametrize("command", ["generate", "compare"])
+    def test_every_scenario_id_is_checked_before_any_work(
+        self, capsys, monkeypatch, command, ids
+    ):
+        from chainplace import scenario
+
+        calls = []
+        for name in ("generate", "run_comparison"):
+            monkeypatch.setattr(scenario, name, lambda *a, name=name, **k: calls.append(name))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command, "--reduced", "--scenario", ids)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err == "unknown scenario id 4; valid ids are 1, 2, 3\n"
+        assert calls == []
+        assert peak < 1_000_000  # a range is never made into a list
 
     @pytest.mark.parametrize("value", ["abc", True, 1.5], ids=["text", "bool", "float"])
     @pytest.mark.parametrize("command", ["solve", "check"])

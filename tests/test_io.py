@@ -7,9 +7,10 @@ from chainplace.io import (
     instance_to_document,
     plan_to_document,
     solve_result_to_document,
+    stats_to_document,
 )
 from chainplace.scenario import ScenarioSpec, generate
-from chainplace.solver import solve_exact
+from chainplace.solver import SolveStats, solve_exact
 
 
 def spec():
@@ -67,3 +68,15 @@ def test_solve_report_document_shape():
     assert set(doc["delta"]) == {"reused", "migrated", "instantiated", "removed"}
     assert set(doc["delays_us"]) == {r.id for r in inst.requests}
     assert dumps(doc) == dumps(solve_result_to_document(inst, result))
+
+
+def test_stats_document_has_gap_only_on_a_time_limited_run():
+    stats = SolveStats(nodes=7, incumbent_updates=2, wall_time=1.23456)
+    assert stats_to_document(stats, False) == {
+        "nodes": 7, "incumbent_updates": 2, "wall_time_s": 0.0,
+    }
+    assert stats_to_document(stats, True)["wall_time_s"] == 1.235
+    stats.gap = 0
+    assert stats_to_document(stats, False) == {
+        "nodes": 7, "incumbent_updates": 2, "wall_time_s": 0.0, "gap_micro": 0,
+    }

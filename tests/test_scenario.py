@@ -1,9 +1,10 @@
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from chainplace.costs import service_delay
-from chainplace.io import dumps, instance_to_document
+from chainplace.io import dumps, instance_to_document, stats_to_document
 from chainplace.model import PlacementPlan, check_feasibility
 from chainplace.scenario import (
     FULL_SCENARIOS,
@@ -11,10 +12,11 @@ from chainplace.scenario import (
     ScenarioSpec,
     emit_report,
     generate,
+    report_to_document,
     reports_to_csv,
     run_comparison,
 )
-from chainplace.solver import SolveOptions, solve_exact
+from chainplace.solver import SolveOptions, SolveStats, solve_exact
 
 
 def fast_spec(seed=0, existing=1, new=1):
@@ -196,6 +198,15 @@ class TestComparison:
         if report.online.migration_count == 0:
             row = reports_to_csv([report]).strip().split("\n")[1].split(",")
             assert row[8] == "0" and row[9] == "0"
+
+    def test_time_limited_case_reports_its_gap(self, report):
+        # a case's stats block is the one a solve report carries
+        stats = SolveStats(nodes=5, incumbent_updates=1, wall_time=2.0, gap=1234)
+        limited = replace(report, online=replace(report.online, stats=stats))
+        doc = report_to_document(limited)
+        assert doc["online"]["stats"] == stats_to_document(stats, False)
+        assert doc["online"]["stats"]["gap_micro"] == 1234
+        assert "gap_micro" not in doc["no_reuse"]["stats"]
 
     def test_no_reuse_instantiates_at_least_as_much(self, report):
         assert (

@@ -435,7 +435,7 @@ class TestAdmissibleBound:
         slow = _brute_force(p)
         if slow.breakdown is None:
             return
-        search = _Search(p, _Incumbent(), deadline=0.0)
+        search = _Search(p, _Incumbent(p.leaf_key), deadline=0.0)
         placed = {(k, i): p.net.position(s) for k, i, s in slow.plan.deployment}
         for di, d in enumerate(p.decisions):
             target = placed.get((d.vnf_name, d.instance_id))
@@ -495,7 +495,7 @@ class TestTypeCounts:
             inst = mk_instance(net2, types=[vnf], requests=requests, mu=mu)
             assert inst.usage_limit(capacity) == limit
             p = _Problem(inst, SolveOptions(no_reuse=no_reuse))
-            search = _Search(p, _Incumbent(), deadline=0.0)
+            search = _Search(p, _Incumbent(p.leaf_key), deadline=0.0)
             demand_new = new_traffic or 0
             fresh_only = no_reuse and new_traffic is not None
             for deployed in range(5):
@@ -555,9 +555,9 @@ def offered_leaves(problem) -> list[tuple]:
     offers = []
     offer = _Incumbent.offer
 
-    def record(incumbent, total, leaf, key_of):
+    def record(incumbent, total, leaf):
         offers.append((total, leaf))
-        offer(incumbent, total, leaf, key_of)
+        offer(incumbent, total, leaf)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Incumbent, "offer", record)
