@@ -14,7 +14,10 @@ script records the status, the total, the sha256 of the plan document
 incumbent updates, and writes them as sorted JSON to the given path. Two
 runs of the script on two versions of the code diff cleanly when the
 search returns the same answers; the ``nodes`` lines show how much the
-search effort moved. The 86 solves take about 7 s of CPU. Run from the
+search effort moved. The 86 solves take about 7 s of CPU.
+``tests/test_search_digest.py`` pins the 54 table solves to
+``tests/data/search_digest.json``; a change that moves their node counts
+writes that file again from this script's output. Run from the
 repository root:
 
     PYTHONPATH=src python scripts/search_digest.py digest.json
@@ -54,9 +57,11 @@ def cases():
             yield f"frontier/{servers}x{users}/{existing}-{new}/seed{seed}", spec
 
 
-def digest() -> dict:
+def digest(items) -> dict:
+    """Status, total, plan sha256, nodes and incumbent updates of the online
+    and no_reuse solves of every (label, spec) in ``items``."""
     out = {}
-    for name, spec in cases():
+    for name, spec in items:
         instance = generate(spec)
         for label, no_reuse in (("online", False), ("no_reuse", True)):
             options = SolveOptions(no_reuse=no_reuse, clamp_instantiation=True)
@@ -79,10 +84,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", type=pathlib.Path, help="where to write the JSON")
     args = parser.parse_args()
-    cases = digest()
-    args.output.write_text(json.dumps(cases, indent=2, sort_keys=True) + "\n")
-    nodes = sum(case["nodes"] for case in cases.values())
-    print(f"{len(cases)} solves, {nodes} nodes; wrote {args.output}")
+    solves = digest(cases())
+    args.output.write_text(json.dumps(solves, indent=2, sort_keys=True) + "\n")
+    nodes = sum(solve["nodes"] for solve in solves.values())
+    print(f"{len(solves)} solves, {nodes} nodes; wrote {args.output}")
 
 
 if __name__ == "__main__":

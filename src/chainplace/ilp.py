@@ -12,15 +12,16 @@ micro-money; the text exporters emit them divided by 1e6 (plain money
 units) because several MILP readers dislike huge magnitudes. The scale is
 recorded in a comment header.
 
-``build_ilp`` and ``import_solution`` find a variable's index by
-arithmetic on the per-family block offsets that ``_enumerate`` records as
-it appends the variables (``IlpModel.blocks``). ``build_ilp`` builds the
-McCormick product rows (families 2-2..2-4, 15-2..15-5 and 16-2..16-5,
-about 98% of the rows of a full-scale model) directly, with their
-coefficients already sorted. The rows whose coefficients depend on the
-instance data (6-14, 17, 18 and NOREUSE) go through one generic path that
-drops zero coefficients, sorts the rest and keeps a row left empty only
-when 0 violates it.
+``build_ilp`` finds a variable's index by arithmetic on the per-family
+block offsets that ``_enumerate`` records as it appends the variables. It
+builds the McCormick product rows (families 2-2..2-4, 15-2..15-5 and
+16-2..16-5, about 98% of the rows of a full-scale model) directly, with
+their coefficients already sorted. The rows whose coefficients depend on
+the instance data (6-14, 17, 18 and NOREUSE) go through one generic path
+that drops zero coefficients, sorts the rest and keeps a row left empty
+only when 0 violates it. ``import_solution`` reads each product's factors
+from its "at least" row (2-4, 15-5 or 16-5), so the variable layout is
+known to ``_enumerate`` and ``build_ilp`` only.
 
 ``build_ilp`` and both exporters run with the cyclic garbage collector
 paused (the model's tuples form no cycles) and restore its previous state
@@ -285,7 +286,6 @@ class IlpModel:
     rows: tuple[Row, ...]
     objective: tuple[tuple[int, int], ...]  # (variable index, micro-money)
     constant: int  # micro-money
-    blocks: tuple = field(repr=False, compare=False)  # see _enumerate
     aliases: tuple[str, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
@@ -311,14 +311,11 @@ class IlpModel:
         """Index of a variable by its canonical name or its alias."""
         return self._index[name]
 
-    def objective_micro(self, values: Mapping[str, float] | list | tuple) -> int:
+    def objective_micro(self, values: Mapping[str, float]) -> int:
         """Exact objective (micro-money) of a 0/1 assignment, constant included."""
-        if isinstance(values, (list, tuple)):
-            vec = values
-        else:
-            vec = [0] * len(self.variables)
-            for name, val in values.items():
-                vec[self.variable_index(name)] = val
+        vec = [0] * len(self.variables)
+        for name, val in values.items():
+            vec[self.variable_index(name)] = val
         total = self.constant
         for idx, micro in self.objective:
             total += micro * round(vec[idx])
@@ -608,7 +605,6 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         rows=tuple(rows),
         objective=tuple(objective),
         constant=constant,
-        blocks=blocks,
         aliases=aliases,
     )
 
@@ -782,8 +778,14 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
 
     The four decision families must be present (canonical or sanitized
     names); auxiliary product variables are optional but are verified
-    against their defining products when given. Frozen snapshot
-    deployments have no variables and come back unchanged.
+    against their defining products when given. Each auxiliary is the last
+    coefficient of its product's "at least" row, after the factors it
+    multiplies: ``2-4`` is ``x - t >= cur - 1`` and so defines ``x`` as
+    ``(rhs + 1) * t``; ``15-5`` and ``16-5`` define ``m`` and ``q`` as the
+    product of their two other variables. When several auxiliaries are
+    wrong, the first in row order is named, which for ``m`` is not its
+    variable order. Frozen snapshot deployments have no variables and come
+    back unchanged.
     """
     instance = model.instance
     variables = model.variables
@@ -799,48 +801,21 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
         else:
             bits.append(_as_bit(var.name, raw))
 
-    # each product's factors by arithmetic on the block offsets, in the
-    # canonical order of x, m and q; g, t and l bits are never missing
-    n_s = len(instance.network.servers)
-    deployable = _deployable_types(instance)
-    g_at, t_at, l_at, _p_at, _pair, x_at, m_at, q_at = model.blocks
-    pool_size = {vnf.name: len(vnf.instances) for vnf in instance.catalog.types}
-
-    def check(idx: int, expect: int) -> None:
-        got = bits[idx]
+    # the factors are g, t and l bits, which are never missing
+    for tag, _key, coeffs, _sense, rhs in model.rows:
+        if tag == "2-4":
+            (t, _), (aux, _) = coeffs
+            expect = (rhs + 1) * bits[t]
+        elif tag == "15-5" or tag == "16-5":
+            (a, _), (b, _), (aux, _) = coeffs
+            expect = bits[a] * bits[b]
+        else:
+            continue
+        got = bits[aux]
         if got is not None and got != expect:
             raise AuxiliaryInconsistentError(
-                f"{variables[idx].name} = {got} but its defining product is {expect}"
+                f"{variables[aux].name} = {got} but its defining product is {expect}"
             )
-
-    deployed = instance.snapshot.deployed
-    for vnf in deployable:
-        for i, t0, x0 in zip(vnf.instances, t_at[vnf.name], x_at[vnf.name]):
-            for si, s in enumerate(instance.network.servers):
-                cur = 1 if (vnf.name, i, s) in deployed else 0
-                for di in range(n_s):
-                    check(x0 + si * n_s + di, cur * bits[t0 + di])
-    for ri, r in enumerate(instance.requests):
-        n_i = pool_size[r.chain[0]]
-        l_bases = l_at[ri][r.chain[0]]
-        mi = m_at[ri]  # m runs over s, d, i in this loop order
-        for si in range(n_s):
-            g = bits[g_at[ri] + si]
-            for di in range(n_s):
-                for ii in range(n_i):
-                    check(mi, g * bits[l_bases[di] + ii])
-                    mi += 1
-    for ri, r in enumerate(instance.requests):
-        for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:])):
-            la_bases, lb_bases = l_at[ri][ka], l_at[ri][kb]
-            qi = q_at[ri][pos]  # q runs over s, d, i, j in this loop order
-            for si in range(n_s):
-                for di in range(n_s):
-                    for ii in range(pool_size[ka]):
-                        la = bits[la_bases[si] + ii]
-                        for jj in range(pool_size[kb]):
-                            check(qi, la * bits[lb_bases[di] + jj])
-                            qi += 1
 
     content, assignment = [], []
     deployment = list(instance.frozen_deployments())

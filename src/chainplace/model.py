@@ -12,6 +12,7 @@ threads; every operation in this module is a pure function.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping, MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,10 +247,16 @@ class ProblemInstance:
         required = set(self.required_types())
         return tuple(sorted(e for e in self.snapshot.deployed if e[0] not in required))
 
+    @functools.cached_property
+    def _usage_fraction(self) -> Fraction:
+        # made on first use, not on construction, so that a threshold that
+        # is no number reaches validate_instance
+        return Fraction(self.usage_threshold)
+
     def usage_limit(self, capacity: int) -> int | Fraction:
         """Exact usable share of a capacity under the usage threshold: an
         int when it is whole, a Fraction otherwise."""
-        limit = Fraction(self.usage_threshold) * capacity
+        limit = self._usage_fraction * capacity
         return int(limit) if limit.denominator == 1 else limit
 
 

@@ -332,7 +332,6 @@ class CaseResult:
     status: str
     breakdown: CostBreakdown
     delta: DeploymentDelta
-    migration_count: int
     delays: dict[str, int]
     stats: SolveStats
 
@@ -346,13 +345,11 @@ class ComparisonReport:
 
 
 def _case(instance: ProblemInstance, label: str, result) -> CaseResult:
-    delta = snapshot_diff(instance.snapshot, result.plan)
     return CaseResult(
         label=label,
         status=result.status,
         breakdown=result.breakdown,
-        delta=delta,
-        migration_count=len(delta.migrated),
+        delta=snapshot_diff(instance.snapshot, result.plan),
         delays={
             r.id: service_delay(instance, result.plan, r.id)
             for r in instance.requests
@@ -413,7 +410,7 @@ def _csv_row(report: ComparisonReport, case: CaseResult, include_timing: bool) -
             str(b.instantiation),
             str(b.routing_delta),
             str(b.migration),
-            str(case.migration_count),
+            str(len(case.delta.migrated)),
             mean_delay,
             wall,
         ]
@@ -433,8 +430,8 @@ def _case_document(case: CaseResult, include_timing: bool) -> dict:
         "status": case.status,
         "breakdown": breakdown_to_document(case.breakdown),
         "delta_counts": {kind: len(entries) for kind, entries in vars(case.delta).items()},
-        "migration_count": case.migration_count,
-        "delays_us": dict(sorted(case.delays.items())),
+        "migration_count": len(case.delta.migrated),
+        "delays_us": case.delays,
         "stats": stats_to_document(case.stats, include_timing),
     }
 

@@ -308,16 +308,20 @@ class TestImport:
         with pytest.raises(AuxiliaryInconsistentError):
             import_solution(model, values)
 
-    def test_each_inconsistent_auxiliary_is_named(self, net2):
+    @staticmethod
+    def two_slot_instance(net):
         # two-slot chain, two instances per type, one of each in the
         # snapshot: every x, m and q product has factors at distinct offsets
-        types = [mk_type(net2, name=k, instances=2) for k in ("k0", "k1")]
-        inst = mk_instance(
-            net2,
+        types = [mk_type(net, name=k, instances=2) for k in ("k0", "k1")]
+        return mk_instance(
+            net,
             types=types,
-            requests=[mk_request(net2, chain=("k0", "k1"))],
+            requests=[mk_request(net, chain=("k0", "k1"))],
             snapshot=[("k0", 0, "s0"), ("k1", 1, "s1")],
         )
+
+    def test_each_inconsistent_auxiliary_is_named(self, net2):
+        inst = self.two_slot_instance(net2)
         model = build_ilp(inst)
         values = full_assignment(model, brute_force(inst).plan)
         aux = [v.name for v in model.variables if v.family in "xmq"]
@@ -326,6 +330,19 @@ class TestImport:
             flipped = {**values, name: 1 - values[name]}
             with pytest.raises(AuxiliaryInconsistentError, match=re.escape(f"{name} = ")):
                 import_solution(model, flipped)
+
+    def test_omitted_auxiliaries_are_skipped(self, net2):
+        inst = self.two_slot_instance(net2)
+        model = build_ilp(inst)
+        values = full_assignment(model, brute_force(inst).plan)
+        decisions = {v.name: values[v.name] for v in model.variables if v.family in "gtlp"}
+        assert import_solution(model, decisions) == import_solution(model, values)
+        # one wrong auxiliary among omitted ones is still named
+        for family in "xmq":
+            name = [v.name for v in model.variables if v.family == family][-1]
+            wrong = {**decisions, name: 1 - values[name]}
+            with pytest.raises(AuxiliaryInconsistentError, match=re.escape(f"{name} = ")):
+                import_solution(model, wrong)
 
     def test_missing_decision_variable_is_rejected(self, tiny):
         model = build_ilp(tiny)

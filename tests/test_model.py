@@ -153,6 +153,16 @@ class TestValidation:
         assert validate_instance(inst).has("USAGE_THRESHOLD_RANGE", 0.0)
 
     @pytest.mark.parametrize(
+        "mu, code",
+        [(float("nan"), "USAGE_THRESHOLD_RANGE"), (None, "NOT_A_NUMBER"), ("x", "NOT_A_NUMBER")],
+    )
+    def test_threshold_with_no_exact_fraction_is_reported(self, net2, mu, code):
+        # the instance builds, because usage_limit makes its Fraction on
+        # first use; validation then names the threshold
+        report = validate_instance(mk_instance(net2, mu=mu))
+        assert [v.code for v in report.violations] == [code]
+
+    @pytest.mark.parametrize(
         "field, subject",
         [
             ("servers", ("servers", 1)),

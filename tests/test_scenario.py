@@ -1,3 +1,4 @@
+import json
 import pickle
 from dataclasses import replace
 
@@ -171,8 +172,12 @@ class TestComparison:
                 assert delay <= budgets[rid]
 
     def test_migration_counts_match_deltas(self, report):
-        for case in (report.online, report.no_reuse):
-            assert case.migration_count == len(case.delta.migrated)
+        rows = emit_report(report, "csv").strip().split("\n")[1:]
+        doc = json.loads(emit_report(report, "json"))
+        for case, row in zip((report.online, report.no_reuse), rows, strict=True):
+            count = len(case.delta.migrated)
+            assert int(row.split(",")[9]) == count
+            assert doc[case.label]["migration_count"] == count
 
     def test_csv_shape_and_determinism(self, report):
         text = emit_report(report, "csv")
@@ -195,7 +200,7 @@ class TestComparison:
         assert '"gap_micro"' in a
 
     def test_zero_migration_row_reports_zero_cost(self, report):
-        if report.online.migration_count == 0:
+        if len(report.online.delta.migrated) == 0:
             row = reports_to_csv([report]).strip().split("\n")[1].split(",")
             assert row[8] == "0" and row[9] == "0"
 
