@@ -10,11 +10,12 @@ that the tie-break has to order. Each instance is generated once and
 solved with ``solve_exact`` online and under no_reuse, with clamped
 accounting as ``chainplace compare`` prices them. For every solve the
 script records the status, the total, the sha256 of the plan document
-(``io.plan_to_document`` dumped with sorted keys), the node count and the
-incumbent updates, and writes them as sorted JSON to the given path. Two
-runs of the script on two versions of the code diff cleanly when the
-search returns the same answers; the ``nodes`` lines show how much the
-search effort moved. The 86 solves take about 7 s of CPU.
+(``io.plan_to_document`` dumped with sorted keys), the node counts of the
+search and of the warm-start dive before it, and the incumbent updates,
+and writes them as sorted JSON to the given path. Two runs of the script
+on two versions of the code diff cleanly when the search returns the same
+answers; the ``nodes`` and ``dive_nodes`` lines show how much the search
+effort moved. The 86 solves take about 7 s of CPU.
 ``tests/test_search_digest.py`` pins the 54 table solves to
 ``tests/data/search_digest.json``; a change that moves their node counts
 writes that file again from this script's output. Run from the
@@ -58,8 +59,8 @@ def cases():
 
 
 def digest(items) -> dict:
-    """Status, total, plan sha256, nodes and incumbent updates of the online
-    and no_reuse solves of every (label, spec) in ``items``."""
+    """Status, total, plan sha256, nodes, dive nodes and incumbent updates
+    of the online and no_reuse solves of every (label, spec) in ``items``."""
     out = {}
     for name, spec in items:
         instance = generate(spec)
@@ -75,6 +76,7 @@ def digest(items) -> dict:
                 "total": result.breakdown.total if result.breakdown else None,
                 "plan_sha256": plan,
                 "nodes": result.stats.nodes,
+                "dive_nodes": result.stats.dive_nodes,
                 "incumbent_updates": result.stats.incumbent_updates,
             }
     return out
@@ -87,7 +89,8 @@ def main() -> None:
     solves = digest(cases())
     args.output.write_text(json.dumps(solves, indent=2, sort_keys=True) + "\n")
     nodes = sum(solve["nodes"] for solve in solves.values())
-    print(f"{len(solves)} solves, {nodes} nodes; wrote {args.output}")
+    dive = sum(solve["dive_nodes"] for solve in solves.values())
+    print(f"{len(solves)} solves, {nodes} nodes and {dive} dive nodes; wrote {args.output}")
 
 
 if __name__ == "__main__":

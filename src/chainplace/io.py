@@ -234,10 +234,13 @@ def breakdown_to_document(breakdown: CostBreakdown) -> dict:
 
 
 def stats_to_document(stats, include_timing: bool) -> dict:
-    """The search stats of one solve. Timing is zeroed unless requested, so
-    report bytes are stable; ``gap_micro`` appears on time-limited runs."""
+    """The search stats of one solve. ``nodes`` counts the search and
+    ``dive_nodes`` the warm-start dive before it; ``incumbent_updates``
+    counts the offers accepted from both. Timing is zeroed unless requested,
+    so report bytes are stable; ``gap_micro`` appears on time-limited runs."""
     doc = {
         "nodes": stats.nodes,
+        "dive_nodes": stats.dive_nodes,
         "incumbent_updates": stats.incumbent_updates,
         "wall_time_s": round(stats.wall_time, 3) if include_timing else 0.0,
     }

@@ -47,6 +47,13 @@ Names appear once, when the search ends and the winning leaf is built into
 a plan from the problem's placement entries and link-name tuples.
 ``brute_force`` keys its plans with the named variables and ``plan_vector``
 instead, so the oracle stays independent of the position maps.
+
+The incumbent starts warm: before the search runs, a dive through the same
+code (``_Dive``) tries each decision's options cheapest first and offers its
+first leaf, giving up after a node budget. The search's pruning stays
+strict and ties still go through the key, so the warm incumbent only
+removes nodes: the search visits a subset of the nodes it visits from an
+empty incumbent, and returns the same optimum and the same plan.
 """
 
 from __future__ import annotations
@@ -92,7 +99,12 @@ class SolveOptions:
 
 @dataclass
 class SolveStats:
+    """``nodes`` counts the search's nodes and ``dive_nodes`` the warm-start
+    dive's before it (see ``_Dive``). ``incumbent_updates`` counts the
+    offers the incumbent accepted from both."""
+
     nodes: int = 0
+    dive_nodes: int = 0
     incumbent_updates: int = 0
     wall_time: float = 0.0
     gap: int | None = None  # micro-money; set on time-limited runs
@@ -146,8 +158,9 @@ class _Decision:
     # (type, id, server) per server position; the snapshot's own entry on
     # its snapshot server, so a plan that keeps the instance shares it
     placements: tuple
-    # (option, exact micro-money) pairs in the order the search tries them;
-    # an option is a server position, or None for not deployed
+    # (option, exact micro-money) pairs in the order the search tries them
+    # (the dive's order is _Problem.cheapest_first); an option is a server
+    # position, or None for not deployed
     options: tuple
     # deploying it covers its type (see _Problem.deploy_min); a request that
     # skips snapshot instances may use only qualifying ones
@@ -176,6 +189,11 @@ class _Problem:
     while di's type has no qualifying instance deployed. The assignment
     stage reads ``leaf_tail`` instead, built from the servers the placement
     leaf deploys.
+
+    ``cheapest_first[di]`` is decision ``di``'s options in the order the
+    warm-start dive tries them: sorted by micro-money, ties in the search's
+    order. ``dive_budget`` is the most nodes the dive visits: about four
+    root-to-leaf paths.
 
     The tables number nodes by their position in ``net.nodes``. Servers come
     first, so a server's number is its index in ``net.servers``. Link tables
@@ -331,6 +349,10 @@ class _Problem:
                 least = min(least, extra)
             self.deploy_min[di] = least
 
+        self.cheapest_first = [
+            tuple(sorted(d.options, key=lambda option: option[1])) for d in self.decisions
+        ]
+
         # per request, by request index: the user's position, the candidate
         # content servers' positions, and per chain slot the type's
         # (position, usage limit) and its processing delay by server position
@@ -340,6 +362,10 @@ class _Problem:
             for r in self.requests
         ]
         self.slots = [tuple(slot[k] for k in r.chain) for r in self.requests]
+        # about four root-to-leaf paths: a path has a node per decision, per
+        # chain slot and per request, and its leaves
+        path = len(self.decisions) + sum(map(len, self.slots)) + len(self.requests) + 1
+        self.dive_budget = 4 * path
         self.proc_delay = [
             tuple(
                 tuple(instance.catalog.get(k).processing_delay[s] for s in net.servers)
@@ -500,15 +526,19 @@ class _Search:
     place along the path and restored on backtrack. It holds positions and
     indices only: servers and links by their ``_Problem`` table position,
     instances by decision index. Names appear only in the plan that
-    ``_solve_exact`` builds from the winning leaf."""
+    ``_solve_exact`` builds from the winning leaf. The incumbent may come
+    in warm (see ``_Dive``); a node is pruned only when its bound is
+    strictly above the incumbent's total."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
         self.p = problem
         self.incumbent = incumbent
         self.deadline = deadline
-        self.aborted = False
+        self.aborted = False  # the deadline struck
         self.abort_lb = math.inf
         self.nodes = 0
+        # per decision: its options in the order this search tries them
+        self.options = [d.options for d in problem.decisions]
 
         # per decision: its server, None while not deployed
         self.target: list[int | None] = [None] * len(problem.decisions)
@@ -570,7 +600,7 @@ class _Search:
         d = p.decisions[di]
         # fresh instances activate in identifier order
         fresh_blocked = d.after is not None and self.target[d.after] is None
-        for target, delta in d.options:
+        for target, delta in self.options[di]:
             if target is not None and (
                 fresh_blocked
                 or self.server_load[target] + d.resource_req > p.server_cap[target]
@@ -714,6 +744,38 @@ class _Search:
         self.incumbent.offer(self.committed, leaf)
 
 
+class _DiveOver(Exception):
+    """Unwinds a dive that has offered its first leaf or met its budget."""
+
+
+class _Dive(_Search):
+    """The warm start: the search's code with each decision's options in
+    ``_Problem.cheapest_first`` order, stopped once it has offered its
+    first leaf or visited ``_Problem.dive_budget`` nodes. A stop is not a
+    time-limit abort: ``aborted`` still means only that the deadline
+    struck, and the dive's ``abort_lb`` is never read. A stop unwinds the
+    whole path at once, without restoring the state, so a dive runs once."""
+
+    def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
+        super().__init__(problem, incumbent, deadline)
+        self.options = problem.cheapest_first
+
+    def run(self) -> None:
+        try:
+            self._branch_tau(0)
+        except _DiveOver:
+            pass
+
+    def _expired(self) -> bool:
+        if self.nodes == self.p.dive_budget:
+            raise _DiveOver
+        return super()._expired()
+
+    def _offer_leaf(self) -> None:
+        super()._offer_leaf()
+        raise _DiveOver
+
+
 def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) -> SolveResult:
     """Provably optimal plan, or infeasible, or the best incumbent when the
     time limit strikes. Equal-cost optima resolve to the lexicographically
@@ -724,7 +786,9 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     the credit of the current routes not yet replaced and, for each request
     not yet routed, its cheapest user link while placing and its cheapest
     route over the deployed servers once placed; on a time-limited run the
-    least bound left unexplored gives ``stats.gap``."""
+    least bound left unexplored gives ``stats.gap``. A bounded
+    cheapest-first dive seeds the incumbent first (see ``_Dive``), which
+    changes the node count but not the result."""
     return _solve_exact(_Problem(instance, options or SolveOptions()))
 
 
@@ -735,16 +799,25 @@ def _solve_exact(problem: _Problem) -> SolveResult:
         return SolveResult(STATUS_INFEASIBLE, None, None, SolveStats())
     incumbent = _Incumbent(problem.leaf_key)
     start = time.monotonic()
-    search = _Search(problem, incumbent, start + options.time_limit)
+    deadline = start + options.time_limit
+    # the dive only seeds the incumbent, so meeting its budget or its first
+    # leaf decides nothing. A deadline that strikes in the dive still makes
+    # the solve time-limited; the search runs up to its own first deadline
+    # check, and its abort_lb gives the gap
+    dive = _Dive(problem, incumbent, deadline)
+    dive.run()
+    search = _Search(problem, incumbent, deadline)
     search._branch_tau(0)
+    aborted = dive.aborted or search.aborted
 
     stats = SolveStats(
         nodes=search.nodes,
+        dive_nodes=dive.nodes,
         incumbent_updates=incumbent.updates,
         wall_time=time.monotonic() - start,
     )
     if incumbent.payload is None:
-        if search.aborted:
+        if aborted:
             return SolveResult(STATUS_TIME_LIMIT, None, None, stats)
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
 
@@ -752,7 +825,7 @@ def _solve_exact(problem: _Problem) -> SolveResult:
     breakdown = _costs.total_objective(
         instance, plan, clamp_instantiation=options.clamp_instantiation
     )
-    if search.aborted:
+    if aborted:
         lb = min(search.abort_lb, incumbent.total)
         stats.gap = incumbent.total - lb if lb != math.inf else None
         return SolveResult(STATUS_TIME_LIMIT, plan, breakdown, stats)

@@ -71,12 +71,13 @@ def test_solve_report_document_shape():
 
 
 def test_stats_document_has_gap_only_on_a_time_limited_run():
-    stats = SolveStats(nodes=7, incumbent_updates=2, wall_time=1.23456)
+    stats = SolveStats(nodes=7, dive_nodes=3, incumbent_updates=2, wall_time=1.23456)
     assert stats_to_document(stats, False) == {
-        "nodes": 7, "incumbent_updates": 2, "wall_time_s": 0.0,
+        "nodes": 7, "dive_nodes": 3, "incumbent_updates": 2, "wall_time_s": 0.0,
     }
     assert stats_to_document(stats, True)["wall_time_s"] == 1.235
     stats.gap = 0
     assert stats_to_document(stats, False) == {
-        "nodes": 7, "incumbent_updates": 2, "wall_time_s": 0.0, "gap_micro": 0,
+        "nodes": 7, "dive_nodes": 3, "incumbent_updates": 2, "wall_time_s": 0.0,
+        "gap_micro": 0,
     }

@@ -22,15 +22,15 @@ from test_cli import TINY, run
 CASES = {
     "solve-online": (
         ["solve", "{reduced}"],
-        "307684730dc832d8ce95bb79c7158e46b84599c032178261989067237a1819d2",
+        "9a5fb889022e15c90dae66bc9dff19870b9e95efb36aeb31fe05a14d0915c897",
     ),
     "solve-no-reuse": (
         ["solve", "{reduced}", "--no-reuse"],
-        "c80d901b83686791424c19ca77a410579489dc1296efecfd0256a3242e0aa97a",
+        "57ddfa18a2d7d2f10b6af756653ca20617fe605c0e41fff7423f4dbd0057980c",
     ),
     "solve-tiny-no-reuse-oracle": (
         ["solve", "{tiny}", "--no-reuse", "--oracle"],
-        "235493d23d9948a99e2ac04ee50a062c32ea77b22a52fe614a74b5e85bb3f37a",
+        "9a34f15df0cfd3f9e094a1b5511540ad0bb2653994f693d7ee23cdbcee7a7eef",
     ),
     "compare-csv": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4"],
@@ -38,12 +38,12 @@ CASES = {
     ),
     "compare-json": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4", "--format", "json"],
-        "910be20b0d74efdeceba0c6f19594d9cbdaefffb90ea6f826e5b31562cbcbb26",
+        "953d8270f2cca79611727a790d08c2135e31620ffe4a297c036bbba29ccba1c3",
     ),
     "compare-refunds-json": (
         ["compare", "--reduced", "--scenario", "2", "--seed", "5", "--license-refunds",
          "--format", "json"],
-        "2ee3de31778a73763185f11f3cd2c3adb9e46e092eff09daaf44761074abf203",
+        "6d6dc81488a41d31296e28b84ddaa1d8b41c299c8976f1c2b7e7d18c8d040656",
     ),
 }
 

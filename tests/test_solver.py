@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from chainplace.scenario import DEFAULT_SEED, ScenarioSpec, generate, run_compar
 from chainplace.solver import (
     SolveOptions,
     _brute_force,
+    _Dive,
     _Incumbent,
     _Problem,
     _Search,
@@ -159,24 +161,24 @@ class TestSolveExact:
     def test_time_limited_gap_stays_below_the_incumbent(self):
         # the deployment term keeps the lower bound positive on the hardest
         # full-scale case measured; without it the gap exceeds the incumbent.
-        # The whole solve takes about 0.1 s of CPU on a 2-vCPU Xeon host, so
-        # a 0.01 s limit binds with room to spare; the first leaf comes at
-        # node 44, before the first deadline check at node 256, so the run
+        # The whole solve takes about 0.02 s of CPU on a 2-vCPU Xeon host, so
+        # a 0.002 s limit binds with room to spare; the warm-start dive
+        # offers a leaf at node 47, before any deadline check, so the run
         # stops with an incumbent
         frozen = json.loads(FULL_ORACLE[7].read_text())
         optimum = frozen["scenarios"]["3"]["no_reuse"]["total_micro"]
         inst = generate(ScenarioSpec.table_row(3, seed=7))
-        options = SolveOptions(time_limit=0.01, no_reuse=True, clamp_instantiation=True)
+        options = SolveOptions(time_limit=0.002, no_reuse=True, clamp_instantiation=True)
         assert 0 < root_bound(_Problem(inst, options)) <= optimum
         result = solve_exact(inst, options)
         assert result.status == "time_limit"
         assert 0 <= result.stats.gap < result.breakdown.total
 
     def test_time_limit_returns_incumbent_with_gap(self):
-        # full-scale scenario 3 under no_reuse takes about 0.08 s of CPU to
+        # full-scale scenario 3 under no_reuse takes about 0.02 s of CPU to
         # prove optimal on a 2-vCPU Xeon host, well above the limit
         inst = generate(ScenarioSpec.table_row(3, seed=3))
-        result = solve_exact(inst, SolveOptions(time_limit=0.01, no_reuse=True))
+        result = solve_exact(inst, SolveOptions(time_limit=0.002, no_reuse=True))
         assert result.status == "time_limit"
         if result.plan is not None:
             assert check_feasibility(inst, result.plan).feasible
@@ -512,17 +514,18 @@ class TestTypeCounts:
 class TestSearchEffort:
     """(nodes, incumbent_updates, nodes before the assignment stage priced
     routes over the deployed servers) for the reduced seed-3 table. A bound
-    term that stays admissible only prunes more, so the count may fall but
-    never rise above the count without it, and the incumbent updates do not
-    change."""
+    term that stays admissible, or an incumbent that starts warm, only
+    prunes more, so the count may fall but never rise above the count
+    without it. The incumbent updates move with the order in which the
+    search meets its leaves, and count the warm-start dive's offer too."""
 
     PINNED = {
-        (1, "online"): (411, 12, 1504),
-        (1, "no_reuse"): (1048, 12, 3892),
-        (2, "online"): (273, 9, 714),
-        (2, "no_reuse"): (1279, 20, 6164),
-        (3, "online"): (115, 11, 216),
-        (3, "no_reuse"): (2887, 50, 11732),
+        (1, "online"): (411, 13, 1504),
+        (1, "no_reuse"): (815, 8, 3892),
+        (2, "online"): (273, 10, 714),
+        (2, "no_reuse"): (815, 8, 6164),
+        (3, "online"): (115, 12, 216),
+        (3, "no_reuse"): (799, 8, 11732),
     }
 
     @pytest.mark.parametrize("scenario_id", [1, 2, 3])
@@ -551,7 +554,8 @@ class TestSearchEffort:
 
 
 def offered_leaves(problem) -> list[tuple]:
-    """(total, leaf) of every leaf the search offers its incumbent."""
+    """(total, leaf) of every leaf offered to the incumbent: the warm-start
+    dive's first, then the search's."""
     offers = []
     offer = _Incumbent.offer
 
@@ -594,13 +598,91 @@ class TestTieBreakKey:
         assert_keys_order_as_plan_vector(problem, offered_leaves(problem))
 
     def test_reduced_case_with_ties(self):
-        """Reduced seed-3 scenario 3 under no_reuse offers 62 leaves, and
-        33 of them tie the incumbent's total."""
+        """Reduced seed-3 scenario 3 under no_reuse offers 9 leaves, the
+        warm-start dive's first, and 3 of them tie the incumbent's total."""
         instance = generate(ScenarioSpec.table_row(3, seed=DEFAULT_SEED, reduced=True))
         problem = _Problem(instance, SolveOptions(no_reuse=True, clamp_instantiation=True))
         offers = offered_leaves(problem)
         assert len({total for total, _leaf in offers}) < len(offers)
+        dive = _Incumbent(problem.leaf_key)
+        _Dive(problem, dive, deadline=math.inf).run()
+        assert offers[0] == (dive.total, dive.payload)
         assert_keys_order_as_plan_vector(problem, offers)
+
+
+class TestWarmStart:
+    """The dive only seeds the incumbent. The search after it returns what
+    a plain search from an empty incumbent returns, down to the winning
+    leaf's key, and visits no more nodes."""
+
+    @staticmethod
+    def assert_same_as_plain_search(problem):
+        warm = _solve_exact(problem)
+        incumbent = _Incumbent(problem.leaf_key)
+        plain = _Search(problem, incumbent, deadline=math.inf)
+        if all(load <= cap for load, cap in zip(problem.base_load, problem.server_cap)):
+            plain._branch_tau(0)  # _solve_exact searches no overfilled snapshot
+        assert warm.status == ("optimal" if incumbent.payload else "infeasible")
+        assert warm.stats.nodes <= plain.nodes
+        if incumbent.payload is None:
+            assert warm.plan is None
+            return
+        assert warm.breakdown.total == incumbent.total
+        assert warm.plan == problem.leaf_plan(incumbent.payload)
+        instance = problem.instance
+        decision_vars = [v for v in enumerate_variables(instance) if v.family in "gtlp"]
+        vector = plan_vector(instance, warm.plan, decision_vars)
+        assert tuple(-i for i, bit in enumerate(vector) if bit) == problem.leaf_key(
+            incumbent.payload
+        )
+
+    @given(instance=binding_instances(), no_reuse=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_binding_regimes_match_the_plain_search(self, instance, no_reuse):
+        self.assert_same_as_plain_search(_Problem(instance, SolveOptions(no_reuse=no_reuse)))
+
+    def test_reduced_case_matches_the_plain_search(self):
+        instance = generate(ScenarioSpec.table_row(3, seed=DEFAULT_SEED, reduced=True))
+        problem = _Problem(instance, SolveOptions(no_reuse=True, clamp_instantiation=True))
+        self.assert_same_as_plain_search(problem)
+        assert _solve_exact(problem).stats.dive_nodes <= problem.dive_budget
+
+    def test_dive_stops_at_its_budget_on_an_infeasible_instance(self):
+        """No delay budget can be met, so no leaf exists; the tree of three
+        instances on three servers is larger than the dive's budget."""
+        net = mk_network(n_servers=3)
+        inst = mk_instance(
+            net, types=[mk_type(net, instances=3)], requests=[mk_request(net, budget=1)]
+        )
+        problem = _Problem(inst, SolveOptions())
+        plain = _Search(problem, _Incumbent(problem.leaf_key), deadline=math.inf)
+        plain._branch_tau(0)
+        assert plain.nodes > problem.dive_budget
+        incumbent = _Incumbent(problem.leaf_key)
+        dive = _Dive(problem, incumbent, deadline=math.inf)
+        dive.run()
+        assert dive.nodes == problem.dive_budget and not dive.aborted
+        assert incumbent.payload is None and incumbent.updates == 0
+        result = _solve_exact(problem)
+        assert result.status == "infeasible"
+        assert result.stats.dive_nodes == problem.dive_budget
+        assert result.stats.incumbent_updates == 0
+
+    def test_deadline_in_the_dive_still_stops_the_solve(self):
+        """A deadline that has passed as the dive starts: the dive (fewer
+        than 256 nodes here, so it never reads the clock) offers its leaf,
+        and the search stops at its first deadline check, at node 256. The
+        gap comes from the bound the search left unexplored."""
+        inst = generate(ScenarioSpec.table_row(1, seed=DEFAULT_SEED))
+        options = SolveOptions(time_limit=1e-9, no_reuse=True, clamp_instantiation=True)
+        problem = _Problem(inst, options)
+        assert problem.dive_budget < 256
+        result = _solve_exact(problem)
+        assert result.status == "time_limit"
+        assert 0 < result.stats.dive_nodes <= problem.dive_budget
+        assert result.stats.nodes == 256
+        assert check_feasibility(inst, result.plan).feasible
+        assert 0 <= result.stats.gap < result.breakdown.total
 
 
 class TestFullScaleOracle:
@@ -610,12 +692,12 @@ class TestFullScaleOracle:
     # (nodes, incumbent_updates) on the default seed: a change in the order
     # the search explores shows here
     PINNED = {
-        (1, "online"): (151, 16),
-        (2, "online"): (318, 21),
-        (3, "online"): (184, 9),
-        (1, "no_reuse"): (8_884, 31),
-        (2, "no_reuse"): (9_893, 70),
-        (3, "no_reuse"): (10_301, 72),
+        (1, "online"): (151, 17),
+        (2, "online"): (318, 22),
+        (3, "online"): (184, 10),
+        (1, "no_reuse"): (3_624, 8),
+        (2, "no_reuse"): (3_624, 8),
+        (3, "no_reuse"): (3_624, 8),
     }
 
     # the default seed keeps its plain scenario ids
@@ -649,7 +731,8 @@ class TestFrontier:
     and 6 new requests at seed 5, under no_reuse. HiGHS proves 300 813 746
     on the exported MPS file, in about 50 s of CPU on a 2-vCPU Xeon host;
     the search took 6.3 s and 3 139 225 nodes before the assignment stage
-    priced routes over the deployed servers, and takes about 0.4 s now."""
+    priced routes over the deployed servers, and takes about 0.02 s and
+    4 629 nodes (after a 57-node warm-start dive) now."""
 
     NODE_CEILING = 3_139_225
 
@@ -662,7 +745,7 @@ class TestFrontier:
         )
         assert result.status == "optimal"
         assert result.breakdown.total == 300_813_746
-        assert result.stats.incumbent_updates == 439
+        assert result.stats.incumbent_updates == 60
         assert result.stats.nodes < self.NODE_CEILING
 
 
