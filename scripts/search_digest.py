@@ -15,7 +15,7 @@ search and of the warm-start dive before it, and the incumbent updates,
 and writes them as sorted JSON to the given path. Two runs of the script
 on two versions of the code diff cleanly when the search returns the same
 answers; the ``nodes`` and ``dive_nodes`` lines show how much the search
-effort moved. The 86 solves take about 7 s of CPU.
+effort moved. The 86 solves take about 5 s of CPU on a 2-vCPU Xeon host.
 ``tests/test_search_digest.py`` pins the 54 table solves to
 ``tests/data/search_digest.json``; a change that moves their node counts
 writes that file again from this script's output. Run from the

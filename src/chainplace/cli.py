@@ -21,7 +21,7 @@ from collections import Counter
 from . import io as _io
 from . import scenario as _scenario
 from .errors import BootstrapInfeasibleError, ChainplaceError, ValidationFailedError
-from .ilp import BuildOptions, build_ilp, export_lp, export_mps
+from .ilp import BuildOptions, _collector_paused, build_ilp, export_lp, export_mps
 from .model import check_feasibility, validate_instance
 from .costs import total_objective
 from .solver import (
@@ -198,24 +198,32 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    instance = _read("instance", args.instance, _io.document_to_instance)
-    # build_ilp and _Problem validate the instance before any work; the
-    # search and the oracle share one _Problem, so it is validated once
+def _export(instance, args) -> int:
+    """Compile the instance and write its MILP. The caller pauses the
+    collector around the call, so the model, which forms no cycles, is
+    freed on return before a collection could scan it."""
     try:
-        if args.export:
-            model = build_ilp(instance, BuildOptions(no_reuse=args.no_reuse))
-        else:
-            problem = _Problem(instance, _solve_options(args))
-            result = _solve_exact(problem)
+        model = build_ilp(instance, BuildOptions(no_reuse=args.no_reuse))
     except ValidationFailedError as exc:
         _log_invalid(exc.report)
         return EXIT_USAGE
+    _emit(export_mps(model) if args.export == "mps" else export_lp(model), args.output)
+    return EXIT_OK
 
+
+def cmd_solve(args) -> int:
+    instance = _read("instance", args.instance, _io.document_to_instance)
     if args.export:
-        text = export_mps(model) if args.export == "mps" else export_lp(model)
-        _emit(text, args.output)
-        return EXIT_OK
+        with _collector_paused():
+            return _export(instance, args)
+    # _Problem validates the instance before any work; the search and the
+    # oracle share one _Problem, so it is validated once
+    try:
+        problem = _Problem(instance, _solve_options(args))
+        result = _solve_exact(problem)
+    except ValidationFailedError as exc:
+        _log_invalid(exc.report)
+        return EXIT_USAGE
 
     document = _io.solve_result_to_document(instance, result, include_timing=args.timing)
 

@@ -12,13 +12,15 @@ no_reuse, for a type that new requests use, enough fresh ones for the new
 requests' traffic. Every leaf meets both counts. An instance that counts
 toward the second is a qualifying one, and the no_reuse rule reads only
 that flag: a new request under no_reuse uses fresh-only types alone, so it
-is assigned, and priced, over qualifying instances. Each stage reads one
-tail of its bound: the placement bound is the committed cost plus
-``place_tail`` (which prices each request at its cheapest server->user
-link), plus ``deploy_min`` while the current decision's type has no
-qualifying instance deployed. At the placement leaf the servers of each
-type are fixed, so the assignment bound is the committed cost plus
-``_Problem.leaf_tail``: each unrouted request's cheapest route over them.
+is assigned, and priced, over qualifying instances. Routes are priced by
+one function, ``_Problem.route_floor``, over the decided types: a type is
+decided, and its servers are final, once its last instance is. The
+placement bound is the committed cost plus ``place_tail`` (the undecided
+instances and the later types' deployments), plus ``deploy_min`` while the
+current decision's type has no qualifying instance deployed, plus the
+route floor over the types decided so far. At the placement leaf every type is
+decided, so the assignment bound is the committed cost plus the floor's
+tail: each unrouted request's cheapest route over the deployed servers.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
 instead of the incremental bookkeeping used here.
@@ -183,12 +185,12 @@ class _Problem:
     when the type is fresh-only (no_reuse, and some new request uses it),
     else 1. A count is inf when the limit is 0 and the traffic is not.
 
-    ``place_tail[di]`` is the least cost still to come once decisions
-    before ``di`` are made, with every request priced at its cheapest
-    server->user link; ``deploy_min[di]`` is what the placement bound adds
-    while di's type has no qualifying instance deployed. The assignment
-    stage reads ``leaf_tail`` instead, built from the servers the placement
-    leaf deploys.
+    ``place_tail[di]`` is the least placement cost still to come once
+    decisions before ``di`` are made; ``deploy_min[di]`` is what the
+    placement bound adds while di's type has no qualifying instance
+    deployed. Routes are priced apart, by ``route_floor`` over a prefix of
+    per-type server masks: the types whose last instance is decided. The
+    placement stage reads its first entry, the assignment stage its tail.
 
     ``cheapest_first[di]`` is decision ``di``'s options in the order the
     warm-start dive tries them: sorted by micro-money, ties in the search's
@@ -305,16 +307,10 @@ class _Problem:
             links = normalize_route(net, r.current_route)
             self.credit.append(r.traffic * sum(net.cost_between(a, b) for a, b in links))
 
-        # Admissible tails of the placement stage (leaf_tail serves the
-        # assignment stage). routes: each request gets the credit for its
-        # current links back and pays at least traffic x its cheapest
-        # server->user link. Every route loads its last-host->user link: the
-        # user is a declared user node and node names are unique, so that
-        # link is never a self-link, and the route's other links cost
-        # nothing negative.
-        # place_tail[di]: each undecided instance takes its cheapest option,
-        # each later type adds deploy_min at its first decision, and every
-        # request is still to route; inf passes through.
+        # Admissible placement tails; route_floor adds the routes.
+        # place_tail[di]: each undecided instance takes its cheapest option
+        # and each later type adds deploy_min at its first decision; inf
+        # passes through.
         # deploy_min[di]: the least extra over the cheapest option among the
         # qualifying decisions from di to the end of di's type, inf when
         # there are none. Every leaf deploys a qualifying instance of each
@@ -326,14 +322,11 @@ class _Problem:
         # it is strictly above the incumbent still visits every leaf that
         # could improve or tie: a search that finishes returns the optimum,
         # the tie-break plan and the incumbent updates of a search without
-        # the deployment and routing terms (leaf_tail's too), in no more nodes.
-        routes = sum(
-            r.traffic * min(net.cost_between(s, r.user) for s in net.servers) - credit
-            for r, credit in zip(self.requests, self.credit)
-        )
+        # the deployment and routing terms (route_floor's too), in no more
+        # nodes.
         count = len(self.decisions)
         self.deploy_min = [math.inf] * count
-        self.place_tail = [routes] * (count + 1)
+        self.place_tail = [0] * (count + 1)
         least = math.inf
         for di in range(count - 1, -1, -1):
             d = self.decisions[di]
@@ -357,6 +350,10 @@ class _Problem:
         # content servers' positions, and per chain slot the type's
         # (position, usage limit) and its processing delay by server position
         self.user_at = [net.position(r.user) for r in self.requests]
+        # per request: its cheapest server->user link per traffic unit
+        self.user_link_min = [
+            min(self.link_cost[s * n + u] for s in positions) for u in self.user_at
+        ]
         self.candidates = [
             tuple(s for s in positions if net.servers[s] in r.candidate_servers)
             for r in self.requests
@@ -407,41 +404,75 @@ class _Problem:
         for off, (a, b) in enumerate(pairs):
             self.p_off[a * n + b] = off
         self.p_at = [at + ri * len(pairs) for ri in range(len(self.requests))]
-        # leaf_tail's memo, the only state that changes after construction:
-        # cheapest route per traffic unit by (user, candidates, slot masks)
+        # route_floor's memos, the only state that changes after
+        # construction: the floor by prefix, and the cheapest route per
+        # traffic unit by (user, candidates, per-slot server mask)
+        self._floors: dict[tuple, list] = {}
         self._route_min: dict[tuple, int | float] = {}
 
-    def leaf_tail(self, masks: tuple) -> list:
-        """The assignment stage's tail once the placement is fixed: entry
-        ``ri`` is the least cost still to come once requests before ``ri``
-        are routed. ``masks[k]`` holds two server bitmasks for type position
-        ``k``: the servers deploying it, and those deploying a qualifying
-        instance of it. Each request pays traffic x its cheapest route,
-        minus its credit. The route's content server is a candidate and its
-        hosts deploy its slots' types; a request that skips snapshot
-        instances reads the qualifying masks, since every type it uses is
-        fresh-only. Capacities and delay are ignored. A route is a set of
-        links, so a link used twice is priced once, as the objective prices
-        it, and a self-link costs nothing: no leaf below pays less."""
-        n, canon, cost = self.n_nodes, self.canon, self.link_cost
+    def route_floor(self, prefix: tuple) -> list:
+        """The routing cost still to come over the decided types: entry
+        ``ri`` is the least cost of routing the requests from ``ri`` on.
+        ``prefix[k]`` holds two server bitmasks for each decided type
+        position ``k``: the servers deploying it, and those deploying a
+        qualifying instance of it. A request that skips snapshot instances
+        reads the qualifying masks, since every type it uses is fresh-only.
+        Each request pays traffic x its cheapest route over the servers of
+        its decided chain slots (see ``_cheapest_route``), minus its
+        credit. Capacities and delay are ignored, and the route's links are
+        a subset of those of any route its leaves take: no leaf below pays
+        less. With no type decided each request pays its cheapest
+        server->user link; with every type decided this is the assignment
+        stage's tail."""
+        tail = self._floors.get(prefix)
+        if tail is not None:
+            return tail
+        decided = len(prefix)
         tail = [0] * (len(self.requests) + 1)
         for ri in range(len(self.requests) - 1, -1, -1):
             fresh = self.skips_snapshot[ri]
-            slot_masks = tuple(masks[k][fresh] for k, _limit in self.slots[ri])
-            key = (self.user_at[ri], self.candidates[ri], slot_masks)
+            masks = tuple(
+                prefix[k][fresh] if k < decided else None for k, _limit in self.slots[ri]
+            )
+            key = (self.user_at[ri], self.candidates[ri], masks)
             route = self._route_min.get(key)
             if route is None:
-                route = math.inf
-                pools = [[s for s in range(len(self.servers)) if m >> s & 1] for m in slot_masks]
-                for hosts in itertools.product(*pools):
-                    links = {canon[a * n + b] for a, b in zip(hosts, hosts[1:])}
-                    links.add(canon[hosts[-1] * n + self.user_at[ri]])
-                    entries = (canon[cs * n + hosts[0]] for cs in self.candidates[ri])
-                    entry = min(0 if e in links else cost[e] for e in entries)
-                    route = min(route, entry + sum(cost[c] for c in links))
-                self._route_min[key] = route
+                route = self._route_min[key] = self._cheapest_route(ri, masks)
             tail[ri] = tail[ri + 1] + self.requests[ri].traffic * route - self.credit[ri]
+        self._floors[prefix] = tail
         return tail
+
+    def _cheapest_route(self, ri: int, masks: tuple) -> int | float:
+        """Request ``ri``'s cheapest route per traffic unit, with chain slot
+        ``pos`` hosted on a server of ``masks[pos]``, or anywhere when that
+        is None (undecided). Only the decided slots' hosts are enumerated.
+        The route counts, as a set of links: the entry link from a candidate
+        content server if the first slot is decided, the links between
+        consecutive decided slots, and the user link from the last host if
+        the last slot is decided. An undecided last slot pays the cheapest
+        server->user link instead, which is none of the counted links: the
+        user is not a server. A link that touches an undecided slot is
+        dropped. A link used twice is priced once, as the objective prices
+        it, and a self-link costs nothing."""
+        n, canon, cost = self.n_nodes, self.canon, self.link_cost
+        user, candidates = self.user_at[ri], self.candidates[ri]
+        decided = [pos for pos, mask in enumerate(masks) if mask is not None]
+        pools = [[s for s in range(len(self.servers)) if masks[pos] >> s & 1] for pos in decided]
+        # positions in the host tuple of consecutive decided slots
+        hops = [(i, i + 1) for i in range(len(decided) - 1) if decided[i + 1] == decided[i] + 1]
+        first, last = masks[0] is not None, masks[-1] is not None
+        open_end = 0 if last else self.user_link_min[ri]
+        route = math.inf
+        for hosts in itertools.product(*pools):
+            links = {canon[hosts[i] * n + hosts[j]] for i, j in hops}
+            if last:
+                links.add(canon[hosts[-1] * n + user])
+            entry = 0
+            if first:
+                entries = (canon[cs * n + hosts[0]] for cs in candidates)
+                entry = min(0 if e in links else cost[e] for e in entries)
+            route = min(route, entry + open_end + sum(cost[c] for c in links))
+        return route
 
     def leaf_key(self, leaf: tuple) -> tuple:
         """The tie-break key of a search leaf, the (target, gamma, hosts,
@@ -558,7 +589,11 @@ class _Search:
         self.inst_load = [0] * len(problem.decisions)
         self.link_load = [0] * len(problem.link_cap)
         self.committed = 0
-        self.route_tail: list = []  # the leaf tail, set at each placement leaf
+        # per decided type position, its (every, qualified) server masks, and
+        # the route floor over them (see _Problem.route_floor); a type is
+        # decided once its last instance is
+        self.prefix: tuple = ()
+        self.floor = problem.route_floor(())
 
     def _expired(self) -> bool:
         if self.aborted:
@@ -575,10 +610,7 @@ class _Search:
     # stage (a): instance placements
     def _branch_tau(self, di: int) -> None:
         p = self.p
-        ended = p.type_end.get(di)
-        if ended is not None and not self._type_demand_covered(ended):
-            return
-        bound = self.committed + p.place_tail[di]
+        bound = self.committed + p.place_tail[di] + self.floor[0]
         if di < len(p.decisions) and not self.qualified[p.decisions[di].type_pos]:
             bound += p.deploy_min[di]
         if bound == math.inf:
@@ -590,14 +622,16 @@ class _Search:
         if inc is not None and bound > inc:
             return
         if di == len(p.decisions):
-            # every type passed _type_demand_covered at its type_end; the
-            # placement is fixed, so the assignment stage prices routes over
-            # the servers it deploys
-            self.route_tail = p.leaf_tail(self._host_masks())
+            # every type is decided and met its counts, so the floor is the
+            # assignment stage's tail
             self._branch_lambda(0, 0)
             return
 
         d = p.decisions[di]
+        # di is the last of its type: the deployed instances must meet the
+        # type's counts, and then the type's servers are final, so the floor
+        # prices routes over them too
+        ends = p.type_end.get(di + 1)
         # fresh instances activate in identifier order
         fresh_blocked = d.after is not None and self.target[d.after] is None
         for target, delta in self.options[di]:
@@ -607,23 +641,25 @@ class _Search:
             ):
                 continue
             self._commit_tau(di, target, delta)
-            self._branch_tau(di + 1)
+            if ends is None:
+                self._branch_tau(di + 1)
+            elif self._type_demand_covered(ends):
+                prefix, floor = self.prefix, self.floor
+                self.prefix = prefix + (self._type_masks(ends),)
+                self.floor = p.route_floor(self.prefix)
+                self._branch_tau(di + 1)
+                self.prefix, self.floor = prefix, floor
             self._undo_tau(di, target, delta)
 
-    def _host_masks(self) -> tuple:
-        """Per type position, the bitmasks of the servers deploying it and
-        of those deploying a qualifying instance of it, as
-        ``_Problem.leaf_tail`` reads them."""
-        decisions = self.p.decisions
-        masks = []
-        for placed in self.deployed:
-            every = qualified = 0
-            for di, s in placed:
-                every |= 1 << s
-                if decisions[di].qualifies:
-                    qualified |= 1 << s
-            masks.append((every, qualified))
-        return tuple(masks)
+    def _type_masks(self, k: int) -> tuple[int, int]:
+        """The bitmasks of the servers deploying type position ``k`` and of
+        those deploying a qualifying instance of it."""
+        every = qualified = 0
+        for di, s in self.deployed[k]:
+            every |= 1 << s
+            if self.p.decisions[di].qualifies:
+                qualified |= 1 << s
+        return every, qualified
 
     def _commit_tau(self, di: int, target: int | None, delta: int) -> None:
         self.committed += delta
@@ -649,7 +685,7 @@ class _Search:
     # content-server candidate
     def _branch_lambda(self, ri: int, pos: int) -> None:
         p = self.p
-        bound = self.committed + self.route_tail[ri]
+        bound = self.committed + self.floor[ri]
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
             return
@@ -784,8 +820,11 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     cheapest contribution of each undecided instance, for each type with no
     qualifying instance deployed yet the least extra cost of deploying one,
     the credit of the current routes not yet replaced and, for each request
-    not yet routed, its cheapest user link while placing and its cheapest
-    route over the deployed servers once placed; on a time-limited run the
+    not yet routed, a route floor: its cheapest route over the servers of
+    the types whose instances are all placed, leaving out the links that
+    touch a chain slot of another type, with an open last slot paying the
+    cheapest user link. Once every instance is placed the floor is the
+    cheapest whole route over the deployed servers. On a time-limited run the
     least bound left unexplored gives ``stats.gap``. A bounded
     cheapest-first dive seeds the incumbent first (see ``_Dive``), which
     changes the node count but not the result."""

@@ -1,8 +1,11 @@
+import gc
 import json
 import tracemalloc
+import weakref
 
 import pytest
 
+from chainplace import cli
 from chainplace.cli import _emit, main
 from chainplace.io import document_to_instance, dumps, instance_to_document, plan_to_document
 from chainplace.model import PlacementPlan
@@ -208,6 +211,51 @@ class TestEmit:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert path.read_bytes() == text.encode()
+
+
+class TestExportCollector:
+    """``solve --export`` pauses the cyclic collector once, around the
+    compile, the export and the write, and leaves it as it found it, also
+    when the instance is refused. The model is freed before the collector
+    resumes, so no collection scans it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    def test_collector_state_is_restored(self, tiny_file, tmp_path, capsys, fmt, enabled):
+        document = json.loads(tiny_file.read_text())
+        document["network"]["server_capacity"][0] = 0
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(json.dumps(document))
+        before = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert run(capsys, "solve", str(tiny_file), "--export", fmt)[0] == 0
+            assert gc.isenabled() is enabled
+            code, out, err = run(capsys, "solve", str(invalid), "--export", fmt)
+            assert (code, out) == (1, "")
+            assert err == "invalid instance: NONPOSITIVE_CAPACITY(s0): G=0\n"
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if before else gc.disable()
+
+    def test_model_is_freed_before_the_collector_resumes(self, tiny_file, capsys, monkeypatch):
+        models, alive = [], []
+        build, enable = cli.build_ilp, gc.enable
+
+        def keep_ref(*args, **kwargs):
+            model = build(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model
+
+        def record(*args):
+            alive.append([ref() is not None for ref in models])
+            enable(*args)
+
+        monkeypatch.setattr(cli, "build_ilp", keep_ref)
+        monkeypatch.setattr(gc, "enable", record)
+        assert gc.isenabled()
+        assert run(capsys, "solve", str(tiny_file), "--export", "mps")[0] == 0
+        assert alive == [[False]]
 
 
 class TestUsage:

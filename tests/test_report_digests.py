@@ -22,11 +22,11 @@ from test_cli import TINY, run
 CASES = {
     "solve-online": (
         ["solve", "{reduced}"],
-        "9a5fb889022e15c90dae66bc9dff19870b9e95efb36aeb31fe05a14d0915c897",
+        "aed2bfb569e98764bd6c9d8c004087231c17fe85905b308eabdba73d09d4520a",
     ),
     "solve-no-reuse": (
         ["solve", "{reduced}", "--no-reuse"],
-        "57ddfa18a2d7d2f10b6af756653ca20617fe605c0e41fff7423f4dbd0057980c",
+        "e0f6e1e66b40987437dbd8bef8afd202678f7c713ce2ac88cd95cda207314786",
     ),
     "solve-tiny-no-reuse-oracle": (
         ["solve", "{tiny}", "--no-reuse", "--oracle"],
@@ -38,12 +38,12 @@ CASES = {
     ),
     "compare-json": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4", "--format", "json"],
-        "953d8270f2cca79611727a790d08c2135e31620ffe4a297c036bbba29ccba1c3",
+        "40f94aa3a48ff0227f6161d920034db84b2db5350b9c4f3a8f9d396ebf21a5d5",
     ),
     "compare-refunds-json": (
         ["compare", "--reduced", "--scenario", "2", "--seed", "5", "--license-refunds",
          "--format", "json"],
-        "6d6dc81488a41d31296e28b84ddaa1d8b41c299c8976f1c2b7e7d18c8d040656",
+        "d903aea3239bf4ad8a058a86925ea662c818d6219a3c7888e5bb6920016aa7b1",
     ),
 }
 

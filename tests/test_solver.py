@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -161,24 +162,26 @@ class TestSolveExact:
     def test_time_limited_gap_stays_below_the_incumbent(self):
         # the deployment term keeps the lower bound positive on the hardest
         # full-scale case measured; without it the gap exceeds the incumbent.
-        # The whole solve takes about 0.02 s of CPU on a 2-vCPU Xeon host, so
-        # a 0.002 s limit binds with room to spare; the warm-start dive
+        # The whole solve takes about 0.008 s of CPU and 857 nodes on a
+        # 2-vCPU Xeon host, and the clock is read every 256 nodes, so a
+        # 0.0005 s limit binds with room to spare; the warm-start dive
         # offers a leaf at node 47, before any deadline check, so the run
         # stops with an incumbent
         frozen = json.loads(FULL_ORACLE[7].read_text())
         optimum = frozen["scenarios"]["3"]["no_reuse"]["total_micro"]
         inst = generate(ScenarioSpec.table_row(3, seed=7))
-        options = SolveOptions(time_limit=0.002, no_reuse=True, clamp_instantiation=True)
+        options = SolveOptions(time_limit=0.0005, no_reuse=True, clamp_instantiation=True)
         assert 0 < root_bound(_Problem(inst, options)) <= optimum
         result = solve_exact(inst, options)
         assert result.status == "time_limit"
         assert 0 <= result.stats.gap < result.breakdown.total
 
     def test_time_limit_returns_incumbent_with_gap(self):
-        # full-scale scenario 3 under no_reuse takes about 0.02 s of CPU to
-        # prove optimal on a 2-vCPU Xeon host, well above the limit
+        # full-scale scenario 3 under no_reuse takes about 0.008 s of CPU
+        # and 877 nodes to prove optimal on a 2-vCPU Xeon host, well above
+        # the limit at each of the three clock reads
         inst = generate(ScenarioSpec.table_row(3, seed=3))
-        result = solve_exact(inst, SolveOptions(time_limit=0.002, no_reuse=True))
+        result = solve_exact(inst, SolveOptions(time_limit=0.0005, no_reuse=True))
         assert result.status == "time_limit"
         if result.plan is not None:
             assert check_feasibility(inst, result.plan).feasible
@@ -326,16 +329,18 @@ class TestBindingRegimes:
 
 
 def root_bound(p) -> int:
-    """The search bound at the root, before any instance is placed."""
-    return p.place_tail[0] + (p.deploy_min[0] if p.decisions else 0)
+    """The search bound at the root, before any instance is placed and so
+    before any type is decided."""
+    return p.place_tail[0] + p.route_floor(())[0] + (p.deploy_min[0] if p.decisions else 0)
 
 
 def host_masks(p, plan) -> tuple:
     """Per type position, the bitmasks of the servers that deploy the type
     in ``plan`` and of those that deploy a qualifying instance of it: any
     instance, or a fresh one when the type is fresh-only (no_reuse, and a
-    new request uses it). This is the key ``_Problem.leaf_tail`` reads at
-    the placement leaf of ``plan``'s path."""
+    new request uses it). This is the prefix ``_Problem.route_floor`` reads
+    at the placement leaf of ``plan``'s path; the placement nodes read its
+    first entries, one per type decided before them."""
     position = {d.vnf_name: d.type_pos for d in p.decisions}
     fresh_only = {
         k for r in p.requests if p.options.no_reuse and r.status == "new" for k in r.chain
@@ -359,20 +364,23 @@ def path_bounds(p, plan) -> tuple[list[int], int]:
     decision order, then one node per request before it is routed. Also
     returns the committed cost at the leaf, which is the plan's total. The
     placement bounds count, per type, the qualifying instances the path has
-    deployed so far, as the search does. A decision's options are keyed by
-    server position. The assignment bounds read the leaf tail of the plan's
-    deployment."""
+    deployed so far, as the search does, and add the route floor over the
+    types decided before them: decisions run by type, so those are the
+    types at lower positions. A decision's options are keyed by server
+    position. The assignment bounds read the floor over every type."""
     placed = {(k, i): p.net.position(s) for k, i, s in plan.deployment}
+    masks = host_masks(p, plan)
     qualified = [0] * len(p.need)
     committed, bounds = 0, []
     for di, d in enumerate(p.decisions):
         missing = p.deploy_min[di] if not qualified[d.type_pos] else 0
-        bounds.append(committed + p.place_tail[di] + missing)
+        floor = p.route_floor(masks[: d.type_pos])[0]
+        bounds.append(committed + p.place_tail[di] + floor + missing)
         target = placed.get((d.vnf_name, d.instance_id))
         committed += dict(d.options)[target]
         if target is not None and d.qualifies:
             qualified[d.type_pos] += 1
-    tail = p.leaf_tail(host_masks(p, plan))
+    tail = p.route_floor(masks)
     for ri, r in enumerate(p.requests):
         bounds.append(committed + tail[ri])
         committed += r.traffic * route_cost(p.net, plan.routes[r.id]) - p.credit[ri]
@@ -428,11 +436,11 @@ class TestAdmissibleBound:
     @example(instance=snapshot_beside_fresh_instance(), options=SolveOptions())
     @settings(max_examples=200, deadline=None)
     def test_leaf_minimum_is_the_cheapest_route(self, instance, options):
-        """At the optimum's placement leaf, each request's share of the leaf
-        tail is its cheapest route less its credit, and that route costs no
-        more than the one the optimum takes. The search builds the leaf's
-        masks from its own state, so replaying the optimum's placement on
-        it must give the masks read off the plan."""
+        """At the optimum's placement leaf, each request's share of the
+        route floor is its cheapest route less its credit, and that route
+        costs no more than the one the optimum takes. The search builds
+        each type's masks from its own state, so replaying the optimum's
+        placement on it must give the masks read off the plan."""
         p = _Problem(instance, options)
         slow = _brute_force(p)
         if slow.breakdown is None:
@@ -443,8 +451,8 @@ class TestAdmissibleBound:
             target = placed.get((d.vnf_name, d.instance_id))
             search._commit_tau(di, target, dict(d.options)[target])
         masks = host_masks(p, slow.plan)
-        assert search._host_masks() == masks
-        tail = p.leaf_tail(masks)
+        assert tuple(search._type_masks(k) for k in range(len(p.need))) == masks
+        tail = p.route_floor(masks)
         cheapest = cheapest_routes(instance, slow.plan, options.no_reuse)
         for ri, r in enumerate(instance.requests):
             assert tail[ri] - tail[ri + 1] == cheapest[ri] - p.credit[ri]
@@ -462,9 +470,54 @@ class TestAdmissibleBound:
             requests=[mk_request(net, chain=("k0", "k1"), traffic=2, candidates=("s0",))],
         )
         p = _Problem(inst, SolveOptions())
-        assert p.leaf_tail(((0b10, 0b10), (0b01, 0b01))) == [2 * 200_000, 0]
+        assert p.route_floor(((0b10, 0b10), (0b01, 0b01))) == [2 * 200_000, 0]
         # co-located on the content server, the route pays its user link only
-        assert p.leaf_tail(((0b01, 0b01), (0b01, 0b01))) == [2 * 100_000, 0]
+        assert p.route_floor(((0b01, 0b01), (0b01, 0b01))) == [2 * 100_000, 0]
+
+    def test_undecided_slots_drop_their_links(self):
+        """Three servers; links to the user cost 10 from s0, 20 from s1 and
+        30 from s2, and every link between servers costs 100. Content is on
+        s2. Only the types at positions below the prefix's length are
+        decided. An undecided last slot pays the cheapest user link (10),
+        not the one from the last decided host; an undecided first slot
+        pays no entry link; a link with an undecided end is dropped, also
+        when both slots around the undecided one are decided."""
+        base = mk_network(n_servers=3, link_cost=100)
+        rows = [list(row) for row in base.link_cost]
+        user = base.position("u0")
+        for s, c in (("s0", 10), ("s1", 20), ("s2", 30)):
+            rows[base.position(s)][user] = rows[user][base.position(s)] = c
+        net = replace(base, link_cost=rows)
+        types = [mk_type(net, name=f"k{i}") for i in range(3)]
+        chains = [("k0", "k1"), ("k1", "k0"), ("k2", "k0", "k1"), ("k0", "k2", "k1")]
+        inst = mk_instance(
+            net,
+            types=types,
+            requests=[
+                mk_request(net, rid=f"r{i}", chain=chain, candidates=("s2",))
+                for i, chain in enumerate(chains)
+            ],
+        )
+        p = _Problem(inst, SolveOptions())
+        on = {s: (1 << i, 1 << i) for i, s in enumerate(("s0", "s1", "s2"))}
+
+        def routes(prefix):
+            tail = p.route_floor(prefix)
+            return [a - b for a, b in zip(tail, tail[1:])]
+
+        # no type decided: each request pays the cheapest user link
+        assert routes(()) == [10, 10, 10, 10]
+        # k0 on s1: r0 pays entry s2-s1 and the cheapest user link, not
+        # s1-u0; r1's first slot is open, so no entry, and its user link
+        # leaves s1; r2's k0 sits between two open slots, so it pays
+        # neither neighbour link, only the cheapest user link; so does r3
+        assert routes((on["s1"],)) == [100 + 10, 20, 10, 100 + 10]
+        # k0 on s1 and k1 on s0: r0 and r1 pay whole routes; r2's decided
+        # k0 -> k1 hop and user link count, but its open k2 slot drops the
+        # entry and the k2 -> k0 link; r3 pays its entry and user link, but
+        # not the s1-s0 link, which no route of r3 need take
+        routed = [100 + 100 + 10, 100 + 100 + 20, 100 + 10, 100 + 10]
+        assert routes((on["s1"], on["s0"])) == routed
 
 
 def demand_rule(deployed, qualified, limit, demand_all, demand_new, fresh_only):
@@ -520,12 +573,12 @@ class TestSearchEffort:
     search meets its leaves, and count the warm-start dive's offer too."""
 
     PINNED = {
-        (1, "online"): (411, 13, 1504),
-        (1, "no_reuse"): (815, 8, 3892),
-        (2, "online"): (273, 10, 714),
-        (2, "no_reuse"): (815, 8, 6164),
+        (1, "online"): (369, 13, 1504),
+        (1, "no_reuse"): (391, 8, 3892),
+        (2, "online"): (261, 10, 714),
+        (2, "no_reuse"): (391, 8, 6164),
         (3, "online"): (115, 12, 216),
-        (3, "no_reuse"): (799, 8, 11732),
+        (3, "no_reuse"): (375, 8, 11732),
     }
 
     @pytest.mark.parametrize("scenario_id", [1, 2, 3])
@@ -695,9 +748,9 @@ class TestFullScaleOracle:
         (1, "online"): (151, 17),
         (2, "online"): (318, 22),
         (3, "online"): (184, 10),
-        (1, "no_reuse"): (3_624, 8),
-        (2, "no_reuse"): (3_624, 8),
-        (3, "no_reuse"): (3_624, 8),
+        (1, "no_reuse"): (877, 8),
+        (2, "no_reuse"): (877, 8),
+        (3, "no_reuse"): (877, 8),
     }
 
     # the default seed keeps its plain scenario ids
@@ -732,7 +785,7 @@ class TestFrontier:
     on the exported MPS file, in about 50 s of CPU on a 2-vCPU Xeon host;
     the search took 6.3 s and 3 139 225 nodes before the assignment stage
     priced routes over the deployed servers, and takes about 0.02 s and
-    4 629 nodes (after a 57-node warm-start dive) now."""
+    2 849 nodes (after a 57-node warm-start dive) now."""
 
     NODE_CEILING = 3_139_225
 
