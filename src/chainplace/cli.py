@@ -94,11 +94,9 @@ def _solve_options(args) -> SolveOptions:
     time_limit = args.time_limit
     if time_limit is None:
         time_limit = _env("CHAINPLACE_TIME_LIMIT", float)
+    limit = {} if time_limit is None else {"time_limit": time_limit}  # else SolveOptions' own
     try:
-        return SolveOptions(
-            time_limit=600.0 if time_limit is None else time_limit,
-            no_reuse=getattr(args, "no_reuse", False),
-        )
+        return SolveOptions(no_reuse=getattr(args, "no_reuse", False), **limit)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 

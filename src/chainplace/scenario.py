@@ -341,7 +341,11 @@ class ComparisonReport:
     spec: ScenarioSpec
     online: CaseResult
     no_reuse: CaseResult
-    gap_micro: int
+
+    @property
+    def gap_micro(self) -> int:
+        """What forbidding reuse costs: no_reuse less online, in micro-money."""
+        return self.no_reuse.breakdown.total - self.online.breakdown.total
 
 
 def _case(instance: ProblemInstance, label: str, result) -> CaseResult:
@@ -389,7 +393,6 @@ def run_comparison(
         spec=spec,
         online=_case(instance, "online", online),
         no_reuse=_case(instance, "no_reuse", scratch),
-        gap_micro=scratch.breakdown.total - online.breakdown.total,
     )
 
 

@@ -31,22 +31,22 @@ order. Snapshot instances are never restricted (they are distinguishable
 through their migration sources), so no optimum is excluded.
 
 The search runs on integer tables that ``_Problem`` builds once per solve,
-indexed by node position in ``net.nodes`` (servers first, so a server's
-position is its index in ``net.servers``): flat row-major link cost, delay
-and usage-limit tables, per request the user's and the candidate servers'
-positions, per chain slot the type's position and usage limit and its
-processing delay by server, and per decision its type's position, its
-resource need and its options with their contributions. Every per-type
-fact is a list indexed by the type's position among the decision types.
-The search state holds server loads and link loads in lists, chain hosts
-as server positions and deployed instances as (decision, server) pairs per
-type position, so no node looks a name up. A leaf offers the incumbent a
-copy of that state. Equal totals are ordered by ``_Problem.leaf_key``, the
-search's one key function, which ``_Incumbent`` is given once: the
-positions of the ones in the plan's canonical g, t, l, p vector, found by
-arithmetic on per-problem position maps and made only when two totals tie.
-Names appear once, when the search ends and the winning leaf is built into
-a plan from the problem's placement entries and link-name tuples.
+indexed by node position in the network's node list (servers first, so a
+server's position is its index in its server list): flat row-major link
+cost, delay and usage-limit tables; per request the user's and the
+candidate servers' positions and its chain as type positions; per type
+position the usage limit and the processing delay by server; and per
+decision its type's position, its resource need and its options with their
+contributions. The search state holds each decision once: per decision its
+server, per chain slot its decision, per type position the indices of the
+deployed decisions, and server and link loads in lists, so no node looks a
+name up and a slot's server is read as its decision's. A leaf offers the
+incumbent a copy of that state. Equal totals are ordered by
+``_Problem.leaf_key``, the search's one key function, which ``_Incumbent``
+is given once: the positions of the ones in the plan's canonical g, t, l, p
+vector, found by arithmetic on per-problem position maps and made only when
+two totals tie. Names appear once, when the search ends and
+``_Problem.leaf_plan`` builds the winning leaf into a plan.
 ``brute_force`` keys its plans with the named variables and ``plan_vector``
 instead, so the oracle stays independent of the position maps.
 
@@ -157,9 +157,6 @@ class _Decision:
     instance_id: int
     after: int | None  # the type's previous fresh decision, activated first
     resource_req: int
-    # (type, id, server) per server position; the snapshot's own entry on
-    # its snapshot server, so a plan that keeps the instance shares it
-    placements: tuple
     # (option, exact micro-money) pairs in the order the search tries them
     # (the dive's order is _Problem.cheapest_first); an option is a server
     # position, or None for not deployed
@@ -178,7 +175,10 @@ class _Problem:
     engines (``solve --oracle`` does).
 
     Decision types (the catalog types some chain uses) are numbered in
-    catalog order, and every per-type table is a list by that position.
+    catalog order, and every per-type fact is a list by that position,
+    kept once: ``slots[ri]`` names request ``ri``'s chain by these
+    positions. ``type_cap[k]`` is type ``k``'s usage limit per instance and
+    ``type_delay[k]`` its processing delay by server position.
     ``need[k]`` is the fewest instances, at least one, whose usage limit
     carries the traffic of every request that uses type ``k``.
     ``need_qualified[k]`` is the same count for the new requests' traffic
@@ -197,10 +197,10 @@ class _Problem:
     order. ``dive_budget`` is the most nodes the dive visits: about four
     root-to-leaf paths.
 
-    The tables number nodes by their position in ``net.nodes``. Servers come
-    first, so a server's number is its index in ``net.servers``. Link tables
-    are flat and row-major: entry ``a * n_nodes + b`` is the link between
-    nodes ``a`` and ``b``."""
+    The tables number nodes by their position in the network's node list.
+    Servers come first, so a server's number is its index in ``servers``.
+    Link tables are flat and row-major: entry ``a * n_nodes + b`` is the
+    link between nodes ``a`` and ``b``."""
 
     def __init__(self, instance: ProblemInstance, options: SolveOptions):
         report = validate_instance(instance)
@@ -209,13 +209,11 @@ class _Problem:
         self.instance = instance
         self.options = options
         net = instance.network
-        self.net = net
         self.servers = net.servers
         self.requests = instance.requests
         limit = instance.usage_limit
 
-        nodes = net.nodes
-        n = self.n_nodes = len(nodes)
+        n = self.n_nodes = len(net.nodes)
         self.server_cap = [limit(net.server_capacity[s]) for s in net.servers]
         self.link_cost = [c for row in net.link_cost for c in row]
         self.link_delay = [d for row in net.link_delay for d in row]
@@ -225,12 +223,8 @@ class _Problem:
         for a, b in itertools.combinations(range(n), 2):
             self.link_cap[a * n + b] = self.link_cap[b * n + a] = limit(net.bandwidth[a][b])
         # canon[a * n + b]: the entry of the link's canonical orientation
-        # (a <= b), which keys link loads and routes; link_names holds its
-        # endpoint names, one tuple per link shared by every plan built here
+        # (a <= b), which keys link loads and routes
         self.canon = [min(a, b) * n + max(a, b) for a in range(n) for b in range(n)]
-        self.link_names = [(nodes[c // n], nodes[c % n]) for c in self.canon]
-
-        snapshot_entries = {e: e for e in instance.snapshot.deployed}
 
         # snapshot entries of unneeded types are outside the decision space,
         # but they still occupy server capacity
@@ -247,7 +241,9 @@ class _Problem:
         self.type_end: dict[int, int] = {}
         self.need: list[int | float] = []
         self.need_qualified: list[int | float] = []
-        slot = {}  # type name -> (type position, usage limit)
+        self.type_cap: list[int | Fraction] = []
+        self.type_delay: list[tuple[int, ...]] = []
+        type_pos = {}  # type name -> type position
         positions = range(len(net.servers))
         for vnf in instance.catalog.types:
             users = [r for r in self.requests if vnf.name in r.chain]
@@ -255,9 +251,10 @@ class _Problem:
                 continue
             new_users = [r for r in users if r.status == STATUS_NEW]
             fresh_only = options.no_reuse and bool(new_users)
-            k = len(self.need)
+            k = type_pos[vnf.name] = len(self.need)
             cap = limit(vnf.capacity)
-            slot[vnf.name] = (k, cap)
+            self.type_cap.append(cap)
+            self.type_delay.append(tuple(vnf.processing_delay[s] for s in net.servers))
             self.need.append(_instances_for(sum(r.traffic for r in users), cap))
             self.need_qualified.append(
                 _instances_for(sum(r.traffic for r in new_users), cap) if fresh_only else 1
@@ -267,7 +264,6 @@ class _Problem:
             for i in vnf.instances:
                 snap_server = instance.snapshot.server_of(vnf.name, i)
                 previous = None
-                placements = [(vnf.name, i, s) for s in net.servers]
                 if snap_server is None:
                     previous, last_fresh = last_fresh, len(self.decisions)
                     choices = ((None, 0),) + tuple(
@@ -275,7 +271,6 @@ class _Problem:
                     )
                 else:
                     keep = net.position(snap_server)
-                    placements[keep] = snapshot_entries[placements[keep]]
                     back = hosting[keep]
                     if not options.clamp_instantiation:
                         back += vnf.license_cost
@@ -293,7 +288,6 @@ class _Problem:
                         instance_id=i,
                         after=previous,
                         resource_req=vnf.resource_req,
-                        placements=tuple(placements),
                         options=choices,
                         qualifies=snap_server is None or not fresh_only,
                     )
@@ -347,8 +341,7 @@ class _Problem:
         ]
 
         # per request, by request index: the user's position, the candidate
-        # content servers' positions, and per chain slot the type's
-        # (position, usage limit) and its processing delay by server position
+        # content servers' positions, and its chain slots' type positions
         self.user_at = [net.position(r.user) for r in self.requests]
         # per request: its cheapest server->user link per traffic unit
         self.user_link_min = [
@@ -358,18 +351,11 @@ class _Problem:
             tuple(s for s in positions if net.servers[s] in r.candidate_servers)
             for r in self.requests
         ]
-        self.slots = [tuple(slot[k] for k in r.chain) for r in self.requests]
+        self.slots = [tuple(type_pos[k] for k in r.chain) for r in self.requests]
         # about four root-to-leaf paths: a path has a node per decision, per
         # chain slot and per request, and its leaves
         path = len(self.decisions) + sum(map(len, self.slots)) + len(self.requests) + 1
         self.dive_budget = 4 * path
-        self.proc_delay = [
-            tuple(
-                tuple(instance.catalog.get(k).processing_delay[s] for s in net.servers)
-                for k in r.chain
-            )
-            for r in self.requests
-        ]
         # new requests under no_reuse may not use snapshot instances
         self.skips_snapshot = [
             options.no_reuse and r.status == STATUS_NEW for r in self.requests
@@ -392,7 +378,7 @@ class _Problem:
         self.l_slot, self.l_width = [], []
         for slots in self.slots:
             offsets, width = [], 0
-            for k, _limit in slots:
+            for k in slots:
                 offsets.append(at + width - first[k])
                 width += size[k]
             self.l_slot.append(tuple(offsets))
@@ -432,7 +418,7 @@ class _Problem:
         for ri in range(len(self.requests) - 1, -1, -1):
             fresh = self.skips_snapshot[ri]
             masks = tuple(
-                prefix[k][fresh] if k < decided else None for k, _limit in self.slots[ri]
+                prefix[k][fresh] if k < decided else None for k in self.slots[ri]
             )
             key = (self.user_at[ri], self.candidates[ri], masks)
             route = self._route_min.get(key)
@@ -475,47 +461,55 @@ class _Problem:
         return route
 
     def leaf_key(self, leaf: tuple) -> tuple:
-        """The tie-break key of a search leaf, the (target, gamma, hosts,
-        picks, routes) state that ``_Search._offer_leaf`` copies: the
-        positions of the ones in its plan's canonical g, t, l, p vector,
-        ascending and negated. Two leaves' keys compare as the vectors of
-        their plans do, equality included: at the first position where the
-        vectors differ, the plan with the 0 there has its next one later, so
-        its key holds a smaller number there or ends first."""
-        target, gamma, hosts, picks, routes = leaf
+        """The tie-break key of a search leaf, the (target, gamma, picks,
+        routes) state that ``_Search._offer_leaf`` copies: the positions of
+        the ones in its plan's canonical g, t, l, p vector, ascending and
+        negated. Two leaves' keys compare as the vectors of their plans do,
+        equality included: at the first position where the vectors differ,
+        the plan with the 0 there has its next one later, so its key holds a
+        smaller number there or ends first."""
+        target, gamma, picks, routes = leaf
         n_servers, t_at, p_off = len(self.servers), self.t_at, self.p_off
         ones = [ri * n_servers + cs for ri, cs in enumerate(gamma)]
         ones += [t_at + di * n_servers + s for di, s in enumerate(target) if s is not None]
         for ri, (chain_links, entry) in enumerate(routes):
             l_slot, width = self.l_slot[ri], self.l_width[ri]
-            ones += [at + s * width + di for at, s, di in zip(l_slot, hosts[ri], picks[ri])]
+            ones += [at + target[di] * width + di for at, di in zip(l_slot, picks[ri])]
             p_at = self.p_at[ri]
             ones += [p_at + p_off[c] for c in chain_links | {entry}]
         ones.sort()
         return tuple(-i for i in ones)
 
     def leaf_plan(self, leaf: tuple) -> PlacementPlan:
-        """The named plan of a search leaf, made of the problem's shared
-        placement entries and link-name tuples."""
-        target, gamma, hosts, picks, routes = leaf
-        servers, decisions, names = self.servers, self.decisions, self.link_names
+        """The named plan of a search leaf, the one place the search makes
+        names. An instance that stays put keeps the snapshot's own entry and
+        an unchanged route the request's own set, so a plan shares what it
+        does not change."""
+        target, gamma, picks, routes = leaf
+        servers, decisions, n = self.servers, self.decisions, self.n_nodes
+        nodes = self.instance.network.nodes
         assignment = []
         plan_routes = {}
         for ri, r in enumerate(self.requests):
-            for s, di in zip(hosts[ri], picks[ri]):
+            for di in picks[ri]:
                 d = decisions[di]
-                assignment.append((r.id, servers[s], d.vnf_name, d.instance_id))
+                assignment.append((r.id, servers[target[di]], d.vnf_name, d.instance_id))
             chain_links, entry = routes[ri]
-            route = frozenset([names[c] for c in chain_links] + [names[entry]])
-            # an unchanged route shares the request's set
+            route = frozenset((nodes[c // n], nodes[c % n]) for c in chain_links | {entry})
             plan_routes[r.id] = r.current_route if route == r.current_route else route
+        placed = {
+            (d.vnf_name, d.instance_id, servers[s])
+            for d, s in zip(decisions, target)
+            if s is not None
+        }
+        # an instance that stays put keeps the snapshot's own entry: a set
+        # keeps the element it holds when an equal one is added
+        kept = {e for e in self.instance.snapshot.deployed if e in placed}
         return PlacementPlan(
             content_server=frozenset(
                 (r.id, servers[cs]) for r, cs in zip(self.requests, gamma)
             ),
-            deployment={
-                d.placements[s] for d, s in zip(decisions, target) if s is not None
-            } | set(self.frozen),
+            deployment=kept.union(self.frozen, placed),
             assignment=frozenset(assignment),
             routes=plan_routes,
         )
@@ -555,11 +549,12 @@ class _Incumbent:
 class _Search:
     """The depth-first exploration of the search tree. State is mutated in
     place along the path and restored on backtrack. It holds positions and
-    indices only: servers and links by their ``_Problem`` table position,
-    instances by decision index. Names appear only in the plan that
-    ``_solve_exact`` builds from the winning leaf. The incumbent may come
-    in warm (see ``_Dive``); a node is pruned only when its bound is
-    strictly above the incumbent's total."""
+    indices only, each fact once: servers and links by their ``_Problem``
+    table position, instances by decision index, and a chain slot or a
+    deployed instance reads its server as its decision's ``target``. Names
+    appear only in ``_Problem.leaf_plan``. The incumbent may come in warm
+    (see ``_Dive``); a node is pruned only when its bound is strictly above
+    the incumbent's total."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
         self.p = problem
@@ -573,17 +568,15 @@ class _Search:
 
         # per decision: its server, None while not deployed
         self.target: list[int | None] = [None] * len(problem.decisions)
-        # per type position: (decision, server) of each deployed instance,
-        # in decision order
-        self.deployed: list[list[tuple[int, int]]] = [[] for _k in problem.need]
+        # per type position: the deployed decisions, in decision order
+        self.deployed: list[list[int]] = [[] for _k in problem.need]
         self.server_load = list(problem.base_load)
         # qualifying instances deployed, per type position (see
         # _Problem.deploy_min)
         self.qualified = [0] * len(problem.need)
-        # per request: content server, then per chain slot its host and
-        # decision, and the (chain links, entry link) of its route
+        # per request: content server, then per chain slot its decision, and
+        # the (chain links, entry link) of its route
         self.gamma: list[int | None] = [None] * len(problem.requests)
-        self.hosts = [[0] * len(r.chain) for r in problem.requests]
         self.picks = [[0] * len(r.chain) for r in problem.requests]
         self.routes: list[tuple | None] = [None] * len(problem.requests)
         self.inst_load = [0] * len(problem.decisions)
@@ -655,10 +648,11 @@ class _Search:
         """The bitmasks of the servers deploying type position ``k`` and of
         those deploying a qualifying instance of it."""
         every = qualified = 0
-        for di, s in self.deployed[k]:
-            every |= 1 << s
+        for di in self.deployed[k]:
+            bit = 1 << self.target[di]
+            every |= bit
             if self.p.decisions[di].qualifies:
-                qualified |= 1 << s
+                qualified |= bit
         return every, qualified
 
     def _commit_tau(self, di: int, target: int | None, delta: int) -> None:
@@ -666,7 +660,7 @@ class _Search:
         if target is not None:
             d = self.p.decisions[di]
             self.target[di] = target
-            self.deployed[d.type_pos].append((di, target))
+            self.deployed[d.type_pos].append(di)
             self.server_load[target] += d.resource_req
             if d.qualifies:
                 self.qualified[d.type_pos] += 1
@@ -700,16 +694,17 @@ class _Search:
             self._route_and_descend(ri)
             return
         traffic = p.requests[ri].traffic
-        k, limit = slots[pos]
+        k = slots[pos]
+        limit = p.type_cap[k]
         skips_snapshot = p.skips_snapshot[ri]
-        hosts, picks, inst_load = self.hosts[ri], self.picks[ri], self.inst_load
-        for di, s in self.deployed[k]:
+        picks, inst_load = self.picks[ri], self.inst_load
+        for di in self.deployed[k]:
             if skips_snapshot and not p.decisions[di].qualifies:
                 continue
             load = inst_load[di] + traffic
             if load > limit:
                 continue
-            hosts[pos], picks[pos] = s, di
+            picks[pos] = di
             inst_load[di] = load
             self._branch_lambda(ri, pos + 1)
             inst_load[di] = load - traffic
@@ -720,7 +715,7 @@ class _Search:
         traffic = r.traffic
         n, canon = p.n_nodes, p.canon
         link_cap, link_load = p.link_cap, self.link_load
-        hosts = self.hosts[ri]
+        hosts = [self.target[di] for di in self.picks[ri]]
         chain_links = {canon[a * n + b] for a, b in zip(hosts, hosts[1:])}
         chain_links.add(canon[hosts[-1] * n + p.user_at[ri]])
 
@@ -732,8 +727,8 @@ class _Search:
                 return
             delay += p.link_delay[link]
             route_cost += p.link_cost[link]
-        for proc, s in zip(p.proc_delay[ri], hosts):
-            delay += proc[s]
+        for k, s in zip(p.slots[ri], hosts):
+            delay += p.type_delay[k][s]
         delay *= traffic
         route_cost *= traffic
         if delay > r.delay_budget:
@@ -773,7 +768,6 @@ class _Search:
         leaf = (
             list(self.target),
             list(self.gamma),
-            [list(h) for h in self.hosts],
             [list(p) for p in self.picks],
             list(self.routes),  # route tuples are never changed once made
         )

@@ -341,8 +341,10 @@ class TestUsageLimit:
         p = _Problem(inst, SolveOptions())
         limit = inst.usage_limit
         assert p.server_cap == [limit(9)] * 3
-        # slots name each chain type by its position in catalog order
-        assert p.slots == [((1, limit(4)), (0, limit(11)))]
+        # slots name each chain type by its position in catalog order, and
+        # the type's usage limit sits at that position
+        assert p.slots == [(1, 0)]
+        assert p.type_cap == [limit(11), limit(4)]
         # a self-link never fills; every other entry, in either orientation,
         # is the link's limit
         for a, b in itertools.product(range(n), repeat=2):
