@@ -255,8 +255,16 @@ class ProblemInstance:
 
     def usage_limit(self, capacity: int) -> int | Fraction:
         """Exact usable share of a capacity under the usage threshold: an
-        int when it is whole, a Fraction otherwise."""
-        limit = self._usage_fraction * capacity
+        int when it is whole, a Fraction otherwise. An int capacity, the
+        only kind a valid instance holds, takes integer arithmetic and makes
+        a Fraction only to return one; anything else meets the Fraction
+        product, and its errors."""
+        share = self._usage_fraction
+        if isinstance(capacity, int):
+            scaled = share.numerator * capacity
+            whole, rest = divmod(scaled, share.denominator)
+            return Fraction(scaled, share.denominator) if rest else whole
+        limit = share * capacity
         return int(limit) if limit.denominator == 1 else limit
 
 

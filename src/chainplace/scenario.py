@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
 from .costs import CostBreakdown, service_delay
-from .errors import BootstrapInfeasibleError, IndexMismatchError
+from .errors import BootstrapInfeasibleError
 from .io import FORMAT_VERSION, breakdown_to_document, stats_to_document
 from .model import (
     DeploymentDelta,
@@ -188,17 +188,15 @@ class _MigrationPrices(Mapping):
     def __init__(self, network: Network, traffic: int):
         self._network = network
         self._traffic = traffic
+        self._server_at = {s: a for a, s in enumerate(network.servers)}
 
     def __getitem__(self, pair) -> int:
-        net = self._network
         try:
             s, d = pair
-            a, b = net.position(s), net.position(d)
-        except (TypeError, ValueError, IndexMismatchError):
+            a, b = self._server_at[s], self._server_at[d]
+        except (TypeError, ValueError, KeyError):
             raise KeyError(pair) from None
-        if max(a, b) >= len(net.servers):
-            raise KeyError(pair)
-        return self._traffic * net.link_cost[a][b]
+        return self._traffic * self._network.link_cost[a][b]
 
     def __iter__(self):
         servers = self._network.servers

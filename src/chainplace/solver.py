@@ -18,9 +18,15 @@ decided, and its servers are final, once its last instance is. The
 placement bound is the committed cost plus ``place_tail`` (the undecided
 instances and the later types' deployments), plus ``deploy_min`` while the
 current decision's type has no qualifying instance deployed, plus the
-route floor over the types decided so far. At the placement leaf every type is
-decided, so the assignment bound is the committed cost plus the floor's
-tail: each unrouted request's cheapest route over the deployed servers.
+route floor over the types decided so far. A placement node's parent
+computes that bound, once per option, before it commits and descends, so
+a child over the incumbent costs no call; where the option decides a type,
+the parent checks the bound on the floor it has before it prices the
+longer prefix, since deciding a type never lowers the floor. The floor of
+a prefix reprices only the requests whose chains use its last type. At
+the placement leaf every type is decided, so the assignment bound is the
+committed cost plus the floor's tail: each unrouted request's cheapest
+route over the deployed servers.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
 instead of the incremental bookkeeping used here.
@@ -28,7 +34,10 @@ instead of the incremental bookkeeping used here.
 Both solvers break instance-permutation symmetry the same way: instances of
 one type that are absent from the snapshot are activated in identifier
 order. Snapshot instances are never restricted (they are distinguishable
-through their migration sources), so no optimum is excluded.
+through their migration sources), so no optimum is excluded. Once a fresh
+instance is left out, the type's later fresh ones can only be left out
+too, so the search does not visit them: it jumps to the type's next
+snapshot decision or to the type's end (``_Problem.skip``).
 
 The search runs on integer tables that ``_Problem`` builds once per solve,
 indexed by node position in the network's node list (servers first, so a
@@ -166,6 +175,14 @@ class _Decision:
     qualifies: bool
 
 
+class _MaskServers(dict):
+    """Server positions by bitmask, each tuple made on first use."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        servers = self[mask] = tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
+        return servers
+
+
 class _Problem:
     """Immutable data shared by both solvers: the validated instance, the
     options, the decisions with their exact contributions, the bound tails
@@ -188,9 +205,14 @@ class _Problem:
     ``place_tail[di]`` is the least placement cost still to come once
     decisions before ``di`` are made; ``deploy_min[di]`` is what the
     placement bound adds while di's type has no qualifying instance
-    deployed. Routes are priced apart, by ``route_floor`` over a prefix of
-    per-type server masks: the types whose last instance is decided. The
-    placement stage reads its first entry, the assignment stage its tail.
+    deployed. Both have an entry past the last decision, 0, which is the
+    bound of the assignment stage's root. ``skip[di]`` is where the search
+    goes from ``di`` when the next decision is a fresh instance that can no
+    longer activate: the type's next snapshot decision, or its end.
+    Routes are priced apart, by ``route_floor`` over a prefix of per-type
+    server masks: the types whose last instance is decided. The placement
+    stage reads its first entry, the assignment stage its tail. Its memos
+    are attributes of the ``_Problem`` and go with it.
 
     ``cheapest_first[di]`` is decision ``di``'s options in the order the
     warm-start dive tries them: sorted by micro-money, ties in the search's
@@ -235,10 +257,15 @@ class _Problem:
 
         self.decisions: list[_Decision] = []
         # once the last instance of a type is decided, the deployed instances
-        # must already meet the type's counts; type_end maps the index after
-        # it to the type's position, so checking at the boundary keeps the
-        # placement stage from wading through dead subtrees
-        self.type_end: dict[int, int] = {}
+        # must already meet the type's counts; type_end holds the index
+        # after it, so checking at the boundary keeps the placement stage
+        # from wading through dead subtrees
+        self.type_end: set[int] = set()
+        # skip[di]: the type's first snapshot decision after di, or the index
+        # after its last decision. Fresh instances activate in identifier
+        # order, so once one is left out the type's later fresh ones are
+        # forced out too, and the search jumps to skip[di]
+        self.skip: list[int] = []
         self.need: list[int | float] = []
         self.need_qualified: list[int | float] = []
         self.type_cap: list[int | Fraction] = []
@@ -260,7 +287,7 @@ class _Problem:
                 _instances_for(sum(r.traffic for r in new_users), cap) if fresh_only else 1
             )
             hosting = [vnf.resource_req * net.server_unit_cost[s] for s in net.servers]
-            last_fresh = None
+            start, last_fresh, held = len(self.decisions), None, []
             for i in vnf.instances:
                 snap_server = instance.snapshot.server_of(vnf.name, i)
                 previous = None
@@ -270,6 +297,7 @@ class _Problem:
                         (s, hosting[s] + vnf.license_cost) for s in positions
                     )
                 else:
+                    held.append(len(self.decisions))
                     keep = net.position(snap_server)
                     back = hosting[keep]
                     if not options.clamp_instantiation:
@@ -292,7 +320,9 @@ class _Problem:
                         qualifies=snap_server is None or not fresh_only,
                     )
                 )
-            self.type_end[len(self.decisions)] = k
+            end = len(self.decisions)
+            self.type_end.add(end)
+            self.skip += [next((j for j in held if j > di), end) for di in range(start, end)]
 
         # per request, by request index: the cost of its current links,
         # which its new route replaces
@@ -319,15 +349,14 @@ class _Problem:
         # the deployment and routing terms (route_floor's too), in no more
         # nodes.
         count = len(self.decisions)
-        self.deploy_min = [math.inf] * count
+        self.deploy_min = [math.inf] * count + [0]
         self.place_tail = [0] * (count + 1)
         least = math.inf
         for di in range(count - 1, -1, -1):
             d = self.decisions[di]
             tail = self.place_tail[di + 1]
             if di + 1 in self.type_end:  # di is the last of its type
-                if di + 1 < count:
-                    tail += self.deploy_min[di + 1]
+                tail += self.deploy_min[di + 1]
                 least = math.inf
             cheapest = min(c for _t, c in d.options)
             self.place_tail[di] = tail + cheapest
@@ -352,8 +381,13 @@ class _Problem:
             for r in self.requests
         ]
         self.slots = [tuple(type_pos[k] for k in r.chain) for r in self.requests]
-        # about four root-to-leaf paths: a path has a node per decision, per
-        # chain slot and per request, and its leaves
+        # per type position: the requests whose chains use it
+        self.type_users = [[] for _k in self.need]
+        for ri, slots in enumerate(self.slots):
+            for k in dict.fromkeys(slots):
+                self.type_users[k].append(ri)
+        # about four root-to-leaf paths: a path has at most a node per
+        # decision, and a node per chain slot and per request, and its leaves
         path = len(self.decisions) + sum(map(len, self.slots)) + len(self.requests) + 1
         self.dive_budget = 4 * path
         # new requests under no_reuse may not use snapshot instances
@@ -391,10 +425,14 @@ class _Problem:
             self.p_off[a * n + b] = off
         self.p_at = [at + ri * len(pairs) for ri in range(len(self.requests))]
         # route_floor's memos, the only state that changes after
-        # construction: the floor by prefix, and the cheapest route per
-        # traffic unit by (user, candidates, per-slot server mask)
-        self._floors: dict[tuple, list] = {}
+        # construction: per prefix its floor and per-request terms; the
+        # cheapest route per traffic unit by (user, candidates, per-slot
+        # server mask); per (request, decided types) the shape of its route;
+        # and per server mask its server positions
+        self._floors: dict[tuple, tuple[list, list]] = {}
         self._route_min: dict[tuple, int | float] = {}
+        self._shapes: dict[tuple[int, int], tuple] = {}
+        self._mask_servers = _MaskServers()
 
     def route_floor(self, prefix: tuple) -> list:
         """The routing cost still to come over the decided types: entry
@@ -409,13 +447,28 @@ class _Problem:
         a subset of those of any route its leaves take: no leaf below pays
         less. With no type decided each request pays its cheapest
         server->user link; with every type decided this is the assignment
-        stage's tail."""
-        tail = self._floors.get(prefix)
-        if tail is not None:
-            return tail
+        stage's tail.
+
+        Deciding one more type never lowers the floor: a request's counted
+        links stay counted, and only requests that use the new type change.
+        So a prefix's floor reprices just those requests and takes every
+        other request's term from its parent prefix's, which it prices
+        first when the parent is not yet known."""
+        return self._floor(prefix)[0]
+
+    def _floor(self, prefix: tuple) -> tuple[list, list]:
+        """The memoized (floor, per-request terms) of ``prefix``."""
+        known = self._floors.get(prefix)
+        if known is not None:
+            return known
         decided = len(prefix)
-        tail = [0] * (len(self.requests) + 1)
-        for ri in range(len(self.requests) - 1, -1, -1):
+        if decided:
+            terms = list(self._floor(prefix[:-1])[1])
+            repriced = self.type_users[decided - 1]
+        else:
+            terms = [0] * len(self.requests)
+            repriced = range(len(self.requests))
+        for ri in repriced:
             fresh = self.skips_snapshot[ri]
             masks = tuple(
                 prefix[k][fresh] if k < decided else None for k in self.slots[ri]
@@ -423,33 +476,36 @@ class _Problem:
             key = (self.user_at[ri], self.candidates[ri], masks)
             route = self._route_min.get(key)
             if route is None:
-                route = self._route_min[key] = self._cheapest_route(ri, masks)
-            tail[ri] = tail[ri + 1] + self.requests[ri].traffic * route - self.credit[ri]
-        self._floors[prefix] = tail
-        return tail
+                route = self._route_min[key] = self._cheapest_route(ri, decided, masks)
+            terms[ri] = self.requests[ri].traffic * route - self.credit[ri]
+        tail = [0] * (len(terms) + 1)
+        for ri in range(len(terms) - 1, -1, -1):
+            tail[ri] = tail[ri + 1] + terms[ri]
+        known = self._floors[prefix] = (tail, terms)
+        return known
 
-    def _cheapest_route(self, ri: int, masks: tuple) -> int | float:
-        """Request ``ri``'s cheapest route per traffic unit, with chain slot
-        ``pos`` hosted on a server of ``masks[pos]``, or anywhere when that
-        is None (undecided). Only the decided slots' hosts are enumerated.
-        The route counts, as a set of links: the entry link from a candidate
-        content server if the first slot is decided, the links between
-        consecutive decided slots, and the user link from the last host if
-        the last slot is decided. An undecided last slot pays the cheapest
-        server->user link instead, which is none of the counted links: the
-        user is not a server. A link that touches an undecided slot is
-        dropped. A link used twice is priced once, as the objective prices
-        it, and a self-link costs nothing."""
+    def _cheapest_route(self, ri: int, decided: int, masks: tuple) -> int | float:
+        """Request ``ri``'s cheapest route per traffic unit when the types
+        at positions below ``decided`` are decided, with chain slot ``pos``
+        hosted on a server of ``masks[pos]``, or anywhere when that is None
+        (undecided). Only the decided slots' hosts are enumerated. The route
+        counts, as a set of links: the entry link from a candidate content
+        server if the first slot is decided, the links between consecutive
+        decided slots, and the user link from the last host if the last slot
+        is decided. An undecided last slot pays the cheapest server->user
+        link instead, which is none of the counted links: the user is not a
+        server. A link that touches an undecided slot is dropped. A link
+        used twice is priced once, as the objective prices it, and a
+        self-link costs nothing."""
+        shape = self._shapes.get((ri, decided))
+        if shape is None:
+            shape = self._shapes[ri, decided] = self._route_shape(ri, decided)
+        spots, hops, first, last, open_end = shape
         n, canon, cost = self.n_nodes, self.canon, self.link_cost
         user, candidates = self.user_at[ri], self.candidates[ri]
-        decided = [pos for pos, mask in enumerate(masks) if mask is not None]
-        pools = [[s for s in range(len(self.servers)) if masks[pos] >> s & 1] for pos in decided]
-        # positions in the host tuple of consecutive decided slots
-        hops = [(i, i + 1) for i in range(len(decided) - 1) if decided[i + 1] == decided[i] + 1]
-        first, last = masks[0] is not None, masks[-1] is not None
-        open_end = 0 if last else self.user_link_min[ri]
+        servers_of = self._mask_servers
         route = math.inf
-        for hosts in itertools.product(*pools):
+        for hosts in itertools.product(*(servers_of[masks[pos]] for pos in spots)):
             links = {canon[hosts[i] * n + hosts[j]] for i, j in hops}
             if last:
                 links.add(canon[hosts[-1] * n + user])
@@ -459,6 +515,19 @@ class _Problem:
                 entry = min(0 if e in links else cost[e] for e in entries)
             route = min(route, entry + open_end + sum(cost[c] for c in links))
         return route
+
+    def _route_shape(self, ri: int, decided: int) -> tuple:
+        """What ``_cheapest_route`` reads of request ``ri``'s chain when the
+        types below ``decided`` are decided: the decided slots' positions,
+        the positions in their host tuple of consecutive decided slots,
+        whether the first and the last slot are decided, and what an open
+        last slot pays."""
+        slots = self.slots[ri]
+        spots = [pos for pos, k in enumerate(slots) if k < decided]
+        hops = [(i, i + 1) for i in range(len(spots) - 1) if spots[i + 1] == spots[i] + 1]
+        last = slots[-1] < decided
+        open_end = 0 if last else self.user_link_min[ri]
+        return spots, hops, slots[0] < decided, last, open_end
 
     def leaf_key(self, leaf: tuple) -> tuple:
         """The tie-break key of a search leaf, the (target, gamma, picks,
@@ -554,7 +623,10 @@ class _Search:
     deployed instance reads its server as its decision's ``target``. Names
     appear only in ``_Problem.leaf_plan``. The incumbent may come in warm
     (see ``_Dive``); a node is pruned only when its bound is strictly above
-    the incumbent's total."""
+    the incumbent's total. A placement node is bounded by its parent (see
+    ``_child``) and visited only when that bound is open, so the forced
+    placements ``_Problem.skip`` jumps and the children over the incumbent
+    cost no node."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
         self.p = problem
@@ -600,49 +672,93 @@ class _Search:
         p = self.p
         return len(self.deployed[k]) >= p.need[k] and self.qualified[k] >= p.need_qualified[k]
 
-    # stage (a): instance placements
-    def _branch_tau(self, di: int) -> None:
+    def run(self) -> None:
+        """Search from the root, where no instance is placed."""
+        bound = self._bound(0, 0, False)
+        if self._open(bound):
+            self._descend(0, bound)
+
+    def _bound(self, di: int, committed: int, covered: bool) -> int | float:
+        """The placement bound at decision ``di`` (past the last one, the
+        assignment stage's root) with ``committed`` spent: that, plus
+        ``place_tail[di]``, plus ``deploy_min[di]`` unless ``covered``
+        (di's type has a qualifying instance deployed), plus the route floor
+        over the decided types."""
         p = self.p
-        bound = self.committed + p.place_tail[di] + self.floor[0]
-        if di < len(p.decisions) and not self.qualified[p.decisions[di].type_pos]:
-            bound += p.deploy_min[di]
-        if bound == math.inf:
-            return  # a type can no longer deploy a qualifying instance
-        if self._expired():
-            self.abort_lb = min(self.abort_lb, bound)
-            return
+        bound = committed + p.place_tail[di] + self.floor[0]
+        return bound if covered else bound + p.deploy_min[di]
+
+    def _open(self, bound: int | float) -> bool:
+        """Whether a child with this bound is visited: it is finite (else a
+        type can no longer deploy a qualifying instance) and not above the
+        incumbent's total."""
         inc = self.incumbent.total
-        if inc is not None and bound > inc:
-            return
-        if di == len(p.decisions):
+        return bound != math.inf and (inc is None or bound <= inc)
+
+    def _descend(self, di: int, bound: int | float) -> None:
+        if di == len(self.p.decisions):
             # every type is decided and met its counts, so the floor is the
             # assignment stage's tail
             self._branch_lambda(0, 0)
-            return
+        else:
+            self._branch_tau(di, bound)
 
+    # stage (a): instance placements. A node's bound was computed, and
+    # found open, by its parent.
+    def _branch_tau(self, di: int, bound: int | float) -> None:
+        if self._expired():
+            self.abort_lb = min(self.abort_lb, bound)
+            return
+        p = self.p
         d = p.decisions[di]
-        # di is the last of its type: the deployed instances must meet the
-        # type's counts, and then the type's servers are final, so the floor
-        # prices routes over them too
-        ends = p.type_end.get(di + 1)
-        # fresh instances activate in identifier order
-        fresh_blocked = d.after is not None and self.target[d.after] is None
+        k = d.type_pos
+        # every option that deploys the instance leads to one child, and
+        # leaving it out to another; an option adds its delta to the bound
+        placed, left_out = self._child(di, True), self._child(di, False)
         for target, delta in self.options[di]:
-            if target is not None and (
-                fresh_blocked
-                or self.server_load[target] + d.resource_req > p.server_cap[target]
-            ):
+            if target is None:
+                child, ends, base = left_out
+            elif self.server_load[target] + d.resource_req > p.server_cap[target]:
+                continue
+            else:
+                child, ends, base = placed
+            bound = base + delta
+            if not self._open(bound):
                 continue
             self._commit_tau(di, target, delta)
-            if ends is None:
-                self._branch_tau(di + 1)
-            elif self._type_demand_covered(ends):
+            if not ends:
+                self._branch_tau(child, bound)
+            elif self._type_demand_covered(k):
+                # the deployed instances meet the type's counts, and its
+                # servers are final, so the floor prices routes over them
+                # too; it never falls, so the bound above was checked first
                 prefix, floor = self.prefix, self.floor
-                self.prefix = prefix + (self._type_masks(ends),)
+                self.prefix = prefix + (self._type_masks(k),)
                 self.floor = p.route_floor(self.prefix)
-                self._branch_tau(di + 1)
+                bound = self._bound(child, self.committed, False)
+                if self._open(bound):
+                    self._descend(child, bound)
                 self.prefix, self.floor = prefix, floor
             self._undo_tau(di, target, delta)
+
+    def _child(self, di: int, deploys: bool) -> tuple[int, bool, int | float]:
+        """Where decision ``di`` leads when it deploys its instance or
+        leaves it out: the child's decision index, whether that ends di's
+        type, and the child's bound before the option's delta. Fresh
+        instances activate in identifier order, so when the next decision is
+        a fresh one whose predecessor is left out, it and the type's later
+        fresh ones are forced out too, and the child is ``skip[di]``. A
+        child that ends the type starts a new one, with no qualifying
+        instance deployed."""
+        p = self.p
+        d = p.decisions[di]
+        child = di + 1
+        after = p.decisions[child].after if child < len(p.decisions) else None
+        if after is not None and not (deploys if after == di else self.target[after] is not None):
+            child = p.skip[di]
+        ends = child in p.type_end
+        covered = not ends and (self.qualified[d.type_pos] > 0 or deploys and d.qualifies)
+        return child, ends, self._bound(child, self.committed, covered)
 
     def _type_masks(self, k: int) -> tuple[int, int]:
         """The bitmasks of the servers deploying type position ``k`` and of
@@ -792,7 +908,7 @@ class _Dive(_Search):
 
     def run(self) -> None:
         try:
-            self._branch_tau(0)
+            super().run()
         except _DiveOver:
             pass
 
@@ -821,7 +937,9 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     cheapest whole route over the deployed servers. On a time-limited run the
     least bound left unexplored gives ``stats.gap``. A bounded
     cheapest-first dive seeds the incumbent first (see ``_Dive``), which
-    changes the node count but not the result."""
+    changes the node count but not the result. ``stats.nodes`` counts the
+    nodes visited: a placement child whose bound is above the incumbent,
+    and a fresh instance that can no longer activate, are not visited."""
     return _solve_exact(_Problem(instance, options or SolveOptions()))
 
 
@@ -840,7 +958,7 @@ def _solve_exact(problem: _Problem) -> SolveResult:
     dive = _Dive(problem, incumbent, deadline)
     dive.run()
     search = _Search(problem, incumbent, deadline)
-    search._branch_tau(0)
+    search.run()
     aborted = dive.aborted or search.aborted
 
     stats = SolveStats(

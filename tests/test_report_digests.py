@@ -22,15 +22,15 @@ from test_cli import TINY, run
 CASES = {
     "solve-online": (
         ["solve", "{reduced}"],
-        "aed2bfb569e98764bd6c9d8c004087231c17fe85905b308eabdba73d09d4520a",
+        "8cd1d483ba1b11cea2aeaa30fd8acf61b99d7d0df58c85f5d02f120d0e50f8b8",
     ),
     "solve-no-reuse": (
         ["solve", "{reduced}", "--no-reuse"],
-        "e0f6e1e66b40987437dbd8bef8afd202678f7c713ce2ac88cd95cda207314786",
+        "4fd4127170e67dfc77da7064e5eebba763a15c3793959a72b81c2d757ede3d81",
     ),
     "solve-tiny-no-reuse-oracle": (
         ["solve", "{tiny}", "--no-reuse", "--oracle"],
-        "9a34f15df0cfd3f9e094a1b5511540ad0bb2653994f693d7ee23cdbcee7a7eef",
+        "14009b2d4817e70eff8182b57bdb83642a9b900b75f05415450af17f6291b570",
     ),
     "compare-csv": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4"],
@@ -38,12 +38,12 @@ CASES = {
     ),
     "compare-json": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4", "--format", "json"],
-        "40f94aa3a48ff0227f6161d920034db84b2db5350b9c4f3a8f9d396ebf21a5d5",
+        "3cb443903f1146d22fd359654a7406112c7311a1db3e6bf5d060a51d0fd487bd",
     ),
     "compare-refunds-json": (
         ["compare", "--reduced", "--scenario", "2", "--seed", "5", "--license-refunds",
          "--format", "json"],
-        "d903aea3239bf4ad8a058a86925ea662c818d6219a3c7888e5bb6920016aa7b1",
+        "0b0943293715282e3231882c670b65d913ab2a8725eb743aa1088b7162d6c75a",
     ),
 }
 

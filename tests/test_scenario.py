@@ -159,10 +159,16 @@ def report():
 
 class TestComparison:
     def test_reuse_dominance(self, report):
-        assert report.no_reuse.breakdown.total >= report.online.breakdown.total
-        assert report.gap_micro == (
-            report.no_reuse.breakdown.total - report.online.breakdown.total
+        """The JSON report's gap is what two solves of its instance of their
+        own, priced as the comparison prices them, say forbidding reuse
+        costs, and reuse never makes a plan dearer."""
+        instance = generate(fast_spec(seed=0))
+        online, scratch = (
+            solve_exact(instance, SolveOptions(no_reuse=no_reuse, clamp_instantiation=True))
+            for no_reuse in (False, True)
         )
+        gap = json.loads(emit_report(report, "json"))["gap_micro"]
+        assert gap == scratch.breakdown.total - online.breakdown.total >= 0
 
     def test_every_delay_respects_its_budget(self, report):
         inst = generate(fast_spec(seed=0))
