@@ -2,43 +2,47 @@
 
 The compiled model owns the canonical variable order used everywhere else
 (including the solver's tie-break), carries every product linearization as
-explicit rows, and exports to MPS and LP interchange text. Variables
-(``IlpVar``) and rows (``Row``) are named tuples. ``_enumerate`` makes each
-variable's interchange alias beside its name, from the sanitized parts of
-the name; the model refuses aliases that collide
-(``AliasCollisionError``), and the exporters and the solution importer read
-them from ``IlpModel.aliases``. Objective coefficients are held in exact
+explicit rows, and exports to MPS and LP interchange text. ``_enumerate``
+makes each variable (an ``IlpVar``) with its interchange alias, from the
+sanitized parts of its name; the model refuses aliases that collide
+(``AliasCollisionError``). Objective coefficients are held in exact
 micro-money; the text exporters emit them divided by 1e6 (plain money
-units) because several MILP readers dislike huge magnitudes. The scale is
-recorded in a comment header.
+units) because several MILP readers dislike huge magnitudes, and say so in
+a comment header.
 
-``build_ilp`` finds a variable's index by arithmetic on the per-family
-block offsets that ``_enumerate`` records as it appends the variables. It
-builds the McCormick product rows (families 2-2..2-4, 15-2..15-5 and
-16-2..16-5, about 98% of the rows of a full-scale model) directly, with
-their coefficients already sorted. The rows whose coefficients depend on
-the instance data (6-14, 17, 18 and NOREUSE) go through one generic path
-that drops zero coefficients, sorts the rest and keeps a row left empty
-only when 0 violates it. ``import_solution`` reads each product's factors
-from its "at least" row (2-4, 15-5 or 16-5), so the variable layout is
-known to ``_enumerate`` and ``build_ilp`` only.
+The rows are flat columns (``Rows``): per row a tag, a key, a sense
+character and a right-hand side; row offsets and coefficient indices in
+``array`` buffers; coefficient values in a list, so any size stays exact.
+``build_ilp``, the exporters and ``import_solution`` read the columns, and
+indexing ``Rows`` makes a ``Row`` named tuple on demand. ``build_ilp``
+finds a variable's index by arithmetic on the block offsets that
+``_enumerate`` records. It appends the McCormick product rows (2-x, 15-x
+and 16-x, about 98% of a full-scale model's rows) a block per product,
+sharing one key, with coefficients already sorted. The other rows go
+through one generic path that drops zero coefficients, sorts the rest and
+keeps an empty row only when 0 violates it. ``import_solution`` reads each
+product's factors from its "at least" row (2-4, 15-5 or 16-5), so only
+``_enumerate`` and ``build_ilp`` know the variable layout.
 
 ``build_ilp`` and both exporters run with the cyclic garbage collector
-paused (the model's tuples form no cycles) and restore its previous state
-when they return or raise. The exporters make their text a section at a
-time and join it once: MPS keeps, per variable, references to shared cell
-strings until its column is made, and LP joins its rows in blocks.
+paused (the model forms no cycles) and restore its state when they return
+or raise. The exporters make their text a section at a time and join it
+once: MPS keeps, per variable, references to shared cell strings until its
+column is made, and LP joins its rows in blocks.
 """
 
 from __future__ import annotations
 
+import array
 import contextlib
 import functools
 import gc
 import itertools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import costs as _costs
 from .errors import (
@@ -90,6 +94,32 @@ class Row(NamedTuple):
         if self.sense == "L":
             return lhs <= self.rhs
         return lhs >= self.rhs
+
+
+@dataclass(frozen=True, slots=True)
+class Rows(Sequence):
+    """The rows of a compiled program as flat columns: per row its tag, its
+    key, its sense (a character of ``senses``) and its right-hand side.
+    Row ``r``'s coefficients are entries ``starts[r]`` to ``starts[r + 1]``
+    of ``cols`` (variable indices) and ``vals`` (integers, in a list so that
+    no size overflows). Indexing makes each ``Row`` on demand."""
+
+    tags: list[str]
+    keys: list[tuple]
+    senses: str
+    rhs: list[int | float]
+    starts: array.array
+    cols: array.array
+    vals: list[int]
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def __getitem__(self, r: int) -> Row:
+        r = range(len(self))[r]  # negative indices count from the end
+        a, b = self.starts[r], self.starts[r + 1]
+        coeffs = tuple(zip(self.cols[a:b], self.vals[a:b]))
+        return Row(self.tags[r], self.keys[r], coeffs, self.senses[r], self.rhs[r])
 
 
 @contextlib.contextmanager
@@ -278,12 +308,14 @@ def plan_vector(
 class IlpModel:
     """A compiled program. ``aliases[i]`` is ``sanitize_name`` of
     ``variables[i].name``, made by ``_enumerate`` beside the name; a model
-    whose aliases are not unique raises ``AliasCollisionError``."""
+    whose aliases are not unique raises ``AliasCollisionError``. ``rows``
+    refers to nothing else in the model, so the model forms no reference
+    cycle and is freed as soon as its last reference goes."""
 
     instance: ProblemInstance
     options: BuildOptions
     variables: tuple[IlpVar, ...]
-    rows: tuple[Row, ...]
+    rows: Rows = field(repr=False)
     objective: tuple[tuple[int, int], ...]  # (variable index, micro-money)
     constant: int  # micro-money
     aliases: tuple[str, ...] = field(repr=False, compare=False)
@@ -320,6 +352,17 @@ class IlpModel:
         for idx, micro in self.objective:
             total += micro * round(vec[idx])
         return total
+
+
+# A product's rows (2-x, 15-x, 16-x) as one block: tags, senses, sizes and
+# coefficient values, all ±1; the canonical order g < t < l < p < x < m < q
+# sorts their indices, except the two l factors of 16-5, with no comparison.
+# 2-x: x <= cur, x - t <= 0, x - t >= cur - 1 (x = cur * t)
+_MIGRATION = (("2-2", "2-3", "2-4"), "LLG", (1, 2, 2), (1, -1, 1, -1, 1))
+# 15-x: m <= p, m <= g, m <= l, m - g - l >= -1 (m = g * l)
+_ENTRY = (("15-2", "15-3", "15-4", "15-5"), "LLLG", (2, 2, 2, 3), (-1, 1) * 3 + (-1, -1, 1))
+# 16-x: the same over q, p and the two l factors of consecutive chain slots
+_CHAIN = (("16-2", "16-3", "16-4", "16-5"),) + _ENTRY[1:]
 
 
 @_collector_paused()
@@ -393,23 +436,32 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                 continue
             constant -= net.cost_between(a, b) * r.traffic
 
-    rows: list[Row] = []
+    # the columns of Rows, with each row's size (its number of coefficients)
+    # in place of its offset; senses and sizes are converted at the end
+    tags: list[str] = []
+    keys: list[tuple] = []
+    senses: list[str] = []
+    rhs: list[int | float] = []
+    sizes = array.array("q")
+    cols = array.array("q")
+    vals: list[int] = []
 
-    def add(tag, key, coeffs, sense, rhs):
-        coeffs = [c for c in coeffs if c[1]]
-        if len(coeffs) > 1:
-            coeffs.sort()
-        row = Row(tag, key, tuple(coeffs), sense, rhs)
+    def put(block, key, bounds, coeffs):  # rows sharing key; see _MIGRATION
+        block_tags, block_senses, block_sizes, signs = block
+        tags.extend(block_tags)
+        keys.extend([key] * len(block_tags))
+        senses.append(block_senses)
+        rhs.extend(bounds)
+        sizes.extend(block_sizes)
+        cols.extend(coeffs)
+        vals.extend(signs)
+
+    def add(tag, key, coeffs, sense, bound):
+        coeffs = sorted(c for c in coeffs if c[1])
         # a row left without coefficients is kept only when 0 violates it
-        if coeffs or not row.satisfied_by(()):
-            rows.append(row)
-
-    # The product rows (2-x, 15-x, 16-x) are built directly: their ±1
-    # coefficients never vanish, and the canonical order g < t < l < p < x
-    # < m < q sorts them without a comparison, except the two l factors of
-    # 16-5. tuple.__new__ makes each Row from its five fields without the
-    # named tuple's Python-level constructor, which costs twice as much.
-    new = tuple.__new__
+        if coeffs or not Row(tag, key, (), sense, bound).satisfied_by(()):
+            idx, coef = zip(*coeffs) if coeffs else ((), ())
+            put(((tag,), sense, (len(idx),), coef), key, (bound,), idx)
 
     # migration product linearization
     deployed = snap.deployed
@@ -419,14 +471,8 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
             for si, s in enumerate(servers):
                 cur = 1 if (k, i, s) in deployed else 0
                 for di, d in enumerate(servers):
-                    xc = (x0 + si * n_s + di, 1)
-                    both = ((t0 + di, -1), xc)
-                    key = (k, i, s, d)
-                    rows += (
-                        new(Row, ("2-2", key, (xc,), "L", cur)),
-                        new(Row, ("2-3", key, both, "L", 0)),
-                        new(Row, ("2-4", key, both, "G", cur - 1)),
-                    )
+                    x, t = x0 + si * n_s + di, t0 + di
+                    put(_MIGRATION, (k, i, s, d), (cur, 0, cur - 1), (x, t, x, t, x))
 
     # content server selection
     for ri, r in enumerate(requests):
@@ -439,35 +485,17 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     # one assigned instance per required type, only on deployed instances
     for ri, r in enumerate(requests):
         for k in r.chain:
-            pool = pools[k]
-            bases = l_at[ri][k]
-            add(
-                "8",
-                (r.id, k),
-                [(base + ii, 1) for base in bases for ii in range(len(pool))],
-                "E",
-                1,
-            )
+            bases, pool = l_at[ri][k], pools[k]
+            add("8", (r.id, k), [(base + ii, 1) for base in bases for ii in range(len(pool))], "E", 1)
             for si, s in enumerate(servers):
                 for ii, i in enumerate(pool):
-                    add(
-                        "9",
-                        (r.id, s, k, i),
-                        [(bases[si] + ii, 1), (t_at[k][ii] + si, -1)],
-                        "L",
-                        0,
-                    )
+                    coeffs = [(bases[si] + ii, 1), (t_at[k][ii] + si, -1)]
+                    add("9", (r.id, s, k, i), coeffs, "L", 0)
 
     # deployment cardinality
     for vnf in deployable:
         t_bases = t_at[vnf.name]
-        add(
-            "10",
-            (vnf.name,),
-            [(base + si, 1) for base in t_bases for si in range(n_s)],
-            "G",
-            1,
-        )
+        add("10", (vnf.name,), [(base + si, 1) for base in t_bases for si in range(n_s)], "G", 1)
         for i, base in zip(vnf.instances, t_bases):
             add("11", (vnf.name, i), [(base + si, 1) for si in range(n_s)], "L", 1)
 
@@ -477,17 +505,8 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
 
     # server resources left over by the frozen instances
     for si, s in enumerate(servers):
-        add(
-            "12",
-            (s,),
-            [
-                (base + si, vnf.resource_req)
-                for vnf in deployable
-                for base in t_at[vnf.name]
-            ],
-            "L",
-            limit(net.server_capacity[s], frozen_load[s]),
-        )
+        coeffs = [(base + si, vnf.resource_req) for vnf in deployable for base in t_at[vnf.name]]
+        add("12", (s,), coeffs, "L", limit(net.server_capacity[s], frozen_load[s]))
 
     # VNF processing capacity; every deployable type has assignment variables
     for vnf in deployable:
@@ -495,24 +514,14 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         requesters = [(l_at[ri][k], r.traffic) for ri, r in enumerate(requests) if k in r.chain]
         for ii, i in enumerate(vnf.instances):
             for si, s in enumerate(servers):
-                add(
-                    "13",
-                    (k, i, s),
-                    [(bases[si] + ii, traffic) for bases, traffic in requesters],
-                    "L",
-                    limit(vnf.capacity),
-                )
+                coeffs = [(bases[si] + ii, traffic) for bases, traffic in requesters]
+                add("13", (k, i, s), coeffs, "L", limit(vnf.capacity))
 
     # link bandwidth, self-links exempt
     nodes = net.nodes
     for ai, bi, off in pairs:
-        add(
-            "14",
-            (nodes[ai], nodes[bi]),
-            [(p_at[ri] + off, r.traffic) for ri, r in enumerate(requests)],
-            "L",
-            limit(net.bandwidth[ai][bi]),
-        )
+        coeffs = [(p_at[ri] + off, r.traffic) for ri, r in enumerate(requests)]
+        add("14", (nodes[ai], nodes[bi]), coeffs, "L", limit(net.bandwidth[ai][bi]))
 
     # chain entry link (content server to first VNF host)
     for ri, r in enumerate(requests):
@@ -522,17 +531,11 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         g0, p0, m0, l_bases = g_at[ri], p_at[ri], m_at[ri], l_at[ri][first]
         for ii, i in enumerate(pool):
             for si, s in enumerate(servers):
-                gc = (g0 + si, -1)
+                g = g0 + si
                 for di, d in enumerate(servers):
-                    mc = (m0 + (si * n_s + di) * n_i + ii, 1)
-                    lc = (l_bases[di] + ii, -1)
-                    key = (f, s, d, i)
-                    rows += (
-                        new(Row, ("15-2", key, ((p0 + pair[si][di], -1), mc), "L", 0)),
-                        new(Row, ("15-3", key, (gc, mc), "L", 0)),
-                        new(Row, ("15-4", key, (lc, mc), "L", 0)),
-                        new(Row, ("15-5", key, (gc, lc, mc), "G", -1)),
-                    )
+                    m, li = m0 + (si * n_s + di) * n_i + ii, l_bases[di] + ii
+                    coeffs = (p0 + pair[si][di], m, g, m, li, m, g, li, m)
+                    put(_ENTRY, (f, s, d, i), (0, 0, 0, -1), coeffs)
 
     # consecutive chain links
     for ri, r in enumerate(requests):
@@ -543,21 +546,15 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
             qi = q_at[ri][pos]  # q runs over s, d, i, j in this loop order
             for si, s in enumerate(servers):
                 for di, d in enumerate(servers):
-                    pc = (p0 + pair[si][di], -1)
-                    lb_coeffs = [(lb_bases[di] + jj, -1) for jj in range(len(pool_b))]
+                    p = p0 + pair[si][di]
                     for ii, i in enumerate(pool_a):
-                        lac = (la_bases[si] + ii, -1)
-                        for j, lbc in zip(pool_b, lb_coeffs):
-                            qc = (qi, 1)
+                        la = la_bases[si] + ii
+                        for jj, j in enumerate(pool_b):
+                            lb = lb_bases[di] + jj
+                            lo, hi = (la, lb) if la < lb else (lb, la)
+                            coeffs = (p, qi, la, qi, lb, qi, lo, hi, qi)
+                            put(_CHAIN, (f, pos, s, d, i, j), (0, 0, 0, -1), coeffs)
                             qi += 1
-                            both = (lac, lbc, qc) if lac < lbc else (lbc, lac, qc)
-                            key = (f, pos, s, d, i, j)
-                            rows += (
-                                new(Row, ("16-2", key, (pc, qc), "L", 0)),
-                                new(Row, ("16-3", key, (lac, qc), "L", 0)),
-                                new(Row, ("16-4", key, (lbc, qc), "L", 0)),
-                                new(Row, ("16-5", key, both, "G", -1)),
-                            )
 
     # user link: present exactly when the last VNF is hosted on s
     for ri, r in enumerate(requests):
@@ -572,18 +569,11 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
 
     # delay budget
     for ri, r in enumerate(requests):
-        coeffs = []
-        for ai, bi, off in pairs:
-            coef = r.traffic * net.link_delay[ai][bi]
-            if coef:
-                coeffs.append((p_at[ri] + off, coef))
+        coeffs = [(p_at[ri] + off, r.traffic * net.link_delay[ai][bi]) for ai, bi, off in pairs]
         for k in r.chain:
-            vnf = instance.catalog.get(k)
-            for ii in range(len(vnf.instances)):
-                for si, s in enumerate(servers):
-                    coef = r.traffic * vnf.processing_delay[s]
-                    if coef:
-                        coeffs.append((l_at[ri][k][si] + ii, coef))
+            delay, n_i = instance.catalog.get(k).processing_delay, len(pools[k])
+            for base, s in zip(l_at[ri][k], servers):
+                coeffs += [(base + ii, r.traffic * delay[s]) for ii in range(n_i)]
         add("18", (r.id,), coeffs, "L", r.delay_budget)
 
     if options.no_reuse:
@@ -598,11 +588,12 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                     for si, s in enumerate(servers):
                         add("NOREUSE", (r.id, s, k, i), [(l_at[ri][k][si] + ii, 1)], "E", 0)
 
+    starts = array.array("q", itertools.accumulate(sizes, initial=0))
     return IlpModel(
         instance=instance,
         options=options,
         variables=variables,
-        rows=tuple(rows),
+        rows=Rows(tags, keys, "".join(senses), rhs, starts, cols, vals),
         objective=tuple(objective),
         constant=constant,
         aliases=aliases,
@@ -617,14 +608,14 @@ def _fmt_value(v) -> str:
     return repr(v)
 
 
-def _row_names(model: IlpModel) -> list[str]:
-    """``c<tag>_<n>`` for the n-th row of each tag, ``-`` written as ``_``."""
+def _row_names(tags: list[str]) -> Iterator[str]:
+    """Lazily, ``c<tag>_<n>`` for the n-th row of each tag, ``-`` as ``_``."""
     # per tag, a callable giving its next name; the prefix is formatted once
     next_name = {
         tag: map(f"c{tag.replace('-', '_')}_".__add__, map(str, itertools.count())).__next__
-        for tag in {row.tag for row in model.rows}
+        for tag in set(tags)
     }
-    return [next_name[row.tag]() for row in model.rows]
+    return (next_name[tag]() for tag in tags)
 
 
 @_collector_paused()
@@ -635,7 +626,7 @@ def export_mps(model: IlpModel) -> str:
     # The text is made section by section, one string per section and one
     # per column, and joined once at the end.
     rows, aliases = model.rows, model.aliases
-    names = _row_names(model)
+    names = list(_row_names(rows.tags))
     parts = [
         "* chainplace MPS export\n"
         "* money values are scaled: coefficient = micro-money / 1e6\n"
@@ -645,7 +636,7 @@ def export_mps(model: IlpModel) -> str:
         "    MIN\n"
         "ROWS\n"
         " N  COST\n",
-        "".join([f" {row.sense}  {name}\n" for row, name in zip(rows, names)]),
+        "".join([f" {sense}  {name}\n" for sense, name in zip(rows.senses, names)]),
         "COLUMNS\n    MARKER                 'MARKER'                 'INTORG'\n",
     ]
     # row names padded to the cell width of COLUMNS and RHS
@@ -661,13 +652,15 @@ def export_mps(model: IlpModel) -> str:
     cells: list[list[str] | None] = [[] for _ in aliases]
     for idx, micro in model.objective:
         cells[idx] += (heads[idx], f"{'COST':<12}  ", _costs.format_money(micro) + "\n")
-    for row, name in zip(rows, names):
-        for idx, coef in row.coeffs:
-            own = cells[idx]
-            own.append(heads[idx])
-            own.append(name)
-            own.append(value(coef))
-    del heads
+    # each coefficient's row name, in coefficient order
+    sizes = map(operator.sub, itertools.islice(rows.starts, 1, None), rows.starts)
+    row_of = itertools.chain.from_iterable(map(itertools.repeat, names, sizes))
+    for idx, name, coef in zip(rows.cols, row_of, rows.vals):
+        own = cells[idx]
+        own.append(heads[idx])
+        own.append(name)
+        own.append(value(coef))
+    del heads, row_of  # row_of refers to names, which go after RHS
     for idx, own in enumerate(cells):
         if own:
             parts.append("".join(own))
@@ -676,13 +669,11 @@ def export_mps(model: IlpModel) -> str:
     rhs = ["    MARKER                 'MARKER'                 'INTEND'\nRHS\n"]
     if model.constant:
         rhs.append(f"    RHS  COST  {_costs.format_money(-model.constant)}\n")
-    rhs += [f"    RHS  {name}{value(row.rhs)}" for row, name in zip(rows, names) if row.rhs != 0]
+    rhs += [f"    RHS  {name}{value(bound)}" for bound, name in zip(rows.rhs, names) if bound != 0]
     parts.append("".join(rhs))
     del names, rhs
 
-    parts.append("BOUNDS\n")
-    parts.append("".join([f" BV BND  {alias}\n" for alias in aliases]))
-    parts.append("ENDATA\n")
+    parts += ("BOUNDS\n", "".join([f" BV BND  {alias}\n" for alias in aliases]), "ENDATA\n")
     return "".join(parts)
 
 
@@ -691,11 +682,8 @@ def export_lp(model: IlpModel) -> str:
     """Deterministic CPLEX-style LP text with the same scaling as MPS."""
 
     def term(coef_str: str, name: str, first: bool) -> str:
-        sign = "-" if coef_str.startswith("-") else "+"
-        mag = coef_str.lstrip("-")
-        if first:
-            return f"{'-' if sign == '-' else ''}{mag} {name}"
-        return f"{sign} {mag} {name}"
+        sign = ("-" if first else "- ") if coef_str.startswith("-") else ("" if first else "+ ")
+        return f"{sign}{coef_str.lstrip('-')} {name}"
 
     aliases = model.aliases
     objective = [
@@ -713,31 +701,41 @@ def export_lp(model: IlpModel) -> str:
         "Subject To\n"
     ]
 
-    # a coefficient's text before the variable, as the first term and after
-    # it, formatted once per distinct value
+    # a coefficient's text before the variable, as a row's first term and,
+    # after a space, as a later one, formatted once per distinct value
     lead = functools.cache(lambda coef: term(str(coef), "", True))
-    tail = functools.cache(lambda coef: term(str(coef), "", False))
+    tail = functools.cache(lambda coef: " " + term(str(coef), "", False))
     fmt = functools.cache(_fmt_value)
     sense_txt = {"E": "=", "L": "<=", "G": ">="}
 
-    def row_lines():
-        for row, name in zip(model.rows, _row_names(model)):
-            terms = [tail(coef) + aliases[idx] for idx, coef in row.coeffs]
-            if terms:
-                idx, coef = row.coeffs[0]
-                terms[0] = lead(coef) + aliases[idx]
+    # A block of rows is one list of strings, a tail text and an alias per
+    # coefficient, with each row's head over its first tail text; the text
+    # after a row's terms, or a whole row without terms, is carried ahead.
+    rows = model.rows
+    # names go last in each block's zip, which then draws only that block's
+    names, starts, cols, vals = _row_names(rows.tags), rows.starts, rows.cols, rows.vals
+    for r0 in range(0, len(rows), 4096):
+        r1 = min(r0 + 4096, len(rows))
+        at, end = starts[r0], starts[r1]
+        items = [""] * (2 * (end - at))
+        items[0::2] = map(tail, vals[at:end])
+        items[1::2] = map(aliases.__getitem__, cols[at:end])
+        carry = ""
+        ends = starts[r0 + 1 : r1 + 1]
+        for sense, bound, a, b, name in zip(
+            rows.senses[r0:r1], rows.rhs[r0:r1], starts[r0:r1], ends, names
+        ):
+            head = f"{carry} {name}: "
+            carry = f" {sense_txt[sense]} {fmt(bound)}\n"
+            if a < b:
+                items[2 * (a - at)] = head + lead(vals[a])
             else:
-                terms = ["0"]
-            yield f" {name}: {' '.join(terms)} {sense_txt[row.sense]} {fmt(row.rhs)}\n"
+                carry = head + "0" + carry
+        items.append(carry)
+        parts.append("".join(items))
+    items = None  # gone before the final join
 
-    # the rows are joined a block at a time, so only one block's lines exist
-    lines = row_lines()
-    while block := "".join(itertools.islice(lines, 4096)):
-        parts.append(block)
-
-    parts.append("Binaries\n")
-    parts.append("".join([f" {alias}\n" for alias in aliases]))
-    parts.append("End\n")
+    parts += ("Binaries\n", "".join([f" {alias}\n" for alias in aliases]), "End\n")
     return "".join(parts)
 
 
@@ -802,12 +800,13 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
             bits.append(_as_bit(var.name, raw))
 
     # the factors are g, t and l bits, which are never missing
-    for tag, _key, coeffs, _sense, rhs in model.rows:
+    rows, cols = model.rows, model.rows.cols
+    for tag, rhs, at in zip(rows.tags, rows.rhs, rows.starts):
         if tag == "2-4":
-            (t, _), (aux, _) = coeffs
+            t, aux = cols[at], cols[at + 1]
             expect = (rhs + 1) * bits[t]
         elif tag == "15-5" or tag == "16-5":
-            (a, _), (b, _), (aux, _) = coeffs
+            a, b, aux = cols[at], cols[at + 1], cols[at + 2]
             expect = bits[a] * bits[b]
         else:
             continue

@@ -5,6 +5,8 @@ import json
 import pathlib
 import random
 import re
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -20,6 +22,7 @@ from chainplace.errors import (
 )
 from chainplace.ilp import (
     BuildOptions,
+    Row,
     build_ilp,
     enumerate_variables,
     export_lp,
@@ -212,6 +215,28 @@ class TestCollector:
         finally:
             gc.enable() if before else gc.disable()
 
+    def test_model_is_freed_without_the_collector(self, net2):
+        """``cli`` exports with the collector paused and relies on reference
+        counting alone to free the model, so the model, its rows and what
+        reading them leaves behind must form no cycle."""
+        types = [mk_type(net2, name="k0"), mk_type(net2, name="k1")]
+        requests = [mk_request(net2, chain=("k0", "k1"))]
+        inst = mk_instance(net2, types=types, requests=requests, snapshot=[("k0", 0, "s0")])
+        before = gc.isenabled()
+        gc.disable()
+        try:
+            model = build_ilp(inst)
+            export_mps(model)
+            export_lp(model)
+            assert len(model.rows) == len(list(model.rows)) > 0
+            model.variable_index(model.variables[0].name)
+            import_solution(model, full_assignment(model, brute_force(inst).plan))
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable() if before else gc.disable()
+
 
 class TestRowInvariants:
     """The contract every row keeps, whether ``build_ilp`` builds it through
@@ -233,6 +258,51 @@ class TestRowInvariants:
                 assert not row.satisfied_by(()), row
         if case == "frozen-load-no-requests":
             assert [row.tag for row in model.rows] == ["12"]
+
+
+class TestRowColumns:
+    """``IlpModel.rows`` keeps the rows in flat columns and reads as a
+    sequence of ``Row``."""
+
+    def test_rows_read_as_a_sequence_of_row(self, tiny):
+        model = build_ilp(tiny)
+        rows = model.rows
+        listed = list(rows)
+        assert len(rows) == len(listed) > 1
+        assert [rows[i] for i in range(len(rows))] == listed
+        assert rows[-1] == listed[-1]
+        assert all(type(row) is Row for row in listed)
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+
+    def test_full_scale_model_is_small(self):
+        """The full-scale scenario 1 model at seed 3 (clamped, online) takes
+        about 6.9 MB with its rows in columns, and about 11.6 MB with a tuple
+        per row. The bound leaves room for other Python versions."""
+        instance = generate(ScenarioSpec.table_row(1, seed=3, reduced=False))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = build_ilp(instance, BuildOptions(clamp_instantiation=True))
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(model.rows) == 39_801
+        assert size < 8 * 2**20, size
+
+    def test_coefficient_beyond_64_bits(self, net2):
+        """A link delay of 10**20 makes row-18 coefficients that no 64-bit
+        integer holds; they build, export and import exactly."""
+        net = replace(net2, link_delay=[[0 if a == b else 10**20 for b in range(3)] for a in range(3)])
+        inst = mk_instance(net, requests=[mk_request(net, budget=10**30)])
+        model = build_ilp(inst)
+        [row] = [row for row in model.rows if row.tag == "18"]
+        assert max(coef for _idx, coef in row.coeffs) == 10**20
+        assert "  100000000000000000000\n" in export_mps(model)
+        assert " + 100000000000000000000 p_r0_s0_u0 " in export_lp(model)
+        plan = brute_force(inst).plan
+        assert import_solution(model, full_assignment(model, plan)) == plan
 
 
 class TestExport:
