@@ -19,10 +19,19 @@ effort moved. The 86 solves take about 2.4 s of CPU on a 2-vCPU Xeon
 host. ``tests/data/search_digest.json`` is this script's output, all 86
 solves; ``tests/test_search_digest.py`` reruns all 86 against it. A change
 that moves their node counts writes the file again with the second command
-below. Run from the repository root:
+below.
+
+``--second-frontier`` digests another group instead, past the first
+frontier: 6x6 at 8/10, 9/11 and 10/12, 8x8 at 8/10 and 10/12, 10x10 at
+7/9 and 9/11 and 12x12 at 8/10, seeds 3-4: 32 solves, each with a 10 s
+limit. Some of them stop at the limit, so the group records the status
+and the total of every solve and the nodes of those that finish; it is
+in neither the frozen file nor the tests, and takes minutes. Run from the
+repository root:
 
     PYTHONPATH=src python scripts/search_digest.py digest.json
     PYTHONPATH=src python scripts/search_digest.py tests/data/search_digest.json
+    PYTHONPATH=src python scripts/search_digest.py --second-frontier frontier2.json
 """
 
 import argparse
@@ -32,7 +41,7 @@ import pathlib
 
 from chainplace import io as _io
 from chainplace.scenario import ScenarioSpec, generate
-from chainplace.solver import SolveOptions, solve_exact
+from chainplace.solver import STATUS_TIME_LIMIT, SolveOptions, solve_exact
 
 SEEDS = {"reduced": range(3, 6), "full": range(3, 9)}
 # (servers, user groups, existing requests, new requests)
@@ -41,6 +50,22 @@ FRONTIER = [
     (8, 8, 4, 6), (8, 8, 6, 8), (10, 10, 3, 5), (10, 10, 5, 7),
 ]
 FRONTIER_SEEDS = range(3, 5)
+SECOND_FRONTIER = [
+    (6, 6, 8, 10), (6, 6, 9, 11), (6, 6, 10, 12), (8, 8, 8, 10),
+    (8, 8, 10, 12), (10, 10, 7, 9), (10, 10, 9, 11), (12, 12, 8, 10),
+]
+SECOND_FRONTIER_LIMIT = 10.0  # seconds per solve
+
+
+def frontier_cases(sizes, group="frontier"):
+    """(label, spec) of each frontier size at each frontier seed."""
+    for servers, users, existing, new in sizes:
+        for seed in FRONTIER_SEEDS:
+            spec = ScenarioSpec(
+                seed=seed, n_servers=servers, n_user_groups=users,
+                existing_requests=existing, new_requests=new,
+            )
+            yield f"{group}/{servers}x{users}/{existing}-{new}/seed{seed}", spec
 
 
 def cases():
@@ -50,48 +75,74 @@ def cases():
             for scenario_id in (1, 2, 3):
                 spec = ScenarioSpec.table_row(scenario_id, seed=seed, reduced=scale == "reduced")
                 yield f"{scale}/seed{seed}/scenario{scenario_id}", spec
-    for servers, users, existing, new in FRONTIER:
-        for seed in FRONTIER_SEEDS:
-            spec = ScenarioSpec(
-                seed=seed, n_servers=servers, n_user_groups=users,
-                existing_requests=existing, new_requests=new,
+    yield from frontier_cases(FRONTIER)
+
+
+def solves(items, time_limit=SolveOptions.time_limit):
+    """(label, result) of the online and no_reuse solves of every (label,
+    spec) in ``items``."""
+    for name, spec in items:
+        instance = generate(spec)
+        for label, no_reuse in (("online", False), ("no_reuse", True)):
+            options = SolveOptions(
+                time_limit=time_limit, no_reuse=no_reuse, clamp_instantiation=True
             )
-            yield f"frontier/{servers}x{users}/{existing}-{new}/seed{seed}", spec
+            yield f"{name}/{label}", solve_exact(instance, options)
 
 
 def digest(items) -> dict:
     """Status, total, plan sha256, nodes, dive nodes and incumbent updates
     of the online and no_reuse solves of every (label, spec) in ``items``."""
     out = {}
-    for name, spec in items:
-        instance = generate(spec)
-        for label, no_reuse in (("online", False), ("no_reuse", True)):
-            options = SolveOptions(no_reuse=no_reuse, clamp_instantiation=True)
-            result = solve_exact(instance, options)
-            plan = None
-            if result.plan is not None:
-                text = json.dumps(_io.plan_to_document(result.plan), sort_keys=True)
-                plan = hashlib.sha256(text.encode()).hexdigest()
-            out[f"{name}/{label}"] = {
-                "status": result.status,
-                "total": result.breakdown.total if result.breakdown else None,
-                "plan_sha256": plan,
-                "nodes": result.stats.nodes,
-                "dive_nodes": result.stats.dive_nodes,
-                "incumbent_updates": result.stats.incumbent_updates,
-            }
+    for label, result in solves(items):
+        plan = None
+        if result.plan is not None:
+            text = json.dumps(_io.plan_to_document(result.plan), sort_keys=True)
+            plan = hashlib.sha256(text.encode()).hexdigest()
+        out[label] = {
+            "status": result.status,
+            "total": result.breakdown.total if result.breakdown else None,
+            "plan_sha256": plan,
+            "nodes": result.stats.nodes,
+            "dive_nodes": result.stats.dive_nodes,
+            "incumbent_updates": result.stats.incumbent_updates,
+        }
+    return out
+
+
+def second_frontier_digest() -> dict:
+    """Status and total of every second-frontier solve, and the nodes of
+    those that finish within the limit."""
+    out = {}
+    items = frontier_cases(SECOND_FRONTIER, "frontier2")
+    for label, result in solves(items, SECOND_FRONTIER_LIMIT):
+        out[label] = {
+            "status": result.status,
+            "total": result.breakdown.total if result.breakdown else None,
+        }
+        if result.status != STATUS_TIME_LIMIT:
+            out[label]["nodes"] = result.stats.nodes
     return out
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", type=pathlib.Path, help="where to write the JSON")
+    parser.add_argument("--second-frontier", action="store_true",
+                        help="digest the second-frontier group instead")
     args = parser.parse_args()
-    solves = digest(cases())
-    args.output.write_text(json.dumps(solves, indent=2, sort_keys=True) + "\n")
-    nodes = sum(solve["nodes"] for solve in solves.values())
-    dive = sum(solve["dive_nodes"] for solve in solves.values())
-    print(f"{len(solves)} solves, {nodes} nodes and {dive} dive nodes; wrote {args.output}")
+    if args.second_frontier:
+        solved = second_frontier_digest()
+        args.output.write_text(json.dumps(solved, indent=2, sort_keys=True) + "\n")
+        done = [solve for solve in solved.values() if "nodes" in solve]
+        nodes = sum(solve["nodes"] for solve in done)
+        print(f"{len(done)} of {len(solved)} solves finish in {nodes} nodes; wrote {args.output}")
+        return
+    solved = digest(cases())
+    args.output.write_text(json.dumps(solved, indent=2, sort_keys=True) + "\n")
+    nodes = sum(solve["nodes"] for solve in solved.values())
+    dive = sum(solve["dive_nodes"] for solve in solved.values())
+    print(f"{len(solved)} solves, {nodes} nodes and {dive} dive nodes; wrote {args.output}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Exact solvers for the placement program.
 
 ``solve_exact`` is a depth-first branch and bound over the structural
-decisions: placement per instance, then assignment per request chain slot.
-A request's content server is chosen once its chain is assigned, by trying
-each candidate in turn, because it changes only the request's entry link.
-Routes are derived, never branched, because every route coefficient is
-non-negative and the current routes only contribute a constant credit.
+decisions: placement per instance, then one route per request. Once every
+instance is placed, a request's route is one of its columns (see
+``_Problem.columns``): a candidate content server and a deployed instance
+per chain slot. A column's links are derived, never branched, because
+every route coefficient is non-negative and the current routes only
+contribute a constant credit.
 Each decision type needs two counts of instances (see ``_Problem``):
 enough to carry the traffic of every request that uses it, and under
 no_reuse, for a type that new requests use, enough fresh ones for the new
@@ -47,10 +48,10 @@ candidate servers' positions and its chain as type positions; per type
 position the usage limit and the processing delay by server; and per
 decision its type's position, its resource need and its options with their
 contributions. The search state holds each decision once: per decision its
-server, per chain slot its decision, per type position the indices of the
-deployed decisions, and server and link loads in lists, so no node looks a
-name up and a slot's server is read as its decision's. A leaf offers the
-incumbent a copy of that state. Equal totals are ordered by
+server, per type position the indices of the deployed decisions, per
+request its column, and server loads and the room left on each instance
+and link in lists, so no node looks a name up. A leaf offers the incumbent
+a copy of that state. Equal totals are ordered by
 ``_Problem.leaf_key``, the search's one key function, which ``_Incumbent``
 is given once: the positions of the ones in the plan's canonical g, t, l, p
 vector, found by arithmetic on per-problem position maps and made only when
@@ -211,8 +212,9 @@ class _Problem:
     longer activate: the type's next snapshot decision, or its end.
     Routes are priced apart, by ``route_floor`` over a prefix of per-type
     server masks: the types whose last instance is decided. The placement
-    stage reads its first entry, the assignment stage its tail. Its memos
-    are attributes of the ``_Problem`` and go with it.
+    stage reads its first entry, the assignment stage its tail, where each
+    request takes one of its ``columns``. The memos of both are attributes
+    of the ``_Problem`` and go with it.
 
     ``cheapest_first[di]`` is decision ``di``'s options in the order the
     warm-start dive tries them: sorted by micro-money, ties in the search's
@@ -387,8 +389,8 @@ class _Problem:
             for k in dict.fromkeys(slots):
                 self.type_users[k].append(ri)
         # about four root-to-leaf paths: a path has at most a node per
-        # decision, and a node per chain slot and per request, and its leaves
-        path = len(self.decisions) + sum(map(len, self.slots)) + len(self.requests) + 1
+        # decision and per request, and its leaf
+        path = len(self.decisions) + len(self.requests) + 1
         self.dive_budget = 4 * path
         # new requests under no_reuse may not use snapshot instances
         self.skips_snapshot = [
@@ -433,6 +435,57 @@ class _Problem:
         self._route_min: dict[tuple, int | float] = {}
         self._shapes: dict[tuple[int, int], tuple] = {}
         self._mask_servers = _MaskServers()
+        # columns' memo, by (request, eligible pairs per chain slot)
+        self._columns: dict[tuple, tuple] = {}
+
+    def columns(self, ri: int, eligible: tuple) -> tuple:
+        """Request ``ri``'s route columns, memoized, when its chain slot
+        ``pos`` may use the (decision, server) pairs in ``eligible[pos]``: a
+        column per content server and pair per slot that meets the delay
+        budget, in the search's order: the pairs as given, the first slot's
+        outermost, then the content servers in candidate order. A column is
+        (content server, decision per slot, links, uses, cost). Its links
+        are the route's link set as canonical entries, each once: the entry
+        link, the links between consecutive hosts and the user link. Its
+        uses are the positions in ``_Search.room`` it loads: its decisions,
+        then its links of finite capacity. Its cost is traffic x its links'
+        cost, less the request's credit. The search checks usage limits and
+        link capacities, which depend on the other requests' routes."""
+        key = (ri, eligible)
+        known = self._columns.get(key)
+        if known is None:
+            known = self._columns[key] = self._build_columns(ri, eligible)
+        return known
+
+    def _build_columns(self, ri: int, eligible: tuple) -> tuple:
+        """The content server changes only the entry link, so a chain's
+        links, delay and cost are summed once for all candidates; an entry
+        link the chain already takes adds nothing."""
+        n, canon, cost, delay = self.n_nodes, self.canon, self.link_cost, self.link_delay
+        r = self.requests[ri]
+        traffic, budget, credit = r.traffic, r.delay_budget, self.credit[ri]
+        user, slots = self.user_at[ri], self.slots[ri]
+        link_at, link_cap = len(self.decisions), self.link_cap
+        columns = []
+        for pairs in itertools.product(*eligible):
+            picks, hosts = zip(*pairs)
+            chain = {canon[a * n + b] for a, b in zip(hosts, hosts[1:])}
+            chain.add(canon[hosts[-1] * n + user])
+            links = tuple(chain)
+            uses = picks + tuple([link_at + c for c in links if link_cap[c] != math.inf])
+            chain_delay = sum([self.type_delay[k][s] for k, s in zip(slots, hosts)])
+            chain_delay += sum([delay[c] for c in links])
+            chain_cost = traffic * sum([cost[c] for c in links]) - credit
+            for cs in self.candidates[ri]:
+                entry = canon[cs * n + hosts[0]]
+                if entry in chain:
+                    if traffic * chain_delay <= budget:
+                        columns.append((cs, picks, links, uses, chain_cost))
+                elif traffic * (chain_delay + delay[entry]) <= budget:
+                    loads = (link_at + entry,) if link_cap[entry] != math.inf else ()
+                    price = chain_cost + traffic * cost[entry]
+                    columns.append((cs, picks, links + (entry,), uses + loads, price))
+        return tuple(columns)
 
     def route_floor(self, prefix: tuple) -> list:
         """The routing cost still to come over the decided types: entry
@@ -530,22 +583,22 @@ class _Problem:
         return spots, hops, slots[0] < decided, last, open_end
 
     def leaf_key(self, leaf: tuple) -> tuple:
-        """The tie-break key of a search leaf, the (target, gamma, picks,
-        routes) state that ``_Search._offer_leaf`` copies: the positions of
+        """The tie-break key of a search leaf, the (target, columns) state
+        that ``_Search._offer_leaf`` copies: the positions of
         the ones in its plan's canonical g, t, l, p vector, ascending and
         negated. Two leaves' keys compare as the vectors of their plans do,
         equality included: at the first position where the vectors differ,
         the plan with the 0 there has its next one later, so its key holds a
         smaller number there or ends first."""
-        target, gamma, picks, routes = leaf
+        target, columns = leaf
         n_servers, t_at, p_off = len(self.servers), self.t_at, self.p_off
-        ones = [ri * n_servers + cs for ri, cs in enumerate(gamma)]
-        ones += [t_at + di * n_servers + s for di, s in enumerate(target) if s is not None]
-        for ri, (chain_links, entry) in enumerate(routes):
+        ones = [t_at + di * n_servers + s for di, s in enumerate(target) if s is not None]
+        for ri, (cs, picks, links, _uses, _cost) in enumerate(columns):
+            ones.append(ri * n_servers + cs)
             l_slot, width = self.l_slot[ri], self.l_width[ri]
-            ones += [at + target[di] * width + di for at, di in zip(l_slot, picks[ri])]
+            ones += [at + target[di] * width + di for at, di in zip(l_slot, picks)]
             p_at = self.p_at[ri]
-            ones += [p_at + p_off[c] for c in chain_links | {entry}]
+            ones += [p_at + p_off[c] for c in links]
         ones.sort()
         return tuple(-i for i in ones)
 
@@ -554,17 +607,16 @@ class _Problem:
         names. An instance that stays put keeps the snapshot's own entry and
         an unchanged route the request's own set, so a plan shares what it
         does not change."""
-        target, gamma, picks, routes = leaf
+        target, columns = leaf
         servers, decisions, n = self.servers, self.decisions, self.n_nodes
         nodes = self.instance.network.nodes
         assignment = []
         plan_routes = {}
-        for ri, r in enumerate(self.requests):
-            for di in picks[ri]:
+        for r, (_cs, picks, links, _uses, _cost) in zip(self.requests, columns):
+            for di in picks:
                 d = decisions[di]
                 assignment.append((r.id, servers[target[di]], d.vnf_name, d.instance_id))
-            chain_links, entry = routes[ri]
-            route = frozenset((nodes[c // n], nodes[c % n]) for c in chain_links | {entry})
+            route = frozenset((nodes[c // n], nodes[c % n]) for c in links)
             plan_routes[r.id] = r.current_route if route == r.current_route else route
         placed = {
             (d.vnf_name, d.instance_id, servers[s])
@@ -576,7 +628,7 @@ class _Problem:
         kept = {e for e in self.instance.snapshot.deployed if e in placed}
         return PlacementPlan(
             content_server=frozenset(
-                (r.id, servers[cs]) for r, cs in zip(self.requests, gamma)
+                (r.id, servers[column[0]]) for r, column in zip(self.requests, columns)
             ),
             deployment=kept.union(self.frozen, placed),
             assignment=frozenset(assignment),
@@ -626,7 +678,9 @@ class _Search:
     the incumbent's total. A placement node is bounded by its parent (see
     ``_child``) and visited only when that bound is open, so the forced
     placements ``_Problem.skip`` jumps and the children over the incumbent
-    cost no node."""
+    cost no node. An assignment node routes one request: it fetches the
+    request's columns once per placement leaf and tries each in turn that
+    the instances' usage limits and the links' capacities still admit."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
         self.p = problem
@@ -646,13 +700,13 @@ class _Search:
         # qualifying instances deployed, per type position (see
         # _Problem.deploy_min)
         self.qualified = [0] * len(problem.need)
-        # per request: content server, then per chain slot its decision, and
-        # the (chain links, entry link) of its route
-        self.gamma: list[int | None] = [None] * len(problem.requests)
-        self.picks = [[0] * len(r.chain) for r in problem.requests]
-        self.routes: list[tuple | None] = [None] * len(problem.requests)
-        self.inst_load = [0] * len(problem.decisions)
-        self.link_load = [0] * len(problem.link_cap)
+        # per request: its columns at the current placement leaf, and the
+        # column that routes it (see _Problem.columns)
+        self.columns: list[tuple] = []
+        self.route: list[tuple | None] = [None] * len(problem.requests)
+        # the traffic each resource can still carry: per decision its
+        # instance, then per link entry its link (see _Problem.columns)
+        self.room = [problem.type_cap[d.type_pos] for d in problem.decisions] + problem.link_cap
         self.committed = 0
         # per decided type position, its (every, qualified) server masks, and
         # the route floor over them (see _Problem.route_floor); a type is
@@ -696,10 +750,20 @@ class _Search:
         return bound != math.inf and (inc is None or bound <= inc)
 
     def _descend(self, di: int, bound: int | float) -> None:
-        if di == len(self.p.decisions):
+        p = self.p
+        if di == len(p.decisions):
             # every type is decided and met its counts, so the floor is the
-            # assignment stage's tail
-            self._branch_lambda(0, 0)
+            # assignment stage's tail. Each type's deployed (decision,
+            # server) pairs, all and qualifying, key the requests' columns
+            pairs = []
+            for deployed in self.deployed:
+                every = tuple((d, self.target[d]) for d in deployed)
+                pairs.append((every, tuple(e for e in every if p.decisions[e[0]].qualifies)))
+            self.columns = [
+                p.columns(ri, tuple(pairs[k][fresh] for k in slots))
+                for ri, (slots, fresh) in enumerate(zip(p.slots, p.skips_snapshot))
+            ]
+            self._assign(0)
         else:
             self._branch_tau(di, bound)
 
@@ -791,10 +855,8 @@ class _Search:
             if d.qualifies:
                 self.qualified[d.type_pos] -= 1
 
-    # stage (b): chain assignments; a finished chain is routed once per
-    # content-server candidate
-    def _branch_lambda(self, ri: int, pos: int) -> None:
-        p = self.p
+    # stage (b): routes, one column per request (see _Problem.columns)
+    def _assign(self, ri: int) -> None:
         bound = self.committed + self.floor[ri]
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
@@ -802,92 +864,29 @@ class _Search:
         inc = self.incumbent.total
         if inc is not None and bound > inc:
             return
-        if ri == len(p.requests):
+        if ri == len(self.route):
             self._offer_leaf()
             return
-        slots = p.slots[ri]
-        if pos == len(slots):
-            self._route_and_descend(ri)
-            return
-        traffic = p.requests[ri].traffic
-        k = slots[pos]
-        limit = p.type_cap[k]
-        skips_snapshot = p.skips_snapshot[ri]
-        picks, inst_load = self.picks[ri], self.inst_load
-        for di in self.deployed[k]:
-            if skips_snapshot and not p.decisions[di].qualifies:
+        traffic = self.p.requests[ri].traffic
+        room = self.room
+        for column in self.columns[ri]:
+            _cs, _picks, _links, uses, cost = column
+            if any(room[u] < traffic for u in uses):
                 continue
-            load = inst_load[di] + traffic
-            if load > limit:
-                continue
-            picks[pos] = di
-            inst_load[di] = load
-            self._branch_lambda(ri, pos + 1)
-            inst_load[di] = load - traffic
-
-    def _route_and_descend(self, ri: int) -> None:
-        p = self.p
-        r = p.requests[ri]
-        traffic = r.traffic
-        n, canon = p.n_nodes, p.canon
-        link_cap, link_load = p.link_cap, self.link_load
-        hosts = [self.target[di] for di in self.picks[ri]]
-        chain_links = {canon[a * n + b] for a, b in zip(hosts, hosts[1:])}
-        chain_links.add(canon[hosts[-1] * n + p.user_at[ri]])
-
-        # delay and cost per traffic unit until the chain part is checked
-        delay = 0
-        route_cost = 0
-        for link in chain_links:
-            if link_load[link] + traffic > link_cap[link]:
-                return
-            delay += p.link_delay[link]
-            route_cost += p.link_cost[link]
-        for k, s in zip(p.slots[ri], hosts):
-            delay += p.type_delay[k][s]
-        delay *= traffic
-        route_cost *= traffic
-        if delay > r.delay_budget:
-            return  # an entry link only adds delay
-
-        for link in chain_links:
-            link_load[link] += traffic
-        # the content server changes only the entry link, so the chain part
-        # is checked and loaded once for all candidates
-        for cs in p.candidates[ri]:
-            entry = canon[cs * n + hosts[0]]
-            extra = entry not in chain_links
-            entry_cost = 0
-            if extra:
-                if link_load[entry] + traffic > link_cap[entry]:
-                    continue
-                if delay + traffic * p.link_delay[entry] > r.delay_budget:
-                    continue
-                entry_cost = traffic * p.link_cost[entry]
-                link_load[entry] += traffic
-            self.gamma[ri] = cs
-            self.routes[ri] = (chain_links, entry)
-            delta = route_cost + entry_cost - p.credit[ri]
-            self.committed += delta
-
-            self._branch_lambda(ri + 1, 0)
-
-            self.committed -= delta
-            if extra:
-                link_load[entry] -= traffic
-        for link in chain_links:
-            link_load[link] -= traffic
+            for u in uses:
+                room[u] -= traffic
+            self.route[ri] = column
+            self.committed += cost
+            self._assign(ri + 1)
+            self.committed -= cost
+            for u in uses:
+                room[u] += traffic
 
     def _offer_leaf(self) -> None:
         # the leaf's bound is its total, so it is never worse than the
-        # incumbent; the offer keeps a copy of the state that makes the plan
-        leaf = (
-            list(self.target),
-            list(self.gamma),
-            [list(p) for p in self.picks],
-            list(self.routes),  # route tuples are never changed once made
-        )
-        self.incumbent.offer(self.committed, leaf)
+        # incumbent; the offer keeps a copy of the state that makes the
+        # plan, and columns are never changed once made
+        self.incumbent.offer(self.committed, (list(self.target), list(self.route)))
 
 
 class _DiveOver(Exception):

@@ -22,15 +22,15 @@ from test_cli import TINY, run
 CASES = {
     "solve-online": (
         ["solve", "{reduced}"],
-        "8cd1d483ba1b11cea2aeaa30fd8acf61b99d7d0df58c85f5d02f120d0e50f8b8",
+        "f2e2962a5eda5e8605bd81bdf476210dd7950dd32104a5fb52d3ce7fba1145c3",
     ),
     "solve-no-reuse": (
         ["solve", "{reduced}", "--no-reuse"],
-        "4fd4127170e67dfc77da7064e5eebba763a15c3793959a72b81c2d757ede3d81",
+        "b7ff6d1e93a2261a294c8c56956cd42b35c26da412c842eb88f62c2bbcc070c5",
     ),
     "solve-tiny-no-reuse-oracle": (
         ["solve", "{tiny}", "--no-reuse", "--oracle"],
-        "14009b2d4817e70eff8182b57bdb83642a9b900b75f05415450af17f6291b570",
+        "456527803dcabf1c0d3595559ac00dc569332f6e92472009e52dc8d3a1de861a",
     ),
     "compare-csv": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4"],
@@ -38,12 +38,12 @@ CASES = {
     ),
     "compare-json": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4", "--format", "json"],
-        "3cb443903f1146d22fd359654a7406112c7311a1db3e6bf5d060a51d0fd487bd",
+        "88dc60425b38cac17eb4ac34c78be64ca41dfcba7f6524892a2b3e9dc710d2e3",
     ),
     "compare-refunds-json": (
         ["compare", "--reduced", "--scenario", "2", "--seed", "5", "--license-refunds",
          "--format", "json"],
-        "0b0943293715282e3231882c670b65d913ab2a8725eb743aa1088b7162d6c75a",
+        "bc9974ac80b2057a8eb926a74befc4e85bdef8ebf865375e82cfa8d84b52d170",
     ),
 }
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainplace.costs import total_objective
+from chainplace.costs import service_delay, total_objective
 from chainplace.errors import TooLargeError
 from chainplace.ilp import enumerate_variables, plan_vector
 from chainplace.model import Network, check_feasibility
@@ -53,6 +53,16 @@ OPTION_SETS = [
     SolveOptions(no_reuse=True),
     SolveOptions(clamp_instantiation=True),
 ]
+
+
+# 10 servers, 10 user groups, 7 existing and 9 new requests at seed 4: a
+# case past the first frontier that generates in about 0.03 s, and whose
+# no_reuse solve takes hundreds of thousands of nodes, so a short time
+# limit binds at any of the search's clock reads (every 256 nodes); its
+# warm-start dive offers a leaf in about 30 nodes
+SLOW_SPEC = ScenarioSpec(
+    seed=4, n_servers=10, n_user_groups=10, existing_requests=7, new_requests=9
+)
 
 
 def small_spec(seed, existing=1, new=1, servers=2, types=2):
@@ -167,10 +177,17 @@ class TestSolveExact:
         # the deployment term keeps the lower bound positive on a full-scale
         # case; without it the gap exceeds the incumbent. The clock is read
         # every 256 nodes, so the case must take more: full-scale seed-5
-        # scenario 1 under no_reuse takes 508 nodes and about 0.005 s of CPU
-        # on a 2-vCPU Xeon host, so a 0.0005 s limit binds with room to
-        # spare; the warm-start dive offers a leaf at node 23, before any
-        # deadline check, so the run stops with an incumbent
+        # scenario 1 under no_reuse takes the nodes the search digest pins
+        # and about 0.005 s of CPU on a 2-vCPU Xeon host, so a 0.0005 s
+        # limit binds with room to spare; the warm-start dive offers a leaf
+        # before any deadline check, so the run stops with an incumbent
+        nodes = json.loads((DATA / "search_digest.json").read_text())[
+            "full/seed5/scenario1/no_reuse"
+        ]["nodes"]
+        assert nodes > 256, (
+            f"full s5 sc1 no_reuse now proves optimal in {nodes} nodes; the clock is read "
+            "every 256 nodes, so no time limit binds on it: move this test to a slower case"
+        )
         frozen = json.loads(FULL_ORACLE[5].read_text())
         optimum = frozen["scenarios"]["1"]["no_reuse"]["total_micro"]
         inst = generate(ScenarioSpec.table_row(1, seed=5))
@@ -181,10 +198,7 @@ class TestSolveExact:
         assert 0 <= result.stats.gap < result.breakdown.total
 
     def test_time_limit_returns_incumbent_with_gap(self):
-        # full-scale seed-5 scenario 1 under no_reuse takes about 0.005 s of
-        # CPU and 508 nodes to prove optimal on a 2-vCPU Xeon host, well
-        # above the limit at each of the clock reads
-        inst = generate(ScenarioSpec.table_row(1, seed=5))
+        inst = generate(SLOW_SPEC)
         result = solve_exact(inst, SolveOptions(time_limit=0.0005, no_reuse=True))
         assert result.status == "time_limit"
         if result.plan is not None:
@@ -585,6 +599,89 @@ class TestAdmissibleBound:
         assert routes((on["s1"], on["s0"])) == routed
 
 
+def shared_entry_link():
+    """Content on s0 only, and a server holds one instance. The snapshot's
+    k0 on s1 and k1 on s0 stay put, since a migration costs more than any
+    route, so the optimum's route is s0 -> s1 -> s0 -> u0: its entry link
+    s0-s1 is also its k0 -> k1 hop."""
+    net = mk_network(n_servers=2, capacity=RESOURCE)
+    return mk_instance(
+        net,
+        types=[mk_type(net, name="k0"), mk_type(net, name="k1")],
+        requests=[mk_request(net, chain=("k0", "k1"), candidates=("s0",))],
+        snapshot=[("k0", 0, "s1"), ("k1", 0, "s0")],
+    )
+
+
+def named_columns(p, plan, ri) -> list[tuple]:
+    """Request ``ri``'s routes at ``plan``'s placement, by names, in the
+    search's order: per chain slot the plan's instances of the slot's type
+    in decision order (fresh ones only for a new request under no_reuse),
+    the first slot's outermost, then the candidate content servers in server
+    order. A route is kept when ``derive_routes`` builds it and it meets the
+    delay budget. Each is (content server, instance per slot, link set,
+    traffic x the link set's cost less the request's credit)."""
+    instance, r = p.instance, p.requests[ri]
+    net = instance.network
+    at = {(d.vnf_name, d.instance_id): di for di, d in enumerate(p.decisions)}
+    pools = []
+    for k in r.chain:
+        pool = sorted((at[kind, i], i, s) for kind, i, s in plan.deployment if kind == k)
+        if p.options.no_reuse and r.status == "new":
+            pool = [e for e in pool if instance.snapshot.server_of(k, e[1]) is None]
+        pools.append([(k, i, s) for _di, i, s in pool])
+    others = [e for e in plan.assignment if e[0] != r.id]
+    out = []
+    for picks in itertools.product(*pools):
+        for cs in (s for s in net.servers if s in r.candidate_servers):
+            assignment = {(r.id, k): (s, i) for k, i, s in picks}
+            route = derive_routes(instance, {r.id: cs}, assignment)[r.id]
+            trial = replace(
+                plan,
+                content_server=frozenset(e for e in plan.content_server if e[0] != r.id)
+                | {(r.id, cs)},
+                assignment=frozenset(others + [(r.id, s, k, i) for k, i, s in picks]),
+                routes={**plan.routes, r.id: route},
+            )
+            if service_delay(instance, trial, r.id) > r.delay_budget:
+                continue
+            cost = r.traffic * route_cost(net, route) - p.credit[ri]
+            out.append((cs, tuple((k, i) for k, i, _s in picks), route, cost))
+    return out
+
+
+class TestColumns:
+    @given(instance=binding_instances(), no_reuse=st.booleans())
+    @example(instance=shared_entry_link(), no_reuse=False)
+    @settings(max_examples=200, deadline=None)
+    def test_columns_are_the_routes_that_meet_the_budget(self, instance, no_reuse):
+        """At the optimum's placement leaf, each request's columns are the
+        routes ``named_columns`` lists, in its order, with exactly its
+        costs. A column's links are each listed once, and it loads its
+        instances and its links of finite capacity."""
+        p = _Problem(instance, SolveOptions(no_reuse=no_reuse))
+        slow = _brute_force(p)
+        if slow.plan is None:
+            return
+        search = _Search(p, _Incumbent(p.leaf_key), deadline=math.inf)
+        placed = {(k, i): instance.network.position(s) for k, i, s in slow.plan.deployment}
+        for di, d in enumerate(p.decisions):
+            target = placed.get((d.vnf_name, d.instance_id))
+            search._commit_tau(di, target, dict(d.options)[target])
+        search._descend(len(p.decisions), 0)
+        nodes, n, link_at = instance.network.nodes, p.n_nodes, len(p.decisions)
+        for ri in range(len(p.requests)):
+            got = []
+            for cs, picks, links, uses, cost in search.columns[ri]:
+                assert len(set(links)) == len(links)
+                capped = [link_at + c for c in links if p.link_cap[c] != math.inf]
+                assert uses == picks + tuple(capped)
+                route = frozenset((nodes[c // n], nodes[c % n]) for c in links)
+                named = tuple((p.decisions[di].vnf_name, p.decisions[di].instance_id) for di in picks)
+                got.append((p.servers[cs], named, route, cost))
+            assert got == named_columns(p, slow.plan, ri)
+
+
 def demand_rule(deployed, qualified, limit, demand_all, demand_new, fresh_only):
     """The per-type coverage rule written as capacity products: some
     instance deployed, their limits carry all the type's traffic, and under
@@ -768,10 +865,10 @@ class TestWarmStart:
         """A deadline that has passed as the dive starts: the dive (fewer
         than 256 nodes here, so it never reads the clock) offers its leaf,
         and the search stops at its first deadline check, at node 256. The
-        gap comes from the bound the search left unexplored. Full-scale
-        seed-5 scenario 1 under no_reuse takes 508 search nodes, so the
-        search reaches that check."""
-        inst = generate(ScenarioSpec.table_row(1, seed=5))
+        gap comes from the bound the search left unexplored. ``SLOW_SPEC``
+        under no_reuse takes far more search nodes, so the search reaches
+        that check."""
+        inst = generate(SLOW_SPEC)
         options = SolveOptions(time_limit=1e-9, no_reuse=True, clamp_instantiation=True)
         problem = _Problem(inst, options)
         assert problem.dive_budget < 256
@@ -813,8 +910,8 @@ class TestFrontier:
     and 6 new requests at seed 5, under no_reuse. HiGHS proves 300 813 746
     on the exported MPS file, in about 50 s of CPU on a 2-vCPU Xeon host;
     the search took 6.3 s and 3 139 225 nodes before the assignment stage
-    priced routes over the deployed servers, and takes about 0.02 s and
-    2 849 nodes (after a 57-node warm-start dive) now."""
+    priced routes over the deployed servers, and takes about 0.01 s and
+    796 nodes (after a 20-node warm-start dive) now."""
 
     NODE_CEILING = 3_139_225
 
