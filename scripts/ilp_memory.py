@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measure the memory of the compiled ILP and of its two text exports.
+"""Measure the memory of the compiled ILP and of its two text writers.
 
 The cases are the paper's full-scale table at seed 3 (scenarios 1-3, online
 and no_reuse) and one frontier instance past it: 6 servers, 6 user groups,
@@ -8,20 +8,23 @@ generated first; then its model is built with clamped accounting, as
 ``chainplace compare`` prices it. For every model the script prints its
 variables, rows and coefficients, the memory that ``tracemalloc`` traces
 to it once built (``model_mb``), and the peak that ``tracemalloc`` sees
-above that while ``export_mps`` and then ``export_lp`` run
-(``mps_peak_mb``, ``lp_peak_mb``); each export's text is counted in its
-peak and dropped before the next export. An MB is 2**20 bytes, as in
+above that while ``mps_chunks`` and then ``lp_chunks`` write the text to a
+temporary file, as ``chainplace solve --export ... -o`` does
+(``mps_peak_mb``, ``lp_peak_mb``), with the size of each text
+(``mps_text_mb``, ``lp_text_mb``). An MB is 2**20 bytes, as in
 perfbench's ``peak_rss_mb``. Tracing slows the program several times over,
-so the script reports no times; the frontier case takes most of its
-minute and a half on a 2-vCPU Xeon host. Run from the repository root:
+so the script reports no times; the frontier case takes most of a minute
+on a 2-vCPU Xeon host. Run from the repository root:
 
     PYTHONPATH=src python scripts/ilp_memory.py
 """
 
 import gc
+import os
+import tempfile
 import tracemalloc
 
-from chainplace.ilp import BuildOptions, build_ilp, export_lp, export_mps
+from chainplace.ilp import BuildOptions, build_ilp, lp_chunks, mps_chunks
 from chainplace.scenario import ScenarioSpec, generate
 
 SEED = 3
@@ -54,21 +57,26 @@ def measure(spec, no_reuse: bool) -> dict:
         model = build_ilp(instance, options)
         gc.collect()
         built = tracemalloc.get_traced_memory()[0]
-        peaks = []
-        for export in (export_mps, export_lp):
-            tracemalloc.reset_peak()
-            text = export(model)
-            peaks.append(tracemalloc.get_traced_memory()[1] - built)
-            del text
+        peaks, sizes = [], []
+        with tempfile.TemporaryDirectory() as work:
+            for chunks in (mps_chunks, lp_chunks):
+                path = os.path.join(work, "model.txt")
+                tracemalloc.reset_peak()
+                with open(path, "w", newline="") as fh:
+                    fh.writelines(chunks(model))
+                peaks.append(tracemalloc.get_traced_memory()[1] - built)
+                sizes.append(os.path.getsize(path))
     finally:
         tracemalloc.stop()
     return {
         "vars": len(model.variables),
         "rows": len(model.rows),
-        "coefficients": sum(len(row.coeffs) for row in model.rows),
+        "coefficients": len(model.rows.cols),
         "model_mb": traced_mb(built - before),
         "mps_peak_mb": traced_mb(peaks[0]),
         "lp_peak_mb": traced_mb(peaks[1]),
+        "mps_text_mb": traced_mb(sizes[0]),
+        "lp_text_mb": traced_mb(sizes[1]),
     }
 
 

@@ -17,11 +17,13 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterable
 
 from . import io as _io
 from . import scenario as _scenario
 from .errors import BootstrapInfeasibleError, ChainplaceError, ValidationFailedError
-from .ilp import BuildOptions, _collector_paused, build_ilp, export_lp, export_mps
+from .ilp import BuildOptions, _collector_paused, build_ilp, lp_chunks, mps_chunks
+from .ilp import export_lp, export_mps  # noqa: F401 (perfbench wraps these names)
 from .model import check_feasibility, validate_instance
 from .costs import total_objective
 from .solver import (
@@ -59,13 +61,16 @@ def _log(message: str) -> None:
 _SLICE = 1 << 16
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str | Iterable[str], output: str | None) -> None:
+    """Write a text, or its chunks, to ``output`` or to stdout."""
+    chunks = text
+    if isinstance(text, str):  # in slices, so that no second full copy is encoded
+        chunks = (text[i:i + _SLICE] for i in range(0, len(text), _SLICE))
     if output:
-        # in slices, so that the text layer never encodes a second full copy
         with open(output, "w", newline="") as fh:
-            fh.writelines(text[i:i + _SLICE] for i in range(0, len(text), _SLICE))
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 class _UsageError(ChainplaceError):
@@ -197,15 +202,16 @@ def cmd_generate(args) -> int:
 
 
 def _export(instance, args) -> int:
-    """Compile the instance and write its MILP. The caller pauses the
-    collector around the call, so the model, which forms no cycles, is
-    freed on return before a collection could scan it."""
+    """Compile the instance, then write its MILP a chunk at a time, so the
+    whole text never exists and a refused instance leaves no output file.
+    The caller pauses the collector around the call, so the model, which
+    forms no cycles, is freed on return before a collection could scan it."""
     try:
         model = build_ilp(instance, BuildOptions(no_reuse=args.no_reuse))
     except ValidationFailedError as exc:
         _log_invalid(exc.report)
         return EXIT_USAGE
-    _emit(export_mps(model) if args.export == "mps" else export_lp(model), args.output)
+    _emit((mps_chunks if args.export == "mps" else lp_chunks)(model), args.output)
     return EXIT_OK
 
 

@@ -16,19 +16,24 @@ character and a right-hand side; row offsets and coefficient indices in
 ``build_ilp``, the exporters and ``import_solution`` read the columns, and
 indexing ``Rows`` makes a ``Row`` named tuple on demand. ``build_ilp``
 finds a variable's index by arithmetic on the block offsets that
-``_enumerate`` records. It appends the McCormick product rows (2-x, 15-x
-and 16-x, about 98% of a full-scale model's rows) a block per product,
-sharing one key, with coefficients already sorted. The other rows go
-through one generic path that drops zero coefficients, sorts the rest and
-keeps an empty row only when 0 violates it. ``import_solution`` reads each
+``_enumerate`` records. Each family of McCormick product rows (2-x, 15-x,
+16-x: about 98% of a full-scale model's rows) collects its keys, bounds and
+sorted indices in flat lists and goes in with one ``put``, which repeats
+the family's tags, senses, sizes and ±1 values. The other rows go through
+one generic path that drops zero coefficients, sorts the rest and keeps an
+empty row only when 0 violates it. ``import_solution`` reads each
 product's factors from its "at least" row (2-4, 15-5 or 16-5), so only
 ``_enumerate`` and ``build_ilp`` know the variable layout.
 
-``build_ilp`` and both exporters run with the cyclic garbage collector
+One generator per format, ``mps_chunks`` and ``lp_chunks``, makes the text
+in chunks of about 64 KiB; ``export_mps`` and ``export_lp`` join them, and
+``chainplace solve --export`` writes them as they come. MPS sends ROWS a
+block at a time as it pads the row names, and keeps two references per
+coefficient (row name, value text) until it joins that variable's column
+under its head; LP sends each block of 4 096 rows once it is made.
+``build_ilp`` and both ``export_*`` run with the cyclic garbage collector
 paused (the model forms no cycles) and restore its state when they return
-or raise. The exporters make their text a section at a time and join it
-once: MPS keeps, per variable, references to shared cell strings until its
-column is made, and LP joins its rows in blocks.
+or raise.
 """
 
 from __future__ import annotations
@@ -442,29 +447,31 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     keys: list[tuple] = []
     senses: list[str] = []
     rhs: list[int | float] = []
-    sizes = array.array("q")
+    sizes: list[int] = []
     cols = array.array("q")
     vals: list[int] = []
 
-    def put(block, key, bounds, coeffs):  # rows sharing key; see _MIGRATION
+    def put(block, block_keys, bounds, coeffs):  # a block per key; see _MIGRATION
         block_tags, block_senses, block_sizes, signs = block
-        tags.extend(block_tags)
-        keys.extend([key] * len(block_tags))
-        senses.append(block_senses)
+        n = len(block_keys)
+        tags.extend(block_tags * n)
+        keys.extend(itertools.chain.from_iterable(zip(*[block_keys] * len(block_tags))))
+        senses.append(block_senses * n)
         rhs.extend(bounds)
-        sizes.extend(block_sizes)
-        cols.extend(coeffs)
-        vals.extend(signs)
+        sizes.extend(block_sizes * n)
+        cols.fromlist(coeffs)
+        vals.extend(signs * n)
 
     def add(tag, key, coeffs, sense, bound):
         coeffs = sorted(c for c in coeffs if c[1])
         # a row left without coefficients is kept only when 0 violates it
         if coeffs or not Row(tag, key, (), sense, bound).satisfied_by(()):
             idx, coef = zip(*coeffs) if coeffs else ((), ())
-            put(((tag,), sense, (len(idx),), coef), key, (bound,), idx)
+            put(((tag,), sense, (len(idx),), coef), [key], (bound,), list(idx))
 
     # migration product linearization
     deployed = snap.deployed
+    fam_keys, bounds, idx = [], [], []
     for vnf in deployable:
         k = vnf.name
         for i, t0, x0 in zip(vnf.instances, t_at[k], x_at[k]):
@@ -472,7 +479,10 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                 cur = 1 if (k, i, s) in deployed else 0
                 for di, d in enumerate(servers):
                     x, t = x0 + si * n_s + di, t0 + di
-                    put(_MIGRATION, (k, i, s, d), (cur, 0, cur - 1), (x, t, x, t, x))
+                    fam_keys.append((k, i, s, d))
+                    bounds += (cur, 0, cur - 1)
+                    idx += (x, t, x, t, x)
+    put(_MIGRATION, fam_keys, bounds, idx)
 
     # content server selection
     for ri, r in enumerate(requests):
@@ -524,6 +534,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         add("14", (nodes[ai], nodes[bi]), coeffs, "L", limit(net.bandwidth[ai][bi]))
 
     # chain entry link (content server to first VNF host)
+    fam_keys, idx = [], []
     for ri, r in enumerate(requests):
         f, first = r.id, r.chain[0]
         pool = pools[first]
@@ -534,10 +545,12 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                 g = g0 + si
                 for di, d in enumerate(servers):
                     m, li = m0 + (si * n_s + di) * n_i + ii, l_bases[di] + ii
-                    coeffs = (p0 + pair[si][di], m, g, m, li, m, g, li, m)
-                    put(_ENTRY, (f, s, d, i), (0, 0, 0, -1), coeffs)
+                    fam_keys.append((f, s, d, i))
+                    idx += (p0 + pair[si][di], m, g, m, li, m, g, li, m)
+    put(_ENTRY, fam_keys, (0, 0, 0, -1) * len(fam_keys), idx)
 
     # consecutive chain links
+    fam_keys, idx = [], []
     for ri, r in enumerate(requests):
         f, p0 = r.id, p_at[ri]
         for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:])):
@@ -552,9 +565,11 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                         for jj, j in enumerate(pool_b):
                             lb = lb_bases[di] + jj
                             lo, hi = (la, lb) if la < lb else (lb, la)
-                            coeffs = (p, qi, la, qi, lb, qi, lo, hi, qi)
-                            put(_CHAIN, (f, pos, s, d, i, j), (0, 0, 0, -1), coeffs)
+                            fam_keys.append((f, pos, s, d, i, j))
+                            idx += (p, qi, la, qi, lb, qi, lo, hi, qi)
                             qi += 1
+    put(_CHAIN, fam_keys, (0, 0, 0, -1) * len(fam_keys), idx)
+    del fam_keys, bounds, idx  # gone before the row columns are copied
 
     # user link: present exactly when the last VNF is hosted on s
     for ri, r in enumerate(requests):
@@ -593,7 +608,8 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         instance=instance,
         options=options,
         variables=variables,
-        rows=Rows(tags, keys, "".join(senses), rhs, starts, cols, vals),
+        # the slices are exact-size copies of lists that grew with slack
+        rows=Rows(tags[:], keys[:], "".join(senses), rhs[:], starts, cols, vals[:]),
         objective=tuple(objective),
         constant=constant,
         aliases=aliases,
@@ -618,16 +634,16 @@ def _row_names(tags: list[str]) -> Iterator[str]:
     return (next_name[tag]() for tag in tags)
 
 
-@_collector_paused()
-def export_mps(model: IlpModel) -> str:
-    """Deterministic MPS text. Objective coefficients and the objective-row
-    RHS are money units (micro-money / 1e6); the RHS entry on the COST row
-    carries the negated objective constant."""
-    # The text is made section by section, one string per section and one
-    # per column, and joined once at the end.
+_BLOCK = 4096  # rows, or aliases, per chunk of text; about 64 KiB of it
+
+
+def mps_chunks(model: IlpModel) -> Iterator[str]:
+    """Deterministic MPS text, in chunks of about 64 KiB. Objective
+    coefficients and the objective-row RHS are money units (micro-money /
+    1e6); the RHS entry on the COST row carries the negated objective
+    constant."""
     rows, aliases = model.rows, model.aliases
-    names = list(_row_names(rows.tags))
-    parts = [
+    yield (
         "* chainplace MPS export\n"
         "* money values are scaled: coefficient = micro-money / 1e6\n"
         "* the RHS entry on the COST row is the negated objective constant\n"
@@ -635,51 +651,70 @@ def export_mps(model: IlpModel) -> str:
         "OBJSENSE\n"
         "    MIN\n"
         "ROWS\n"
-        " N  COST\n",
-        "".join([f" {sense}  {name}\n" for sense, name in zip(rows.senses, names)]),
-        "COLUMNS\n    MARKER                 'MARKER'                 'INTORG'\n",
-    ]
-    # row names padded to the cell width of COLUMNS and RHS
-    names = [f"{name:<12}  " for name in names]
+        " N  COST\n"
+    )
+    # ROWS go out a block at a time; the names stay, padded to the cell width
+    names, row_names = [], _row_names(rows.tags)
+    for r0 in range(0, len(rows), _BLOCK):
+        block, senses = list(itertools.islice(row_names, _BLOCK)), rows.senses[r0 : r0 + _BLOCK]
+        yield "".join([f" {sense}  {name}\n" for sense, name in zip(senses, block)])
+        names += [f"{name:<12}  " for name in block]
+    yield "COLUMNS\n    MARKER                 'MARKER'                 'INTORG'\n"
 
     # A variable's column is its cells in row order, COST first; a cell is
-    # its head, the row name and the value. ``cells`` keeps references to
-    # those shared strings, not a string per coefficient, and a variable's
-    # references go once its column text is made.
-    width = max(8, max(map(len, aliases), default=8))
-    heads = [f"    {alias:<{width}}  " for alias in aliases]
+    # its head, the row name and the value. ``cells`` keeps two references
+    # per cell, to shared name and value strings, until the column is
+    # joined under its head.
     value = functools.cache(lambda v: _fmt_value(v) + "\n")  # once per distinct value
     cells: list[list[str] | None] = [[] for _ in aliases]
+    cost = f"{'COST':<12}  "
     for idx, micro in model.objective:
-        cells[idx] += (heads[idx], f"{'COST':<12}  ", _costs.format_money(micro) + "\n")
+        cells[idx] += (cost, _costs.format_money(micro) + "\n")
     # each coefficient's row name, in coefficient order
     sizes = map(operator.sub, itertools.islice(rows.starts, 1, None), rows.starts)
     row_of = itertools.chain.from_iterable(map(itertools.repeat, names, sizes))
-    for idx, name, coef in zip(rows.cols, row_of, rows.vals):
+    for idx, name, text in zip(rows.cols, row_of, map(value, rows.vals)):
         own = cells[idx]
-        own.append(heads[idx])
         own.append(name)
-        own.append(value(coef))
-    del heads, row_of  # row_of refers to names, which go after RHS
-    for idx, own in enumerate(cells):
-        if own:
-            parts.append("".join(own))
-            cells[idx] = None
+        own.append(text)
+    del row_of  # it refers to names, which go after RHS
+    width = max(8, max(map(len, aliases), default=8))
 
-    rhs = ["    MARKER                 'MARKER'                 'INTEND'\nRHS\n"]
+    chunk, size = [], 0  # columns, joined once they reach 64 KiB
+    for idx, alias in enumerate(aliases):
+        own, cells[idx] = cells[idx], None
+        column = [f"    {alias.ljust(width)}  "] * (len(own) * 3 // 2)  # a head per cell
+        column[1::3], column[2::3] = own[0::2], own[1::2]
+        chunk.append("".join(column))
+        size += len(chunk[-1])
+        if size >= 1 << 16:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    yield "".join(chunk)
+
+    yield "    MARKER                 'MARKER'                 'INTEND'\nRHS\n"
     if model.constant:
-        rhs.append(f"    RHS  COST  {_costs.format_money(-model.constant)}\n")
-    rhs += [f"    RHS  {name}{value(bound)}" for bound, name in zip(rows.rhs, names) if bound != 0]
-    parts.append("".join(rhs))
-    del names, rhs
+        yield f"    RHS  COST  {_costs.format_money(-model.constant)}\n"
+    for r0 in range(0, len(rows), _BLOCK):
+        bounds = zip(rows.rhs[r0 : r0 + _BLOCK], names[r0 : r0 + _BLOCK])
+        yield "".join([f"    RHS  {name}{value(b)}" for b, name in bounds if b != 0])
+    del names
 
-    parts += ("BOUNDS\n", "".join([f" BV BND  {alias}\n" for alias in aliases]), "ENDATA\n")
-    return "".join(parts)
+    yield "BOUNDS\n"
+    for v0 in range(0, len(aliases), _BLOCK):
+        yield "".join([f" BV BND  {alias}\n" for alias in aliases[v0 : v0 + _BLOCK]])
+    yield "ENDATA\n"
 
 
 @_collector_paused()
-def export_lp(model: IlpModel) -> str:
-    """Deterministic CPLEX-style LP text with the same scaling as MPS."""
+def export_mps(model: IlpModel) -> str:
+    """The chunks of ``mps_chunks`` as one string."""
+    return "".join(mps_chunks(model))
+
+
+def lp_chunks(model: IlpModel) -> Iterator[str]:
+    """Deterministic CPLEX-style LP text with the same scaling as MPS, in
+    chunks of about 64 KiB."""
 
     def term(coef_str: str, name: str, first: bool) -> str:
         sign = ("-" if first else "- ") if coef_str.startswith("-") else ("" if first else "+ ")
@@ -693,13 +728,14 @@ def export_lp(model: IlpModel) -> str:
     if model.constant:
         c = _costs.format_money(model.constant)
         objective.append(term(c, "", not objective).rstrip())
-    parts = [
+    yield (
         "\\ chainplace LP export\n"
         "\\ money values are scaled: coefficient = micro-money / 1e6\n"
         "Minimize\n"
         f" obj: {' '.join(objective) or '0'}\n"
         "Subject To\n"
-    ]
+    )
+    del objective
 
     # a coefficient's text before the variable, as a row's first term and,
     # after a space, as a later one, formatted once per distinct value
@@ -714,8 +750,8 @@ def export_lp(model: IlpModel) -> str:
     rows = model.rows
     # names go last in each block's zip, which then draws only that block's
     names, starts, cols, vals = _row_names(rows.tags), rows.starts, rows.cols, rows.vals
-    for r0 in range(0, len(rows), 4096):
-        r1 = min(r0 + 4096, len(rows))
+    for r0 in range(0, len(rows), _BLOCK):
+        r1 = min(r0 + _BLOCK, len(rows))
         at, end = starts[r0], starts[r1]
         items = [""] * (2 * (end - at))
         items[0::2] = map(tail, vals[at:end])
@@ -732,11 +768,18 @@ def export_lp(model: IlpModel) -> str:
             else:
                 carry = head + "0" + carry
         items.append(carry)
-        parts.append("".join(items))
-    items = None  # gone before the final join
+        yield "".join(items)
 
-    parts += ("Binaries\n", "".join([f" {alias}\n" for alias in aliases]), "End\n")
-    return "".join(parts)
+    yield "Binaries\n"
+    for v0 in range(0, len(aliases), _BLOCK):
+        yield "".join([f" {alias}\n" for alias in aliases[v0 : v0 + _BLOCK]])
+    yield "End\n"
+
+
+@_collector_paused()
+def export_lp(model: IlpModel) -> str:
+    """The chunks of ``lp_chunks`` as one string."""
+    return "".join(lp_chunks(model))
 
 
 def parse_solution_text(text: str) -> dict[str, float]:

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import json
+import pathlib
 import tracemalloc
 import weakref
 
@@ -7,12 +9,17 @@ import pytest
 
 from chainplace import cli
 from chainplace.cli import _emit, main
+from chainplace.ilp import BuildOptions, build_ilp, lp_chunks, mps_chunks
 from chainplace.io import document_to_instance, dumps, instance_to_document, plan_to_document
 from chainplace.model import PlacementPlan
 from chainplace.scenario import ScenarioSpec, generate
 from chainplace.solver import solve_exact
 
-from conftest import colliding_instance
+from conftest import colliding_instance, export_case_instance
+
+EXPORT_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "export_digests.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -256,6 +263,68 @@ class TestExportCollector:
         assert gc.isenabled()
         assert run(capsys, "solve", str(tiny_file), "--export", "mps")[0] == 0
         assert alive == [[False]]
+
+
+class TestExportStream:
+    """``solve --export`` writes its text a chunk at a time: the bytes are
+    the frozen ones, memory stays near the model's, and a refused export
+    leaves no file."""
+
+    @staticmethod
+    def case_file(tmp_path, case):
+        want = EXPORT_DIGESTS["cases"][case]
+        assert not want["options"]["clamp_instantiation"]  # the CLI never clamps
+        path = tmp_path / f"{case}.json"
+        path.write_text(dumps(instance_to_document(export_case_instance(want["instance"]))))
+        return path, want
+
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    @pytest.mark.parametrize("case", ["full_online", "full_no_reuse", "online"])
+    def test_output_file_holds_the_frozen_bytes(self, tmp_path, capsys, case, fmt):
+        path, want = self.case_file(tmp_path, case)
+        out = tmp_path / f"model.{fmt}"
+        flags = ["--no-reuse"] if want["options"]["no_reuse"] else []
+        code, stdout, err = run(capsys, "solve", str(path), "--export", fmt, *flags, "-o", str(out))
+        assert (code, stdout, err) == (0, "", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want[f"{fmt}_sha256"]
+
+    def test_stdout_holds_the_frozen_bytes(self, tmp_path, capsys):
+        path, want = self.case_file(tmp_path, "online")
+        code, stdout, err = run(capsys, "solve", str(path), "--export", "lp")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == want["lp_sha256"]
+
+    @pytest.mark.parametrize("fmt, bound_mb", [("mps", 6), ("lp", 2)])
+    def test_file_export_peaks_near_the_model(self, tmp_path, fmt, bound_mb):
+        """On full s3/sc1 no_reuse, clamped, writing the text to a file
+        peaks about 5.3 MB (MPS) and 1.0 MB (LP) above the 6.9 MB model.
+        Making the whole text first peaked at 9.6 and 4.9 MB."""
+        instance = generate(ScenarioSpec.table_row(1, seed=3, reduced=False))
+        chunks = {"mps": mps_chunks, "lp": lp_chunks}[fmt]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = build_ilp(instance, BuildOptions(no_reuse=True, clamp_instantiation=True))
+            built = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _emit(chunks(model), str(tmp_path / f"model.{fmt}"))
+            peak = tracemalloc.get_traced_memory()[1] - built
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20, peak
+
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    def test_refused_export_leaves_no_file(self, tiny_file, tmp_path, capsys, fmt):
+        document = json.loads(tiny_file.read_text())
+        document["network"]["server_capacity"][0] = 0
+        invalid, colliding = tmp_path / "invalid.json", tmp_path / "colliding.json"
+        invalid.write_text(json.dumps(document))
+        colliding.write_text(dumps(instance_to_document(colliding_instance())))
+        for path in (invalid, colliding):
+            out = tmp_path / f"{path.stem}.{fmt}"
+            code, stdout, err = run(capsys, "solve", str(path), "--export", fmt, "-o", str(out))
+            assert (code, stdout, err.count("\n")) == (1, "", 1), err
+            assert not out.exists()
 
 
 class TestUsage:
