@@ -10,6 +10,8 @@ request (the latter keeps a row-12 without coefficients). Full-scale
 scenario 1 at seed 3, online and no_reuse, has rows of up to 156
 coefficients, where the reduced models stop at 64. Each model is
 exported as MPS and as LP text. The script writes the sha256 of every text,
+and ``rows_sha256``, the sha256 of the JSON list of every row's ``(tag,
+key, coeffs, sense, rhs)`` in order (the texts do not carry the keys),
 with the instance description, the build options and the model's variable
 and row counts, into tests/data/export_digests.json;
 ``tests/test_ilp.py::TestExportBytes`` compares fresh exports against that
@@ -58,6 +60,11 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def rows_sha256(model) -> str:
+    """The sha256 of every row's content, keys included, in row order."""
+    return sha256(json.dumps(list(model.rows)))
+
+
 def main() -> None:
     out = {"cases": {}}
     for case, (described, options) in CASES.items():
@@ -69,6 +76,7 @@ def main() -> None:
             "rows": len(model.rows),
             "mps_sha256": sha256(export_mps(model)),
             "lp_sha256": sha256(export_lp(model)),
+            "rows_sha256": rows_sha256(model),
         }
         print(f"{case}: {out['cases'][case]}")
     TARGET.parent.mkdir(parents=True, exist_ok=True)

@@ -71,7 +71,7 @@ def measure(spec, no_reuse: bool) -> dict:
     return {
         "vars": len(model.variables),
         "rows": len(model.rows),
-        "coefficients": len(model.rows.cols),
+        "coefficients": sum(len(block.cols) for block in model.rows.blocks),
         "model_mb": traced_mb(built - before),
         "mps_peak_mb": traced_mb(peaks[0]),
         "lp_peak_mb": traced_mb(peaks[1]),

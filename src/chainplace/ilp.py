@@ -10,27 +10,29 @@ micro-money; the text exporters emit them divided by 1e6 (plain money
 units) because several MILP readers dislike huge magnitudes, and say so in
 a comment header.
 
-The rows are flat columns (``Rows``): per row a tag, a key, a sense
-character and a right-hand side; row offsets and coefficient indices in
-``array`` buffers; coefficient values in a list, so any size stays exact.
-``build_ilp``, the exporters and ``import_solution`` read the columns, and
-indexing ``Rows`` makes a ``Row`` named tuple on demand. ``build_ilp``
-finds a variable's index by arithmetic on the block offsets that
-``_enumerate`` records. Each family of McCormick product rows (2-x, 15-x,
-16-x: about 98% of a full-scale model's rows) collects its keys, bounds and
-sorted indices in flat lists and goes in with one ``put``, which repeats
-the family's tags, senses, sizes and ±1 values. The other rows go through
-one generic path that drops zero coefficients, sorts the rest and keeps an
-empty row only when 0 violates it. ``import_solution`` reads each
-product's factors from its "at least" row (2-4, 15-5 or 16-5), so only
-``_enumerate`` and ``build_ilp`` know the variable layout.
+The rows are blocks (``Rows`` of ``Block``): rows of one shape, that is
+the same tags, senses, sizes and coefficient values for every key, with
+their keys, a right-hand side per row and the coefficient indices in an
+``array`` buffer; values stay ints, so any size stays exact. Indexing
+``Rows`` makes a ``Row`` named tuple on demand. ``build_ilp`` finds a
+variable's index by arithmetic on the block offsets that ``_enumerate``
+records. Each family of McCormick product rows (2-x, 15-x, 16-x: about 98%
+of a full-scale model's rows) collects its keys, bounds and sorted indices
+in flat lists and goes in as one block. The other rows go through one
+generic path that drops zero coefficients, sorts the rest and keeps an
+empty row only when 0 violates it; ``put`` extends the last block with
+rows of its shape. ``import_solution`` reads each product's factors from
+its "at least" row (2-4, 15-5 or 16-5) by strided slices of its block, so
+only ``_enumerate`` and ``build_ilp`` know the variable layout.
 
 One generator per format, ``mps_chunks`` and ``lp_chunks``, makes the text
-in chunks of about 64 KiB; ``export_mps`` and ``export_lp`` join them, and
-``chainplace solve --export`` writes them as they come. MPS sends ROWS a
-block at a time as it pads the row names, and keeps two references per
-coefficient (row name, value text) until it joins that variable's column
-under its head; LP sends each block of 4 096 rows once it is made.
+in chunks of about 64 KiB, a block at a time; ``export_mps`` and
+``export_lp`` join them, and ``chainplace solve --export`` writes them as
+they come. LP repeats one key's text for a slice of about 4 096 rows and
+fills its holes (names, aliases, bounds) by strided slice assignment. MPS
+pads each block's row names as it sends ROWS, and keeps two references
+per coefficient (row name, value text) until it joins that variable's
+column under its head.
 ``build_ilp`` and both ``export_*`` run with the cyclic garbage collector
 paused (the model forms no cycles) and restore its state when they return
 or raise.
@@ -39,6 +41,7 @@ or raise.
 from __future__ import annotations
 
 import array
+import bisect
 import contextlib
 import functools
 import gc
@@ -101,30 +104,41 @@ class Row(NamedTuple):
         return lhs >= self.rhs
 
 
+class Block(NamedTuple):
+    """Rows of one shape: per key, a row per tag, with ``values`` as every
+    key's coefficient values, ``sizes[pos]`` of them in row ``pos``; ``rhs``
+    has a bound per row and ``cols`` a variable index per coefficient."""
+
+    tags: tuple[str, ...]
+    senses: str
+    sizes: tuple[int, ...]
+    values: tuple[int, ...]
+    keys: list[tuple]
+    rhs: list[int | float]
+    cols: array.array
+
+
 @dataclass(frozen=True, slots=True)
 class Rows(Sequence):
-    """The rows of a compiled program as flat columns: per row its tag, its
-    key, its sense (a character of ``senses``) and its right-hand side.
-    Row ``r``'s coefficients are entries ``starts[r]`` to ``starts[r + 1]``
-    of ``cols`` (variable indices) and ``vals`` (integers, in a list so that
-    no size overflows). Indexing makes each ``Row`` on demand."""
+    """The rows of a compiled program in the blocks ``build_ilp`` puts them;
+    ``firsts`` holds each block's first row, then the row count. Indexing
+    bisects ``firsts`` and makes each ``Row`` on demand."""
 
-    tags: list[str]
-    keys: list[tuple]
-    senses: str
-    rhs: list[int | float]
-    starts: array.array
-    cols: array.array
-    vals: list[int]
+    blocks: list[Block]
+    firsts: list[int]
 
     def __len__(self) -> int:
-        return len(self.tags)
+        return self.firsts[-1]
 
     def __getitem__(self, r: int) -> Row:
         r = range(len(self))[r]  # negative indices count from the end
-        a, b = self.starts[r], self.starts[r + 1]
-        coeffs = tuple(zip(self.cols[a:b], self.vals[a:b]))
-        return Row(self.tags[r], self.keys[r], coeffs, self.senses[r], self.rhs[r])
+        b = bisect.bisect_right(self.firsts, r) - 1
+        block, r = self.blocks[b], r - self.firsts[b]
+        k, pos = divmod(r, len(block.tags))
+        at, size = sum(block.sizes[:pos]), block.sizes[pos]
+        a = k * len(block.values) + at
+        coeffs = tuple(zip(block.cols[a : a + size], block.values[at : at + size]))
+        return Row(block.tags[pos], block.keys[k], coeffs, block.senses[pos], block.rhs[r])
 
 
 @contextlib.contextmanager
@@ -359,7 +373,7 @@ class IlpModel:
         return total
 
 
-# A product's rows (2-x, 15-x, 16-x) as one block: tags, senses, sizes and
+# A product's rows (2-x, 15-x, 16-x) as a Block shape: tags, senses, sizes and
 # coefficient values, all ±1; the canonical order g < t < l < p < x < m < q
 # sorts their indices, except the two l factors of 16-5, with no comparison.
 # 2-x: x <= cur, x - t <= 0, x - t >= cur - 1 (x = cur * t)
@@ -441,33 +455,22 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                 continue
             constant -= net.cost_between(a, b) * r.traffic
 
-    # the columns of Rows, with each row's size (its number of coefficients)
-    # in place of its offset; senses and sizes are converted at the end
-    tags: list[str] = []
-    keys: list[tuple] = []
-    senses: list[str] = []
-    rhs: list[int | float] = []
-    sizes: list[int] = []
-    cols = array.array("q")
-    vals: list[int] = []
+    blocks: list[Block] = []
 
-    def put(block, block_keys, bounds, coeffs):  # a block per key; see _MIGRATION
-        block_tags, block_senses, block_sizes, signs = block
-        n = len(block_keys)
-        tags.extend(block_tags * n)
-        keys.extend(itertools.chain.from_iterable(zip(*[block_keys] * len(block_tags))))
-        senses.append(block_senses * n)
-        rhs.extend(bounds)
-        sizes.extend(block_sizes * n)
-        cols.fromlist(coeffs)
-        vals.extend(signs * n)
+    def put(shape, block_keys, bounds, coeffs):  # shape: see _MIGRATION
+        if blocks and blocks[-1][:4] == shape:
+            blocks[-1].keys.extend(block_keys)
+            blocks[-1].rhs.extend(bounds)
+            blocks[-1].cols.fromlist(coeffs)
+        elif block_keys:  # a family without keys adds no block
+            blocks.append(Block(*shape, block_keys, bounds, array.array("q", coeffs)))
 
     def add(tag, key, coeffs, sense, bound):
         coeffs = sorted(c for c in coeffs if c[1])
         # a row left without coefficients is kept only when 0 violates it
         if coeffs or not Row(tag, key, (), sense, bound).satisfied_by(()):
             idx, coef = zip(*coeffs) if coeffs else ((), ())
-            put(((tag,), sense, (len(idx),), coef), [key], (bound,), list(idx))
+            put(((tag,), sense, (len(idx),), coef), [key], [bound], list(idx))
 
     # migration product linearization
     deployed = snap.deployed
@@ -547,7 +550,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                     m, li = m0 + (si * n_s + di) * n_i + ii, l_bases[di] + ii
                     fam_keys.append((f, s, d, i))
                     idx += (p0 + pair[si][di], m, g, m, li, m, g, li, m)
-    put(_ENTRY, fam_keys, (0, 0, 0, -1) * len(fam_keys), idx)
+    put(_ENTRY, fam_keys, [0, 0, 0, -1] * len(fam_keys), idx)
 
     # consecutive chain links
     fam_keys, idx = [], []
@@ -568,8 +571,7 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                             fam_keys.append((f, pos, s, d, i, j))
                             idx += (p, qi, la, qi, lb, qi, lo, hi, qi)
                             qi += 1
-    put(_CHAIN, fam_keys, (0, 0, 0, -1) * len(fam_keys), idx)
-    del fam_keys, bounds, idx  # gone before the row columns are copied
+    put(_CHAIN, fam_keys, [0, 0, 0, -1] * len(fam_keys), idx)
 
     # user link: present exactly when the last VNF is hosted on s
     for ri, r in enumerate(requests):
@@ -603,13 +605,11 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                     for si, s in enumerate(servers):
                         add("NOREUSE", (r.id, s, k, i), [(l_at[ri][k][si] + ii, 1)], "E", 0)
 
-    starts = array.array("q", itertools.accumulate(sizes, initial=0))
     return IlpModel(
         instance=instance,
         options=options,
         variables=variables,
-        # the slices are exact-size copies of lists that grew with slack
-        rows=Rows(tags[:], keys[:], "".join(senses), rhs[:], starts, cols, vals[:]),
+        rows=Rows(blocks, list(itertools.accumulate((len(b.rhs) for b in blocks), initial=0))),
         objective=tuple(objective),
         constant=constant,
         aliases=aliases,
@@ -624,17 +624,22 @@ def _fmt_value(v) -> str:
     return repr(v)
 
 
-def _row_names(tags: list[str]) -> Iterator[str]:
-    """Lazily, ``c<tag>_<n>`` for the n-th row of each tag, ``-`` as ``_``."""
-    # per tag, a callable giving its next name; the prefix is formatted once
-    next_name = {
-        tag: map(f"c{tag.replace('-', '_')}_".__add__, map(str, itertools.count())).__next__
-        for tag in set(tags)
-    }
-    return (next_name[tag]() for tag in tags)
+def _named(rows: Rows) -> Iterator[tuple[Block, list[tuple[str, int]]]]:
+    """Each block with, per position, the prefix and first number of its row
+    names: the n-th row of each tag is ``c<tag>_<n>``, ``-`` as ``_``."""
+    seen: dict[str, int] = {}
+    for block in rows.blocks:
+        yield block, [(f"c{tag.replace('-', '_')}_", seen.get(tag, 0)) for tag in block.tags]
+        seen.update((tag, seen.get(tag, 0) + len(block.keys)) for tag in block.tags)
 
 
 _BLOCK = 4096  # rows, or aliases, per chunk of text; about 64 KiB of it
+
+
+def _slices(block: Block) -> Iterator[tuple[int, int]]:
+    """A block's keys as (first, end) slices of about ``_BLOCK`` rows."""
+    n, per = len(block.keys), max(1, _BLOCK // len(block.tags))
+    return ((k0, min(k0 + per, n)) for k0 in range(0, n, per))
 
 
 def mps_chunks(model: IlpModel) -> Iterator[str]:
@@ -653,12 +658,20 @@ def mps_chunks(model: IlpModel) -> Iterator[str]:
         "ROWS\n"
         " N  COST\n"
     )
-    # ROWS go out a block at a time; the names stay, padded to the cell width
-    names, row_names = [], _row_names(rows.tags)
-    for r0 in range(0, len(rows), _BLOCK):
-        block, senses = list(itertools.islice(row_names, _BLOCK)), rows.senses[r0 : r0 + _BLOCK]
-        yield "".join([f" {sense}  {name}\n" for sense, name in zip(senses, block)])
-        names += [f"{name:<12}  " for name in block]
+    names = []  # per block, each row's f"{name:<12}  ", made as ROWS go out
+    for block, starts in _named(rows):
+        w, n = len(block.tags), len(block.keys)
+        names.append(padded := [""] * (w * n))
+        pattern = []  # one key's ROWS lines, with a hole for each number
+        for pos, (sense, (prefix, first)) in enumerate(zip(block.senses, starts)):
+            pad = f"{prefix}%-{max(12 - len(prefix), 1)}d  "
+            padded[pos::w] = map(pad.__mod__, range(first, first + n))
+            pattern += (f" {sense}  {prefix}", "", "\n")
+        for k0, k1 in _slices(block):
+            items = pattern * (k1 - k0)
+            for pos, (_prefix, first) in enumerate(starts):
+                items[3 * pos + 1 :: 3 * w] = map(str, range(first + k0, first + k1))
+            yield "".join(items)
     yield "COLUMNS\n    MARKER                 'MARKER'                 'INTORG'\n"
 
     # A variable's column is its cells in row order, COST first; a cell is
@@ -670,14 +683,15 @@ def mps_chunks(model: IlpModel) -> Iterator[str]:
     cost = f"{'COST':<12}  "
     for idx, micro in model.objective:
         cells[idx] += (cost, _costs.format_money(micro) + "\n")
-    # each coefficient's row name, in coefficient order
-    sizes = map(operator.sub, itertools.islice(rows.starts, 1, None), rows.starts)
-    row_of = itertools.chain.from_iterable(map(itertools.repeat, names, sizes))
-    for idx, name, text in zip(rows.cols, row_of, map(value, rows.vals)):
-        own = cells[idx]
-        own.append(name)
-        own.append(text)
-    del row_of  # it refers to names, which go after RHS
+    for block, padded in zip(rows.blocks, names):
+        # each coefficient's row name and value text, in coefficient order
+        sizes = itertools.cycle(block.sizes)
+        row_of = itertools.chain.from_iterable(map(itertools.repeat, padded, sizes))
+        texts = itertools.cycle([value(v) for v in block.values])
+        for idx, name, text in zip(block.cols, row_of, texts):
+            own = cells[idx]
+            own.append(name)
+            own.append(text)
     width = max(8, max(map(len, aliases), default=8))
 
     chunk, size = [], 0  # columns, joined once they reach 64 KiB
@@ -695,9 +709,12 @@ def mps_chunks(model: IlpModel) -> Iterator[str]:
     yield "    MARKER                 'MARKER'                 'INTEND'\nRHS\n"
     if model.constant:
         yield f"    RHS  COST  {_costs.format_money(-model.constant)}\n"
-    for r0 in range(0, len(rows), _BLOCK):
-        bounds = zip(rows.rhs[r0 : r0 + _BLOCK], names[r0 : r0 + _BLOCK])
-        yield "".join([f"    RHS  {name}{value(b)}" for b, name in bounds if b != 0])
+    for block, padded in zip(rows.blocks, names):
+        w = len(block.tags)
+        for k0, k1 in _slices(block):
+            bounds = block.rhs[k0 * w : k1 * w]
+            nonzero = zip(itertools.compress(padded[k0 * w : k1 * w], bounds), filter(None, bounds))
+            yield "".join([f"    RHS  {name}{value(b)}" for name, b in nonzero])
     del names
 
     yield "BOUNDS\n"
@@ -737,38 +754,38 @@ def lp_chunks(model: IlpModel) -> Iterator[str]:
     )
     del objective
 
-    # a coefficient's text before the variable, as a row's first term and,
-    # after a space, as a later one, formatted once per distinct value
-    lead = functools.cache(lambda coef: term(str(coef), "", True))
+    # a coefficient's text before the variable, as a row's first term
+    # (after the colon) and as a later one, formatted once per distinct value
+    lead = functools.cache(lambda coef: ": " + term(str(coef), "", True))
     tail = functools.cache(lambda coef: " " + term(str(coef), "", False))
     fmt = functools.cache(_fmt_value)
     sense_txt = {"E": "=", "L": "<=", "G": ">="}
 
-    # A block of rows is one list of strings, a tail text and an alias per
-    # coefficient, with each row's head over its first tail text; the text
-    # after a row's terms, or a whole row without terms, is carried ahead.
-    rows = model.rows
-    # names go last in each block's zip, which then draws only that block's
-    names, starts, cols, vals = _row_names(rows.tags), rows.starts, rows.cols, rows.vals
-    for r0 in range(0, len(rows), _BLOCK):
-        r1 = min(r0 + _BLOCK, len(rows))
-        at, end = starts[r0], starts[r1]
-        items = [""] * (2 * (end - at))
-        items[0::2] = map(tail, vals[at:end])
-        items[1::2] = map(aliases.__getitem__, cols[at:end])
-        carry = ""
-        ends = starts[r0 + 1 : r1 + 1]
-        for sense, bound, a, b, name in zip(
-            rows.senses[r0:r1], rows.rhs[r0:r1], starts[r0:r1], ends, names
-        ):
-            head = f"{carry} {name}: "
-            carry = f" {sense_txt[sense]} {fmt(bound)}\n"
-            if a < b:
-                items[2 * (a - at)] = head + lead(vals[a])
-            else:
-                carry = head + "0" + carry
-        items.append(carry)
-        yield "".join(items)
+    rows, alias_of = model.rows, aliases.__getitem__
+    for block, starts in _named(rows):
+        # one key's rows as texts around holes for names, aliases and bounds;
+        # a slice of keys repeats it and fills a hole with one strided slice
+        w, stride = len(block.tags), len(block.values)
+        pattern, name_at, alias_at, rhs_at = [], [], [], []
+        values = iter(block.values)
+        for sense, size in zip(block.senses, block.sizes):
+            name_at.append(len(pattern))
+            pattern += ("",) if size else ("", ": 0")
+            for j in range(size):
+                pattern += ((tail if j else lead)(next(values)), "")
+                alias_at.append(len(pattern) - 1)
+            pattern += (f" {sense_txt[sense]} ", "", "\n")
+            rhs_at.append(len(pattern) - 2)
+        step = len(pattern)
+        for k0, k1 in _slices(block):
+            items = pattern * (k1 - k0)
+            for at, (prefix, first) in zip(name_at, starts):
+                items[at::step] = map(f" {prefix}".__add__, map(str, range(first + k0, first + k1)))
+            for j, at in enumerate(alias_at):
+                items[at::step] = map(alias_of, block.cols[k0 * stride + j : k1 * stride : stride])
+            for pos, at in enumerate(rhs_at):
+                items[at::step] = map(fmt, block.rhs[k0 * w + pos : k1 * w : w])
+            yield "".join(items)
 
     yield "Binaries\n"
     for v0 in range(0, len(aliases), _BLOCK):
@@ -842,22 +859,25 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
         else:
             bits.append(_as_bit(var.name, raw))
 
-    # the factors are g, t and l bits, which are never missing
-    rows, cols = model.rows, model.rows.cols
-    for tag, rhs, at in zip(rows.tags, rows.rhs, rows.starts):
-        if tag == "2-4":
-            t, aux = cols[at], cols[at + 1]
-            expect = (rhs + 1) * bits[t]
-        elif tag == "15-5" or tag == "16-5":
-            a, b, aux = cols[at], cols[at + 1], cols[at + 2]
-            expect = bits[a] * bits[b]
-        else:
-            continue
-        got = bits[aux]
-        if got is not None and got != expect:
-            raise AuxiliaryInconsistentError(
-                f"{variables[aux].name} = {got} but its defining product is {expect}"
-            )
+    # the factors are g, t and l bits, never missing; a block's keys are in row order
+    get = bits.__getitem__
+    for block in model.rows.blocks:
+        w, stride = len(block.tags), len(block.values)
+        ats = itertools.accumulate(block.sizes, initial=0)
+        for pos, (tag, at) in enumerate(zip(block.tags, ats)):
+            if tag == "2-4":  # x = (rhs + 1) * t
+                factors = map((1).__add__, block.rhs[pos::w])
+            elif tag == "15-5" or tag == "16-5":  # m or q = a * b
+                factors, at = map(get, block.cols[at::stride]), at + 1
+            else:
+                continue
+            aux = block.cols[at + 1 :: stride]
+            expects = map(operator.mul, factors, map(get, block.cols[at::stride]))
+            for idx, got, expect in zip(aux, map(get, aux), expects):
+                if got is not None and got != expect:
+                    raise AuxiliaryInconsistentError(
+                        f"{variables[idx].name} = {got} but its defining product is {expect}"
+                    )
 
     content, assignment = [], []
     deployment = list(instance.frozen_deployments())

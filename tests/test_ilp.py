@@ -125,6 +125,9 @@ ROW_CASES = {
     "reduced-sc3": lambda: generate(ScenarioSpec.table_row(3, seed=3, reduced=True)),
     "full-sc1": lambda: generate(ScenarioSpec.table_row(1, seed=3)),
     "frozen-load-no-requests": lambda: replace(frozen_load_instance(0.5), requests=()),
+    "chain-length-1": lambda: generate(
+        ScenarioSpec.table_row(1, seed=3, reduced=True, overrides={"chain_length_range": [1, 1]})
+    ),
 }
 
 
@@ -261,8 +264,8 @@ class TestRowInvariants:
 
 
 class TestRowColumns:
-    """``IlpModel.rows`` keeps the rows in flat columns and reads as a
-    sequence of ``Row``."""
+    """``IlpModel.rows`` keeps the rows in blocks of one shape and reads as
+    a sequence of ``Row``."""
 
     def test_rows_read_as_a_sequence_of_row(self, tiny):
         model = build_ilp(tiny)
@@ -275,10 +278,35 @@ class TestRowColumns:
         with pytest.raises(IndexError):
             rows[len(rows)]
 
+    @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_rows_read_across_block_boundaries(self, case, no_reuse):
+        """Indexing finds each row's block, also where a family has no keys
+        (chains of length 1, no requests) and where rows that ``build_ilp``
+        adds one at a time share a block."""
+        rows = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse)).rows
+        listed = list(rows)
+        assert len(rows) == len(listed) == rows.firsts[-1] > 0
+        assert [rows[i] for i in range(len(rows))] == listed
+        assert [rows[i - len(rows)] for i in range(len(rows))] == listed
+        assert rows[-1] == listed[-1]
+        assert all(type(row) is Row for row in listed)
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(IndexError):
+            rows[-len(rows) - 1]
+        # every block starts where the previous one ends, with a new shape
+        for before, block, first in zip(rows.blocks, rows.blocks[1:], rows.firsts[1:]):
+            assert before[:4] != block[:4]
+            assert listed[first].tag == block.tags[0] and listed[first - 1].tag == before.tags[-1]
+        if case != "frozen-load-no-requests":
+            assert any(len(block.tags) == 1 and len(block.keys) > 1 for block in rows.blocks)
+
     def test_full_scale_model_is_small(self):
         """The full-scale scenario 1 model at seed 3 (clamped, online) takes
-        about 6.9 MB with its rows in columns, and about 11.6 MB with a tuple
-        per row. The bound leaves room for other Python versions."""
+        about 5.3 MB with its rows in blocks, 6.9 MB with them in flat
+        columns, and about 11.6 MB with a tuple per row. The bound leaves
+        room for other Python versions."""
         instance = generate(ScenarioSpec.table_row(1, seed=3, reduced=False))
         gc.collect()
         tracemalloc.start()
@@ -346,7 +374,8 @@ class TestExportBytes:
     """Exports keep the exact bytes frozen by scripts/freeze_export_digests.py:
     reduced scenario 1 at seed 3 under three build options, a fractional
     usage threshold, chains of length 1, the frozen-load instances, and
-    full-scale scenario 1 at seed 3 online and no_reuse."""
+    full-scale scenario 1 at seed 3 online and no_reuse. ``rows_sha256``
+    also pins every row's key, which the texts do not carry."""
 
     @pytest.mark.parametrize("case", sorted(EXPORT_DIGESTS["cases"]))
     def test_exports_match_frozen_digests(self, case):
@@ -354,9 +383,14 @@ class TestExportBytes:
         instance = export_case_instance(want["instance"])
         model = build_ilp(instance, BuildOptions(**want["options"]))
         assert (len(model.variables), len(model.rows)) == (want["vars"], want["rows"])
-        for fmt, export in (("mps", export_mps), ("lp", export_lp)):
-            digest = hashlib.sha256(export(model).encode()).hexdigest()
-            assert digest == want[f"{fmt}_sha256"], fmt
+        texts = {
+            "mps": export_mps(model),
+            "lp": export_lp(model),
+            "rows": json.dumps(list(model.rows)),
+        }
+        for what, text in texts.items():
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == want[f"{what}_sha256"], what
 
 
 class TestImport:
@@ -400,6 +434,32 @@ class TestImport:
             flipped = {**values, name: 1 - values[name]}
             with pytest.raises(AuxiliaryInconsistentError, match=re.escape(f"{name} = ")):
                 import_solution(model, flipped)
+
+    @pytest.mark.parametrize("families", ["mm", "xq"])
+    def test_first_wrong_auxiliary_in_row_order_is_named(self, net2, families):
+        """With two auxiliaries wrong, the one whose defining row (2-4, 15-5
+        or 16-5, with the auxiliary last) comes first in ``model.rows`` is
+        named. For two ``m``, pick a pair whose rows run against their
+        variable order."""
+        inst = self.two_slot_instance(net2)
+        model = build_ilp(inst)
+        values = full_assignment(model, brute_force(inst).plan)
+        defined = [row.coeffs[-1][0] for row in model.rows if row.tag in ("2-4", "15-5", "16-5")]
+        row_of = {idx: r for r, idx in enumerate(defined)}
+        family = {idx: model.variables[idx].family for idx in defined}
+        if families == "mm":
+            m = [idx for idx in defined if family[idx] == "m"]
+            first, second = next(
+                (a, b) for a, b in itertools.combinations(m, 2) if a > b  # a row first, b variable first
+            )
+        else:
+            first = [idx for idx in defined if family[idx] == "x"][-1]
+            second = [idx for idx in defined if family[idx] == "q"][0]
+        assert row_of[first] < row_of[second]
+        names = [model.variables[idx].name for idx in (first, second)]
+        wrong = {**values, **{name: 1 - values[name] for name in names}}
+        with pytest.raises(AuxiliaryInconsistentError, match=re.escape(f"{names[0]} = ")):
+            import_solution(model, wrong)
 
     def test_omitted_auxiliaries_are_skipped(self, net2):
         inst = self.two_slot_instance(net2)
