@@ -11,10 +11,12 @@ to it once built (``model_mb``), and the peak that ``tracemalloc`` sees
 above that while ``mps_chunks`` and then ``lp_chunks`` write the text to a
 temporary file, as ``chainplace solve --export ... -o`` does
 (``mps_peak_mb``, ``lp_peak_mb``), with the size of each text
-(``mps_text_mb``, ``lp_text_mb``). An MB is 2**20 bytes, as in
-perfbench's ``peak_rss_mb``. Tracing slows the program several times over,
-so the script reports no times; the frontier case takes most of a minute
-on a 2-vCPU Xeon host. Run from the repository root:
+(``mps_text_mb``, ``lp_text_mb``). Last, it reads ``model.variables``,
+which neither writer reads, and prints what that first read adds to the
+model (``variables_mb``: the ``IlpVar``s with their names and keys). An
+MB is 2**20 bytes, as in perfbench's ``peak_rss_mb``. Tracing slows the
+program several times over, so the script reports no times; the frontier
+case takes most of a minute on a 2-vCPU Xeon host. Run from the repository root:
 
     PYTHONPATH=src python scripts/ilp_memory.py
 """
@@ -66,13 +68,19 @@ def measure(spec, no_reuse: bool) -> dict:
                     fh.writelines(chunks(model))
                 peaks.append(tracemalloc.get_traced_memory()[1] - built)
                 sizes.append(os.path.getsize(path))
+        gc.collect()
+        written = tracemalloc.get_traced_memory()[0]
+        n_vars = len(model.variables)
+        gc.collect()
+        variables = tracemalloc.get_traced_memory()[0] - written
     finally:
         tracemalloc.stop()
     return {
-        "vars": len(model.variables),
+        "vars": n_vars,
         "rows": len(model.rows),
         "coefficients": sum(len(block.cols) for block in model.rows.blocks),
         "model_mb": traced_mb(built - before),
+        "variables_mb": traced_mb(variables),
         "mps_peak_mb": traced_mb(peaks[0]),
         "lp_peak_mb": traced_mb(peaks[1]),
         "mps_text_mb": traced_mb(sizes[0]),

@@ -2,13 +2,14 @@
 
 The compiled model owns the canonical variable order used everywhere else
 (including the solver's tie-break), carries every product linearization as
-explicit rows, and exports to MPS and LP interchange text. ``_enumerate``
-makes each variable (an ``IlpVar``) with its interchange alias, from the
-sanitized parts of its name; the model refuses aliases that collide
-(``AliasCollisionError``). Objective coefficients are held in exact
-micro-money; the text exporters emit them divided by 1e6 (plain money
-units) because several MILP readers dislike huge magnitudes, and say so in
-a comment header.
+explicit rows, and exports to MPS and LP interchange text. One walk,
+``_enumerate``, gives ``build_ilp`` each variable's interchange alias (the
+sanitized parts of its name), and the first read of ``IlpModel.variables``
+each ``IlpVar`` (name, family, key); exports make no ``IlpVar``. The model
+refuses aliases that collide (``AliasCollisionError``). Objective
+coefficients are held in exact micro-money; the text exporters emit them
+divided by 1e6 (plain money units) because several MILP readers dislike
+huge magnitudes, and say so in a comment header.
 
 The rows are blocks (``Rows`` of ``Block``): rows of one shape, that is
 the same tags, senses, sizes and coefficient values for every key, with
@@ -17,13 +18,14 @@ their keys, a right-hand side per row and the coefficient indices in an
 ``Rows`` makes a ``Row`` named tuple on demand. ``build_ilp`` finds a
 variable's index by arithmetic on the block offsets that ``_enumerate``
 records. Each family of McCormick product rows (2-x, 15-x, 16-x: about 98%
-of a full-scale model's rows) collects its keys, bounds and sorted indices
-in flat lists and goes in as one block. The other rows go through one
-generic path that drops zero coefficients, sorts the rest and keeps an
-empty row only when 0 violates it; ``put`` extends the last block with
-rows of its shape. ``import_solution`` reads each product's factors from
-its "at least" row (2-4, 15-5 or 16-5) by strided slices of its block, so
-only ``_enumerate`` and ``build_ilp`` know the variable layout.
+of a full-scale model's rows) collects its bounds and sorted indices in
+flat lists and goes in as one block without keys: a product row's key is
+its auxiliary's, read on demand. The other rows go through one generic
+path that drops zero coefficients, sorts the rest and keeps an empty row
+only when 0 violates it; ``put`` extends the last block with rows of its
+shape. ``import_solution`` reads each product's factors from its "at
+least" row (2-4, 15-5 or 16-5) by strided slices of its block, so only
+``_enumerate`` and ``build_ilp`` know the variable layout.
 
 One generator per format, ``mps_chunks`` and ``lp_chunks``, makes the text
 in chunks of about 64 KiB, a block at a time; ``export_mps`` and
@@ -33,9 +35,9 @@ fills its holes (names, aliases, bounds) by strided slice assignment. MPS
 pads each block's row names as it sends ROWS, and keeps two references
 per coefficient (row name, value text) until it joins that variable's
 column under its head.
-``build_ilp`` and both ``export_*`` run with the cyclic garbage collector
-paused (the model forms no cycles) and restore its state when they return
-or raise.
+``build_ilp``, ``enumerate_variables`` and both ``export_*`` run with the
+cyclic garbage collector paused (the model forms no cycles) and restore
+its state when they return or raise.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import costs as _costs
 from .errors import (
@@ -107,38 +109,50 @@ class Row(NamedTuple):
 class Block(NamedTuple):
     """Rows of one shape: per key, a row per tag, with ``values`` as every
     key's coefficient values, ``sizes[pos]`` of them in row ``pos``; ``rhs``
-    has a bound per row and ``cols`` a variable index per coefficient."""
+    has a bound per row and ``cols`` a variable index per coefficient. A
+    product block's keys are ``None``: a row's key is its auxiliary's."""
 
     tags: tuple[str, ...]
     senses: str
     sizes: tuple[int, ...]
     values: tuple[int, ...]
-    keys: list[tuple]
+    keys: list[tuple] | None
     rhs: list[int | float]
     cols: array.array
+
+    @property
+    def n_keys(self) -> int:
+        return len(self.rhs) // len(self.tags)
 
 
 @dataclass(frozen=True, slots=True)
 class Rows(Sequence):
     """The rows of a compiled program in the blocks ``build_ilp`` puts them;
     ``firsts`` holds each block's first row, then the row count. Indexing
-    bisects ``firsts`` and makes each ``Row`` on demand."""
+    bisects ``firsts`` and makes each ``Row`` on demand; a slice gives a
+    list. ``variables()`` makes the ``IlpVar``s on its first call and keeps
+    them; it refers to the instance, not to the model."""
 
     blocks: list[Block]
     firsts: list[int]
+    variables: Callable[[], tuple[IlpVar, ...]] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return self.firsts[-1]
 
-    def __getitem__(self, r: int) -> Row:
+    def __getitem__(self, r: int | slice) -> Row | list[Row]:
+        if isinstance(r, slice):
+            return [self[i] for i in range(len(self))[r]]
         r = range(len(self))[r]  # negative indices count from the end
         b = bisect.bisect_right(self.firsts, r) - 1
         block, r = self.blocks[b], r - self.firsts[b]
         k, pos = divmod(r, len(block.tags))
         at, size = sum(block.sizes[:pos]), block.sizes[pos]
         a = k * len(block.values) + at
-        coeffs = tuple(zip(block.cols[a : a + size], block.values[at : at + size]))
-        return Row(block.tags[pos], block.keys[k], coeffs, block.senses[pos], block.rhs[r])
+        cols = block.cols[a : a + size]
+        key = self.variables()[cols[-1]].key if block.keys is None else block.keys[k]
+        coeffs = tuple(zip(cols, block.values[at : at + size]))
+        return Row(block.tags[pos], key, coeffs, block.senses[pos], block.rhs[r])
 
 
 @contextlib.contextmanager
@@ -168,12 +182,13 @@ def _deployable_types(instance: ProblemInstance):
     return tuple(t for t in instance.catalog.types if t.name in required)
 
 
-def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple[str, ...], tuple]:
-    """All binary variables in canonical order (g, t, l, p, x, m, q), their
-    aliases, and the first index of each block of them; a variable's index
-    is its block's base plus its position inside the block. The blocks are, per
-    family: ``g[r]``, ``t[k][i]``, ``l[r][k][s]`` (then the instance),
-    ``p[r]`` (then ``pair``), ``x[k][i]`` (then ``s * n_servers + d``),
+def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, tuple]:
+    """All binary variables in canonical order (g, t, l, p, x, m, q), as
+    aliases or, if ``named``, as ``IlpVar``s, and the first index of each
+    block of them; a variable's index is its block's base plus its position
+    inside the block. The blocks are, per family: ``g[r]``, ``t[k][i]``,
+    ``l[r][k][s]`` (then the instance), ``p[r]`` (then ``pair``),
+    ``x[k][i]`` (then ``s * n_servers + d``),
     ``m[r]`` (then ``(s * n_servers + d) * n_instances + i``) and
     ``q[r][pos]`` (then s, d, i, j in that nesting). Requests, instances
     and servers count by position. ``pair[a][b]`` is the offset of the link
@@ -188,25 +203,25 @@ def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple[str
     net = instance.network
     nodes = net.nodes
     servers = net.servers
-    out: list[IlpVar] = []
-    aliases: list[str] = []
+    out: list = []  # aliases, or IlpVars when named
 
     def part(v) -> str:  # an id's text in an alias; ids need not be str
         return sanitize_name(str(v))
 
     s_al = [part(s) for s in servers]
+    i_txt = {vnf.name: list(map(str, vnf.instances)) for vnf in instance.catalog.types}
 
     # tuple.__new__ makes each IlpVar without the named tuple's Python-level
-    # constructor; names and aliases share the prefix of their inner loop
+    # constructor; names or aliases share the prefix of their inner loop
     new = tuple.__new__
 
     g_at = []
     for r in instance.requests:
         g_at.append(len(out))
-        ra = part(r.id)
-        for s, sa in zip(servers, s_al):
-            out.append(new(IlpVar, (f"g[{r.id}][{s}]", "g", (r.id, s))))
-            aliases.append(f"g_{ra}_{sa}")
+        if named:
+            out += [new(IlpVar, (f"g[{r.id}][{s}]", "g", (r.id, s))) for s in servers]
+        else:
+            out += map(f"g_{part(r.id)}_".__add__, s_al)
 
     deployable = _deployable_types(instance)
     t_at = {vnf.name: [] for vnf in deployable}
@@ -214,9 +229,10 @@ def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple[str
         k, ka = vnf.name, part(vnf.name)
         for i in vnf.instances:
             t_at[k].append(len(out))
-            for s, sa in zip(servers, s_al):
-                out.append(new(IlpVar, (f"t[{k}][{i}][{s}]", "t", (k, i, s))))
-                aliases.append(f"t_{ka}_{i}_{sa}")
+            if named:
+                out += [new(IlpVar, (f"t[{k}][{i}][{s}]", "t", (k, i, s))) for s in servers]
+            else:
+                out += map(f"t_{ka}_{i}_".__add__, s_al)
 
     l_at = []
     for r in instance.requests:
@@ -228,10 +244,11 @@ def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple[str
         for s, sa in zip(servers, s_al):
             for k, ka, pool in chain:
                 per_type[k].append(len(out))
-                name, alias = f"l[{r.id}][{s}][{k}][", f"l_{ra}_{sa}_{ka}_"
-                for i in pool:
-                    out.append(new(IlpVar, (f"{name}{i}]", "l", (r.id, s, k, i))))
-                    aliases.append(f"{alias}{i}")
+                if named:
+                    name = f"l[{r.id}][{s}][{k}]["
+                    out += [new(IlpVar, (f"{name}{i}]", "l", (r.id, s, k, i))) for i in pool]
+                else:
+                    out += map(f"l_{ra}_{sa}_{ka}_".__add__, i_txt[k])
 
     # a request's p block: node pairs in position order, then self-links
     links = list(itertools.combinations(range(len(nodes)), 2))
@@ -248,32 +265,34 @@ def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple[str
     p_at = []
     for r in instance.requests:
         p_at.append(len(out))
-        name, alias = f"p[{r.id}", f"p_{part(r.id)}"
-        for a, b, name_end, alias_end in ends:
-            out.append(new(IlpVar, (name + name_end, "p", (r.id, a, b))))
-            aliases.append(alias + alias_end)
+        if named:
+            out += [new(IlpVar, (f"p[{r.id}{end}", "p", (r.id, a, b))) for a, b, end, _ in ends]
+        else:
+            out += map(f"p_{part(r.id)}".__add__, [end for *_, end in ends])
     x_at = {vnf.name: [] for vnf in deployable}
     for vnf in deployable:
         k, ka = vnf.name, part(vnf.name)
         for i in vnf.instances:
             x_at[k].append(len(out))
             for s, sa in zip(servers, s_al):
-                name, alias = f"x[{k}][{i}][{s}][", f"x_{ka}_{i}_{sa}_"
-                for d, da in zip(servers, s_al):
-                    out.append(new(IlpVar, (f"{name}{d}]", "x", (k, i, s, d))))
-                    aliases.append(alias + da)
+                if named:
+                    name = f"x[{k}][{i}][{s}]["
+                    out += [new(IlpVar, (f"{name}{d}]", "x", (k, i, s, d))) for d in servers]
+                else:
+                    out += map(f"x_{ka}_{i}_{sa}_".__add__, s_al)
 
     m_at = []
     for r in instance.requests:
         m_at.append(len(out))
         ra = part(r.id)
-        pool = instance.catalog.get(r.chain[0]).instances
+        pool, texts = instance.catalog.get(r.chain[0]).instances, i_txt[r.chain[0]]
         for s, sa in zip(servers, s_al):
             for d, da in zip(servers, s_al):
-                name, alias = f"m[{r.id}][{s}][{d}][", f"m_{ra}_{sa}_{da}_"
-                for i in pool:
-                    out.append(new(IlpVar, (f"{name}{i}]", "m", (r.id, s, d, i))))
-                    aliases.append(f"{alias}{i}")
+                if named:
+                    name = f"m[{r.id}][{s}][{d}]["
+                    out += [new(IlpVar, (f"{name}{i}]", "m", (r.id, s, d, i))) for i in pool]
+                else:
+                    out += map(f"m_{ra}_{sa}_{da}_".__add__, texts)
 
     q_at = []
     for r in instance.requests:
@@ -281,24 +300,25 @@ def _enumerate(instance: ProblemInstance) -> tuple[tuple[IlpVar, ...], tuple[str
         ra = part(r.id)
         for pos in range(len(r.chain) - 1):
             q_at[-1].append(len(out))
-            pool_a = instance.catalog.get(r.chain[pos]).instances
-            pool_b = instance.catalog.get(r.chain[pos + 1]).instances
+            ka, kb = r.chain[pos], r.chain[pos + 1]
+            pool_a, pool_b = instance.catalog.get(ka).instances, instance.catalog.get(kb).instances
             for s, sa in zip(servers, s_al):
                 for d, da in zip(servers, s_al):
                     for i in pool_a:
-                        name = f"q[{r.id}][{s}][{d}][{pos}][{i}]["
-                        alias = f"q_{ra}_{sa}_{da}_{pos}_{i}_"
-                        for j in pool_b:
-                            out.append(new(IlpVar, (f"{name}{j}]", "q", (r.id, pos, s, d, i, j))))
-                            aliases.append(f"{alias}{j}")
-    return tuple(out), tuple(aliases), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
+                        if named:
+                            name, key = f"q[{r.id}][{s}][{d}][{pos}][{i}][", (r.id, pos, s, d, i)
+                            out += [new(IlpVar, (f"{name}{j}]", "q", key + (j,))) for j in pool_b]
+                        else:
+                            out += map(f"q_{ra}_{sa}_{da}_{pos}_{i}_".__add__, i_txt[kb])
+    return tuple(out), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
 
 
+@_collector_paused()
 def enumerate_variables(instance: ProblemInstance) -> tuple[IlpVar, ...]:
     """All binary variables in canonical order: g, t, l, p, x, m, q. The
     decision families g, t, l, p come first, so a vector over them, as
     ``plan_vector`` makes, orders plans as the full vector's prefix."""
-    return _enumerate(instance)[0]
+    return _enumerate(instance, named=True)[0]
 
 
 def plan_vector(
@@ -326,14 +346,13 @@ def plan_vector(
 @dataclass(frozen=True)
 class IlpModel:
     """A compiled program. ``aliases[i]`` is ``sanitize_name`` of
-    ``variables[i].name``, made by ``_enumerate`` beside the name; a model
-    whose aliases are not unique raises ``AliasCollisionError``. ``rows``
-    refers to nothing else in the model, so the model forms no reference
-    cycle and is freed as soon as its last reference goes."""
+    ``variables[i].name``; ``variables`` is made on its first read, which
+    the writers never make. A model whose aliases are not unique raises
+    ``AliasCollisionError``. Nothing in the model refers back to it, so
+    the model forms no cycle and is freed once its last reference goes."""
 
     instance: ProblemInstance
     options: BuildOptions
-    variables: tuple[IlpVar, ...]
     rows: Rows = field(repr=False)
     objective: tuple[tuple[int, int], ...]  # (variable index, micro-money)
     constant: int  # micro-money
@@ -350,6 +369,10 @@ class IlpModel:
                         f"{alias}; choose ids that keep the aliases apart"
                     )
                 seen[alias] = var.name
+
+    @functools.cached_property
+    def variables(self) -> tuple[IlpVar, ...]:
+        return self.rows.variables()
 
     @functools.cached_property
     def _index(self) -> dict[str, int]:
@@ -398,9 +421,8 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     n_s = len(servers)
     requests = instance.requests
     pools = {vnf.name: vnf.instances for vnf in instance.catalog.types}
-    variables, aliases, blocks = _enumerate(instance)
+    aliases, (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at) = _enumerate(instance)
     deployable = _deployable_types(instance)
-    g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at = blocks
     # distinct node pairs in canonical order: matrix positions, p offset
     pairs = [
         (ai, bi, pair[ai][bi])
@@ -458,11 +480,11 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     blocks: list[Block] = []
 
     def put(shape, block_keys, bounds, coeffs):  # shape: see _MIGRATION
-        if blocks and blocks[-1][:4] == shape:
+        if blocks and blocks[-1][:4] == shape:  # generic rows only
             blocks[-1].keys.extend(block_keys)
             blocks[-1].rhs.extend(bounds)
             blocks[-1].cols.fromlist(coeffs)
-        elif block_keys:  # a family without keys adds no block
+        elif bounds:  # a family without keys adds no block
             blocks.append(Block(*shape, block_keys, bounds, array.array("q", coeffs)))
 
     def add(tag, key, coeffs, sense, bound):
@@ -474,18 +496,17 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
 
     # migration product linearization
     deployed = snap.deployed
-    fam_keys, bounds, idx = [], [], []
+    bounds, idx = [], []
     for vnf in deployable:
         k = vnf.name
         for i, t0, x0 in zip(vnf.instances, t_at[k], x_at[k]):
             for si, s in enumerate(servers):
                 cur = 1 if (k, i, s) in deployed else 0
-                for di, d in enumerate(servers):
+                for di in range(n_s):
                     x, t = x0 + si * n_s + di, t0 + di
-                    fam_keys.append((k, i, s, d))
                     bounds += (cur, 0, cur - 1)
                     idx += (x, t, x, t, x)
-    put(_MIGRATION, fam_keys, bounds, idx)
+    put(_MIGRATION, None, bounds, idx)
 
     # content server selection
     for ri, r in enumerate(requests):
@@ -537,41 +558,38 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         add("14", (nodes[ai], nodes[bi]), coeffs, "L", limit(net.bandwidth[ai][bi]))
 
     # chain entry link (content server to first VNF host)
-    fam_keys, idx = [], []
+    idx = []
     for ri, r in enumerate(requests):
-        f, first = r.id, r.chain[0]
-        pool = pools[first]
-        n_i = len(pool)
+        first = r.chain[0]
+        n_i = len(pools[first])
         g0, p0, m0, l_bases = g_at[ri], p_at[ri], m_at[ri], l_at[ri][first]
-        for ii, i in enumerate(pool):
-            for si, s in enumerate(servers):
+        for ii in range(n_i):
+            for si in range(n_s):
                 g = g0 + si
-                for di, d in enumerate(servers):
+                for di in range(n_s):
                     m, li = m0 + (si * n_s + di) * n_i + ii, l_bases[di] + ii
-                    fam_keys.append((f, s, d, i))
                     idx += (p0 + pair[si][di], m, g, m, li, m, g, li, m)
-    put(_ENTRY, fam_keys, [0, 0, 0, -1] * len(fam_keys), idx)
+    put(_ENTRY, None, [0, 0, 0, -1] * (len(idx) // len(_ENTRY[3])), idx)
 
     # consecutive chain links
-    fam_keys, idx = [], []
+    idx = []
     for ri, r in enumerate(requests):
-        f, p0 = r.id, p_at[ri]
+        p0 = p_at[ri]
         for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:])):
-            pool_a, pool_b = pools[ka], pools[kb]
+            n_a, n_b = len(pools[ka]), len(pools[kb])
             la_bases, lb_bases = l_at[ri][ka], l_at[ri][kb]
             qi = q_at[ri][pos]  # q runs over s, d, i, j in this loop order
-            for si, s in enumerate(servers):
-                for di, d in enumerate(servers):
+            for si in range(n_s):
+                for di in range(n_s):
                     p = p0 + pair[si][di]
-                    for ii, i in enumerate(pool_a):
+                    for ii in range(n_a):
                         la = la_bases[si] + ii
-                        for jj, j in enumerate(pool_b):
+                        for jj in range(n_b):
                             lb = lb_bases[di] + jj
                             lo, hi = (la, lb) if la < lb else (lb, la)
-                            fam_keys.append((f, pos, s, d, i, j))
                             idx += (p, qi, la, qi, lb, qi, lo, hi, qi)
                             qi += 1
-    put(_CHAIN, fam_keys, [0, 0, 0, -1] * len(fam_keys), idx)
+    put(_CHAIN, None, [0, 0, 0, -1] * (len(idx) // len(_CHAIN[3])), idx)
 
     # user link: present exactly when the last VNF is hosted on s
     for ri, r in enumerate(requests):
@@ -605,11 +623,12 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                     for si, s in enumerate(servers):
                         add("NOREUSE", (r.id, s, k, i), [(l_at[ri][k][si] + ii, 1)], "E", 0)
 
+    firsts = list(itertools.accumulate((len(b.rhs) for b in blocks), initial=0))
+    variables = functools.cache(functools.partial(enumerate_variables, instance))
     return IlpModel(
         instance=instance,
         options=options,
-        variables=variables,
-        rows=Rows(blocks, list(itertools.accumulate((len(b.rhs) for b in blocks), initial=0))),
+        rows=Rows(blocks, firsts, variables),
         objective=tuple(objective),
         constant=constant,
         aliases=aliases,
@@ -630,7 +649,7 @@ def _named(rows: Rows) -> Iterator[tuple[Block, list[tuple[str, int]]]]:
     seen: dict[str, int] = {}
     for block in rows.blocks:
         yield block, [(f"c{tag.replace('-', '_')}_", seen.get(tag, 0)) for tag in block.tags]
-        seen.update((tag, seen.get(tag, 0) + len(block.keys)) for tag in block.tags)
+        seen.update((tag, seen.get(tag, 0) + block.n_keys) for tag in block.tags)
 
 
 _BLOCK = 4096  # rows, or aliases, per chunk of text; about 64 KiB of it
@@ -638,7 +657,7 @@ _BLOCK = 4096  # rows, or aliases, per chunk of text; about 64 KiB of it
 
 def _slices(block: Block) -> Iterator[tuple[int, int]]:
     """A block's keys as (first, end) slices of about ``_BLOCK`` rows."""
-    n, per = len(block.keys), max(1, _BLOCK // len(block.tags))
+    n, per = block.n_keys, max(1, _BLOCK // len(block.tags))
     return ((k0, min(k0 + per, n)) for k0 in range(0, n, per))
 
 
@@ -660,7 +679,7 @@ def mps_chunks(model: IlpModel) -> Iterator[str]:
     )
     names = []  # per block, each row's f"{name:<12}  ", made as ROWS go out
     for block, starts in _named(rows):
-        w, n = len(block.tags), len(block.keys)
+        w, n = len(block.tags), block.n_keys
         names.append(padded := [""] * (w * n))
         pattern = []  # one key's ROWS lines, with a hole for each number
         for pos, (sense, (prefix, first)) in enumerate(zip(block.senses, starts)):

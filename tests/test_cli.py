@@ -297,7 +297,7 @@ class TestExportStream:
     @pytest.mark.parametrize("fmt, bound_mb", [("mps", 6), ("lp", 2)])
     def test_file_export_peaks_near_the_model(self, tmp_path, fmt, bound_mb):
         """On full s3/sc1 no_reuse, clamped, writing the text to a file
-        peaks about 5.3 MB (MPS) and 1.0 MB (LP) above the 6.9 MB model.
+        peaks about 5.1 MB (MPS) and 1.0 MB (LP) above the 2.0 MB model.
         Making the whole text first peaked at 9.6 and 4.9 MB."""
         instance = generate(ScenarioSpec.table_row(1, seed=3, reduced=False))
         chunks = {"mps": mps_chunks, "lp": lp_chunks}[fmt]
@@ -312,6 +312,23 @@ class TestExportStream:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mb * 2**20, peak
+
+    @pytest.mark.parametrize("fmt", ["mps", "lp"])
+    def test_export_leaves_the_variables_unmade(self, tmp_path, capsys, monkeypatch, fmt):
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(build_ilp(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_ilp", build)
+        path, want = self.case_file(tmp_path, "full_no_reuse")
+        out = tmp_path / f"model.{fmt}"
+        code, stdout, err = run(capsys, "solve", str(path), "--export", fmt, "--no-reuse", "-o", str(out))
+        assert (code, stdout, err) == (0, "", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want[f"{fmt}_sha256"]
+        [model] = built
+        assert "variables" not in vars(model)
 
     @pytest.mark.parametrize("fmt", ["mps", "lp"])
     def test_refused_export_leaves_no_file(self, tiny_file, tmp_path, capsys, fmt):

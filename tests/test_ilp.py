@@ -28,6 +28,8 @@ from chainplace.ilp import (
     export_lp,
     export_mps,
     import_solution,
+    lp_chunks,
+    mps_chunks,
     parse_solution_text,
     sanitize_name,
 )
@@ -185,6 +187,18 @@ class TestAliases:
             assert model.variable_index(var.name) == i
             assert model.variable_index(want[i]) == i
 
+    @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_aliases_agree_with_the_variables_made_on_first_read(self, case, no_reuse):
+        """``build_ilp`` walks the variables for their aliases, and the first
+        read of ``variables`` walks them again for their names and keys."""
+        model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
+        assert "variables" not in vars(model)
+        assert len(model.variables) == len(model.aliases)
+        for i, (var, alias) in enumerate(zip(model.variables, model.aliases)):
+            assert alias == sanitize_name(var.name), var
+            assert model.variable_index(var.name) == model.variable_index(alias) == i
+
 
     @pytest.mark.parametrize("length", range(8))
     def test_two_passes_match_the_bracket_pair_rule(self, length):
@@ -212,6 +226,7 @@ class TestCollector:
             assert gc.isenabled() is enabled
             export_lp(model)
             assert gc.isenabled() is enabled
+            assert model.variables and gc.isenabled() is enabled
             with pytest.raises(ValidationFailedError):
                 build_ilp(invalid)
             assert gc.isenabled() is enabled
@@ -232,6 +247,8 @@ class TestCollector:
             export_mps(model)
             export_lp(model)
             assert len(model.rows) == len(list(model.rows)) > 0
+            product = next(row for row in model.rows if row.tag == "16-5")
+            assert product.key == model.variables[product.coeffs[-1][0]].key
             model.variable_index(model.variables[0].name)
             import_solution(model, full_assignment(model, brute_force(inst).plan))
             ref = weakref.ref(model)
@@ -302,22 +319,53 @@ class TestRowColumns:
         if case != "frozen-load-no-requests":
             assert any(len(block.tags) == 1 and len(block.keys) > 1 for block in rows.blocks)
 
-    def test_full_scale_model_is_small(self):
-        """The full-scale scenario 1 model at seed 3 (clamped, online) takes
-        about 5.3 MB with its rows in blocks, 6.9 MB with them in flat
-        columns, and about 11.6 MB with a tuple per row. The bound leaves
-        room for other Python versions."""
+    @pytest.mark.parametrize("case", ["reduced-sc3", "chain-length-1"])
+    def test_rows_slice_as_a_list(self, case):
+        rows = build_ilp(ROW_CASES[case]()).rows
+        listed, n, boundary = list(rows), len(rows), rows.firsts[1]
+        cuts = [
+            slice(1, 3), slice(None, 5), slice(boundary - 2, boundary + 2), slice(n - 4, None),
+            slice(-3, None), slice(-7, -2), slice(None, -n + 2), slice(None, None, 7),
+            slice(3, -3, 5), slice(None, None, -11), slice(-2, 4, -3), slice(n + 5, None),
+        ]
+        for cut in cuts:
+            assert rows[cut] == listed[cut], cut
+        assert type(rows[1:3]) is list and len(rows[1:3]) == 2
+
+    @staticmethod
+    def full_scale_model_and_size(read_variables):
+        """The full-scale scenario 1 model at seed 3 (clamped, online), and
+        the memory ``tracemalloc`` traces to it once built and, with
+        ``read_variables``, once its variables are read."""
         instance = generate(ScenarioSpec.table_row(1, seed=3, reduced=False))
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             model = build_ilp(instance, BuildOptions(clamp_instantiation=True))
+            if read_variables:
+                assert len(model.variables) == 10_920
             size = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(model.rows) == 39_801
+        return model, size
+
+    def test_full_scale_model_is_small(self):
+        """With its variables read, the model takes about 4.4 MB: 2.0 MB as
+        built and 2.4 MB of ``IlpVar``s, names and keys. When the build made
+        the variables and stored the product rows' keys it took 5.3 MB, 6.9
+        MB with the rows in flat columns, and about 11.6 MB with a tuple per
+        row. The bound leaves room for other Python versions."""
+        _model, size = self.full_scale_model_and_size(read_variables=True)
         assert size < 8 * 2**20, size
+
+    def test_full_scale_model_makes_no_variables(self):
+        """As built, the model holds aliases, blocks and the objective, and
+        no ``IlpVar``, name or product key: about 2.0 MB."""
+        model, size = self.full_scale_model_and_size(read_variables=False)
+        assert "variables" not in vars(model)
+        assert size < 2.5 * 2**20, size
 
     def test_coefficient_beyond_64_bits(self, net2):
         """A link delay of 10**20 makes row-18 coefficients that no 64-bit
@@ -361,6 +409,19 @@ class TestExport:
         }
         assert names == {sanitize_name(v.name) for v in model.variables}
         assert len(names) == 19
+
+    def test_writers_leave_the_variables_unmade(self, monkeypatch):
+        """The writers read the aliases, rows and objective alone, so a
+        model whose variables cannot be made still exports."""
+
+        def refuse(instance):
+            raise AssertionError("the variables were made")
+
+        monkeypatch.setattr("chainplace.ilp.enumerate_variables", refuse)
+        model = build_ilp(ROW_CASES["reduced-sc1"](), BuildOptions(no_reuse=True))
+        for chunks in (mps_chunks, lp_chunks):
+            assert "".join(chunks(model)).endswith("\n")
+        assert "variables" not in vars(model)
 
     def test_lp_mentions_every_variable_as_binary(self, tiny):
         model = build_ilp(tiny)
