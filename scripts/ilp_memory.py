@@ -78,7 +78,7 @@ def measure(spec, no_reuse: bool) -> dict:
     return {
         "vars": n_vars,
         "rows": len(model.rows),
-        "coefficients": sum(len(block.cols) for block in model.rows.blocks),
+        "coefficients": sum(len(block.cols) for block in model.blocks),
         "model_mb": traced_mb(built - before),
         "variables_mb": traced_mb(variables),
         "mps_peak_mb": traced_mb(peaks[0]),

@@ -4,10 +4,11 @@
 The cases are the full-scale ones of ``scripts/ilp_memory.py``: scenarios
 1-3 at seed 3, online and no_reuse, each built with clamped accounting.
 For every model the script prints the CPU time (``time.process_time``, in
-ms, best of 9) of ``build_ilp``, of the first read of ``model.variables``
-(which ``build_ilp`` leaves unmade, on a fresh model each time), of
-``mps_chunks`` and of ``lp_chunks`` written to a temporary file, as
-``chainplace solve --export ... -o`` writes them, and of
+ms, best of 9) of ``build_ilp``, of the alias walk alone
+(``ilp._enumerate``, which ``build_ilp`` calls once), of the first read of
+``model.variables`` (which ``build_ilp`` leaves unmade, on a fresh model
+each time), of ``mps_chunks`` and of ``lp_chunks`` written to a temporary
+file, as ``chainplace solve --export ... -o`` writes them, and of
 ``import_solution`` of an all-zero assignment. Each timed call runs with
 the cyclic garbage collector paused, as the CLI runs it.
 
@@ -32,6 +33,7 @@ import time
 from chainplace.ilp import (
     BuildOptions,
     _collector_paused,
+    _enumerate,
     build_ilp,
     import_solution,
     lp_chunks,
@@ -101,6 +103,7 @@ def main() -> int:
             fresh = iter([build_ilp(instance, options) for _ in range(REPEATS)])
             figures = {
                 "build_ms": best_ms(lambda: build_ilp(instance, options)),
+                "aliases_ms": best_ms(lambda: _enumerate(instance)),
                 "variables_ms": best_ms(lambda: next(fresh).variables),
                 "mps_ms": best_ms(lambda: write(mps_chunks, model, path)),
                 "lp_ms": best_ms(lambda: write(lp_chunks, model, path)),

@@ -3,26 +3,32 @@
 The compiled model owns the canonical variable order used everywhere else
 (including the solver's tie-break), carries every product linearization as
 explicit rows, and exports to MPS and LP interchange text. One walk,
-``_enumerate``, gives ``build_ilp`` each variable's interchange alias (the
-sanitized parts of its name), and the first read of ``IlpModel.variables``
-each ``IlpVar`` (name, family, key); exports make no ``IlpVar``. The model
-refuses aliases that collide (``AliasCollisionError``). Objective
-coefficients are held in exact micro-money; the text exporters emit them
-divided by 1e6 (plain money units) because several MILP readers dislike
-huge magnitudes, and say so in a comment header.
+``_enumerate``, lays the variables out one block per owner (a request, or
+a type and instance) over the cross product of the block's levels:
+servers, instance ids, link ends, and the chain position for ``q``. Its
+one block helper picks what a variable becomes: its interchange alias (the
+sanitized parts of its name), which ``build_ilp`` keeps, or its ``IlpVar``
+(name, family, key), which the first read of ``IlpModel.variables`` makes;
+exports make no ``IlpVar``. The model refuses aliases that collide
+(``AliasCollisionError``). Objective coefficients are held in exact
+micro-money; the text exporters emit them divided by 1e6 (plain money
+units) because several MILP readers dislike huge magnitudes, and say so
+in a comment header.
 
-The rows are blocks (``Rows`` of ``Block``): rows of one shape, that is
-the same tags, senses, sizes and coefficient values for every key, with
-their keys, a right-hand side per row and the coefficient indices in an
-``array`` buffer; values stay ints, so any size stays exact. Indexing
-``Rows`` makes a ``Row`` named tuple on demand. ``build_ilp`` finds a
-variable's index by arithmetic on the block offsets that ``_enumerate``
-records. Each family of McCormick product rows (2-x, 15-x, 16-x: about 98%
-of a full-scale model's rows) collects its bounds and sorted indices in
-flat lists and goes in as one block without keys: a product row's key is
-its auxiliary's, read on demand. The other rows go through one generic
-path that drops zero coefficients, sorts the rest and keeps an empty row
-only when 0 violates it; ``put`` extends the last block with rows of its
+The rows are blocks (``IlpModel.blocks``, a list of ``Block``): rows of
+one shape, that is the same tags, senses, sizes and coefficient values
+for every key, with their keys, a right-hand side per row and the
+coefficient indices in an ``array`` buffer; values stay ints, so any size
+stays exact. ``model.rows`` is a view (``RowView``) that supports
+``len()`` and iteration alone, and makes each ``Row`` named tuple on
+demand, block by block. ``build_ilp`` finds a variable's index by
+arithmetic on the block offsets that ``_enumerate`` records. Each family
+of McCormick product rows (2-x, 15-x, 16-x: about 98% of a full-scale
+model's rows) collects its bounds and sorted indices in flat lists and
+goes in as one block without keys: a product row's key is its
+auxiliary's, read on demand. The other rows go through one generic path
+that drops zero coefficients, sorts the rest and keeps an empty row only
+when 0 violates it; ``put`` extends the last block with rows of its
 shape. ``import_solution`` reads each product's factors from its "at
 least" row (2-4, 15-5 or 16-5) by strided slices of its block, so only
 ``_enumerate`` and ``build_ilp`` know the variable layout.
@@ -43,16 +49,14 @@ its state when they return or raise.
 from __future__ import annotations
 
 import array
-import bisect
 import contextlib
 import functools
 import gc
 import itertools
 import json
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import costs as _costs
 from .errors import (
@@ -125,36 +129,6 @@ class Block(NamedTuple):
         return len(self.rhs) // len(self.tags)
 
 
-@dataclass(frozen=True, slots=True)
-class Rows(Sequence):
-    """The rows of a compiled program in the blocks ``build_ilp`` puts them;
-    ``firsts`` holds each block's first row, then the row count. Indexing
-    bisects ``firsts`` and makes each ``Row`` on demand; a slice gives a
-    list. ``variables()`` makes the ``IlpVar``s on its first call and keeps
-    them; it refers to the instance, not to the model."""
-
-    blocks: list[Block]
-    firsts: list[int]
-    variables: Callable[[], tuple[IlpVar, ...]] = field(compare=False, repr=False)
-
-    def __len__(self) -> int:
-        return self.firsts[-1]
-
-    def __getitem__(self, r: int | slice) -> Row | list[Row]:
-        if isinstance(r, slice):
-            return [self[i] for i in range(len(self))[r]]
-        r = range(len(self))[r]  # negative indices count from the end
-        b = bisect.bisect_right(self.firsts, r) - 1
-        block, r = self.blocks[b], r - self.firsts[b]
-        k, pos = divmod(r, len(block.tags))
-        at, size = sum(block.sizes[:pos]), block.sizes[pos]
-        a = k * len(block.values) + at
-        cols = block.cols[a : a + size]
-        key = self.variables()[cols[-1]].key if block.keys is None else block.keys[k]
-        coeffs = tuple(zip(cols, block.values[at : at + size]))
-        return Row(block.tags[pos], key, coeffs, block.senses[pos], block.rhs[r])
-
-
 @contextlib.contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector and restore its previous state on
@@ -185,10 +159,12 @@ def _deployable_types(instance: ProblemInstance):
 def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, tuple]:
     """All binary variables in canonical order (g, t, l, p, x, m, q), as
     aliases or, if ``named``, as ``IlpVar``s, and the first index of each
-    block of them; a variable's index is its block's base plus its position
-    inside the block. The blocks are, per family: ``g[r]``, ``t[k][i]``,
-    ``l[r][k][s]`` (then the instance), ``p[r]`` (then ``pair``),
-    ``x[k][i]`` (then ``s * n_servers + d``),
+    block of them; a block is one owner's variables (a request's or a type
+    instance's) over the cross product of its levels, and a variable's
+    index is its block's base plus its position inside it. The blocks are,
+    per family: ``g[r]``, ``t[k][i]``, ``l[r][k][s]`` (then the instance;
+    one block per request, over servers, then its chain's instances),
+    ``p[r]`` (then ``pair``), ``x[k][i]`` (then ``s * n_servers + d``),
     ``m[r]`` (then ``(s * n_servers + d) * n_instances + i``) and
     ``q[r][pos]`` (then s, d, i, j in that nesting). Requests, instances
     and servers count by position. ``pair[a][b]`` is the offset of the link
@@ -201,54 +177,62 @@ def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, t
     ``sanitize_name`` maps each character on its own: ``[`` becomes ``_``
     and ``]`` goes."""
     net = instance.network
-    nodes = net.nodes
-    servers = net.servers
+    nodes, servers = net.nodes, net.servers
     out: list = []  # aliases, or IlpVars when named
+    tails: dict = {}  # per levels, end and order: the ends of a block's variables
 
-    def part(v) -> str:  # an id's text in an alias; ids need not be str
-        return sanitize_name(str(v))
+    def name_end(entry: tuple) -> str:
+        return "".join([f"[{v}]" for v in entry])
 
-    s_al = [part(s) for s in servers]
-    i_txt = {vnf.name: list(map(str, vnf.instances)) for vnf in instance.catalog.types}
+    def alias_end(entry: tuple) -> str:  # ids need not be str
+        return "".join(["_" + sanitize_name(str(v)) for v in entry])
+
+    def ends(levels: tuple, end, order=None) -> list:
+        # per combination of the levels' entries, their ends joined, grown a
+        # level at a time; an entry is a tuple of ids, ``tuple`` its key end
+        got = tails.get((levels, end, order))
+        if got is None:
+            got = [end(())]
+            for level in [list(map(end, entries)) for entries in levels]:
+                got = [a + b for a in got for b in level]
+            got = tails[levels, end, order] = list(map(order, got)) if order else got
+        return got
 
     # tuple.__new__ makes each IlpVar without the named tuple's Python-level
-    # constructor; names or aliases share the prefix of their inner loop
+    # constructor
     new = tuple.__new__
 
-    g_at = []
-    for r in instance.requests:
-        g_at.append(len(out))
+    def block(family: str, owner: tuple, *levels: tuple, order=None) -> int:
+        """Append ``family[owner id]...[entry id]...`` over the cross product
+        of ``levels``, keyed by ``owner`` and the entries' ids (the outer
+        levels' in ``order``); return the first index. Each outer end maps
+        the last level's ends, which keeps the cache of ends small."""
+        start, outer, last = len(out), levels[:-1], levels[-1:]
         if named:
-            out += [new(IlpVar, (f"g[{r.id}][{s}]", "g", (r.id, s))) for s in servers]
+            name, names, keys = family + name_end(owner), ends(last, name_end), ends(last, tuple)
+            for end, key in zip(ends(outer, name_end), ends(outer, tuple, order)):
+                head, key = name + end, owner + key
+                out.extend([new(IlpVar, (head + e, family, key + k)) for e, k in zip(names, keys)])
         else:
-            out += map(f"g_{part(r.id)}_".__add__, s_al)
+            head, aliases = family + alias_end(owner), ends(last, alias_end)
+            for end in ends(outer, alias_end):
+                out.extend(map((head + end).__add__, aliases))
+        return start
 
-    deployable = _deployable_types(instance)
-    t_at = {vnf.name: [] for vnf in deployable}
-    for vnf in deployable:
-        k, ka = vnf.name, part(vnf.name)
-        for i in vnf.instances:
-            t_at[k].append(len(out))
-            if named:
-                out += [new(IlpVar, (f"t[{k}][{i}][{s}]", "t", (k, i, s))) for s in servers]
-            else:
-                out += map(f"t_{ka}_{i}_".__add__, s_al)
+    on_servers = tuple((s,) for s in servers)
+    ids = {vnf.name: tuple((i,) for i in vnf.instances) for vnf in instance.catalog.types}
+    deployable = [(vnf.name, vnf.instances) for vnf in _deployable_types(instance)]
+    g_at = [block("g", (r.id,), on_servers) for r in instance.requests]
+    t_at = {k: [block("t", (k, i), on_servers) for i in pool] for k, pool in deployable}
 
     l_at = []
     for r in instance.requests:
         # per server, the instances of each chain type in chain order
-        per_type = {k: [] for k in r.chain}
-        l_at.append(per_type)
-        ra = part(r.id)
-        chain = [(k, part(k), instance.catalog.get(k).instances) for k in r.chain]
-        for s, sa in zip(servers, s_al):
-            for k, ka, pool in chain:
-                per_type[k].append(len(out))
-                if named:
-                    name = f"l[{r.id}][{s}][{k}]["
-                    out += [new(IlpVar, (f"{name}{i}]", "l", (r.id, s, k, i))) for i in pool]
-                else:
-                    out += map(f"l_{ra}_{sa}_{ka}_".__add__, i_txt[k])
+        chain = tuple((k,) + i for k in r.chain for i in ids[k])
+        start = block("l", (r.id,), on_servers, chain)
+        firsts = itertools.accumulate((len(ids[k]) for k in r.chain), initial=start)
+        steps = [si * len(chain) for si in range(len(servers))]
+        l_at.append({k: [first + step for step in steps] for k, first in zip(r.chain, firsts)})
 
     # a request's p block: node pairs in position order, then self-links
     links = list(itertools.combinations(range(len(nodes)), 2))
@@ -256,60 +240,15 @@ def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, t
     pair = [[0] * len(nodes) for _ in nodes]
     for off, (ai, bi) in enumerate(links):
         pair[ai][bi] = pair[bi][ai] = off
-    n_al = [part(n) for n in nodes]
-    # per link: its ends, and the end of its name and of its alias
-    ends = [
-        (nodes[ai], nodes[bi], f"][{nodes[ai]}][{nodes[bi]}]", f"_{n_al[ai]}_{n_al[bi]}")
-        for ai, bi in links
-    ]
-    p_at = []
-    for r in instance.requests:
-        p_at.append(len(out))
-        if named:
-            out += [new(IlpVar, (f"p[{r.id}{end}", "p", (r.id, a, b))) for a, b, end, _ in ends]
-        else:
-            out += map(f"p_{part(r.id)}".__add__, [end for *_, end in ends])
-    x_at = {vnf.name: [] for vnf in deployable}
-    for vnf in deployable:
-        k, ka = vnf.name, part(vnf.name)
-        for i in vnf.instances:
-            x_at[k].append(len(out))
-            for s, sa in zip(servers, s_al):
-                if named:
-                    name = f"x[{k}][{i}][{s}]["
-                    out += [new(IlpVar, (f"{name}{d}]", "x", (k, i, s, d))) for d in servers]
-                else:
-                    out += map(f"x_{ka}_{i}_{sa}_".__add__, s_al)
+    link_ends = tuple((nodes[ai], nodes[bi]) for ai, bi in links)
+    p_at = [block("p", (r.id,), link_ends) for r in instance.requests]
 
-    m_at = []
-    for r in instance.requests:
-        m_at.append(len(out))
-        ra = part(r.id)
-        pool, texts = instance.catalog.get(r.chain[0]).instances, i_txt[r.chain[0]]
-        for s, sa in zip(servers, s_al):
-            for d, da in zip(servers, s_al):
-                if named:
-                    name = f"m[{r.id}][{s}][{d}]["
-                    out += [new(IlpVar, (f"{name}{i}]", "m", (r.id, s, d, i))) for i in pool]
-                else:
-                    out += map(f"m_{ra}_{sa}_{da}_".__add__, texts)
-
-    q_at = []
-    for r in instance.requests:
-        q_at.append([])
-        ra = part(r.id)
-        for pos in range(len(r.chain) - 1):
-            q_at[-1].append(len(out))
-            ka, kb = r.chain[pos], r.chain[pos + 1]
-            pool_a, pool_b = instance.catalog.get(ka).instances, instance.catalog.get(kb).instances
-            for s, sa in zip(servers, s_al):
-                for d, da in zip(servers, s_al):
-                    for i in pool_a:
-                        if named:
-                            name, key = f"q[{r.id}][{s}][{d}][{pos}][{i}][", (r.id, pos, s, d, i)
-                            out += [new(IlpVar, (f"{name}{j}]", "q", key + (j,))) for j in pool_b]
-                        else:
-                            out += map(f"q_{ra}_{sa}_{da}_{pos}_{i}_".__add__, i_txt[kb])
+    x_at = {k: [block("x", (k, i), on_servers, on_servers) for i in pool] for k, pool in deployable}
+    m_at = [block("m", (r.id,), on_servers, on_servers, ids[r.chain[0]]) for r in instance.requests]
+    # a q name has the chain position after s and d; its key has it first
+    q_key = operator.itemgetter(2, 0, 1, 3)
+    q_at = [[block("q", (r.id,), on_servers, on_servers, ((pos,),), ids[ka], ids[kb], order=q_key)
+             for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:]))] for r in instance.requests]
     return tuple(out), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
 
 
@@ -343,17 +282,41 @@ def plan_vector(
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class RowView:
+    """``IlpModel.rows``: the model's rows, block by block, as ``Row``s made
+    on demand. It supports ``len()`` and iteration only. A product row's key
+    is its auxiliary's, the last coefficient of its key's rows."""
+
+    model: IlpModel
+
+    def __len__(self) -> int:
+        return sum(len(block.rhs) for block in self.model.blocks)
+
+    def __iter__(self) -> Iterator[Row]:
+        for block in self.model.blocks:
+            cols, stride, bounds = block.cols, len(block.values), iter(block.rhs)
+            ats = itertools.accumulate(block.sizes, initial=0)
+            shape = list(zip(block.tags, block.senses, ats, block.sizes))
+            keys = block.keys or (self.model.variables[i].key for i in cols[stride - 1 :: stride])
+            for a, key in zip(itertools.count(0, stride), keys):
+                for tag, sense, at, size in shape:
+                    coeffs = zip(cols[a + at : a + at + size], block.values[at : at + size])
+                    yield Row(tag, key, tuple(coeffs), sense, next(bounds))
+
+
 @dataclass(frozen=True)
 class IlpModel:
     """A compiled program. ``aliases[i]`` is ``sanitize_name`` of
     ``variables[i].name``; ``variables`` is made on its first read, which
     the writers never make. A model whose aliases are not unique raises
-    ``AliasCollisionError``. Nothing in the model refers back to it, so
+    ``AliasCollisionError``. Each read of ``rows`` makes a new ``RowView``
+    that refers to the model; nothing in the model refers back to it, so
     the model forms no cycle and is freed once its last reference goes."""
 
     instance: ProblemInstance
     options: BuildOptions
-    rows: Rows = field(repr=False)
+    blocks: list[Block] = field(repr=False)
     objective: tuple[tuple[int, int], ...]  # (variable index, micro-money)
     constant: int  # micro-money
     aliases: tuple[str, ...] = field(repr=False, compare=False)
@@ -370,9 +333,13 @@ class IlpModel:
                     )
                 seen[alias] = var.name
 
+    @property
+    def rows(self) -> RowView:
+        return RowView(self)
+
     @functools.cached_property
     def variables(self) -> tuple[IlpVar, ...]:
-        return self.rows.variables()
+        return enumerate_variables(self.instance)
 
     @functools.cached_property
     def _index(self) -> dict[str, int]:
@@ -623,12 +590,10 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
                     for si, s in enumerate(servers):
                         add("NOREUSE", (r.id, s, k, i), [(l_at[ri][k][si] + ii, 1)], "E", 0)
 
-    firsts = list(itertools.accumulate((len(b.rhs) for b in blocks), initial=0))
-    variables = functools.cache(functools.partial(enumerate_variables, instance))
     return IlpModel(
         instance=instance,
         options=options,
-        rows=Rows(blocks, firsts, variables),
+        blocks=blocks,
         objective=tuple(objective),
         constant=constant,
         aliases=aliases,
@@ -643,11 +608,11 @@ def _fmt_value(v) -> str:
     return repr(v)
 
 
-def _named(rows: Rows) -> Iterator[tuple[Block, list[tuple[str, int]]]]:
+def _named(blocks: list[Block]) -> Iterator[tuple[Block, list[tuple[str, int]]]]:
     """Each block with, per position, the prefix and first number of its row
     names: the n-th row of each tag is ``c<tag>_<n>``, ``-`` as ``_``."""
     seen: dict[str, int] = {}
-    for block in rows.blocks:
+    for block in blocks:
         yield block, [(f"c{tag.replace('-', '_')}_", seen.get(tag, 0)) for tag in block.tags]
         seen.update((tag, seen.get(tag, 0) + block.n_keys) for tag in block.tags)
 
@@ -666,7 +631,7 @@ def mps_chunks(model: IlpModel) -> Iterator[str]:
     coefficients and the objective-row RHS are money units (micro-money /
     1e6); the RHS entry on the COST row carries the negated objective
     constant."""
-    rows, aliases = model.rows, model.aliases
+    blocks, aliases = model.blocks, model.aliases
     yield (
         "* chainplace MPS export\n"
         "* money values are scaled: coefficient = micro-money / 1e6\n"
@@ -678,7 +643,7 @@ def mps_chunks(model: IlpModel) -> Iterator[str]:
         " N  COST\n"
     )
     names = []  # per block, each row's f"{name:<12}  ", made as ROWS go out
-    for block, starts in _named(rows):
+    for block, starts in _named(blocks):
         w, n = len(block.tags), block.n_keys
         names.append(padded := [""] * (w * n))
         pattern = []  # one key's ROWS lines, with a hole for each number
@@ -702,7 +667,7 @@ def mps_chunks(model: IlpModel) -> Iterator[str]:
     cost = f"{'COST':<12}  "
     for idx, micro in model.objective:
         cells[idx] += (cost, _costs.format_money(micro) + "\n")
-    for block, padded in zip(rows.blocks, names):
+    for block, padded in zip(blocks, names):
         # each coefficient's row name and value text, in coefficient order
         sizes = itertools.cycle(block.sizes)
         row_of = itertools.chain.from_iterable(map(itertools.repeat, padded, sizes))
@@ -728,7 +693,7 @@ def mps_chunks(model: IlpModel) -> Iterator[str]:
     yield "    MARKER                 'MARKER'                 'INTEND'\nRHS\n"
     if model.constant:
         yield f"    RHS  COST  {_costs.format_money(-model.constant)}\n"
-    for block, padded in zip(rows.blocks, names):
+    for block, padded in zip(blocks, names):
         w = len(block.tags)
         for k0, k1 in _slices(block):
             bounds = block.rhs[k0 * w : k1 * w]
@@ -780,8 +745,8 @@ def lp_chunks(model: IlpModel) -> Iterator[str]:
     fmt = functools.cache(_fmt_value)
     sense_txt = {"E": "=", "L": "<=", "G": ">="}
 
-    rows, alias_of = model.rows, aliases.__getitem__
-    for block, starts in _named(rows):
+    alias_of = aliases.__getitem__
+    for block, starts in _named(model.blocks):
         # one key's rows as texts around holes for names, aliases and bounds;
         # a slice of keys repeats it and fills a hole with one strided slice
         w, stride = len(block.tags), len(block.values)
@@ -880,7 +845,7 @@ def import_solution(model: IlpModel, values: Mapping[str, float]) -> PlacementPl
 
     # the factors are g, t and l bits, never missing; a block's keys are in row order
     get = bits.__getitem__
-    for block in model.rows.blocks:
+    for block in model.blocks:
         w, stride = len(block.tags), len(block.values)
         ats = itertools.accumulate(block.sizes, initial=0)
         for pos, (tag, at) in enumerate(zip(block.tags, ats)):

@@ -46,14 +46,28 @@ def _route_matrix(net: Network, links) -> list[list[int]]:
 
 
 def _matrix_links(net: Network, matrix, request_id) -> frozenset[Link]:
+    """The links of a symmetric n×n matrix of the ints 0 and 1; any other
+    matrix is refused with a ``ValueError`` naming the request."""
     nodes = net.nodes
     n = len(nodes)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"request {request_id}: current_route is not a {n}x{n} matrix")
-    links = set()
     for i, row in enumerate(matrix):
         for j, flag in enumerate(row):
-            if flag and i <= j:
+            if type(flag) is not int or flag not in (0, 1):
+                raise ValueError(
+                    f"request {request_id}: current_route[{i}][{j}] is {json.dumps(flag)}, "
+                    "not 0 or 1"
+                )
+    links = set()
+    for i, row in enumerate(matrix):
+        for j in range(i, n):
+            if row[j] != matrix[j][i]:
+                raise ValueError(
+                    f"request {request_id}: current_route is not symmetric: "
+                    f"[{i}][{j}] is {row[j]} but [{j}][{i}] is {matrix[j][i]}"
+                )
+            if row[j]:
                 links.add((nodes[i], nodes[j]))
     return frozenset(links)
 

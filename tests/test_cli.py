@@ -502,6 +502,11 @@ class TestUsage:
              "cannot read instance {path}: request r0: current_route is not a 3x3 matrix"),
             (lambda doc: doc["requests"][0]["current_route"].extend([[0, 1, 0]] * 9),
              "cannot read instance {path}: request r0: current_route is not a 3x3 matrix"),
+            (lambda doc: doc["requests"][0].update(current_route=[[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+             "cannot read instance {path}: request r0: current_route is not symmetric: "
+             "[0][2] is 1 but [2][0] is 0"),
+            (lambda doc: doc["requests"][0].update(current_route=[[0, 0, 7], [0, 0, 0], [7, 0, 0]]),
+             "cannot read instance {path}: request r0: current_route[0][2] is 7, not 0 or 1"),
             (lambda doc: doc["requests"][0].update(id=["x"]),
              "invalid instance: NOT_A_STRING(requests,0): ['x']"),
             (lambda doc: doc["requests"][0]["chain"].__setitem__(0, ["x"]),
@@ -511,8 +516,8 @@ class TestUsage:
             (lambda doc: doc["requests"][0].update(status="gone"),
              "invalid instance: BAD_STATUS(r0,gone)"),
         ],
-        ids=["array", "long-route-row", "extra-route-rows", "request-id", "chain-entry",
-             "zero-capacity", "bad-status"],
+        ids=["array", "long-route-row", "extra-route-rows", "asymmetric-route", "route-entry-7",
+             "request-id", "chain-entry", "zero-capacity", "bad-status"],
     )
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_malformed_instance_is_one_line_error(

@@ -23,6 +23,7 @@ from chainplace.errors import (
 from chainplace.ilp import (
     BuildOptions,
     Row,
+    _enumerate,
     build_ilp,
     enumerate_variables,
     export_lp,
@@ -106,7 +107,7 @@ class TestBuild:
     def test_deterministic_build(self, tiny):
         a, b = build_ilp(tiny), build_ilp(tiny)
         assert [v.name for v in a.variables] == [v.name for v in b.variables]
-        assert a.rows == b.rows
+        assert a.blocks == b.blocks
         assert a.objective == b.objective and a.constant == b.constant
 
     def test_aliases_are_the_sanitized_names(self, net2):
@@ -144,6 +145,52 @@ class TestEnumerate:
         decisions = tuple(v for v in every if v.family in "gtlp")
         assert decisions and len(decisions) < len(every)
         assert every[: len(decisions)] == decisions
+
+    @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_offsets_point_at_their_variables(self, case, no_reuse):
+        """Each offset ``_enumerate`` gives ``build_ilp`` (a block's base plus
+        the position its docstring gives) lands on the variable whose key it
+        stands for, and together they reach every variable once."""
+        model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
+        instance, variables = model.instance, model.variables
+        g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at = _enumerate(instance)[1]
+        nodes, servers = instance.network.nodes, instance.network.servers
+        n_s, pools = len(servers), {vnf.name: vnf.instances for vnf in instance.catalog.types}
+        seen = set()
+
+        def points(idx, family, *key):
+            assert idx not in seen and (variables[idx].family, variables[idx].key) == (family, key)
+            seen.add(idx)
+
+        for ri, r in enumerate(instance.requests):
+            first = pools[r.chain[0]]
+            for si, s in enumerate(servers):
+                points(g_at[ri] + si, "g", r.id, s)
+                for k in r.chain:
+                    for ii, i in enumerate(pools[k]):
+                        points(l_at[ri][k][si] + ii, "l", r.id, s, k, i)
+                for di, d in enumerate(servers):
+                    for ii, i in enumerate(first):
+                        points(m_at[ri] + (si * n_s + di) * len(first) + ii, "m", r.id, s, d, i)
+                    for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:])):
+                        n_a, n_b = len(pools[ka]), len(pools[kb])
+                        pairs = itertools.product(enumerate(pools[ka]), enumerate(pools[kb]))
+                        for (ii, i), (jj, j) in pairs:
+                            at = q_at[ri][pos] + ((si * n_s + di) * n_a + ii) * n_b + jj
+                            points(at, "q", r.id, pos, s, d, i, j)
+            for ai, bi in itertools.combinations_with_replacement(range(len(nodes)), 2):
+                if ai < bi or ai < n_s:  # only servers have self-links
+                    assert pair[ai][bi] == pair[bi][ai]
+                    points(p_at[ri] + pair[ai][bi], "p", r.id, nodes[ai], nodes[bi])
+        for k, t_bases in t_at.items():
+            assert len(t_bases) == len(x_at[k]) == len(pools[k])
+            for ii, i in enumerate(pools[k]):
+                for si, s in enumerate(servers):
+                    points(t_at[k][ii] + si, "t", k, i, s)
+                    for di, d in enumerate(servers):
+                        points(x_at[k][ii] + si * n_s + di, "x", k, i, s, d)
+        assert seen == set(range(len(variables)))
 
 
 BRACKETED_IDS = st.text(alphabet="a[]_", min_size=1, max_size=4)
@@ -281,56 +328,43 @@ class TestRowInvariants:
 
 
 class TestRowColumns:
-    """``IlpModel.rows`` keeps the rows in blocks of one shape and reads as
-    a sequence of ``Row``."""
+    """``IlpModel.blocks`` keeps the rows in blocks of one shape, and
+    ``model.rows`` reads them, block by block, as ``Row``s."""
 
     def test_rows_read_as_a_sequence_of_row(self, tiny):
         model = build_ilp(tiny)
         rows = model.rows
         listed = list(rows)
         assert len(rows) == len(listed) > 1
-        assert [rows[i] for i in range(len(rows))] == listed
-        assert rows[-1] == listed[-1]
+        assert list(rows) == listed
         assert all(type(row) is Row for row in listed)
-        with pytest.raises(IndexError):
-            rows[len(rows)]
 
     @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
     def test_rows_read_across_block_boundaries(self, case, no_reuse):
-        """Indexing finds each row's block, also where a family has no keys
-        (chains of length 1, no requests) and where rows that ``build_ilp``
-        adds one at a time share a block."""
-        rows = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse)).rows
-        listed = list(rows)
-        assert len(rows) == len(listed) == rows.firsts[-1] > 0
-        assert [rows[i] for i in range(len(rows))] == listed
-        assert [rows[i - len(rows)] for i in range(len(rows))] == listed
-        assert rows[-1] == listed[-1]
+        """Each block's rows follow the previous block's, also where a family
+        has no keys (chains of length 1, no requests) and where rows that
+        ``build_ilp`` adds one at a time share a block."""
+        model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
+        blocks, listed = model.blocks, list(model.rows)
+        firsts = list(itertools.accumulate((len(block.rhs) for block in blocks), initial=0))
+        assert len(model.rows) == len(listed) == firsts[-1] > 0
         assert all(type(row) is Row for row in listed)
-        with pytest.raises(IndexError):
-            rows[len(rows)]
-        with pytest.raises(IndexError):
-            rows[-len(rows) - 1]
         # every block starts where the previous one ends, with a new shape
-        for before, block, first in zip(rows.blocks, rows.blocks[1:], rows.firsts[1:]):
+        for before, block, first in zip(blocks, blocks[1:], firsts[1:]):
             assert before[:4] != block[:4]
             assert listed[first].tag == block.tags[0] and listed[first - 1].tag == before.tags[-1]
+        for block, first in zip(blocks, firsts):
+            own = listed[first : first + len(block.rhs)]
+            assert len(block.rhs) == len(block.tags) * block.n_keys > 0
+            assert len(block.values) == sum(block.sizes)
+            assert len(block.cols) == len(block.values) * block.n_keys
+            assert block.keys is None or len(block.keys) == block.n_keys
+            assert [row.tag for row in own] == list(block.tags) * block.n_keys
+            assert [row.sense for row in own] == list(block.senses) * block.n_keys
+            assert [row.rhs for row in own] == block.rhs
         if case != "frozen-load-no-requests":
-            assert any(len(block.tags) == 1 and len(block.keys) > 1 for block in rows.blocks)
-
-    @pytest.mark.parametrize("case", ["reduced-sc3", "chain-length-1"])
-    def test_rows_slice_as_a_list(self, case):
-        rows = build_ilp(ROW_CASES[case]()).rows
-        listed, n, boundary = list(rows), len(rows), rows.firsts[1]
-        cuts = [
-            slice(1, 3), slice(None, 5), slice(boundary - 2, boundary + 2), slice(n - 4, None),
-            slice(-3, None), slice(-7, -2), slice(None, -n + 2), slice(None, None, 7),
-            slice(3, -3, 5), slice(None, None, -11), slice(-2, 4, -3), slice(n + 5, None),
-        ]
-        for cut in cuts:
-            assert rows[cut] == listed[cut], cut
-        assert type(rows[1:3]) is list and len(rows[1:3]) == 2
+            assert any(len(block.tags) == 1 and len(block.keys) > 1 for block in blocks)
 
     @staticmethod
     def full_scale_model_and_size(read_variables):
