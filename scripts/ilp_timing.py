@@ -5,7 +5,9 @@ The cases are the full-scale ones of ``scripts/ilp_memory.py``: scenarios
 1-3 at seed 3, online and no_reuse, each built with clamped accounting.
 For every model the script prints the CPU time (``time.process_time``, in
 ms, best of 9) of ``build_ilp``, of the alias walk alone
-(``ilp._enumerate``, which ``build_ilp`` calls once), of the first read of
+(``ilp._enumerate``, which ``build_ilp`` calls once), of the offsets-only
+walk ``ilp.layout``, which every solve makes for its tie-break (to three
+decimals: it takes well under a millisecond), of the first read of
 ``model.variables`` (which ``build_ilp`` leaves unmade, on a fresh model
 each time), of ``mps_chunks`` and of ``lp_chunks`` written to a temporary
 file, as ``chainplace solve --export ... -o`` writes them, and of
@@ -36,6 +38,7 @@ from chainplace.ilp import (
     _enumerate,
     build_ilp,
     import_solution,
+    layout,
     lp_chunks,
     mps_chunks,
 )
@@ -53,15 +56,15 @@ def write(chunks, model, path: str) -> None:
         fh.writelines(chunks(model))
 
 
-def best_ms(call) -> str:
-    """The least CPU time of ``REPEATS`` calls, in ms."""
+def best_ms(call, digits: int = 1) -> str:
+    """The least CPU time of ``REPEATS`` calls, in ms to ``digits`` places."""
     times = []
     for _ in range(REPEATS):
         with _collector_paused():
             start = time.process_time()
             call()
             times.append(time.process_time() - start)
-    return f"{min(times) * 1e3:.1f}"
+    return f"{min(times) * 1e3:.{digits}f}"
 
 
 def check_digests(work: str) -> bool:
@@ -104,6 +107,7 @@ def main() -> int:
             figures = {
                 "build_ms": best_ms(lambda: build_ilp(instance, options)),
                 "aliases_ms": best_ms(lambda: _enumerate(instance)),
+                "layout_ms": best_ms(lambda: layout(instance), digits=3),
                 "variables_ms": best_ms(lambda: next(fresh).variables),
                 "mps_ms": best_ms(lambda: write(mps_chunks, model, path)),
                 "lp_ms": best_ms(lambda: write(lp_chunks, model, path)),

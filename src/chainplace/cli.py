@@ -21,7 +21,12 @@ from collections.abc import Iterable
 
 from . import io as _io
 from . import scenario as _scenario
-from .errors import BootstrapInfeasibleError, ChainplaceError, ValidationFailedError
+from .errors import (
+    BootstrapInfeasibleError,
+    ChainplaceError,
+    TimeLimitError,
+    ValidationFailedError,
+)
 from .ilp import BuildOptions, _collector_paused, build_ilp, lp_chunks, mps_chunks
 from .ilp import export_lp, export_mps  # noqa: F401 (perfbench wraps these names)
 from .model import check_feasibility, validate_instance
@@ -359,6 +364,9 @@ def main(argv=None) -> int:
     except BootstrapInfeasibleError as exc:
         _log(str(exc))
         return EXIT_INFEASIBLE
+    except TimeLimitError as exc:
+        _log(str(exc))
+        return EXIT_TIME_LIMIT
     except (ChainplaceError, OSError) as exc:
         _log(str(exc))
         return EXIT_USAGE

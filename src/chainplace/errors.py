@@ -58,3 +58,8 @@ class TooLargeError(ChainplaceError):
 class BootstrapInfeasibleError(ChainplaceError):
     """The offline bootstrap placement of the existing requests is infeasible
     for the drawn scenario; reseed or override parameters."""
+
+
+class TimeLimitError(ChainplaceError):
+    """A comparison case stopped at its time limit before it found any
+    plan; raise the limit to get one."""

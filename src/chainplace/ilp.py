@@ -30,8 +30,9 @@ auxiliary's, read on demand. The other rows go through one generic path
 that drops zero coefficients, sorts the rest and keeps an empty row only
 when 0 violates it; ``put`` extends the last block with rows of its
 shape. ``import_solution`` reads each product's factors from its "at
-least" row (2-4, 15-5 or 16-5) by strided slices of its block, so only
-``_enumerate`` and ``build_ilp`` know the variable layout.
+least" row (2-4, 15-5 or 16-5) by strided slices of its block, and the
+solver reads the g, t, l, p bases through ``layout``, which makes no
+variable: only ``_enumerate`` knows the variable layout.
 
 One generator per format, ``mps_chunks`` and ``lp_chunks``, makes the text
 in chunks of about 64 KiB, a block at a time; ``export_mps`` and
@@ -54,6 +55,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -156,12 +158,14 @@ def _deployable_types(instance: ProblemInstance):
     return tuple(t for t in instance.catalog.types if t.name in required)
 
 
-def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, tuple]:
+def _enumerate(instance: ProblemInstance, named: bool | None = False) -> tuple[tuple, tuple]:
     """All binary variables in canonical order (g, t, l, p, x, m, q), as
     aliases or, if ``named``, as ``IlpVar``s, and the first index of each
     block of them; a block is one owner's variables (a request's or a type
     instance's) over the cross product of its levels, and a variable's
-    index is its block's base plus its position inside it. The blocks are,
+    index is its block's base plus its position inside it. With ``named``
+    None it makes no variable and no name part, and returns no variables
+    and the bases up to ``pair`` after the p family. The blocks are,
     per family: ``g[r]``, ``t[k][i]``, ``l[r][k][s]`` (then the instance;
     one block per request, over servers, then its chain's instances),
     ``p[r]`` (then ``pair``), ``x[k][i]`` (then ``s * n_servers + d``),
@@ -179,6 +183,7 @@ def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, t
     net = instance.network
     nodes, servers = net.nodes, net.servers
     out: list = []  # aliases, or IlpVars when named
+    top = 0  # the next block's base
     tails: dict = {}  # per levels, end and order: the ends of a block's variables
 
     def name_end(entry: tuple) -> str:
@@ -205,15 +210,18 @@ def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, t
     def block(family: str, owner: tuple, *levels: tuple, order=None) -> int:
         """Append ``family[owner id]...[entry id]...`` over the cross product
         of ``levels``, keyed by ``owner`` and the entries' ids (the outer
-        levels' in ``order``); return the first index. Each outer end maps
-        the last level's ends, which keeps the cache of ends small."""
-        start, outer, last = len(out), levels[:-1], levels[-1:]
+        levels' in ``order``), unless ``named`` is None; return the first
+        index. Each outer end maps the last level's ends, which keeps the
+        cache of ends small."""
+        nonlocal top
+        start, outer, last = top, levels[:-1], levels[-1:]
+        top += math.prod(map(len, levels))
         if named:
             name, names, keys = family + name_end(owner), ends(last, name_end), ends(last, tuple)
             for end, key in zip(ends(outer, name_end), ends(outer, tuple, order)):
                 head, key = name + end, owner + key
                 out.extend([new(IlpVar, (head + e, family, key + k)) for e, k in zip(names, keys)])
-        else:
+        elif named is not None:
             head, aliases = family + alias_end(owner), ends(last, alias_end)
             for end in ends(outer, alias_end):
                 out.extend(map((head + end).__add__, aliases))
@@ -228,9 +236,11 @@ def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, t
     l_at = []
     for r in instance.requests:
         # per server, the instances of each chain type in chain order
-        chain = tuple((k,) + i for k in r.chain for i in ids[k])
+        sizes = [len(ids[k]) for k in r.chain]
+        chain = range(sum(sizes)) if named is None else tuple(
+            (k,) + i for k in r.chain for i in ids[k])
         start = block("l", (r.id,), on_servers, chain)
-        firsts = itertools.accumulate((len(ids[k]) for k in r.chain), initial=start)
+        firsts = itertools.accumulate(sizes, initial=start)
         steps = [si * len(chain) for si in range(len(servers))]
         l_at.append({k: [first + step for step in steps] for k, first in zip(r.chain, firsts)})
 
@@ -240,8 +250,10 @@ def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, t
     pair = [[0] * len(nodes) for _ in nodes]
     for off, (ai, bi) in enumerate(links):
         pair[ai][bi] = pair[bi][ai] = off
-    link_ends = tuple((nodes[ai], nodes[bi]) for ai, bi in links)
+    link_ends = links if named is None else tuple((nodes[ai], nodes[bi]) for ai, bi in links)
     p_at = [block("p", (r.id,), link_ends) for r in instance.requests]
+    if named is None:
+        return (), (g_at, t_at, l_at, p_at, pair)
 
     x_at = {k: [block("x", (k, i), on_servers, on_servers) for i in pool] for k, pool in deployable}
     m_at = [block("m", (r.id,), on_servers, on_servers, ids[r.chain[0]]) for r in instance.requests]
@@ -250,6 +262,12 @@ def _enumerate(instance: ProblemInstance, named: bool = False) -> tuple[tuple, t
     q_at = [[block("q", (r.id,), on_servers, on_servers, ((pos,),), ids[ka], ids[kb], order=q_key)
              for pos, (ka, kb) in enumerate(zip(r.chain, r.chain[1:]))] for r in instance.requests]
     return tuple(out), (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at)
+
+
+def layout(instance: ProblemInstance) -> tuple:
+    """The block bases of the decision families g, t, l, p and ``pair``, the
+    first five that ``_enumerate`` gives ``build_ilp``, with no variable made."""
+    return _enumerate(instance, named=None)[1]
 
 
 @_collector_paused()

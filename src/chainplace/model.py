@@ -427,6 +427,7 @@ def validate_instance(instance: ProblemInstance) -> Report:
                     out.append(Violation("NEGATIVE_ENTRY", ("migration_cost", t.name, s, d)))
 
     seen_ids: set[str] = set()
+    servers = set(net.servers)
     for r in instance.requests:
         if r.id in seen_ids:
             out.append(Violation("DUPLICATE_REQUEST_ID", (r.id,)))
@@ -456,6 +457,9 @@ def validate_instance(instance: ProblemInstance) -> Report:
         for a, b in r.current_route:
             if not net.has_node(a) or not net.has_node(b):
                 out.append(Violation("UNKNOWN_NODE", (r.id, a, b)))
+            elif a not in servers and b not in servers:
+                # every link of a route touches a host server
+                out.append(Violation("LINK_WITHOUT_SERVER", (r.id, a, b)))
 
     placed: dict[tuple[str, int], str] = {}
     for k, i, s in sorted(instance.snapshot.deployed):

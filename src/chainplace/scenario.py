@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
 from .costs import CostBreakdown, service_delay
-from .errors import BootstrapInfeasibleError
+from .errors import BootstrapInfeasibleError, TimeLimitError
 from .io import FORMAT_VERSION, breakdown_to_document, stats_to_document
 from .model import (
     DeploymentDelta,
@@ -38,6 +38,7 @@ from .model import (
 )
 from .solver import (
     STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
     SolveOptions,
     SolveStats,
     solve_exact,
@@ -374,6 +375,9 @@ def run_comparison(
     at net zero, which collapses the comparison; clamping makes the reuse
     advantage measurable. Pass ``license_refunds=True`` for the literal
     delta accounting.
+
+    A case left without a plan raises ``TimeLimitError`` if it stopped at
+    the time limit, else ``BootstrapInfeasibleError``.
     """
     options = options or SolveOptions()
     options = replace(options, clamp_instantiation=not license_refunds)
@@ -383,7 +387,8 @@ def run_comparison(
     scratch = solve_exact(instance, replace(options, no_reuse=True))
     for label, result in (("online", online), ("no_reuse", scratch)):
         if result.plan is None:
-            raise BootstrapInfeasibleError(
+            stopped = result.status == STATUS_TIME_LIMIT
+            raise (TimeLimitError if stopped else BootstrapInfeasibleError)(
                 f"{label} case is {result.status} for seed {spec.seed}"
             )
 

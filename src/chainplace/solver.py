@@ -54,11 +54,11 @@ and link in lists, so no node looks a name up. A leaf offers the incumbent
 a copy of that state. Equal totals are ordered by
 ``_Problem.leaf_key``, the search's one key function, which ``_Incumbent``
 is given once: the positions of the ones in the plan's canonical g, t, l, p
-vector, found by arithmetic on per-problem position maps and made only when
-two totals tie. Names appear once, when the search ends and
+vector, read from the block bases ``ilp.layout`` gives once per solve, and
+made only when two totals tie. Names appear once, when the search ends and
 ``_Problem.leaf_plan`` builds the winning leaf into a plan.
 ``brute_force`` keys its plans with the named variables and ``plan_vector``
-instead, so the oracle stays independent of the position maps.
+instead, so the oracle does not read the bases the search reads.
 
 The incumbent starts warm: before the search runs, a dive through the same
 code (``_Dive``) tries each decision's options cheapest first and offers its
@@ -79,7 +79,7 @@ from typing import Mapping
 
 from . import costs as _costs
 from .errors import TooLargeError, ValidationFailedError
-from .ilp import enumerate_variables, plan_vector
+from .ilp import _deployable_types, enumerate_variables, layout, plan_vector
 from .model import (
     Link,
     PlacementPlan,
@@ -188,15 +188,15 @@ class _Problem:
     """Immutable data shared by both solvers: the validated instance, the
     options, the decisions with their exact contributions, the bound tails
     the search reads, the integer tables the search runs on and the
-    position maps its tie-break key reads (see ``leaf_key``). The
+    variable positions its tie-break key reads (see ``leaf_key``). The
     instance is validated once, here, so one ``_Problem`` can feed both
     engines (``solve --oracle`` does).
 
-    Decision types (the catalog types some chain uses) are numbered in
-    catalog order, and every per-type fact is a list by that position,
-    kept once: ``slots[ri]`` names request ``ri``'s chain by these
-    positions. ``type_cap[k]`` is type ``k``'s usage limit per instance and
-    ``type_delay[k]`` its processing delay by server position.
+    Decision types (``ilp._deployable_types``: the catalog types some chain
+    uses) are numbered in catalog order, and every per-type fact is a list
+    by that position, kept once: ``slots[ri]`` names request ``ri``'s chain
+    by these positions. ``type_cap[k]`` is type ``k``'s usage limit per
+    instance and ``type_delay[k]`` its processing delay by server position.
     ``need[k]`` is the fewest instances, at least one, whose usage limit
     carries the traffic of every request that uses type ``k``.
     ``need_qualified[k]`` is the same count for the new requests' traffic
@@ -224,7 +224,12 @@ class _Problem:
     The tables number nodes by their position in the network's node list.
     Servers come first, so a server's number is its index in ``servers``.
     Link tables are flat and row-major: entry ``a * n_nodes + b`` is the
-    link between nodes ``a`` and ``b``."""
+    link between nodes ``a`` and ``b``.
+
+    ``leaf_key`` reads its positions from ``ilp.layout``: request ``ri``'s
+    content server ``s`` is at ``g_at[ri] + s``, decision ``di`` on server
+    ``s`` at ``t_at[di] + s`` and, in chain slot ``pos``, at
+    ``l_at[ri][pos][s] + di``, and link entry ``c`` at ``p_at[ri] + p_off[c]``."""
 
     def __init__(self, instance: ProblemInstance, options: SolveOptions):
         report = validate_instance(instance)
@@ -274,10 +279,8 @@ class _Problem:
         self.type_delay: list[tuple[int, ...]] = []
         type_pos = {}  # type name -> type position
         positions = range(len(net.servers))
-        for vnf in instance.catalog.types:
+        for vnf in _deployable_types(instance):
             users = [r for r in self.requests if vnf.name in r.chain]
-            if not users:
-                continue
             new_users = [r for r in users if r.status == STATUS_NEW]
             fresh_only = options.no_reuse and bool(new_users)
             k = type_pos[vnf.name] = len(self.need)
@@ -396,36 +399,14 @@ class _Problem:
         self.skips_snapshot = [
             options.no_reuse and r.status == STATUS_NEW for r in self.requests
         ]
-        # position maps of the decision variables g, t, l, p in the compiled
-        # program's order (``ilp._enumerate``), which leaf_key reads. With
-        # S servers, request ri's content server s is at ri * S + s, and
-        # decision di on server s at t_at + di * S + s. A request's l block
-        # runs per server over its chain slots' instances: chain slot pos on
-        # server s by decision di is at l_slot[ri][pos] + s * l_width[ri] + di.
-        # Its p block lists node pairs in combinations order, then the
-        # servers' self-links: canonical link entry c is at p_at[ri] + p_off[c]
-        n_servers = len(net.servers)
-        self.t_at = len(self.requests) * n_servers
-        size = [0] * len(self.need)  # instances per type position
-        for d in self.decisions:
-            size[d.type_pos] += 1
-        first = list(itertools.accumulate(size, initial=0))  # decisions run by type
-        at = self.t_at + len(self.decisions) * n_servers
-        self.l_slot, self.l_width = [], []
-        for slots in self.slots:
-            offsets, width = [], 0
-            for k in slots:
-                offsets.append(at + width - first[k])
-                width += size[k]
-            self.l_slot.append(tuple(offsets))
-            self.l_width.append(width)
-            at += n_servers * width
-        pairs = list(itertools.combinations(range(n), 2))
-        pairs += [(s, s) for s in positions]
-        self.p_off = [0] * (n * n)
-        for off, (a, b) in enumerate(pairs):
-            self.p_off[a * n + b] = off
-        self.p_at = [at + ri * len(pairs) for ri in range(len(self.requests))]
+        self.g_at, t_at, l_at, self.p_at, pair = layout(instance)
+        first = dict(zip(t_at, itertools.accumulate(map(len, t_at.values()), initial=0)))
+        self.t_at = [at for bases in t_at.values() for at in bases]
+        self.l_at = [
+            [[at - first[k] for at in bases[k]] for k in r.chain]
+            for r, bases in zip(self.requests, l_at)
+        ]
+        self.p_off = [off for row in pair for off in row]
         # route_floor's memos, the only state that changes after
         # construction: per prefix its floor and per-request terms; the
         # cheapest route per traffic unit by (user, candidates, per-slot
@@ -591,12 +572,11 @@ class _Problem:
         the plan with the 0 there has its next one later, so its key holds a
         smaller number there or ends first."""
         target, columns = leaf
-        n_servers, t_at, p_off = len(self.servers), self.t_at, self.p_off
-        ones = [t_at + di * n_servers + s for di, s in enumerate(target) if s is not None]
+        t_at, p_off = self.t_at, self.p_off
+        ones = [t_at[di] + s for di, s in enumerate(target) if s is not None]
         for ri, (cs, picks, links, _uses, _cost) in enumerate(columns):
-            ones.append(ri * n_servers + cs)
-            l_slot, width = self.l_slot[ri], self.l_width[ri]
-            ones += [at + target[di] * width + di for at, di in zip(l_slot, picks)]
+            ones.append(self.g_at[ri] + cs)
+            ones += [at[target[di]] + di for at, di in zip(self.l_at[ri], picks)]
             p_at = self.p_at[ri]
             ones += [p_at + p_off[c] for c in links]
         ones.sort()

@@ -171,6 +171,25 @@ class TestCompare:
         assert doc["reports"][0]["scenario"] == 2
         assert doc["reports"][0]["gap_micro"] >= 0
 
+    @pytest.mark.parametrize(
+        "argv, code, status",
+        [
+            # 10x10 at 9/11 finds no online incumbent in 10 s, let alone 0.05 s
+            (["--servers", "10", "--users", "10", "--existing", "9", "--new", "11",
+              "--seed", "3", "--time-limit", "0.05"], 3, "time_limit for seed 3"),
+            (["--servers", "2", "--users", "1", "--existing", "0", "--new", "1", "--seed", "5",
+              "--set", "vnf_types=1", "--set", "chain_length_range=[1,1]",
+              "--set", "delay_budget_ms_range=[0,0]"], 2, "infeasible for seed 5"),
+        ],
+        ids=["time-limit", "infeasible"],
+    )
+    def test_case_without_a_plan_is_one_line_and_its_status_exit(
+        self, capsys, argv, code, status
+    ):
+        """A case that stops at its time limit before it finds a plan exits
+        3, as a time-limited solve does; an infeasible one exits 2."""
+        assert run(capsys, "compare", *argv) == (code, "", f"online case is {status}\n")
+
 
 class TestCheck:
     def test_solver_plan_checks_out(self, tiny_file, tmp_path, capsys):
@@ -515,9 +534,12 @@ class TestUsage:
              "invalid instance: NONPOSITIVE_CAPACITY(s0): G=0"),
             (lambda doc: doc["requests"][0].update(status="gone"),
              "invalid instance: BAD_STATUS(r0,gone)"),
+            (lambda doc: doc["requests"][0].update(
+                status="existing", current_route=[[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+             "invalid instance: LINK_WITHOUT_SERVER(r0,u0,u0)"),
         ],
         ids=["array", "long-route-row", "extra-route-rows", "asymmetric-route", "route-entry-7",
-             "request-id", "chain-entry", "zero-capacity", "bad-status"],
+             "request-id", "chain-entry", "zero-capacity", "bad-status", "user-self-link"],
     )
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_malformed_instance_is_one_line_error(

@@ -29,6 +29,7 @@ from chainplace.ilp import (
     export_lp,
     export_mps,
     import_solution,
+    layout,
     lp_chunks,
     mps_chunks,
     parse_solution_text,
@@ -151,10 +152,15 @@ class TestEnumerate:
     def test_offsets_point_at_their_variables(self, case, no_reuse):
         """Each offset ``_enumerate`` gives ``build_ilp`` (a block's base plus
         the position its docstring gives) lands on the variable whose key it
-        stands for, and together they reach every variable once."""
+        stands for, and together they reach every variable once. The g, t,
+        l, p bases and ``pair`` are read through ``layout``, as the search
+        reads them, and equal the ones the full walk gives."""
         model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
         instance, variables = model.instance, model.variables
-        g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at = _enumerate(instance)[1]
+        bases = _enumerate(instance)[1]
+        g_at, t_at, l_at, p_at, pair = layout(instance)
+        assert (g_at, t_at, l_at, p_at, pair) == bases[:5]
+        x_at, m_at, q_at = bases[5:]
         nodes, servers = instance.network.nodes, instance.network.servers
         n_s, pools = len(servers), {vnf.name: vnf.instances for vnf in instance.catalog.types}
         seen = set()

@@ -73,6 +73,8 @@ MUTATIONS = [
     ("BAD_STATUS", ("r0", "gone"), lambda i: _request(i, status="gone")),
     ("UNKNOWN_NODE", ("r0", "s0", "x9"),
      lambda i: _request(i, status="existing", current_route={("s0", "x9")})),
+    ("LINK_WITHOUT_SERVER", ("r0", "u0", "u0"),
+     lambda i: _request(i, status="existing", current_route={("s0", "u0"), ("u0", "u0")})),
     ("UNKNOWN_INSTANCE", ("snapshot", "k0", 5),
      lambda i: replace(i, snapshot=Snapshot({("k0", 5, "s0")}))),
     ("NOT_A_NUMBER", ("usage_threshold",), lambda i: replace(i, usage_threshold="1")),

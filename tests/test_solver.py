@@ -285,7 +285,9 @@ def binding_instances(draw):
             server = draw(st.sampled_from((None,) + servers))
             if server is not None:
                 snapshot.append((t.name, i, server))
-    links = [net.link(a, b) for a, b in itertools.combinations_with_replacement(nodes, 2)]
+    # a current route's links each have a server end (servers come first)
+    pairs = itertools.combinations_with_replacement(nodes, 2)
+    links = [net.link(a, b) for a, b in pairs if a in servers]
     requests = []
     for ri in range(draw(st.integers(1, 2))):
         order = draw(st.permutations([t.name for t in types]))
@@ -728,16 +730,19 @@ class TestTypeCounts:
 
 class TestSearchEffort:
     def test_search_never_calls_plan_vector(self, monkeypatch):
-        """The search breaks ties on keys read from its own state, so the
-        named variables and ``plan_vector`` are the oracle's alone. The
-        reduced scenario-3 solves still make the nodes and incumbent
-        updates that ``tests/data/search_digest.json`` holds for them."""
+        """The search breaks ties on keys read from its own state and the
+        bases of ``ilp.layout``, which makes no alias, so the named
+        variables, ``plan_vector`` and ``sanitize_name`` are the oracle's
+        and the exports' alone. The reduced scenario-3 solves still make the
+        nodes and incumbent updates that ``tests/data/search_digest.json``
+        holds for them."""
 
         def refuse(*_args, **_kwargs):
-            raise AssertionError("the search called into the ILP layer")
+            raise AssertionError("the search made a variable or an alias")
 
         monkeypatch.setattr("chainplace.solver.plan_vector", refuse)
         monkeypatch.setattr("chainplace.solver.enumerate_variables", refuse)
+        monkeypatch.setattr("chainplace.ilp.sanitize_name", refuse)
         report = run_comparison(ScenarioSpec.table_row(3, seed=DEFAULT_SEED, reduced=True))
         frozen = json.loads((DATA / "search_digest.json").read_text())
         for case in (report.online, report.no_reuse):
