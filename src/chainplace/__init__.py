@@ -3,7 +3,7 @@ value-added services: exact reconfiguration-cost optimization, an explicit
 binary-program compiler with MPS/LP export, and a seeded evaluation
 harness."""
 
-from .costs import CostBreakdown, total_objective, service_delay
+from .costs import CostBreakdown, total_objective, service_delay, service_delays
 from .ilp import BuildOptions, IlpModel, build_ilp, export_lp, export_mps, import_solution
 from .model import (
     DeploymentDelta,
@@ -53,6 +53,7 @@ __all__ = [
     "import_solution",
     "run_comparison",
     "service_delay",
+    "service_delays",
     "snapshot_diff",
     "solve_exact",
     "total_objective",

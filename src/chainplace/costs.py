@@ -16,6 +16,7 @@ from .errors import UnassignedChainError
 from .model import (
     PlacementPlan,
     ProblemInstance,
+    ServiceRequest,
     ensure_plan_matches,
     normalize_route,
 )
@@ -43,9 +44,18 @@ class CostBreakdown:
         return {name: format_money(micro) for name, micro in vars(self).items()}
 
 
+# Each public function checks the plan against the instance's index sets
+# (``ensure_plan_matches``) and then calls its unchecked form.
+# ``total_objective`` and ``service_delays`` check once, then call several.
+
+
 def hosting_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
     """Differential server-resource cost between plan and snapshot."""
     ensure_plan_matches(instance, plan)
+    return _hosting_delta(instance, plan)
+
+
+def _hosting_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
     net = instance.network
     total = 0
     for k, _i, s in plan.deployment:
@@ -59,12 +69,20 @@ def migration_cost(instance: ProblemInstance, plan: PlacementPlan) -> int:
     """Price of moving snapshot instances to their plan servers; staying put
     is free, so the result is never negative."""
     ensure_plan_matches(instance, plan)
+    return _migration_cost(instance, plan)
+
+
+def _migration_cost(instance: ProblemInstance, plan: PlacementPlan) -> int:
+    # an infeasible plan may put one instance on several servers: each move
+    # is priced
+    destinations: dict[tuple[str, int], list[str]] = {}
+    for k, i, dst in plan.deployment:
+        destinations.setdefault((k, i), []).append(dst)
     total = 0
     for k, i, src in instance.snapshot.deployed:
         vnf = instance.catalog.get(k)
-        for kk, ii, dst in plan.deployment:
-            if kk == k and ii == i:
-                total += vnf.migration(src, dst)
+        for dst in destinations.get((k, i), ()):
+            total += vnf.migration(src, dst)
     return total
 
 
@@ -78,6 +96,10 @@ def instantiation_cost(
     instance contributes max(0, net new deployments) instead.
     """
     ensure_plan_matches(instance, plan)
+    return _instantiation_cost(instance, plan, clamp)
+
+
+def _instantiation_cost(instance: ProblemInstance, plan: PlacementPlan, clamp: bool) -> int:
     if not clamp:
         total = 0
         for k, _i, _s in plan.deployment:
@@ -108,6 +130,10 @@ def routing_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
     undirected link counted once per request. Every node pair is charged,
     the final hop to the end-user included."""
     ensure_plan_matches(instance, plan)
+    return _routing_delta(instance, plan)
+
+
+def _routing_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
     net = instance.network
     total = 0
     for r in instance.requests:
@@ -122,10 +148,11 @@ def total_objective(
     instance: ProblemInstance, plan: PlacementPlan, clamp_instantiation: bool = False
 ) -> CostBreakdown:
     """All four components of the reconfiguration cost and their exact sum."""
-    hosting = hosting_delta(instance, plan)
-    migration = migration_cost(instance, plan)
-    instantiation = instantiation_cost(instance, plan, clamp=clamp_instantiation)
-    routing = routing_delta(instance, plan)
+    ensure_plan_matches(instance, plan)
+    hosting = _hosting_delta(instance, plan)
+    migration = _migration_cost(instance, plan)
+    instantiation = _instantiation_cost(instance, plan, clamp_instantiation)
+    routing = _routing_delta(instance, plan)
     return CostBreakdown(
         hosting_delta=hosting,
         migration=migration,
@@ -138,22 +165,32 @@ def total_objective(
 def service_delay(instance: ProblemInstance, plan: PlacementPlan, request_id: str) -> int:
     """Transmission plus processing delay of one request, in microseconds."""
     ensure_plan_matches(instance, plan)
-    r = instance.request(request_id)
-    net = instance.network
+    return _service_delay(instance, plan, instance.request(request_id))
 
+
+def service_delays(instance: ProblemInstance, plan: PlacementPlan) -> dict[str, int]:
+    """``service_delay`` of every request, by id in request order."""
+    ensure_plan_matches(instance, plan)
+    return {r.id: _service_delay(instance, plan, r) for r in instance.requests}
+
+
+def _service_delay(instance: ProblemInstance, plan: PlacementPlan, r: ServiceRequest) -> int:
+    net = instance.network
+    hosts = []
     for k in r.chain:
-        if len(plan.assigned(request_id, k)) != 1:
+        assigned = plan.assigned(r.id, k)
+        if len(assigned) != 1:
             raise UnassignedChainError(
-                f"request {request_id!r} does not assign exactly one instance of {k!r}"
+                f"request {r.id!r} does not assign exactly one instance of {k!r}"
             )
+        hosts.append(assigned[0][0])
 
     transmission = 0
-    for a, b in normalize_route(net, plan.route(request_id)):
+    for a, b in normalize_route(net, plan.route(r.id)):
         transmission += r.traffic * net.delay_between(a, b)
 
     processing = 0
-    for k in r.chain:
-        ((s, _i),) = plan.assigned(request_id, k)
+    for k, s in zip(r.chain, hosts):
         processing += r.traffic * instance.catalog.get(k).processing_delay[s]
 
     return transmission + processing

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .costs import CostBreakdown, service_delay
+from .costs import CostBreakdown, service_delays
 from .model import (
     Link,
     Network,
@@ -279,8 +279,5 @@ def solve_result_to_document(
         doc["plan"] = plan_to_document(result.plan)
         doc["breakdown"] = breakdown_to_document(result.breakdown)
         doc["delta"] = {kind: [list(x) for x in entries] for kind, entries in delta.items()}
-        doc["delays_us"] = {
-            r.id: service_delay(instance, result.plan, r.id)
-            for r in instance.requests
-        }
+        doc["delays_us"] = service_delays(instance, result.plan)
     return doc

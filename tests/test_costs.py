@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainplace import costs
 from chainplace.costs import (
     format_money,
     hosting_delta,
@@ -9,9 +10,11 @@ from chainplace.costs import (
     migration_cost,
     routing_delta,
     service_delay,
+    service_delays,
     total_objective,
 )
-from chainplace.errors import UnassignedChainError
+from chainplace.errors import IndexMismatchError, UnassignedChainError
+from chainplace.model import check_feasibility
 
 from conftest import MS, mk_instance, mk_network, mk_plan, mk_request, mk_type
 
@@ -54,6 +57,34 @@ class TestMigration:
 
     def test_empty_snapshot_never_migrates(self, tiny):
         assert migration_cost(tiny, unit_plan()) == 0
+
+    def test_instance_on_two_servers_pays_each_move(self):
+        # an infeasible plan, priced all the same: 4.40 money per move
+        net = mk_network(n_servers=3, link_cost=100_000)
+        inst = mk_instance(net, snapshot=[("k0", 0, "s0")])
+        plan = mk_plan(deployment=[("k0", 0, "s0"), ("k0", 0, "s1"), ("k0", 0, "s2")])
+        assert migration_cost(inst, plan) == 2 * 4_400_000
+
+    @given(
+        snapshot=st.sets(st.tuples(st.sampled_from(["k0", "k1"]), st.integers(0, 2),
+                                   st.sampled_from(["s0", "s1", "s2"]))),
+        deployment=st.sets(st.tuples(st.sampled_from(["k0", "k1"]), st.integers(0, 2),
+                                     st.sampled_from(["s0", "s1", "s2"]))),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lookup_matches_every_pair_scan(self, snapshot, deployment):
+        net = mk_network(n_servers=3, link_cost=100_000)
+        types = [mk_type(net, name=k, instances=3, migration_unit=u)
+                 for k, u in (("k0", 7), ("k1", 11))]
+        inst = mk_instance(net, types=types, snapshot=snapshot)
+        plan = mk_plan(deployment=deployment)
+        every_pair = sum(
+            inst.catalog.get(k).migration(src, dst)
+            for k, i, src in inst.snapshot.deployed
+            for kk, ii, dst in plan.deployment
+            if (kk, ii) == (k, i)
+        )
+        assert migration_cost(inst, plan) == every_pair
 
 
 class TestInstantiation:
@@ -211,6 +242,70 @@ class TestServiceDelay:
         plan = mk_plan(content=[("r0", "s0")], deployment=[("k0", 0, "s0")])
         with pytest.raises(UnassignedChainError):
             service_delay(tiny, plan, "r0")
+
+
+def two_request_plan():
+    """r0 and r1 share the k0 instance on s0."""
+    return mk_plan(
+        content=[("r0", "s0"), ("r1", "s0")],
+        deployment=[("k0", 0, "s0")],
+        assignment=[("r0", "s0", "k0", 0), ("r1", "s0", "k0", 0)],
+        routes={f: (("s0", "s0"), ("s0", "u0")) for f in ("r0", "r1")},
+    )
+
+
+# every public function that reads a plan, as a call on (instance, plan)
+PLAN_READERS = {
+    "hosting_delta": hosting_delta,
+    "migration_cost": migration_cost,
+    "instantiation_cost": instantiation_cost,
+    "routing_delta": routing_delta,
+    "total_objective": total_objective,
+    "service_delay": lambda inst, plan: service_delay(inst, plan, "r0"),
+    "service_delays": service_delays,
+    "check_feasibility": check_feasibility,
+}
+
+# plans naming what the tiny instance lacks
+FOREIGN_PLANS = {
+    "request": mk_plan(content=[("nope", "s0")]),
+    "routed-request": mk_plan(routes={"nope": [("s0", "u0")]}),
+    "server": unit_plan("s9", route=(("s9", "u0"),)),
+    "instance": mk_plan(deployment=[("k0", 7, "s0")]),
+    "assigned-instance": mk_plan(assignment=[("r0", "s0", "k0", 7)]),
+    "type": mk_plan(deployment=[("k9", 0, "s0")]),
+}
+
+
+class TestPlanCheck:
+    @pytest.mark.parametrize("plan", FOREIGN_PLANS.values(), ids=FOREIGN_PLANS)
+    @pytest.mark.parametrize("read", PLAN_READERS.values(), ids=PLAN_READERS)
+    def test_foreign_plan_raises_index_mismatch(self, tiny, read, plan):
+        with pytest.raises(IndexMismatchError):
+            read(tiny, plan)
+
+    def test_unknown_request_id_raises_index_mismatch(self, tiny):
+        with pytest.raises(IndexMismatchError):
+            service_delay(tiny, unit_plan(), "nope")
+
+    @pytest.mark.parametrize("read", [total_objective, service_delays],
+                             ids=["total_objective", "service_delays"])
+    def test_plan_is_checked_once(self, net2, monkeypatch, read):
+        inst = mk_instance(net2, requests=[mk_request(net2, rid=f) for f in ("r0", "r1")])
+        checked = []
+        check = costs.ensure_plan_matches
+        monkeypatch.setattr(
+            costs, "ensure_plan_matches", lambda i, p: checked.append(p) or check(i, p)
+        )
+        read(inst, two_request_plan())
+        assert len(checked) == 1
+
+    def test_delays_are_each_requests_delay_in_order(self, net2):
+        inst = mk_instance(net2, requests=[mk_request(net2, rid=f) for f in ("r1", "r0")])
+        plan = two_request_plan()
+        delays = service_delays(inst, plan)
+        assert list(delays) == ["r1", "r0"]
+        assert delays == {f: service_delay(inst, plan, f) for f in ("r0", "r1")}
 
 
 class TestProperties:

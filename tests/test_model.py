@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainplace.errors import IndexMismatchError
+from chainplace import model
 from chainplace.model import (
     PlacementPlan,
     Report,
     Snapshot,
+    Violation,
     VnfCatalog,
     check_feasibility,
     snapshot_diff,
@@ -208,6 +210,146 @@ class TestValidation:
         costs[("s0", "s0")] = 5
         inst = mk_instance(net2, types=[replace(vnf, migration_cost=costs)])
         assert validate_instance(inst).has("NONZERO_SELF_MIGRATION", "k0", "s0")
+
+def _matrix(inst, name, value):
+    rows = [list(row) for row in getattr(inst.network, name)]
+    rows[0][1] = value
+    return _network(inst, **{name: rows})
+
+
+def _int_at(table, key):
+    return lambda i, v: _network(i, **{table: {**getattr(i.network, table), key: v}})
+
+
+def _type_table(table, key):
+    return lambda i, v: _vnf(i, **{table: {**getattr(i.catalog.types[0], table), key: v}})
+
+
+# (family, subject, the tiny instance with a value at one entry of the
+# family) for every entry validation reads as an int
+INT_ENTRIES = [
+    ("bandwidth", ("bandwidth", 0, 1), lambda i, v: _matrix(i, "bandwidth", v)),
+    ("link_cost", ("link_cost", 0, 1), lambda i, v: _matrix(i, "link_cost", v)),
+    ("link_delay", ("link_delay", 0, 1), lambda i, v: _matrix(i, "link_delay", v)),
+    ("server_capacity", ("server_capacity", "s1"), _int_at("server_capacity", "s1")),
+    ("server_unit_cost", ("server_unit_cost", "s1"), _int_at("server_unit_cost", "s1")),
+    ("license_cost", ("license_cost", "k0"), lambda i, v: _vnf(i, license_cost=v)),
+    ("capacity", ("capacity", "k0"), lambda i, v: _vnf(i, capacity=v)),
+    ("resource_req", ("resource_req", "k0"), lambda i, v: _vnf(i, resource_req=v)),
+    ("instances", ("instances", "k0", 0), lambda i, v: _vnf(i, instances=(v,))),
+    ("processing_delay", ("processing_delay", "k0", "s1"),
+     _type_table("processing_delay", "s1")),
+    ("migration_cost", ("migration_cost", "k0", "s0", "s1"),
+     _type_table("migration_cost", ("s0", "s1"))),
+    ("traffic", ("traffic", "r0"), lambda i, v: _request(i, traffic=v)),
+    ("delay_budget", ("delay_budget", "r0"), lambda i, v: _request(i, delay_budget=v)),
+    ("snapshot", ("snapshot", "k0", "s0"),
+     lambda i, v: replace(i, snapshot=Snapshot({("k0", v, "s0")}))),
+]
+
+# (family, subject, the name the tiny instance has there)
+NAME_ENTRIES = [
+    ("servers", ("servers", 1), "s1"),
+    ("users", ("users", 0), "u0"),
+    ("types", ("types", 0), "k0"),
+    ("requests", ("requests", 0), "r0"),
+    ("user", ("user", "r0"), "u0"),
+    ("chain", ("chain", "r0", 0), "k0"),
+    ("candidate_servers", ("candidate_servers", "r0", 1), "s1"),
+]
+
+
+def _with_name(net, family, value):
+    """The tiny instance with ``value`` as its name at ``family``'s entry,
+    and at no other."""
+    types, request = None, {"user": "u0", "candidates": ("s0", "s1")}
+    if family == "servers":
+        net = replace(net, servers=("s0", value))
+    elif family == "users":
+        net = replace(net, users=(value,))
+    elif family == "types":
+        types = [mk_type(net, name=value)]
+    elif family == "requests":
+        request["rid"] = value
+    elif family == "user":
+        request["user"] = value
+    elif family == "chain":
+        request["chain"] = (value,)
+    elif family == "candidate_servers":
+        request["candidates"] = ("s0", value)
+    return mk_instance(net, types=types, requests=[mk_request(net, **request)])
+
+
+class _Name(str):
+    pass
+
+
+class TestTypeScan:
+    @pytest.mark.parametrize("value", [True, 1.5, None, "1"], ids=["bool", "float", "none", "str"])
+    @pytest.mark.parametrize(
+        "family, subject, put", INT_ENTRIES, ids=[f for f, _s, _p in INT_ENTRIES]
+    )
+    def test_entry_that_is_not_an_int_is_flagged(self, tiny, family, subject, put, value):
+        inst = put(tiny, value)
+        expected = (Violation("NOT_AN_INTEGER", subject, repr(value)),)
+        assert validate_instance(inst).violations == expected
+        assert model._entry_violations(inst) == list(expected)
+
+    @pytest.mark.parametrize("value", [5, b"x"], ids=["int", "bytes"])
+    @pytest.mark.parametrize(
+        "family, subject, name", NAME_ENTRIES, ids=[f for f, _s, _n in NAME_ENTRIES]
+    )
+    def test_name_that_is_not_a_str_is_flagged(self, net2, family, subject, name, value):
+        inst = _with_name(net2, family, value)
+        expected = (Violation("NOT_A_STRING", subject, repr(value)),)
+        assert validate_instance(inst).violations == expected
+        assert model._entry_violations(inst) == list(expected)
+
+    @pytest.mark.parametrize(
+        "family, subject, name", NAME_ENTRIES, ids=[f for f, _s, _n in NAME_ENTRIES]
+    )
+    def test_str_subclass_name_is_accepted(self, net2, family, subject, name):
+        inst = _with_name(net2, family, _Name(name))
+        assert not model._well_typed(inst)  # judged entry by entry
+        assert validate_instance(inst).ok
+
+    def test_shared_table_is_flagged_for_each_type(self, net2):
+        shared = MappingProxyType({"s0": 1, "s1": 1.5})
+        types = [replace(mk_type(net2, name=k), processing_delay=shared) for k in ("k0", "k1")]
+        report = validate_instance(mk_instance(net2, types=types))
+        assert [v.subject for v in report.violations] == [
+            ("processing_delay", "k0", "s1"),
+            ("processing_delay", "k1", "s1"),
+        ]
+
+    @pytest.mark.parametrize(
+        "code, subject, mutate", MUTATIONS, ids=[code for code, _s, _m in MUTATIONS]
+    )
+    def test_scan_agrees_with_the_entry_path(self, tiny, code, subject, mutate):
+        inst = mutate(tiny)
+        assert model._well_typed(inst) == (model._entry_violations(inst) == [])
+        scanned = [v for v in model._type_violations(inst) if v.code != "NOT_A_NUMBER"]
+        assert scanned == model._entry_violations(inst)
+
+
+class TestValidationMemo:
+    def test_repeated_call_returns_the_same_report(self, tiny):
+        assert validate_instance(tiny) is validate_instance(tiny)
+
+    def test_invalid_report_is_kept_too(self, tiny):
+        inst = _request(tiny, chain=())
+        assert validate_instance(inst) is validate_instance(inst)
+        assert validate_instance(inst).has("EMPTY_CHAIN", "r0")
+
+    def test_replaced_instance_is_validated_afresh(self, tiny, monkeypatch):
+        made = []
+        report = model._instance_report
+        monkeypatch.setattr(model, "_instance_report", lambda i: made.append(i) or report(i))
+        assert validate_instance(tiny).ok
+        assert validate_instance(tiny).ok
+        broken = _request(tiny, chain=())
+        assert validate_instance(broken).has("EMPTY_CHAIN", "r0")
+        assert made == [tiny, broken]
 
 
 class TestFeasibility:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from chainplace import costs, model
 from chainplace.costs import service_delay
 from chainplace.io import dumps, instance_to_document, stats_to_document
 from chainplace.model import PlacementPlan, check_feasibility
@@ -158,6 +159,21 @@ def report():
 
 
 class TestComparison:
+    def test_each_instance_is_validated_and_each_plan_checked_once(self, monkeypatch):
+        made, checked = [], []
+        report, check = model._instance_report, costs.ensure_plan_matches
+        monkeypatch.setattr(model, "_instance_report", lambda i: made.append(i) or report(i))
+        monkeypatch.setattr(
+            costs, "ensure_plan_matches", lambda i, p: checked.append(p) or check(i, p)
+        )
+        run_comparison(fast_spec(seed=0, existing=1, new=2))
+        # the bootstrap instance of the one existing request, then the
+        # generated instance, which both cases solve
+        assert [len(i.requests) for i in made] == [1, 3]
+        # one total_objective per solve (bootstrap, online, no_reuse) and
+        # one service_delays per case
+        assert len(checked) == 5
+
     def test_reuse_dominance(self, report):
         """The JSON report's gap is what two solves of its instance of their
         own, priced as the comparison prices them, say forbidding reuse
