@@ -2,8 +2,10 @@
 service delay.
 
 Every function here is the ground truth the solvers are measured against.
-All money values are integer micro-money, so component sums are exact and
-two plans can be compared without floating-point drift. The hosting and
+Each public one checks the plan once. The objective reads each plan set
+once; the delays read the plan through ``model``'s per-call index. All
+money values are integer micro-money, so component sums are exact and two
+plans can be compared without floating-point drift. The hosting and
 routing components are deltas against the current snapshot and may be
 negative; migration never is.
 """
@@ -12,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnassignedChainError
 from .model import (
     PlacementPlan,
     ProblemInstance,
-    ServiceRequest,
+    _chain_hosts,
+    _read_plan,
+    _service_delay,
     ensure_plan_matches,
     normalize_route,
 )
@@ -44,18 +47,8 @@ class CostBreakdown:
         return {name: format_money(micro) for name, micro in vars(self).items()}
 
 
-# Each public function checks the plan against the instance's index sets
-# (``ensure_plan_matches``) and then calls its unchecked form.
-# ``total_objective`` and ``service_delays`` check once, then call several.
-
-
-def hosting_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
-    """Differential server-resource cost between plan and snapshot."""
-    ensure_plan_matches(instance, plan)
-    return _hosting_delta(instance, plan)
-
-
 def _hosting_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
+    """Differential server-resource cost between plan and snapshot."""
     net = instance.network
     total = 0
     for k, _i, s in plan.deployment:
@@ -65,16 +58,10 @@ def _hosting_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
     return total
 
 
-def migration_cost(instance: ProblemInstance, plan: PlacementPlan) -> int:
-    """Price of moving snapshot instances to their plan servers; staying put
-    is free, so the result is never negative."""
-    ensure_plan_matches(instance, plan)
-    return _migration_cost(instance, plan)
-
-
 def _migration_cost(instance: ProblemInstance, plan: PlacementPlan) -> int:
-    # an infeasible plan may put one instance on several servers: each move
-    # is priced
+    """Price of moving snapshot instances to their plan servers; staying put
+    is free, so the result is never negative. An infeasible plan may put one
+    instance on several servers: each move is priced."""
     destinations: dict[tuple[str, int], list[str]] = {}
     for k, i, dst in plan.deployment:
         destinations.setdefault((k, i), []).append(dst)
@@ -86,61 +73,33 @@ def _migration_cost(instance: ProblemInstance, plan: PlacementPlan) -> int:
     return total
 
 
-def instantiation_cost(
-    instance: ProblemInstance, plan: PlacementPlan, clamp: bool = False
-) -> int:
-    """License cost of new instantiations.
-
-    The literal reading refunds the license of a removed instance (negative
-    term); a migrated instance telescopes to zero. With ``clamp`` each
-    instance contributes max(0, net new deployments) instead.
-    """
-    ensure_plan_matches(instance, plan)
-    return _instantiation_cost(instance, plan, clamp)
-
-
 def _instantiation_cost(instance: ProblemInstance, plan: PlacementPlan, clamp: bool) -> int:
-    if not clamp:
-        total = 0
-        for k, _i, _s in plan.deployment:
-            total += instance.catalog.get(k).license_cost
-        for k, _i, _s in instance.snapshot.deployed:
-            total -= instance.catalog.get(k).license_cost
-        return total
-
-    per_instance: dict[tuple[str, int], int] = {}
+    """License cost of new instantiations. The literal reading refunds the
+    license of a removed instance (negative term); a migrated instance
+    telescopes to zero. With ``clamp`` each instance contributes max(0, net
+    new deployments) instead."""
+    added: dict[tuple[str, int], int] = {}
     for k, i, _s in plan.deployment:
-        per_instance[(k, i)] = per_instance.get((k, i), 0) + 1
+        added[(k, i)] = added.get((k, i), 0) + 1
     for k, i, _s in instance.snapshot.deployed:
-        per_instance[(k, i)] = per_instance.get((k, i), 0) - 1
+        added[(k, i)] = added.get((k, i), 0) - 1
     return sum(
-        instance.catalog.get(k).license_cost * max(0, net)
-        for (k, _i), net in per_instance.items()
-        if net > 0
+        instance.catalog.get(k).license_cost * (max(0, n) if clamp else n)
+        for (k, _i), n in added.items()
     )
 
 
-def _charged_links(instance: ProblemInstance, links):
-    """The links of a route that cost money: all but co-located hops."""
-    return [(a, b) for a, b in normalize_route(instance.network, links) if a != b]
-
-
-def routing_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
-    """Differential link cost between plan routes and current routes, each
-    undirected link counted once per request. Every node pair is charged,
-    the final hop to the end-user included."""
-    ensure_plan_matches(instance, plan)
-    return _routing_delta(instance, plan)
-
-
 def _routing_delta(instance: ProblemInstance, plan: PlacementPlan) -> int:
+    """Differential link cost between plan routes and current routes, each
+    undirected link counted once per request. Every link but a co-located
+    hop is charged, the final hop to the end-user included."""
     net = instance.network
     total = 0
     for r in instance.requests:
-        for a, b in _charged_links(instance, plan.route(r.id)):
-            total += net.cost_between(a, b) * r.traffic
-        for a, b in _charged_links(instance, r.current_route):
-            total -= net.cost_between(a, b) * r.traffic
+        for links, sign in ((plan.route(r.id), 1), (r.current_route, -1)):
+            for a, b in normalize_route(net, links):
+                if a != b:
+                    total += sign * net.cost_between(a, b) * r.traffic
     return total
 
 
@@ -165,32 +124,19 @@ def total_objective(
 def service_delay(instance: ProblemInstance, plan: PlacementPlan, request_id: str) -> int:
     """Transmission plus processing delay of one request, in microseconds."""
     ensure_plan_matches(instance, plan)
-    return _service_delay(instance, plan, instance.request(request_id))
+    return _delays(instance, plan, [instance.request(request_id)])[request_id]
 
 
 def service_delays(instance: ProblemInstance, plan: PlacementPlan) -> dict[str, int]:
     """``service_delay`` of every request, by id in request order."""
     ensure_plan_matches(instance, plan)
-    return {r.id: _service_delay(instance, plan, r) for r in instance.requests}
+    return _delays(instance, plan, instance.requests)
 
 
-def _service_delay(instance: ProblemInstance, plan: PlacementPlan, r: ServiceRequest) -> int:
-    net = instance.network
-    hosts = []
-    for k in r.chain:
-        assigned = plan.assigned(r.id, k)
-        if len(assigned) != 1:
-            raise UnassignedChainError(
-                f"request {r.id!r} does not assign exactly one instance of {k!r}"
-            )
-        hosts.append(assigned[0][0])
-
-    transmission = 0
-    for a, b in normalize_route(net, plan.route(r.id)):
-        transmission += r.traffic * net.delay_between(a, b)
-
-    processing = 0
-    for k, s in zip(r.chain, hosts):
-        processing += r.traffic * instance.catalog.get(k).processing_delay[s]
-
-    return transmission + processing
+def _delays(instance: ProblemInstance, plan: PlacementPlan, requests) -> dict[str, int]:
+    """The delay of each of ``requests`` over one reading of the checked plan."""
+    _servers, assigned, routes = _read_plan(instance, plan)
+    return {
+        r.id: _service_delay(instance, r, _chain_hosts(r, assigned), routes[r.id])
+        for r in requests
+    }

@@ -7,19 +7,21 @@ Unit conventions used throughout the toolkit:
 * traffic, bandwidth and processing resources are integer abstract units.
 
 All types are immutable after construction and safe to share between
-threads; every operation in this module is a pure function.
+threads; every operation in this module is a pure function. The checker
+reads a plan through one index made per call (``_read_plan``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Mapping, MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 
-from .errors import IndexMismatchError
+from .errors import IndexMismatchError, UnassignedChainError
 
 Link = tuple[str, str]
 
@@ -166,7 +168,8 @@ class ServiceRequest:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Current deployment map: (type, instance, server) triples."""
+    """Current deployment map: (type, instance, server) triples. An instance
+    on several servers is read on the first in sorted order."""
 
     deployed: frozenset[tuple[str, int, str]] = frozenset()
 
@@ -190,7 +193,8 @@ class PlacementPlan:
 
     The sets intentionally allow states that violate constraints (for example
     two content servers for one request) so that ``check_feasibility`` can
-    report on arbitrary plans, not only solver output.
+    report on arbitrary plans, not only solver output. A plan holds only its
+    sets; the checker and the cost module index it on each call (``_read_plan``).
     """
 
     content_server: frozenset[tuple[str, str]]
@@ -209,16 +213,6 @@ class PlacementPlan:
 
     def route(self, request_id: str) -> frozenset[Link]:
         return self.routes.get(request_id, frozenset())
-
-    def servers_for(self, request_id: str) -> tuple[str, ...]:
-        return tuple(sorted(s for f, s in self.content_server if f == request_id))
-
-    def assigned(self, request_id: str, vnf_type: str) -> tuple[tuple[str, int], ...]:
-        """(server, instance) pairs assigned to ``request_id`` for ``vnf_type``."""
-        return tuple(
-            sorted((s, i) for f, s, k, i in self.assignment
-                   if f == request_id and k == vnf_type)
-        )
 
 
 @dataclass(frozen=True)
@@ -551,40 +545,47 @@ def _instance_report(instance: ProblemInstance) -> Report:
 
 def ensure_plan_matches(instance: ProblemInstance, plan: PlacementPlan) -> None:
     """Raise IndexMismatchError when the plan references anything outside the
-    instance's index sets."""
+    instance's index sets, naming the first such entry in ``str`` order, so
+    that no hash seed moves it; a plan that matches is never sorted."""
+    if _plan_mismatch(instance, plan, iter) is not None:
+        by_str = functools.partial(sorted, key=str)
+        raise IndexMismatchError(_plan_mismatch(instance, plan, by_str))
+
+
+def _plan_mismatch(instance: ProblemInstance, plan: PlacementPlan, order) -> str | None:
+    """The first entry of ``plan`` outside the instance's index sets, with
+    each family read in ``order``, as an error message; None if none is."""
     net = instance.network
     request_ids = {r.id for r in instance.requests}
     servers = set(net.servers)
-    for f, s in plan.content_server:
+    instance_ids = {t.name: t.instances for t in instance.catalog.types}
+    for f, s in order(plan.content_server):
         if f not in request_ids:
-            raise IndexMismatchError(f"plan selects content server for unknown request {f!r}")
+            return f"plan selects content server for unknown request {f!r}"
         if s not in servers:
-            raise IndexMismatchError(f"plan selects unknown server {s!r}")
+            return f"plan selects unknown server {s!r}"
     # False and 0.0 equal the id 0 and would pass the membership tests
-    for k, i, s in plan.deployment:
-        if not instance.catalog.has(k):
-            raise IndexMismatchError(f"plan deploys unknown VNF type {k!r}")
-        if type(i) is not int or i not in instance.catalog.get(k).instances:
-            raise IndexMismatchError(f"plan deploys unknown instance {(k, i)!r}")
+    for k, i, s in order(plan.deployment):
+        if k not in instance_ids:
+            return f"plan deploys unknown VNF type {k!r}"
+        if type(i) is not int or i not in instance_ids[k]:
+            return f"plan deploys unknown instance {(k, i)!r}"
         if s not in servers:
-            raise IndexMismatchError(f"plan deploys on unknown server {s!r}")
-    for f, s, k, i in plan.assignment:
+            return f"plan deploys on unknown server {s!r}"
+    for f, s, k, i in order(plan.assignment):
         if f not in request_ids:
-            raise IndexMismatchError(f"plan assigns VNF to unknown request {f!r}")
+            return f"plan assigns VNF to unknown request {f!r}"
         if s not in servers:
-            raise IndexMismatchError(f"plan assigns VNF on unknown server {s!r}")
-        if (
-            not instance.catalog.has(k)
-            or type(i) is not int
-            or i not in instance.catalog.get(k).instances
-        ):
-            raise IndexMismatchError(f"plan assigns unknown VNF instance {(k, i)!r}")
-    for f, links in plan.routes.items():
+            return f"plan assigns VNF on unknown server {s!r}"
+        if type(i) is not int or i not in instance_ids.get(k, ()):
+            return f"plan assigns unknown VNF instance {(k, i)!r}"
+    for f in order(plan.routes):
         if f not in request_ids:
-            raise IndexMismatchError(f"plan routes unknown request {f!r}")
-        for a, b in links:
+            return f"plan routes unknown request {f!r}"
+        for a, b in order(plan.routes[f]):
             if not net.has_node(a) or not net.has_node(b):
-                raise IndexMismatchError(f"plan routes over unknown link {(a, b)!r}")
+                return f"plan routes over unknown link {(a, b)!r}"
+    return None
 
 
 def normalize_route(net: Network, links: Iterable[Link]) -> frozenset[Link]:
@@ -592,16 +593,54 @@ def normalize_route(net: Network, links: Iterable[Link]) -> frozenset[Link]:
     return frozenset(net.link(a, b) for a, b in links)
 
 
+def _read_plan(instance: ProblemInstance, plan: PlacementPlan):
+    """One reading of a checked plan for the checker and the cost module: the
+    content servers of each request, the (server, instance) pairs of each
+    (request, type), both sorted, and each request's normalized route. It is
+    made per call and never kept on the plan."""
+    servers: dict[str, list[str]] = {}
+    for f, s in sorted(plan.content_server):
+        servers.setdefault(f, []).append(s)
+    assigned: dict[tuple[str, str], list[tuple[str, int]]] = {}
+    for f, s, k, i in sorted(plan.assignment):
+        assigned.setdefault((f, k), []).append((s, i))
+    routes = {r.id: normalize_route(instance.network, plan.route(r.id)) for r in instance.requests}
+    return servers, assigned, routes
+
+
+def _chain_hosts(r: ServiceRequest, assigned) -> list[str]:
+    """The server of each slot of ``r``'s chain, from ``_read_plan``'s
+    pairs; UnassignedChainError unless each slot has exactly one."""
+    slots = [assigned.get((r.id, k), ()) for k in r.chain]
+    for k, pairs in zip(r.chain, slots):
+        if len(pairs) != 1:
+            raise UnassignedChainError(
+                f"request {r.id!r} does not assign exactly one instance of {k!r}"
+            )
+    return [pairs[0][0] for pairs in slots]
+
+
+def _service_delay(instance: ProblemInstance, r: ServiceRequest, hosts, route) -> int:
+    """Transmission plus processing delay of ``r``, in microseconds: its
+    traffic over each link of its normalized ``route`` and through the host
+    of each chain slot."""
+    net, catalog = instance.network, instance.catalog
+    transmission = sum(net.delay_between(a, b) for a, b in route)
+    processing = sum(catalog.get(k).processing_delay[s] for k, s in zip(r.chain, hosts))
+    return r.traffic * (transmission + processing)
+
+
 def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
     """Evaluate each constraint family of the placement program on a plan.
     The at-least-one-deployment rule covers the types some request needs."""
     ensure_plan_matches(instance, plan)
     net = instance.network
+    servers_of, assigned, routes = _read_plan(instance, plan)
     out: list[Violation] = []
 
     # (6)/(7): exactly one content server, chosen among the capable ones
     for r in instance.requests:
-        chosen = plan.servers_for(r.id)
+        chosen = servers_of.get(r.id, ())
         if len(chosen) != 1:
             out.append(Violation("6", (r.id,), f"{len(chosen)} servers selected"))
         for s in chosen:
@@ -611,7 +650,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
     # (8): one instance of each required type per request
     for r in instance.requests:
         for k in r.chain:
-            count = len(plan.assigned(r.id, k))
+            count = len(assigned.get((r.id, k), ()))
             if count != 1:
                 out.append(Violation("8", (r.id, k), f"{count} instances assigned"))
 
@@ -627,42 +666,36 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
             out.append(Violation("10", (k,), "no instance deployed"))
 
     # (11): each instance lives on at most one server
-    locations: dict[tuple[str, int], set[str]] = {}
-    for k, i, s in plan.deployment:
-        locations.setdefault((k, i), set()).add(s)
-    for (k, i), servers in sorted(locations.items()):
-        if len(servers) > 1:
-            out.append(Violation("11", (k, i), f"on {len(servers)} servers"))
+    placed = Counter((k, i) for k, i, _s in plan.deployment)
+    for (k, i), n in sorted(placed.items()):
+        if n > 1:
+            out.append(Violation("11", (k, i), f"on {n} servers"))
 
     # (12): server resources
+    server_load: Counter[str] = Counter()
+    for k, _i, s in plan.deployment:
+        server_load[s] += instance.catalog.get(k).resource_req
     for s in net.servers:
-        load = sum(
-            instance.catalog.get(k).resource_req
-            for k, _, srv in plan.deployment
-            if srv == s
-        )
+        load = server_load[s]
         limit = instance.usage_limit(net.server_capacity[s])
         if load > limit:
             out.append(Violation("12", (s,), f"load {load} > {float(limit):g}"))
 
     # (13): VNF processing capacity
-    inst_load: dict[tuple[str, int, str], int] = {}
+    inst_load: Counter[tuple[str, int, str]] = Counter()
     for f, s, k, i in plan.assignment:
-        traffic = instance.request(f).traffic
-        inst_load[(k, i, s)] = inst_load.get((k, i, s), 0) + traffic
+        inst_load[(k, i, s)] += instance.request(f).traffic
     for (k, i, s), load in sorted(inst_load.items()):
         limit = instance.usage_limit(instance.catalog.get(k).capacity)
         if load > limit:
             out.append(Violation("13", (k, i, s), f"load {load} > {float(limit):g}"))
 
     # (14): link bandwidth, self-links exempt
-    link_load: dict[Link, int] = {}
+    link_load: Counter[Link] = Counter()
     for r in instance.requests:
-        for a, b in normalize_route(net, plan.route(r.id)):
-            if a == b:
-                continue
-            key = (a, b)
-            link_load[key] = link_load.get(key, 0) + r.traffic
+        for a, b in routes[r.id]:
+            if a != b:
+                link_load[(a, b)] += r.traffic
     for (a, b), load in sorted(link_load.items()):
         limit = instance.usage_limit(net.bandwidth_between(a, b))
         if load > limit:
@@ -670,39 +703,31 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
 
     # (15)-(17): the chain's links must be assigned, the user link exactly
     for r in instance.requests:
-        route = normalize_route(net, plan.route(r.id))
-        chosen = plan.servers_for(r.id)
-        first, last = r.chain[0], r.chain[-1]
+        route = routes[r.id]
+        slots = [assigned.get((r.id, k), ()) for k in r.chain]
 
-        for cs in chosen:
-            for s, _i in plan.assigned(r.id, first):
+        for cs in servers_of.get(r.id, ()):
+            for s, _i in slots[0]:
                 if net.link(cs, s) not in route:
                     out.append(Violation("15", (r.id, cs, s), "missing chain entry link"))
-        for pos in range(len(r.chain) - 1):
-            for s, _i in plan.assigned(r.id, r.chain[pos]):
-                for t, _j in plan.assigned(r.id, r.chain[pos + 1]):
+        for k, here, there in zip(r.chain, slots, slots[1:]):
+            for s, _i in here:
+                for t, _j in there:
                     if net.link(s, t) not in route:
-                        out.append(
-                            Violation("16", (r.id, r.chain[pos], s, t), "missing chain link")
-                        )
-        last_hosts = {s for s, _i in plan.assigned(r.id, last)}
+                        out.append(Violation("16", (r.id, k, s, t), "missing chain link"))
+        last_hosts = {s for s, _i in slots[-1]}
         for s in net.servers:
-            has_link = net.link(s, r.user) in route
-            if (s in last_hosts) != has_link:
-                out.append(
-                    Violation(
-                        "17", (r.id, s), "user link present iff last VNF hosted here"
-                    )
-                )
+            if (s in last_hosts) != (net.link(s, r.user) in route):
+                detail = "user link present iff last VNF hosted here"
+                out.append(Violation("17", (r.id, s), detail))
 
-    # (18): delay budget; only checkable when the chain is fully assigned.
-    # The plan was checked above, so each delay takes the unchecked form.
-    from .costs import _service_delay  # local import to avoid a module cycle
-
+    # (18): delay budget; only checkable when the chain is fully assigned
     for r in instance.requests:
-        if any(len(plan.assigned(r.id, k)) != 1 for k in r.chain):
+        try:
+            hosts = _chain_hosts(r, assigned)
+        except UnassignedChainError:
             continue  # an (8) violation was already recorded
-        delay = _service_delay(instance, plan, r)
+        delay = _service_delay(instance, r, hosts, routes[r.id])
         if delay > r.delay_budget:
             out.append(Violation("18", (r.id,), f"{delay} > {r.delay_budget}"))
 
@@ -710,13 +735,10 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
 
 
 def snapshot_diff(snapshot: Snapshot, plan: PlacementPlan) -> DeploymentDelta:
-    """Classify every instance as reused, migrated, instantiated or removed."""
-    before: dict[tuple[str, int], str] = {}
-    for k, i, s in snapshot.deployed:
-        before[(k, i)] = s
-    after: dict[tuple[str, int], str] = {}
-    for k, i, s in plan.deployment:
-        after[(k, i)] = s
+    """Classify every instance as reused, migrated, instantiated or removed.
+    Plan and snapshot are read as ``Snapshot.server_of`` reads them."""
+    before = snapshot._server_of
+    after = Snapshot(plan.deployment)._server_of
 
     reused, migrated, instantiated, removed = [], [], [], []
     for k, i in sorted(set(before) | set(after)):

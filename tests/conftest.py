@@ -5,6 +5,10 @@ hosting, $100 license, 20 ms processing, 8 vCPU servers, unit traffic.
 Money is micro-money, delays are microseconds.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -19,6 +23,8 @@ from chainplace.model import (
     VnfType,
 )
 from chainplace.scenario import ScenarioSpec, generate
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 MONEY = 10**6
 MS = 1000
@@ -172,3 +178,12 @@ def net2():
 def tiny(net2):
     """2 servers, 1 user, 1 type with 1 instance, 1 new request."""
     return mk_instance(net2)
+
+
+def run_under_hash_seed(seed: int, code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter whose string hashes
+    follow ``seed``, with the package and these builders importable."""
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=False)

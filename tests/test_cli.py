@@ -15,7 +15,7 @@ from chainplace.model import PlacementPlan
 from chainplace.scenario import ScenarioSpec, generate
 from chainplace.solver import solve_exact
 
-from conftest import colliding_instance, export_case_instance
+from conftest import colliding_instance, export_case_instance, run_under_hash_seed
 
 EXPORT_DIGESTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "export_digests.json").read_text()
@@ -621,6 +621,24 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert err == f"plan does not match the instance: {message}\n"
+
+    def test_plan_with_several_unknown_servers_names_the_least_under_any_hash_seed(
+        self, tiny_file, tmp_path
+    ):
+        # the named entry once followed set order, which the hash seed moves
+        instance = document_to_instance(json.loads(tiny_file.read_text()))
+        document = plan_to_document(solve_exact(instance).plan)
+        document["content_server"] += [["r0", f"zz{n}"] for n in (1, 2, 3)]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(document))
+        code = "import sys\nfrom chainplace.cli import main\nsys.exit(main(sys.argv[1:]))"
+        runs = {
+            (done.returncode, done.stdout, done.stderr)
+            for seed in range(1, 6)
+            for done in [run_under_hash_seed(seed, code, "check", str(tiny_file), str(path))]
+        }
+        assert runs == {(1, "", "plan does not match the instance: "
+                               "plan selects unknown server 'zz1'\n")}
 
     def test_deeply_nested_instance_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -3,16 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainplace import costs
-from chainplace.costs import (
-    format_money,
-    hosting_delta,
-    instantiation_cost,
-    migration_cost,
-    routing_delta,
-    service_delay,
-    service_delays,
-    total_objective,
-)
+from chainplace.costs import format_money, service_delay, service_delays, total_objective
 from chainplace.errors import IndexMismatchError, UnassignedChainError
 from chainplace.model import check_feasibility
 
@@ -32,38 +23,38 @@ def unit_plan(server="s0", route=(("s0", "s0"), ("s0", "u0"))):
 class TestHosting:
     def test_unchanged_deployment_costs_nothing(self, net2):
         inst = mk_instance(net2, snapshot=[("k0", 0, "s0")])
-        assert hosting_delta(inst, unit_plan()) == 0
+        assert total_objective(inst, unit_plan()).hosting_delta == 0
 
     def test_new_instance_charges_resources(self, tiny):
         # 2 resource units at 5 money each: 10 money
-        assert hosting_delta(tiny, unit_plan()) == 10_000_000
+        assert total_objective(tiny, unit_plan()).hosting_delta == 10_000_000
 
     def test_removed_instance_refunds_resources(self, net2):
         inst = mk_instance(net2, snapshot=[("k0", 0, "s0")])
-        assert hosting_delta(inst, mk_plan()) == -10_000_000
+        assert total_objective(inst, mk_plan()).hosting_delta == -10_000_000
 
 
 class TestMigration:
     def test_staying_put_is_free(self, net2):
         inst = mk_instance(net2, snapshot=[("k0", 0, "s0")])
-        assert migration_cost(inst, unit_plan("s0")) == 0
+        assert total_objective(inst, unit_plan("s0")).migration == 0
 
     def test_move_charges_44_units_of_link_cost(self):
         # 44 traffic units over a 100 000 micro-money link: 4.40 money
         net = mk_network(link_cost=100_000)
         inst = mk_instance(net, snapshot=[("k0", 0, "s0")])
         plan = unit_plan("s1", route=(("s1", "s1"), ("s1", "u0")))
-        assert migration_cost(inst, plan) == 4_400_000
+        assert total_objective(inst, plan).migration == 4_400_000
 
     def test_empty_snapshot_never_migrates(self, tiny):
-        assert migration_cost(tiny, unit_plan()) == 0
+        assert total_objective(tiny, unit_plan()).migration == 0
 
     def test_instance_on_two_servers_pays_each_move(self):
         # an infeasible plan, priced all the same: 4.40 money per move
         net = mk_network(n_servers=3, link_cost=100_000)
         inst = mk_instance(net, snapshot=[("k0", 0, "s0")])
         plan = mk_plan(deployment=[("k0", 0, "s0"), ("k0", 0, "s1"), ("k0", 0, "s2")])
-        assert migration_cost(inst, plan) == 2 * 4_400_000
+        assert total_objective(inst, plan).migration == 2 * 4_400_000
 
     @given(
         snapshot=st.sets(st.tuples(st.sampled_from(["k0", "k1"]), st.integers(0, 2),
@@ -84,28 +75,29 @@ class TestMigration:
             for kk, ii, dst in plan.deployment
             if (kk, ii) == (k, i)
         )
-        assert migration_cost(inst, plan) == every_pair
+        assert total_objective(inst, plan).migration == every_pair
 
 
 class TestInstantiation:
     def test_new_instance_charges_license(self, tiny):
-        assert instantiation_cost(tiny, unit_plan()) == 100_000_000
+        assert total_objective(tiny, unit_plan()).instantiation == 100_000_000
 
     def test_pure_migration_telescopes_to_zero(self, net2):
         inst = mk_instance(net2, snapshot=[("k0", 0, "s0")])
-        assert instantiation_cost(inst, unit_plan("s1")) == 0
+        assert total_objective(inst, unit_plan("s1")).instantiation == 0
 
     def test_identity_is_zero(self, net2):
         inst = mk_instance(net2, snapshot=[("k0", 0, "s0")])
-        assert instantiation_cost(inst, unit_plan("s0")) == 0
+        assert total_objective(inst, unit_plan("s0")).instantiation == 0
 
     def test_literal_refunds_a_removal_and_clamp_does_not(self, net2):
         inst = mk_instance(net2, snapshot=[("k0", 0, "s0")])
-        assert instantiation_cost(inst, mk_plan()) == -100_000_000
-        assert instantiation_cost(inst, mk_plan(), clamp=True) == 0
+        assert total_objective(inst, mk_plan()).instantiation == -100_000_000
+        assert total_objective(inst, mk_plan(), clamp_instantiation=True).instantiation == 0
 
     def test_clamp_still_charges_fresh_instances(self, tiny):
-        assert instantiation_cost(tiny, unit_plan(), clamp=True) == 100_000_000
+        clamped = total_objective(tiny, unit_plan(), clamp_instantiation=True)
+        assert clamped.instantiation == 100_000_000
 
 
 class TestRouting:
@@ -116,7 +108,7 @@ class TestRouting:
             requests=[mk_request(net2, status="existing", route=route)],
             snapshot=[("k0", 0, "s0")],
         )
-        assert routing_delta(inst, unit_plan(route=(("s0", "u0"),))) == 0
+        assert total_objective(inst, unit_plan(route=(("s0", "u0"),))).routing_delta == 0
 
     def test_new_request_pays_per_link(self):
         # two 100 000 micro-money links at unit traffic: 0.20 money
@@ -128,7 +120,7 @@ class TestRouting:
             assignment=[("r0", "s1", "k0", 0)],
             routes={"r0": [("s0", "s1"), ("s1", "u0")]},
         )
-        assert routing_delta(inst, plan) == 200_000
+        assert total_objective(inst, plan).routing_delta == 200_000
 
     def test_rerouting_to_a_cheaper_link_is_negative(self):
         # swap one 115 000 link for one 90 000 link: -0.025 money
@@ -160,16 +152,17 @@ class TestRouting:
             assignment=[("r0", "s0", "k0", 0)],
             routes={"r0": [("s0", "u0")]},  # 90 000, entry link co-located
         )
-        assert routing_delta(inst, plan) == -25_000
+        assert total_objective(inst, plan).routing_delta == -25_000
 
     def test_self_links_are_free(self, tiny):
         with_self = unit_plan(route=(("s0", "s0"), ("s0", "u0")))
         without = unit_plan(route=(("s0", "u0"),))
-        assert routing_delta(tiny, with_self) == routing_delta(tiny, without)
+        assert (total_objective(tiny, with_self).routing_delta
+                == total_objective(tiny, without).routing_delta)
 
     def test_user_links_are_charged(self, tiny):
         plan = unit_plan(route=(("s0", "u0"),))
-        assert routing_delta(tiny, plan) == tiny.network.cost_between("s0", "u0")
+        assert total_objective(tiny, plan).routing_delta == tiny.network.cost_between("s0", "u0")
 
 
 class TestTotal:
@@ -204,10 +197,10 @@ class TestTotal:
         plan = unit_plan()
         breakdown = total_objective(inst, plan)
         parts = (
-            hosting_delta(inst, plan)
-            + migration_cost(inst, plan)
-            + instantiation_cost(inst, plan)
-            + routing_delta(inst, plan)
+            breakdown.hosting_delta
+            + breakdown.migration
+            + breakdown.instantiation
+            + breakdown.routing_delta
         )
         assert breakdown.total == parts
 
@@ -254,12 +247,18 @@ def two_request_plan():
     )
 
 
-# every public function that reads a plan, as a call on (instance, plan)
+def component(field):
+    """One cost component of a plan, read as its field of ``total_objective``."""
+    return lambda inst, plan: getattr(total_objective(inst, plan), field)
+
+
+# every public function that reads a plan, and each cost component, as a
+# call on (instance, plan)
 PLAN_READERS = {
-    "hosting_delta": hosting_delta,
-    "migration_cost": migration_cost,
-    "instantiation_cost": instantiation_cost,
-    "routing_delta": routing_delta,
+    "hosting_delta": component("hosting_delta"),
+    "migration_cost": component("migration"),
+    "instantiation_cost": component("instantiation"),
+    "routing_delta": component("routing_delta"),
     "total_objective": total_objective,
     "service_delay": lambda inst, plan: service_delay(inst, plan, "r0"),
     "service_delays": service_delays,
@@ -299,6 +298,15 @@ class TestPlanCheck:
         )
         read(inst, two_request_plan())
         assert len(checked) == 1
+
+    def test_plan_keeps_no_state(self, net2):
+        """The plan is indexed per call: nothing is stored on it."""
+        inst = mk_instance(net2, requests=[mk_request(net2, rid=f) for f in ("r0", "r1")])
+        plan = two_request_plan()
+        before = dict(vars(plan))
+        for read in (check_feasibility, total_objective, service_delays):
+            read(inst, plan)
+            assert vars(plan) == before, read.__name__
 
     def test_delays_are_each_requests_delay_in_order(self, net2):
         inst = mk_instance(net2, requests=[mk_request(net2, rid=f) for f in ("r1", "r0")])
@@ -351,7 +359,7 @@ class TestProperties:
 
     def test_relocation_only_plan_has_zero_instantiation(self, net2):
         inst = mk_instance(net2, snapshot=[("k0", 0, "s0")])
-        assert instantiation_cost(inst, unit_plan("s1")) == 0
+        assert total_objective(inst, unit_plan("s1")).instantiation == 0
 
     def test_adding_a_link_never_reduces_delay(self, net2):
         inst = mk_instance(net2)

@@ -22,7 +22,7 @@ from chainplace.model import (
 )
 from chainplace.solver import SolveOptions, _Problem, brute_force, solve_exact
 
-from conftest import mk_instance, mk_network, mk_plan, mk_request, mk_type
+from conftest import mk_instance, mk_network, mk_plan, mk_request, mk_type, run_under_hash_seed
 
 
 def _network(inst, **changes):
@@ -547,6 +547,17 @@ class TestSnapshotDiff:
         snap = Snapshot(frozenset({("k0", 0, "s0")}))
         delta = snapshot_diff(snap, mk_plan())
         assert delta.removed == (("k0", 0, "s0"),)
+
+    def test_instance_on_several_servers_reads_the_first_under_any_hash_seed(self):
+        # the destination once followed set order, which the hash seed moves
+        code = (
+            "from chainplace.model import Snapshot, snapshot_diff\n"
+            "from conftest import mk_plan\n"
+            "plan = mk_plan(deployment=[('k0', 0, s) for s in ('s1', 's2', 's3')])\n"
+            "print(snapshot_diff(Snapshot([('k0', 0, 's0')]), plan).migrated)\n"
+        )
+        seen = {run_under_hash_seed(seed, code).stdout for seed in range(1, 7)}
+        assert seen == {"(('k0', 0, 's0', 's1'),)\n"}
 
     @given(
         snap_entries=st.sets(
