@@ -12,8 +12,12 @@ in each layer per pass:
 - ``generate``: ``scenario.generate`` less its bootstrap solve;
 - ``bootstrap``: the offline solve of the existing requests in ``generate``;
 - ``validate``: making ``validate_instance`` reports, bootstrap included;
-- ``setup``: ``solver._Problem`` set-up of the two cases, less validation;
-- ``online`` and ``no_reuse``: each case's ``solve_exact`` less its set-up;
+- ``setup``: ``solver._Problem`` set-up of the two cases, less validation
+  and route pricing;
+- ``online`` and ``no_reuse``: each case's ``solve_exact`` less its set-up
+  and route pricing;
+- ``floor``: route pricing (``solver._Problem.reprice``), the root floor of
+  every set-up and each floor the searches price, bootstrap included;
 - ``report``: ``scenario._case``, ``report_to_document`` and ``io.dumps``.
 
 It also prints, per comparison, how many instance reports were made and how
@@ -39,7 +43,7 @@ TABLES = {
     "reduced": ((3, 4, 5), True, SolveOptions()),
     "full": ((3,), False, SolveOptions(time_limit=8.0)),
 }
-LAYERS = ("generate", "bootstrap", "validate", "setup", "online", "no_reuse", "report")
+LAYERS = ("generate", "bootstrap", "validate", "setup", "online", "no_reuse", "floor", "report")
 
 
 class Clock:
@@ -100,6 +104,7 @@ def install(clock: Clock) -> None:
     clock.wrap(scenario, "solve_exact", solve_layer)
     clock.wrap(solver._Problem, "__init__", setup_layer)
     clock.wrap(model, "_instance_report", lambda outer, instance: "validate")
+    clock.wrap(solver._Problem, "reprice", lambda outer, *args: "floor")
     for owner, attr in ((scenario, "_case"), (scenario, "report_to_document"), (io, "dumps")):
         clock.wrap(owner, attr, lambda outer, *args, **kwargs: "report")
     # costs reads it under its own name, check_feasibility under model's

@@ -3,7 +3,7 @@ service delay.
 
 Every function here is the ground truth the solvers are measured against.
 Each public one checks the plan once. The objective reads each plan set
-once; the delays read the plan through ``model``'s per-call index. All
+once; the delays read only the asked requests' assignments and routes. All
 money values are integer micro-money, so component sums are exact and two
 plans can be compared without floating-point drift. The hosting and
 routing components are deltas against the current snapshot and may be
@@ -18,7 +18,6 @@ from .model import (
     PlacementPlan,
     ProblemInstance,
     _chain_hosts,
-    _read_plan,
     _service_delay,
     ensure_plan_matches,
     normalize_route,
@@ -134,9 +133,17 @@ def service_delays(instance: ProblemInstance, plan: PlacementPlan) -> dict[str, 
 
 
 def _delays(instance: ProblemInstance, plan: PlacementPlan, requests) -> dict[str, int]:
-    """The delay of each of ``requests`` over one reading of the checked plan."""
-    _servers, assigned, routes = _read_plan(instance, plan)
+    """The delay of each of ``requests`` over the checked plan, from their
+    own assignment pairs and normalized routes only."""
+    wanted = {r.id for r in requests}
+    assigned: dict[tuple[str, str], list[tuple[str, int]]] = {}
+    for f, s, k, i in plan.assignment:
+        if f in wanted:
+            assigned.setdefault((f, k), []).append((s, i))
+    net = instance.network
     return {
-        r.id: _service_delay(instance, r, _chain_hosts(r, assigned), routes[r.id])
+        r.id: _service_delay(
+            instance, r, _chain_hosts(r, assigned), normalize_route(net, plan.route(r.id))
+        )
         for r in requests
     }

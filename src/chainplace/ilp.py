@@ -518,8 +518,10 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
         for i, base in zip(vnf.instances, t_bases):
             add("11", (vnf.name, i), [(base + si, 1) for si in range(n_s)], "L", 1)
 
+    usage_limit = functools.cache(instance.usage_limit)
+
     def limit(cap, used=0):
-        exact = instance.usage_limit(cap) - used
+        exact = usage_limit(cap) - used
         return exact if type(exact) is int else float(exact)
 
     # server resources left over by the frozen instances

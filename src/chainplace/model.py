@@ -194,7 +194,8 @@ class PlacementPlan:
     The sets intentionally allow states that violate constraints (for example
     two content servers for one request) so that ``check_feasibility`` can
     report on arbitrary plans, not only solver output. A plan holds only its
-    sets; the checker and the cost module index it on each call (``_read_plan``).
+    sets; the checker indexes it on each call (``_read_plan``), and the
+    cost module reads only what it prices.
     """
 
     content_server: frozenset[tuple[str, str]]
@@ -594,10 +595,10 @@ def normalize_route(net: Network, links: Iterable[Link]) -> frozenset[Link]:
 
 
 def _read_plan(instance: ProblemInstance, plan: PlacementPlan):
-    """One reading of a checked plan for the checker and the cost module: the
-    content servers of each request, the (server, instance) pairs of each
-    (request, type), both sorted, and each request's normalized route. It is
-    made per call and never kept on the plan."""
+    """One reading of a checked plan for the checker: the content servers
+    of each request, the (server, instance) pairs of each (request, type),
+    both sorted, and each request's normalized route. It is made per call
+    and never kept on the plan."""
     servers: dict[str, list[str]] = {}
     for f, s in sorted(plan.content_server):
         servers.setdefault(f, []).append(s)
@@ -609,8 +610,9 @@ def _read_plan(instance: ProblemInstance, plan: PlacementPlan):
 
 
 def _chain_hosts(r: ServiceRequest, assigned) -> list[str]:
-    """The server of each slot of ``r``'s chain, from ``_read_plan``'s
-    pairs; UnassignedChainError unless each slot has exactly one."""
+    """The server of each slot of ``r``'s chain, from (server, instance)
+    pairs by (request, type), as ``_read_plan`` makes them;
+    UnassignedChainError unless each slot has exactly one."""
     slots = [assigned.get((r.id, k), ()) for k in r.chain]
     for k, pairs in zip(r.chain, slots):
         if len(pairs) != 1:
@@ -636,6 +638,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
     ensure_plan_matches(instance, plan)
     net = instance.network
     servers_of, assigned, routes = _read_plan(instance, plan)
+    limit_of = functools.cache(instance.usage_limit)
     out: list[Violation] = []
 
     # (6)/(7): exactly one content server, chosen among the capable ones
@@ -677,7 +680,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
         server_load[s] += instance.catalog.get(k).resource_req
     for s in net.servers:
         load = server_load[s]
-        limit = instance.usage_limit(net.server_capacity[s])
+        limit = limit_of(net.server_capacity[s])
         if load > limit:
             out.append(Violation("12", (s,), f"load {load} > {float(limit):g}"))
 
@@ -686,7 +689,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
     for f, s, k, i in plan.assignment:
         inst_load[(k, i, s)] += instance.request(f).traffic
     for (k, i, s), load in sorted(inst_load.items()):
-        limit = instance.usage_limit(instance.catalog.get(k).capacity)
+        limit = limit_of(instance.catalog.get(k).capacity)
         if load > limit:
             out.append(Violation("13", (k, i, s), f"load {load} > {float(limit):g}"))
 
@@ -697,7 +700,7 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
             if a != b:
                 link_load[(a, b)] += r.traffic
     for (a, b), load in sorted(link_load.items()):
-        limit = instance.usage_limit(net.bandwidth_between(a, b))
+        limit = limit_of(net.bandwidth_between(a, b))
         if load > limit:
             out.append(Violation("14", (a, b), f"load {load} > {float(limit):g}"))
 

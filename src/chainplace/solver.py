@@ -14,7 +14,7 @@ requests' traffic. Every leaf meets both counts. An instance that counts
 toward the second is a qualifying one, and the no_reuse rule reads only
 that flag: a new request under no_reuse uses fresh-only types alone, so it
 is assigned, and priced, over qualifying instances. Routes are priced by
-one function, ``_Problem.route_floor``, over the decided types: a type is
+one method, ``_Problem.reprice``, over the decided types: a type is
 decided, and its servers are final, once its last instance is. The
 placement bound is the committed cost plus ``place_tail`` (the undecided
 instances and the later types' deployments), plus ``deploy_min`` while the
@@ -23,11 +23,13 @@ route floor over the types decided so far. A placement node's parent
 computes that bound, once per option, before it commits and descends, so
 a child over the incumbent costs no call; where the option decides a type,
 the parent checks the bound on the floor it has before it prices the
-longer prefix, since deciding a type never lowers the floor. The floor of
-a prefix reprices only the requests whose chains use its last type. At
-the placement leaf every type is decided, so the assignment bound is the
-committed cost plus the floor's tail: each unrouted request's cheapest
-route over the deployed servers.
+longer prefix, since deciding a type never lowers the floor. The search
+carries the floor's per-request terms beside it, and at a type end
+reprices from them only the requests whose chains use the type, reading
+the cheapest route of each from a memo by the request's end links and its
+slots' server masks. At the placement leaf every type is decided, so the
+assignment bound is the committed cost plus the floor's tail: each
+unrouted request's cheapest route over the deployed servers.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
 instead of the incremental bookkeeping used here.
@@ -70,6 +72,7 @@ empty incumbent, and returns the same optimum and the same plan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -176,6 +179,16 @@ class _Decision:
     qualifies: bool
 
 
+def _route_shape(slots: tuple, decided: int) -> tuple:
+    """What ``_Problem._cheapest_route`` reads of a chain of type positions
+    ``slots`` when the types below ``decided`` are decided: the decided
+    slots' positions, the positions in their host tuple of consecutive
+    decided slots, and whether the first and the last slot are decided."""
+    spots = [pos for pos, k in enumerate(slots) if k < decided]
+    hops = [(i, i + 1) for i in range(len(spots) - 1) if spots[i + 1] == spots[i] + 1]
+    return spots, hops, slots[0] < decided, slots[-1] < decided
+
+
 class _MaskServers(dict):
     """Server positions by bitmask, each tuple made on first use."""
 
@@ -213,11 +226,13 @@ class _Problem:
     bound of the assignment stage's root. ``skip[di]`` is where the search
     goes from ``di`` when the next decision is a fresh instance that can no
     longer activate: the type's next snapshot decision, or its end.
-    Routes are priced apart, by ``route_floor`` over a prefix of per-type
-    server masks: the types whose last instance is decided. The placement
-    stage reads its first entry, the assignment stage its tail, where each
-    request takes one of its ``columns``. The memos of both are attributes
-    of the ``_Problem`` and go with it.
+    Routes are priced apart, by ``reprice`` over per-type server masks of
+    the types whose last instance is decided: ``root_floor`` before any
+    is, and then, as each type is decided, the floor in hand with only the
+    requests in ``repriced[k]`` priced again. The placement stage reads the
+    floor's first entry, the assignment stage its tail, where each request
+    takes one of its ``columns``. The cheapest-route memo of ``reprice`` and
+    the columns' memo are attributes of the ``_Problem`` and go with it.
 
     ``cheapest_first[di]`` is decision ``di``'s options in the order the
     warm-start dive tries them: sorted by micro-money, ties in the search's
@@ -243,20 +258,20 @@ class _Problem:
         net = instance.network
         self.servers = net.servers
         self.requests = instance.requests
-        limit = instance.usage_limit
+        limit_of = functools.cache(instance.usage_limit)
 
         n = self.n_nodes = len(net.nodes)
-        self.server_cap = [limit(net.server_capacity[s]) for s in net.servers]
+        self.server_cap = [limit_of(net.server_capacity[s]) for s in net.servers]
         self.link_cost = [c for row in net.link_cost for c in row]
         self.link_delay = [d for row in net.link_delay for d in row]
         # a self-link stands for a co-located hop: it costs nothing, adds no
         # delay and never fills; the bandwidth matrix is symmetric
         self.link_cap = [math.inf] * (n * n)
         for a, b in itertools.combinations(range(n), 2):
-            self.link_cap[a * n + b] = self.link_cap[b * n + a] = limit(net.bandwidth[a][b])
+            self.link_cap[a * n + b] = self.link_cap[b * n + a] = limit_of(net.bandwidth[a][b])
         # canon[a * n + b]: the entry of the link's canonical orientation
         # (a <= b), which keys link loads and routes
-        self.canon = [min(a, b) * n + max(a, b) for a in range(n) for b in range(n)]
+        self.canon = [a * n + b if a <= b else b * n + a for a in range(n) for b in range(n)]
 
         # snapshot entries of unneeded types are outside the decision space,
         # but they still occupy server capacity
@@ -287,7 +302,7 @@ class _Problem:
             new_users = [r for r in users if r.status == STATUS_NEW]
             fresh_only = options.no_reuse and bool(new_users)
             k = type_pos[vnf.name] = len(self.need)
-            cap = limit(vnf.capacity)
+            cap = limit_of(vnf.capacity)
             self.type_cap.append(cap)
             self.type_delay.append(tuple(vnf.processing_delay[s] for s in net.servers))
             self.need.append(_instances_for(sum(r.traffic for r in users), cap))
@@ -339,7 +354,7 @@ class _Problem:
             links = normalize_route(net, r.current_route)
             self.credit.append(r.traffic * sum(net.cost_between(a, b) for a, b in links))
 
-        # Admissible placement tails; route_floor adds the routes.
+        # Admissible placement tails; reprice adds the routes.
         # place_tail[di]: each undecided instance takes its cheapest option
         # and each later type adds deploy_min at its first decision; inf
         # passes through.
@@ -354,7 +369,7 @@ class _Problem:
         # it is strictly above the incumbent still visits every leaf that
         # could improve or tie: a search that finishes returns the optimum,
         # the tie-break plan and the incumbent updates of a search without
-        # the deployment and routing terms (route_floor's too), in no more
+        # the deployment and routing terms (reprice's too), in no more
         # nodes.
         count = len(self.decisions)
         self.deploy_min = [math.inf] * count + [0]
@@ -380,20 +395,16 @@ class _Problem:
         # per request, by request index: the user's position, the candidate
         # content servers' positions, and its chain slots' type positions
         self.user_at = [net.position(r.user) for r in self.requests]
-        # per request: its cheapest server->user link per traffic unit
-        self.user_link_min = [
-            min(self.link_cost[s * n + u] for s in positions) for u in self.user_at
-        ]
         self.candidates = [
             tuple(s for s in positions if net.servers[s] in r.candidate_servers)
             for r in self.requests
         ]
+        # the end links _cheapest_route reads, one table per distinct (user,
+        # candidates) pair; end[ri] numbers request ri's pair
+        ends: dict[tuple, int] = {}
+        self.end = [ends.setdefault(pair, len(ends)) for pair in zip(self.user_at, self.candidates)]
+        self.end_links = [self._end_links(user, candidates) for user, candidates in ends]
         self.slots = [tuple(type_pos[k] for k in r.chain) for r in self.requests]
-        # per type position: the requests whose chains use it
-        self.type_users = [[] for _k in self.need]
-        for ri, slots in enumerate(self.slots):
-            for k in dict.fromkeys(slots):
-                self.type_users[k].append(ri)
         # about four root-to-leaf paths: a path has at most a node per
         # decision and per request, and its leaf
         path = len(self.decisions) + len(self.requests) + 1
@@ -402,6 +413,12 @@ class _Problem:
         self.skips_snapshot = [
             options.no_reuse and r.status == STATUS_NEW for r in self.requests
         ]
+        # per type position k: (request, route shape once k is decided) for
+        # each request whose chain uses k (see reprice)
+        self.repriced = [[] for _k in self.need]
+        for ri, slots in enumerate(self.slots):
+            for k in dict.fromkeys(slots):
+                self.repriced[k].append((ri, _route_shape(slots, k + 1)))
         self.g_at, t_at, l_at, self.p_at, pair = layout(instance)
         first = dict(zip(t_at, itertools.accumulate(map(len, t_at.values()), initial=0)))
         self.t_at = [at for bases in t_at.values() for at in bases]
@@ -410,17 +427,18 @@ class _Problem:
             for r, bases in zip(self.requests, l_at)
         ]
         self.p_off = [off for row in pair for off in row]
-        # route_floor's memos, the only state that changes after
-        # construction: per prefix its floor and per-request terms; the
-        # cheapest route per traffic unit by (user, candidates, per-slot
-        # server mask); per (request, decided types) the shape of its route;
-        # and per server mask its server positions
-        self._floors: dict[tuple, tuple[list, list]] = {}
+        # the only state that changes after construction, filled on first
+        # use: reprice's one memo, the cheapest route per traffic unit by
+        # (end, server mask per chain slot); the server positions of each
+        # mask; and columns' memo, by (request, eligible pairs per slot)
         self._route_min: dict[tuple, int | float] = {}
-        self._shapes: dict[tuple[int, int], tuple] = {}
         self._mask_servers = _MaskServers()
-        # columns' memo, by (request, eligible pairs per chain slot)
         self._columns: dict[tuple, tuple] = {}
+        # the floor and its terms before any type is decided; every floor
+        # the search reads is repriced from it, one type at a time
+        undecided = [None] * len(self.need)
+        everyone = [(ri, _route_shape(slots, 0)) for ri, slots in enumerate(self.slots)]
+        self.root_floor = self.reprice([0] * len(self.requests), everyone, (undecided, undecided))
 
     def columns(self, ri: int, eligible: tuple) -> tuple:
         """Request ``ri``'s route columns, memoized, when its chain slot
@@ -471,100 +489,85 @@ class _Problem:
                     columns.append((cs, picks, links + (entry,), uses + loads, price))
         return tuple(columns)
 
-    def route_floor(self, prefix: tuple) -> list:
-        """The routing cost still to come over the decided types: entry
-        ``ri`` is the least cost of routing the requests from ``ri`` on.
-        ``prefix[k]`` holds two server bitmasks for each decided type
-        position ``k``: the servers deploying it, and those deploying a
-        qualifying instance of it. A request that skips snapshot instances
-        reads the qualifying masks, since every type it uses is fresh-only.
-        Each request pays traffic x its cheapest route over the servers of
-        its decided chain slots (see ``_cheapest_route``), minus its
-        credit. Capacities and delay are ignored, and the route's links are
-        a subset of those of any route its leaves take: no leaf below pays
-        less. With no type decided each request pays its cheapest
-        server->user link; with every type decided this is the assignment
-        stage's tail.
+    def _end_links(self, user: int, candidates: tuple) -> tuple:
+        """What ``_cheapest_route`` reads of a request's two ends. By server
+        position ``s``: the cost of the link from ``s`` to the user, the
+        entries of the links from each candidate to ``s``, and the cheapest
+        of those links. Then the cheapest server->user link, which an open
+        last slot pays."""
+        n, canon, cost = self.n_nodes, self.canon, self.link_cost
+        servers = len(self.servers)  # servers come first, so row a's first entries
+        to_user = cost[user : servers * n : n]
+        # each candidate's row of links to the servers, then by server
+        entries = zip(*[canon[cs * n : cs * n + servers] for cs in candidates])
+        entry_costs = zip(*[cost[cs * n : cs * n + servers] for cs in candidates])
+        return to_user, list(map(frozenset, entries)), list(map(min, entry_costs)), min(to_user)
+
+    def reprice(self, terms: list, repriced, hosts: tuple[list, list]) -> tuple[list, list]:
+        """The route floor and its per-request terms: ``terms`` with each
+        (request, route shape) in ``repriced`` priced again over ``hosts``. The floor's
+        entry ``ri`` is the least cost of routing the requests from ``ri``
+        on. ``hosts[0][k]`` is the bitmask of the servers deploying type
+        position ``k`` and ``hosts[1][k]`` of those deploying a qualifying
+        instance of it, both None while the type is undecided. A request
+        that skips snapshot instances reads the qualifying masks, since
+        every type it uses is fresh-only. Each request pays traffic x its
+        cheapest route over the servers of its decided chain slots (see
+        ``_cheapest_route``), minus its credit. Capacities and delay are
+        ignored, and the route's links are a subset of those of any route
+        its leaves take: no leaf below pays less. With no type decided each
+        request pays its cheapest server->user link; with every type decided
+        this is the assignment stage's tail.
 
         Deciding one more type never lowers the floor: a request's counted
         links stay counted, and only requests that use the new type change.
-        So a prefix's floor reprices just those requests and takes every
-        other request's term from its parent prefix's, which it prices
-        first when the parent is not yet known."""
-        return self._floor(prefix)[0]
-
-    def _floor(self, prefix: tuple) -> tuple[list, list]:
-        """The memoized (floor, per-request terms) of ``prefix``."""
-        known = self._floors.get(prefix)
-        if known is not None:
-            return known
-        decided = len(prefix)
-        if decided:
-            terms = list(self._floor(prefix[:-1])[1])
-            repriced = self.type_users[decided - 1]
-        else:
-            terms = [0] * len(self.requests)
-            repriced = range(len(self.requests))
-        for ri in repriced:
-            fresh = self.skips_snapshot[ri]
-            masks = tuple(
-                prefix[k][fresh] if k < decided else None for k in self.slots[ri]
-            )
-            key = (self.user_at[ri], self.candidates[ri], masks)
-            route = self._route_min.get(key)
+        So the search reprices just those requests, from the terms of the
+        floor it holds; the cheapest routes are memoized by the request's
+        end links and its slots' masks, so requests and prefixes that share
+        them price each once."""
+        terms = terms.copy()
+        route_min = self._route_min
+        for ri, shape in repriced:
+            masks = tuple(map(hosts[self.skips_snapshot[ri]].__getitem__, self.slots[ri]))
+            key = (self.end[ri], masks)
+            route = route_min.get(key)
             if route is None:
-                route = self._route_min[key] = self._cheapest_route(ri, decided, masks)
+                route = route_min[key] = self._cheapest_route(self.end[ri], masks, shape)
             terms[ri] = self.requests[ri].traffic * route - self.credit[ri]
-        tail = [0] * (len(terms) + 1)
-        for ri in range(len(terms) - 1, -1, -1):
-            tail[ri] = tail[ri + 1] + terms[ri]
-        known = self._floors[prefix] = (tail, terms)
-        return known
+        tail = list(itertools.accumulate(reversed(terms), initial=0))
+        tail.reverse()
+        return tail, terms
 
-    def _cheapest_route(self, ri: int, decided: int, masks: tuple) -> int | float:
-        """Request ``ri``'s cheapest route per traffic unit when the types
-        at positions below ``decided`` are decided, with chain slot ``pos``
-        hosted on a server of ``masks[pos]``, or anywhere when that is None
-        (undecided). Only the decided slots' hosts are enumerated. The route
-        counts, as a set of links: the entry link from a candidate content
-        server if the first slot is decided, the links between consecutive
-        decided slots, and the user link from the last host if the last slot
-        is decided. An undecided last slot pays the cheapest server->user
-        link instead, which is none of the counted links: the user is not a
-        server. A link that touches an undecided slot is dropped. A link
-        used twice is priced once, as the objective prices it, and a
-        self-link costs nothing."""
-        shape = self._shapes.get((ri, decided))
-        if shape is None:
-            shape = self._shapes[ri, decided] = self._route_shape(ri, decided)
-        spots, hops, first, last, open_end = shape
+    def _cheapest_route(self, end: int, masks: tuple, shape: tuple) -> int | float:
+        """The cheapest route per traffic unit of a request with end links
+        ``end_links[end]`` when chain slot ``pos`` is hosted on a server of
+        ``masks[pos]``, or anywhere when that is None (undecided). Only the
+        decided slots' hosts are enumerated. The route counts, as a set of
+        links: the entry link from a candidate content server if the first
+        slot is decided, the links between consecutive decided slots, and
+        the user link from the last host if the last slot is decided. An
+        undecided last slot pays the cheapest server->user link instead,
+        which is none of the counted links: the user is not a server. A link
+        that touches an undecided slot is dropped. A link used twice is
+        priced once, as the objective prices it, and a self-link costs
+        nothing: so the entry link is free when some candidate's entry link
+        is already a hop of the route, and else costs the cheapest one. The
+        user link is never a hop."""
+        to_user, entries, entry_min, open_end = self.end_links[end]
+        spots, hops, first, last = shape
         n, canon, cost = self.n_nodes, self.canon, self.link_cost
-        user, candidates = self.user_at[ri], self.candidates[ri]
         servers_of = self._mask_servers
         route = math.inf
-        for hosts in itertools.product(*(servers_of[masks[pos]] for pos in spots)):
+        for hosts in itertools.product(*[servers_of[masks[pos]] for pos in spots]):
             links = {canon[hosts[i] * n + hosts[j]] for i, j in hops}
+            price = sum(map(cost.__getitem__, links))
+            if first and links.isdisjoint(entries[hosts[0]]):
+                price += entry_min[hosts[0]]
             if last:
-                links.add(canon[hosts[-1] * n + user])
-            entry = 0
-            if first:
-                entries = (canon[cs * n + hosts[0]] for cs in candidates)
-                entry = min(0 if e in links else cost[e] for e in entries)
-            route = min(route, entry + open_end + sum(cost[c] for c in links))
-        return route
-
-    def _route_shape(self, ri: int, decided: int) -> tuple:
-        """What ``_cheapest_route`` reads of request ``ri``'s chain when the
-        types below ``decided`` are decided: the decided slots' positions,
-        the positions in their host tuple of consecutive decided slots,
-        whether the first and the last slot are decided, and what an open
-        last slot pays."""
-        slots = self.slots[ri]
-        spots = [pos for pos, k in enumerate(slots) if k < decided]
-        hops = [(i, i + 1) for i in range(len(spots) - 1) if spots[i + 1] == spots[i] + 1]
-        last = slots[-1] < decided
-        open_end = 0 if last else self.user_link_min[ri]
-        return spots, hops, slots[0] < decided, last, open_end
+                price += to_user[hosts[-1]]
+            if price < route:
+                route = price
+        return route if last else route + open_end
 
     def leaf_key(self, leaf: tuple) -> tuple:
         """The tie-break key of a search leaf, the (target, columns) state
@@ -666,6 +669,10 @@ class _Search:
     the instances' usage limits and the links' capacities still admit."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
+        """Start at the root: nothing placed, no type decided, and the root
+        floor in hand. The floor and its terms are replaced, never changed
+        in place, as types are decided (see ``_end_type``), so the floor in
+        hand before a type end is restored by reference after it."""
         self.p = problem
         self.incumbent = incumbent
         self.deadline = deadline
@@ -691,11 +698,12 @@ class _Search:
         # instance, then per link entry its link (see _Problem.columns)
         self.room = [problem.type_cap[d.type_pos] for d in problem.decisions] + problem.link_cap
         self.committed = 0
-        # per decided type position, its (every, qualified) server masks, and
-        # the route floor over them (see _Problem.route_floor); a type is
-        # decided once its last instance is
-        self.prefix: tuple = ()
-        self.floor = problem.route_floor(())
+        # per type position, the bitmasks of the servers deploying it and of
+        # those deploying a qualifying instance, None until the type is
+        # decided (once its last instance is); and the route floor over the
+        # decided types with its per-request terms (see _Problem.reprice)
+        self.hosts = ([None] * len(problem.need), [None] * len(problem.need))
+        self.floor, self.terms = problem.root_floor
 
     def _expired(self) -> bool:
         if self.aborted:
@@ -776,17 +784,25 @@ class _Search:
             if not ends:
                 self._branch_tau(child, bound)
             elif self._type_demand_covered(k):
-                # the deployed instances meet the type's counts, and its
-                # servers are final, so the floor prices routes over them
-                # too; it never falls, so the bound above was checked first
-                prefix, floor = self.prefix, self.floor
-                self.prefix = prefix + (self._type_masks(k),)
-                self.floor = p.route_floor(self.prefix)
-                bound = self._bound(child, self.committed, False)
-                if self._open(bound):
-                    self._descend(child, bound)
-                self.prefix, self.floor = prefix, floor
+                self._end_type(k, child)
             self._undo_tau(di, target, delta)
+
+    def _end_type(self, k: int, child: int) -> None:
+        """Descend to ``child`` past the end of type position ``k``, whose
+        deployed instances meet its counts. Its servers are final, so the
+        floor prices routes over them too: the requests that use the type
+        are repriced from the terms of the floor in hand. The floor never
+        falls, so the bound on the floor in hand was checked first."""
+        p = self.p
+        every, qualified = self.hosts
+        every[k], qualified[k] = self._type_masks(k)
+        floor, terms = self.floor, self.terms
+        self.floor, self.terms = p.reprice(terms, p.repriced[k], self.hosts)
+        bound = self._bound(child, self.committed, False)
+        if self._open(bound):
+            self._descend(child, bound)
+        self.floor, self.terms = floor, terms
+        every[k] = qualified[k] = None
 
     def _child(self, di: int, deploys: bool) -> tuple[int, bool, int | float]:
         """Where decision ``di`` leads when it deploys its instance or

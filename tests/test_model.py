@@ -499,6 +499,26 @@ class TestUsageLimit:
                 assert got == limit(bandwidth(a, b))
                 assert type(got) is type(limit(bandwidth(a, b)))
 
+    def test_each_distinct_capacity_is_read_once_per_call(self, monkeypatch):
+        """The solver's set-up and the checker each work out a usage limit
+        once per distinct capacity, however many servers, instances and
+        links share it: here the 3 servers share one capacity and the 10
+        links another."""
+        net = mk_network(n_servers=3, n_users=2, capacity=9)
+        types = [mk_type(net, capacity=11, instances=2), mk_type(net, name="k1", capacity=4)]
+        inst = mk_instance(net, types=types, requests=[mk_request(net, chain=("k1", "k0"))], mu=0.5)
+        plan = solve_exact(inst).plan
+        reads = []
+        original = model.ProblemInstance.usage_limit
+        monkeypatch.setattr(
+            model.ProblemInstance, "usage_limit", lambda self, c: reads.append(c) or original(self, c)
+        )
+        _Problem(inst, SolveOptions())
+        assert sorted(reads) == [4, 9, 10, 11]
+        reads.clear()
+        assert check_feasibility(inst, plan).feasible
+        assert len(reads) == len(set(reads))
+
 
 class TestSharing:
     def test_read_only_tables_are_kept_and_others_copied(self, net2):

@@ -389,17 +389,31 @@ class TestBindingRegimes:
         TestWarmStart.assert_same_as_plain_search(_Problem(instance, options))
 
 
+def route_floor(p, prefix: tuple) -> list:
+    """The route floor over the types of ``prefix``, priced from the root
+    one type at a time through ``_Problem.reprice``, as the search prices
+    it. ``prefix[k]`` holds two server bitmasks for each decided type
+    position ``k``: the servers deploying it, and those deploying a
+    qualifying instance of it."""
+    every, qualified = [None] * len(p.need), [None] * len(p.need)
+    tail, terms = p.root_floor
+    for k, masks in enumerate(prefix):
+        every[k], qualified[k] = masks
+        tail, terms = p.reprice(terms, p.repriced[k], (every, qualified))
+    return tail
+
+
 def root_bound(p) -> int:
     """The search bound at the root, before any instance is placed and so
     before any type is decided."""
-    return p.place_tail[0] + p.route_floor(())[0] + (p.deploy_min[0] if p.decisions else 0)
+    return p.place_tail[0] + route_floor(p, ())[0] + (p.deploy_min[0] if p.decisions else 0)
 
 
 def host_masks(p, plan) -> tuple:
     """Per type position, the bitmasks of the servers that deploy the type
     in ``plan`` and of those that deploy a qualifying instance of it: any
     instance, or a fresh one when the type is fresh-only (no_reuse, and a
-    new request uses it). This is the prefix ``_Problem.route_floor`` reads
+    new request uses it). This is the prefix ``route_floor`` reads
     at the placement leaf of ``plan``'s path; the placement nodes read its
     first entries, one per type decided before them."""
     position = {d.vnf_name: d.type_pos for d in p.decisions}
@@ -435,13 +449,13 @@ def path_bounds(p, plan) -> tuple[list[int], int]:
     committed, bounds = 0, []
     for di, d in enumerate(p.decisions):
         missing = p.deploy_min[di] if not qualified[d.type_pos] else 0
-        floor = p.route_floor(masks[: d.type_pos])[0]
+        floor = route_floor(p, masks[: d.type_pos])[0]
         bounds.append(committed + p.place_tail[di] + floor + missing)
         target = placed.get((d.vnf_name, d.instance_id))
         committed += dict(d.options)[target]
         if target is not None and d.qualifies:
             qualified[d.type_pos] += 1
-    tail = p.route_floor(masks)
+    tail = route_floor(p, masks)
     for ri, r in enumerate(p.requests):
         bounds.append(committed + tail[ri])
         committed += r.traffic * route_cost(p.instance.network, plan.routes[r.id]) - p.credit[ri]
@@ -513,7 +527,7 @@ class TestAdmissibleBound:
             search._commit_tau(di, target, dict(d.options)[target])
         masks = host_masks(p, slow.plan)
         assert tuple(search._type_masks(k) for k in range(len(p.need))) == masks
-        tail = p.route_floor(masks)
+        tail = route_floor(p, masks)
         cheapest = cheapest_routes(instance, slow.plan, options.no_reuse)
         for ri, r in enumerate(instance.requests):
             assert tail[ri] - tail[ri + 1] == cheapest[ri] - p.credit[ri]
@@ -525,8 +539,10 @@ class TestAdmissibleBound:
         """The search checks a child's bound on its parent's floor before it
         prices the floor of the longer prefix. That check prunes only
         children the longer prefix's floor prunes too, because no entry of
-        the floor falls when a type is decided. The prefixes are priced in
-        a drawn order, so a floor is also priced before its parent's."""
+        the floor falls when a type is decided. Each prefix is priced from
+        the root, and the prefixes in a drawn order, so the cheapest routes
+        a fold reads from the problem's memo were filled by the folds before
+        it, of any length."""
         p = _Problem(instance, options)
         every = st.integers(1, 3)  # two servers, at least one deploying
         masks = tuple(
@@ -534,10 +550,43 @@ class TestAdmissibleBound:
             for mask in (data.draw(every) for _k in p.need)
         )
         order = data.draw(st.permutations(range(len(masks) + 1)))
-        floors = {decided: p.route_floor(masks[:decided]) for decided in order}
+        floors = {decided: route_floor(p, masks[:decided]) for decided in order}
         for decided in range(len(masks)):
             before, after = floors[decided], floors[decided + 1]
             assert all(a <= b for a, b in zip(before, after))
+
+    @given(instance=binding_instances(), options=st.sampled_from(OPTION_SETS), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_carried_floor_is_the_floor_priced_from_the_root(self, instance, options, data):
+        """At each type end the search reprices only the requests that use
+        the type, from the terms of the floor it holds. Replaying a drawn
+        placement through it, the floor and terms it holds at the root and
+        after each type end are those ``route_floor`` prices from the root
+        over the types decided so far, also after backtracking."""
+        p = _Problem(instance, options)
+        search = _Search(p, _Incumbent(p.leaf_key), deadline=math.inf)
+        # each decision keeps one or two drawn options, so the tree stays small
+        search.options = [
+            data.draw(st.lists(st.sampled_from(d.options), min_size=1, max_size=2, unique=True))
+            for d in p.decisions
+        ]
+        seen = []
+        descend = search._descend
+
+        def record(di, bound):
+            every, qualified = search.hosts
+            # decisions run type by type: the types before di's are decided
+            decided = p.decisions[di].type_pos if di < len(p.decisions) else len(p.need)
+            assert every[decided:] == qualified[decided:] == [None] * (len(every) - decided)
+            seen.append((tuple(zip(every, qualified))[:decided], search.floor, search.terms))
+            descend(di, bound)
+
+        search._descend = record
+        search.run()
+        assert seen or root_bound(p) == math.inf
+        for prefix, tail, terms in seen:
+            assert tail == route_floor(p, prefix)
+            assert terms == [a - b for a, b in zip(tail, tail[1:])]
 
     def test_a_link_used_twice_is_priced_once(self):
         """Content on s0, k0 only on s1 and k1 only on s0: the one route is
@@ -551,9 +600,9 @@ class TestAdmissibleBound:
             requests=[mk_request(net, chain=("k0", "k1"), traffic=2, candidates=("s0",))],
         )
         p = _Problem(inst, SolveOptions())
-        assert p.route_floor(((0b10, 0b10), (0b01, 0b01))) == [2 * 200_000, 0]
+        assert route_floor(p, ((0b10, 0b10), (0b01, 0b01))) == [2 * 200_000, 0]
         # co-located on the content server, the route pays its user link only
-        assert p.route_floor(((0b01, 0b01), (0b01, 0b01))) == [2 * 100_000, 0]
+        assert route_floor(p, ((0b01, 0b01), (0b01, 0b01))) == [2 * 100_000, 0]
 
     def test_undecided_slots_drop_their_links(self):
         """Three servers; links to the user cost 10 from s0, 20 from s1 and
@@ -583,7 +632,7 @@ class TestAdmissibleBound:
         on = {s: (1 << i, 1 << i) for i, s in enumerate(("s0", "s1", "s2"))}
 
         def routes(prefix):
-            tail = p.route_floor(prefix)
+            tail = route_floor(p, prefix)
             return [a - b for a, b in zip(tail, tail[1:])]
 
         # no type decided: each request pays the cheapest user link
