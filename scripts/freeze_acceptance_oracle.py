@@ -31,14 +31,14 @@ sys.path.insert(0, str(ROOT / "tests"))  # reuse the test-side MPS bridge
 from helpers import solve_mps_with_highs
 
 from chainplace.costs import total_objective
-from chainplace.ilp import BuildOptions, build_ilp, export_mps, import_solution
-from chainplace.model import check_feasibility, snapshot_diff
+from chainplace.ilp import build_ilp, export_mps, import_solution
+from chainplace.model import SolveOptions, check_feasibility, snapshot_diff
 from chainplace.scenario import DEFAULT_SEED, ScenarioSpec, generate
 
 
 def oracle_case(instance, no_reuse: bool) -> dict:
     model = build_ilp(
-        instance, BuildOptions(no_reuse=no_reuse, clamp_instantiation=True)
+        instance, SolveOptions(no_reuse=no_reuse, clamp_instantiation=True)
     )
     _objective, values = solve_mps_with_highs(export_mps(model))
     plan = import_solution(model, values)

@@ -21,13 +21,13 @@ runs; it takes a few seconds. Run from the repository root:
     PYTHONPATH=src python scripts/freeze_export_digests.py
 """
 
-import dataclasses
 import hashlib
 import json
 import pathlib
 import sys
 
-from chainplace.ilp import BuildOptions, build_ilp, export_lp, export_mps
+from chainplace.ilp import build_ilp, export_lp, export_mps
+from chainplace.model import SolveOptions
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -41,18 +41,18 @@ def scenario(reduced: bool = True, **overrides) -> dict:
 
 
 CASES = {
-    "online": (scenario(), BuildOptions()),
-    "no_reuse": (scenario(), BuildOptions(no_reuse=True)),
-    "clamped": (scenario(), BuildOptions(clamp_instantiation=True)),
-    "threshold_0.75": (scenario(usage_threshold=0.75), BuildOptions()),
-    "chain_length_1": (scenario(chain_length_range=[1, 1]), BuildOptions()),
-    "frozen_load_0.5": ({"frozen_load_mu": 0.5}, BuildOptions()),
+    "online": (scenario(), SolveOptions()),
+    "no_reuse": (scenario(), SolveOptions(no_reuse=True)),
+    "clamped": (scenario(), SolveOptions(clamp_instantiation=True)),
+    "threshold_0.75": (scenario(usage_threshold=0.75), SolveOptions()),
+    "chain_length_1": (scenario(chain_length_range=[1, 1]), SolveOptions()),
+    "frozen_load_0.5": ({"frozen_load_mu": 0.5}, SolveOptions()),
     "frozen_load_0.5_no_requests": (
         {"frozen_load_mu": 0.5, "no_requests": True},
-        BuildOptions(),
+        SolveOptions(),
     ),
-    "full_online": (scenario(reduced=False), BuildOptions()),
-    "full_no_reuse": (scenario(reduced=False), BuildOptions(no_reuse=True)),
+    "full_online": (scenario(reduced=False), SolveOptions()),
+    "full_no_reuse": (scenario(reduced=False), SolveOptions(no_reuse=True)),
 }
 
 
@@ -71,7 +71,11 @@ def main() -> None:
         model = build_ilp(export_case_instance(described), options)
         out["cases"][case] = {
             "instance": described,
-            "options": dataclasses.asdict(options),
+            # the pricing rules alone: the ILP does not read the time limit
+            "options": {
+                "no_reuse": options.no_reuse,
+                "clamp_instantiation": options.clamp_instantiation,
+            },
             "vars": len(model.variables),
             "rows": len(model.rows),
             "mps_sha256": sha256(export_mps(model)),

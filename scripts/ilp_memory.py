@@ -26,7 +26,8 @@ import os
 import tempfile
 import tracemalloc
 
-from chainplace.ilp import BuildOptions, build_ilp, lp_chunks, mps_chunks
+from chainplace.ilp import build_ilp, lp_chunks, mps_chunks
+from chainplace.model import SolveOptions
 from chainplace.scenario import ScenarioSpec, generate
 
 SEED = 3
@@ -51,7 +52,7 @@ def traced_mb(nbytes: int) -> str:
 
 def measure(spec, no_reuse: bool) -> dict:
     instance = generate(spec)
-    options = BuildOptions(no_reuse=no_reuse, clamp_instantiation=True)
+    options = SolveOptions(no_reuse=no_reuse, clamp_instantiation=True)
     gc.collect()
     tracemalloc.start()
     try:

@@ -33,7 +33,6 @@ import tempfile
 import time
 
 from chainplace.ilp import (
-    BuildOptions,
     _collector_paused,
     _enumerate,
     build_ilp,
@@ -42,6 +41,7 @@ from chainplace.ilp import (
     lp_chunks,
     mps_chunks,
 )
+from chainplace.model import SolveOptions
 from chainplace.scenario import ScenarioSpec, generate
 from ilp_memory import cases
 
@@ -80,7 +80,7 @@ def check_digests(work: str) -> bool:
             reduced=described["reduced"],
             overrides=described["overrides"],
         )
-        model = build_ilp(generate(spec), BuildOptions(**want["options"]))
+        model = build_ilp(generate(spec), SolveOptions(**want["options"]))
         for fmt, chunks in (("mps", mps_chunks), ("lp", lp_chunks)):
             path = os.path.join(work, f"model.{fmt}")
             write(chunks, model, path)
@@ -100,7 +100,7 @@ def main() -> int:
             if not label.startswith("full/"):
                 continue
             instance = generate(spec)
-            options = BuildOptions(no_reuse=no_reuse, clamp_instantiation=True)
+            options = SolveOptions(no_reuse=no_reuse, clamp_instantiation=True)
             model = build_ilp(instance, options)
             zeros = dict.fromkeys(model.aliases, 0)
             fresh = iter([build_ilp(instance, options) for _ in range(REPEATS)])

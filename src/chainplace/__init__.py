@@ -13,6 +13,7 @@ from .model import (
     Report,
     ServiceRequest,
     Snapshot,
+    SolveOptions,
     Violation,
     VnfCatalog,
     VnfType,
@@ -21,7 +22,7 @@ from .model import (
     validate_instance,
 )
 from .scenario import ScenarioSpec, generate, run_comparison, emit_report
-from .solver import SolveOptions, SolveResult, brute_force, derive_routes, solve_exact
+from .solver import SolveResult, brute_force, derive_routes, solve_exact
 
 __version__ = "0.1.0"
 

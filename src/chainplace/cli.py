@@ -5,8 +5,10 @@ an instance or export its MILP), ``compare`` (online versus deploy-from-
 scratch report) and ``check`` (feasibility and cost of a plan file).
 
 Configuration precedence is flags over ``CHAINPLACE_*`` environment
-variables over defaults. Results go to stdout or ``--output``; logs go to
-stderr. Exit codes: 0 success/feasible/optimal, 1 usage or parse error,
+variables over defaults; ``solve`` reads them into one ``SolveOptions``
+before it branches and hands it to ``solve_exact``, ``brute_force`` or
+``build_ilp``. Results go to stdout or ``--output``; logs go to stderr.
+Exit codes: 0 success/feasible/optimal, 1 usage or parse error,
 2 infeasible, 3 time limit.
 """
 
@@ -27,18 +29,16 @@ from .errors import (
     TimeLimitError,
     ValidationFailedError,
 )
-from .ilp import BuildOptions, _collector_paused, build_ilp, lp_chunks, mps_chunks
+from .ilp import _collector_paused, build_ilp, lp_chunks, mps_chunks
 from .ilp import export_lp, export_mps  # noqa: F401 (perfbench wraps these names)
-from .model import check_feasibility, validate_instance
+from .model import SolveOptions, check_feasibility, validate_instance
 from .costs import total_objective
 from .solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
-    SolveOptions,
-    _brute_force,
-    _Problem,
-    _solve_exact,
+    brute_force,
+    solve_exact,
 )
 
 EXIT_OK = 0
@@ -206,13 +206,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _export(instance, args) -> int:
+def _export(instance, options: SolveOptions, args) -> int:
     """Compile the instance, then write its MILP a chunk at a time, so the
     whole text never exists and a refused instance leaves no output file.
     The caller pauses the collector around the call, so the model, which
     forms no cycles, is freed on return before a collection could scan it."""
     try:
-        model = build_ilp(instance, BuildOptions(no_reuse=args.no_reuse))
+        model = build_ilp(instance, options)
     except ValidationFailedError as exc:
         _log_invalid(exc.report)
         return EXIT_USAGE
@@ -222,14 +222,13 @@ def _export(instance, args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _read("instance", args.instance, _io.document_to_instance)
+    options = _solve_options(args)
     if args.export:
         with _collector_paused():
-            return _export(instance, args)
-    # _Problem validates the instance before any work; the search and the
-    # oracle share one _Problem, so it is validated once
+            return _export(instance, options, args)
+    # the instance keeps its report: the search and the oracle validate it once
     try:
-        problem = _Problem(instance, _solve_options(args))
-        result = _solve_exact(problem)
+        result = solve_exact(instance, options)
     except ValidationFailedError as exc:
         _log_invalid(exc.report)
         return EXIT_USAGE
@@ -237,7 +236,7 @@ def cmd_solve(args) -> int:
     document = _io.solve_result_to_document(instance, result, include_timing=args.timing)
 
     if args.oracle:
-        oracle = _brute_force(problem)
+        oracle = brute_force(instance, options)
         match = (
             result.status == oracle.status
             and result.plan == oracle.plan

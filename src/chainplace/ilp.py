@@ -42,9 +42,10 @@ fills its holes (names, aliases, bounds) by strided slice assignment. MPS
 pads each block's row names as it sends ROWS, and keeps two references
 per coefficient (row name, value text) until it joins that variable's
 column under its head.
-``build_ilp``, ``enumerate_variables`` and both ``export_*`` run with the
-cyclic garbage collector paused (the model forms no cycles) and restore
-its state when they return or raise.
+``build_ilp`` reads the pricing rules of the ``SolveOptions`` it is given
+and does not keep them. ``build_ilp``, ``enumerate_variables`` and both
+``export_*`` run with the cyclic garbage collector paused (the model forms
+no cycles) and restore its state when they return or raise.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .model import (
     PlacementPlan,
     ProblemInstance,
     STATUS_NEW,
+    SolveOptions,
     normalize_route,
     validate_instance,
 )
@@ -79,11 +81,7 @@ from .model import (
 BINARY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class BuildOptions:
-    no_reuse: bool = False
-    clamp_instantiation: bool = False  # removals stop refunding licenses;
-    # exactly linear through the migration product variables
+BuildOptions = SolveOptions  # the name perfbench builds the options under
 
 
 class IlpVar(NamedTuple):
@@ -149,13 +147,6 @@ def _collector_paused():
 def sanitize_name(name: str) -> str:
     """Interchange-safe alias: ``g[r0][s0]`` becomes ``g_r0_s0``."""
     return name.replace("[", "_").replace("]", "")
-
-
-def _deployable_types(instance: ProblemInstance):
-    """Types some request needs; the others keep their snapshot deployments
-    (``ProblemInstance.frozen_deployments``) and get no variables."""
-    required = set(instance.required_types())
-    return tuple(t for t in instance.catalog.types if t.name in required)
 
 
 def _enumerate(instance: ProblemInstance, named: bool | None = False) -> tuple[tuple, tuple]:
@@ -229,7 +220,7 @@ def _enumerate(instance: ProblemInstance, named: bool | None = False) -> tuple[t
 
     on_servers = tuple((s,) for s in servers)
     ids = {vnf.name: tuple((i,) for i in vnf.instances) for vnf in instance.catalog.types}
-    deployable = [(vnf.name, vnf.instances) for vnf in _deployable_types(instance)]
+    deployable = [(vnf.name, vnf.instances) for vnf in instance.required_types()]
     g_at = [block("g", (r.id,), on_servers) for r in instance.requests]
     t_at = {k: [block("t", (k, i), on_servers) for i in pool] for k, pool in deployable}
 
@@ -333,7 +324,6 @@ class IlpModel:
     the model forms no cycle and is freed once its last reference goes."""
 
     instance: ProblemInstance
-    options: BuildOptions
     blocks: list[Block] = field(repr=False)
     objective: tuple[tuple[int, int], ...]  # (variable index, micro-money)
     constant: int  # micro-money
@@ -393,10 +383,10 @@ _CHAIN = (("16-2", "16-3", "16-4", "16-5"),) + _ENTRY[1:]
 
 
 @_collector_paused()
-def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) -> IlpModel:
+def build_ilp(instance: ProblemInstance, options: SolveOptions | None = None) -> IlpModel:
     """Compile the placement program: canonical variables, objective with its
     snapshot constant, and every constraint row tagged with its family."""
-    options = options or BuildOptions()
+    options = options or SolveOptions()
     report = validate_instance(instance)
     if not report.ok:
         raise ValidationFailedError(report)
@@ -407,7 +397,8 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
     requests = instance.requests
     pools = {vnf.name: vnf.instances for vnf in instance.catalog.types}
     aliases, (g_at, t_at, l_at, p_at, pair, x_at, m_at, q_at) = _enumerate(instance)
-    deployable = _deployable_types(instance)
+    # types no chain uses keep their snapshot deployments and get no variables
+    deployable = instance.required_types()
     # distinct node pairs in canonical order: matrix positions, p offset
     pairs = [
         (ai, bi, pair[ai][bi])
@@ -612,7 +603,6 @@ def build_ilp(instance: ProblemInstance, options: BuildOptions | None = None) ->
 
     return IlpModel(
         instance=instance,
-        options=options,
         blocks=blocks,
         objective=tuple(objective),
         constant=constant,

@@ -9,6 +9,7 @@ Unit conventions used throughout the toolkit:
 All types are immutable after construction and safe to share between
 threads; every operation in this module is a pure function. The checker
 reads a plan through one index made per call (``_read_plan``).
+``SolveOptions`` is the one options type the three engines take.
 """
 
 from __future__ import annotations
@@ -242,15 +243,16 @@ class ProblemInstance:
                 return r
         raise IndexMismatchError(f"unknown request {request_id!r}")
 
-    def required_types(self) -> tuple[str, ...]:
-        """VNF types needed by at least one request, in catalog order."""
+    def required_types(self) -> tuple[VnfType, ...]:
+        """The catalog's types that at least one request's chain uses, in
+        catalog order: the types a plan decides on."""
         needed = {k for r in self.requests for k in r.chain}
-        return tuple(t.name for t in self.catalog.types if t.name in needed)
+        return tuple(t for t in self.catalog.types if t.name in needed)
 
     def frozen_deployments(self) -> tuple[tuple[str, int, str], ...]:
         """Snapshot entries of types no request needs, sorted. They are not
         decisions: every plan keeps them where they are, at no cost."""
-        required = set(self.required_types())
+        required = {t.name for t in self.required_types()}
         return tuple(sorted(e for e in self.snapshot.deployed if e[0] not in required))
 
     @functools.cached_property
@@ -276,6 +278,23 @@ class ProblemInstance:
     @functools.cached_property
     def _report(self) -> Report:
         return _instance_report(self)
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    """What ``solve_exact``, ``brute_force`` and ``build_ilp`` read alike:
+    ``no_reuse`` keeps new requests off snapshot instances, and
+    ``clamp_instantiation`` prices removals at zero instead of a license
+    refund (the evaluation harness turns it on; the ILP stays linear through
+    its migration products). Only the search reads ``time_limit`` (s)."""
+
+    time_limit: float = 600.0
+    no_reuse: bool = False
+    clamp_instantiation: bool = False
+
+    def __post_init__(self):
+        if not self.time_limit > 0:  # NaN compares false too
+            raise ValueError("time_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -664,9 +683,9 @@ def check_feasibility(instance: ProblemInstance, plan: PlacementPlan) -> Report:
 
     # (10): at least one deployment per required type
     deployed_types = {k for k, _, _ in plan.deployment}
-    for k in instance.required_types():
-        if k not in deployed_types:
-            out.append(Violation("10", (k,), "no instance deployed"))
+    for vnf in instance.required_types():
+        if vnf.name not in deployed_types:
+            out.append(Violation("10", (vnf.name,), "no instance deployed"))
 
     # (11): each instance lives on at most one server
     placed = Counter((k, i) for k, i, _s in plan.deployment)

@@ -32,7 +32,8 @@ assignment bound is the committed cost plus the floor's tail: each
 unrouted request's cheapest route over the deployed servers.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
-instead of the incremental bookkeeping used here.
+instead of the incremental bookkeeping used here. Both take the
+``SolveOptions`` that ``ilp.build_ilp`` takes.
 
 Both solvers break instance-permutation symmetry the same way: instances of
 one type that are absent from the snapshot are activated in identifier
@@ -82,12 +83,13 @@ from typing import Mapping
 
 from . import costs as _costs
 from .errors import TooLargeError, ValidationFailedError
-from .ilp import _deployable_types, enumerate_variables, layout, plan_vector
+from .ilp import enumerate_variables, layout, plan_vector
 from .model import (
     Link,
     PlacementPlan,
     ProblemInstance,
     STATUS_NEW,
+    SolveOptions,
     check_feasibility,
     normalize_route,
     validate_instance,
@@ -98,18 +100,6 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_TIME_LIMIT = "time_limit"
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    time_limit: float = 600.0
-    no_reuse: bool = False
-    clamp_instantiation: bool = False  # price removals at zero instead of a
-    # license refund; the evaluation harness turns this on
-
-    def __post_init__(self):
-        if not self.time_limit > 0:  # NaN compares false too
-            raise ValueError("time_limit must be positive")
 
 
 @dataclass
@@ -205,12 +195,12 @@ class _Problem:
     ``_Problem`` asks for the instance's report, which the instance makes
     on the first request and keeps (see ``ProblemInstance``), so an
     instance is validated once however many ``_Problem``s it feeds: the
-    online and no_reuse cases of ``run_comparison`` each build their own.
-    One ``_Problem`` can also feed both engines (``solve --oracle`` does).
+    online and no_reuse cases of ``run_comparison``, and the search and the
+    oracle of ``solve --oracle``, each build their own.
 
-    Decision types (``ilp._deployable_types``: the catalog types some chain
-    uses) are numbered in catalog order, and every per-type fact is a list
-    by that position, kept once: ``slots[ri]`` names request ``ri``'s chain
+    Decision types (``ProblemInstance.required_types``: the catalog types
+    some chain uses) are numbered in catalog order, and every per-type fact
+    is a list by that position, kept once: ``slots[ri]`` names request ``ri``'s chain
     by these positions. ``type_cap[k]`` is type ``k``'s usage limit per
     instance and ``type_delay[k]`` its processing delay by server position.
     ``need[k]`` is the fewest instances, at least one, whose usage limit
@@ -297,7 +287,7 @@ class _Problem:
         self.type_delay: list[tuple[int, ...]] = []
         type_pos = {}  # type name -> type position
         positions = range(len(net.servers))
-        for vnf in _deployable_types(instance):
+        for vnf in instance.required_types():
             users = [r for r in self.requests if vnf.name in r.chain]
             new_users = [r for r in users if r.status == STATUS_NEW]
             fresh_only = options.no_reuse and bool(new_users)
@@ -870,7 +860,7 @@ class _Search:
         room = self.room
         for column in self.columns[ri]:
             _cs, _picks, _links, uses, cost = column
-            if any(room[u] < traffic for u in uses):
+            if min(map(room.__getitem__, uses)) < traffic:  # uses is never empty
                 continue
             for u in uses:
                 room[u] -= traffic

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from chainplace.costs import service_delay, total_objective
-from chainplace.ilp import BuildOptions, build_ilp, export_mps, import_solution
+from chainplace.ilp import build_ilp, export_mps, import_solution
 from chainplace.model import check_feasibility
 from chainplace.scenario import (
     DEFAULT_SEED,

@@ -9,9 +9,9 @@ import pytest
 
 from chainplace import cli
 from chainplace.cli import _emit, main
-from chainplace.ilp import BuildOptions, build_ilp, lp_chunks, mps_chunks
+from chainplace.ilp import build_ilp, lp_chunks, mps_chunks
 from chainplace.io import document_to_instance, dumps, instance_to_document, plan_to_document
-from chainplace.model import PlacementPlan
+from chainplace.model import PlacementPlan, SolveOptions
 from chainplace.scenario import ScenarioSpec, generate
 from chainplace.solver import solve_exact
 
@@ -88,21 +88,17 @@ class TestSolve:
         }
 
     def test_oracle_flag_verifies_agreement(self, tiny_file, capsys, monkeypatch):
-        from chainplace import solver
+        from chainplace import model
 
-        # the search and the oracle share one validated problem
-        calls = []
-        validate = solver.validate_instance
-
-        def counting(instance):
-            calls.append(instance)
-            return validate(instance)
-
-        monkeypatch.setattr(solver, "validate_instance", counting)
+        # the search and the oracle each ask for the instance's report, which
+        # the instance makes once and keeps
+        made = []
+        report = model._instance_report
+        monkeypatch.setattr(model, "_instance_report", lambda i: made.append(i) or report(i))
         code, out, _ = run(capsys, "solve", str(tiny_file), "--oracle")
         assert code == 0
         assert json.loads(out)["oracle_match"] is True
-        assert len(calls) == 1
+        assert len(made) == 1
 
     def test_export_mps_writes_model_not_solution(self, tiny_file, tmp_path, capsys):
         target = tmp_path / "model.mps"
@@ -323,7 +319,7 @@ class TestExportStream:
         gc.collect()
         tracemalloc.start()
         try:
-            model = build_ilp(instance, BuildOptions(no_reuse=True, clamp_instantiation=True))
+            model = build_ilp(instance, SolveOptions(no_reuse=True, clamp_instantiation=True))
             built = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             _emit(chunks(model), str(tmp_path / f"model.{fmt}"))
@@ -372,9 +368,15 @@ class TestUsage:
             ([], "abc", "CHAINPLACE_TIME_LIMIT: cannot read 'abc' as float"),
             ([], "0", "time_limit must be positive"),
             ([], "nan", "time_limit must be positive"),
+            # solve reads its options before it branches, so --export
+            # refuses them too, before it writes any output
+            (["--export", "mps", "--time-limit", "0"], None, "time_limit must be positive"),
+            (["--export", "lp"], "abc", "CHAINPLACE_TIME_LIMIT: cannot read 'abc' as float"),
+            (["--export", "mps"], "-1", "time_limit must be positive"),
         ],
         ids=["time-limit-flag-zero", "time-limit-flag-nan", "time-limit-env-text",
-             "time-limit-env-zero", "time-limit-env-nan"],
+             "time-limit-env-zero", "time-limit-env-nan", "export-time-limit-flag-zero",
+             "export-time-limit-env-text", "export-time-limit-env-negative"],
     )
     def test_bad_solver_setting_is_one_line_error(
         self, tiny_file, capsys, monkeypatch, flags, env, message

@@ -21,7 +21,6 @@ from chainplace.errors import (
     ValidationFailedError,
 )
 from chainplace.ilp import (
-    BuildOptions,
     Row,
     _enumerate,
     build_ilp,
@@ -35,7 +34,7 @@ from chainplace.ilp import (
     parse_solution_text,
     sanitize_name,
 )
-from chainplace.model import check_feasibility
+from chainplace.model import SolveOptions, check_feasibility
 from chainplace.scenario import ScenarioSpec, generate
 from chainplace.solver import brute_force, solve_exact
 
@@ -91,7 +90,7 @@ class TestBuild:
         types = [mk_type(net2, name="k0"), mk_type(net2, name="k1")]
         requests = [mk_request(net2, chain=("k0", "k1"), status="new")]
         inst = mk_instance(net2, types=types, requests=requests, snapshot=[("k0", 0, "s0")])
-        model = build_ilp(inst, BuildOptions(no_reuse=True))
+        model = build_ilp(inst, SolveOptions(no_reuse=True))
         allowed = {
             "2-2", "2-3", "2-4", "6", "7", "8", "9", "10", "11", "12", "13",
             "14", "15-2", "15-3", "15-4", "15-5", "16-2", "16-3", "16-4",
@@ -155,7 +154,7 @@ class TestEnumerate:
         stands for, and together they reach every variable once. The g, t,
         l, p bases and ``pair`` are read through ``layout``, as the search
         reads them, and equal the ones the full walk gives."""
-        model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
+        model = build_ilp(ROW_CASES[case](), SolveOptions(no_reuse=no_reuse))
         instance, variables = model.instance, model.variables
         bases = _enumerate(instance)[1]
         g_at, t_at, l_at, p_at, pair = layout(instance)
@@ -245,7 +244,7 @@ class TestAliases:
     def test_aliases_agree_with_the_variables_made_on_first_read(self, case, no_reuse):
         """``build_ilp`` walks the variables for their aliases, and the first
         read of ``variables`` walks them again for their names and keys."""
-        model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
+        model = build_ilp(ROW_CASES[case](), SolveOptions(no_reuse=no_reuse))
         assert "variables" not in vars(model)
         assert len(model.variables) == len(model.aliases)
         for i, (var, alias) in enumerate(zip(model.variables, model.aliases)):
@@ -320,7 +319,7 @@ class TestRowInvariants:
     @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
     def test_rows_are_sorted_nonzero_and_empty_only_when_violated(self, case, no_reuse):
-        model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
+        model = build_ilp(ROW_CASES[case](), SolveOptions(no_reuse=no_reuse))
         n_vars = len(model.variables)
         for row in model.rows:
             indices = [idx for idx, _coef in row.coeffs]
@@ -351,7 +350,7 @@ class TestRowColumns:
         """Each block's rows follow the previous block's, also where a family
         has no keys (chains of length 1, no requests) and where rows that
         ``build_ilp`` adds one at a time share a block."""
-        model = build_ilp(ROW_CASES[case](), BuildOptions(no_reuse=no_reuse))
+        model = build_ilp(ROW_CASES[case](), SolveOptions(no_reuse=no_reuse))
         blocks, listed = model.blocks, list(model.rows)
         firsts = list(itertools.accumulate((len(block.rhs) for block in blocks), initial=0))
         assert len(model.rows) == len(listed) == firsts[-1] > 0
@@ -382,7 +381,7 @@ class TestRowColumns:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            model = build_ilp(instance, BuildOptions(clamp_instantiation=True))
+            model = build_ilp(instance, SolveOptions(clamp_instantiation=True))
             if read_variables:
                 assert len(model.variables) == 10_920
             size = tracemalloc.get_traced_memory()[0] - before
@@ -458,7 +457,7 @@ class TestExport:
             raise AssertionError("the variables were made")
 
         monkeypatch.setattr("chainplace.ilp.enumerate_variables", refuse)
-        model = build_ilp(ROW_CASES["reduced-sc1"](), BuildOptions(no_reuse=True))
+        model = build_ilp(ROW_CASES["reduced-sc1"](), SolveOptions(no_reuse=True))
         for chunks in (mps_chunks, lp_chunks):
             assert "".join(chunks(model)).endswith("\n")
         assert "variables" not in vars(model)
@@ -482,7 +481,7 @@ class TestExportBytes:
     def test_exports_match_frozen_digests(self, case):
         want = EXPORT_DIGESTS["cases"][case]
         instance = export_case_instance(want["instance"])
-        model = build_ilp(instance, BuildOptions(**want["options"]))
+        model = build_ilp(instance, SolveOptions(**want["options"]))
         assert (len(model.variables), len(model.rows)) == (want["vars"], want["rows"])
         texts = {
             "mps": export_mps(model),
@@ -713,7 +712,7 @@ class TestObjectiveAgreement:
     @pytest.mark.parametrize("clamp", [False, True])
     def test_model_objective_matches_cost_module(self, clamp):
         inst = snapshot_instance()
-        model = build_ilp(inst, BuildOptions(clamp_instantiation=clamp))
+        model = build_ilp(inst, SolveOptions(clamp_instantiation=clamp))
         rng = random.Random(11)
         seen = 0
         for _ in range(200):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from chainplace.costs import service_delay, total_objective
 from chainplace.errors import TooLargeError
-from chainplace.ilp import enumerate_variables, plan_vector
+from chainplace.ilp import build_ilp, enumerate_variables, export_mps, import_solution, plan_vector
 from chainplace.model import Network, check_feasibility
 from chainplace.scenario import DEFAULT_SEED, ScenarioSpec, generate, run_comparison
 from chainplace.solver import (
@@ -38,6 +38,7 @@ from conftest import (
     mk_request,
     mk_type,
 )
+from helpers import solve_mps_with_highs
 
 DATA = pathlib.Path(__file__).parent / "data"
 # HiGHS optima of the full-scale table, by scenario seed; seeds 5 and 7
@@ -369,6 +370,26 @@ class TestBindingRegimes:
         assert fast.plan == slow.plan
         if slow.breakdown is not None:
             assert fast.breakdown.total == slow.breakdown.total
+
+    @given(instance=binding_instances(), options=st.sampled_from(OPTION_SETS))
+    @settings(max_examples=100, deadline=None)
+    def test_highs_on_the_export_matches_the_search(self, instance, options):
+        """The third engine: HiGHS, at a gap of 0, on the MPS built from the
+        same options the search reads. It proves infeasible exactly when
+        the search does, and otherwise its plan checks out at the search's
+        total."""
+        fast = solve_exact(instance, options)
+        model = build_ilp(instance, options)
+        solved = solve_mps_with_highs(export_mps(model))
+        assert (solved is None) == (fast.status == "infeasible")
+        if solved is None:
+            return
+        plan = import_solution(model, solved[1])
+        assert check_feasibility(instance, plan).feasible
+        clamp = options.clamp_instantiation
+        assert total_objective(instance, plan, clamp_instantiation=clamp).total == (
+            fast.breakdown.total
+        )
 
     @pytest.mark.parametrize("new", [0, 1, 2])
     @pytest.mark.parametrize("held", [1, 2])
