@@ -26,10 +26,19 @@ frontier: 6x6 at 8/10, 9/11 and 10/12, 8x8 at 8/10 and 10/12, 10x10 at
 7/9 and 9/11 and 12x12 at 8/10, seeds 3-4: 32 solves, each with a 10 s
 limit. Some of them stop at the limit, so the group records the status
 and the total of every solve and the nodes of those that finish; it is
-in neither the frozen file nor the tests, and takes minutes. Run from the
-repository root:
+in neither the frozen file nor the tests, and takes minutes.
+
+``--against OLD.json`` compares what the run writes with an earlier digest
+of the same group. It prints, per group (reduced, full, frontier or
+frontier2) and case (online or no_reuse), the sums of ``nodes``,
+``dive_nodes`` and ``incumbent_updates``, old -> new, and lists every solve
+whose status, total or plan sha256 differs or that only one file holds. A
+solve that stopped at its time limit in OLD is not compared, since where
+it stopped depends on timing. The script exits 1 if any solve differs.
+Run from the repository root:
 
     PYTHONPATH=src python scripts/search_digest.py digest.json
+    PYTHONPATH=src python scripts/search_digest.py new.json --against tests/data/search_digest.json
     PYTHONPATH=src python scripts/search_digest.py tests/data/search_digest.json
     PYTHONPATH=src python scripts/search_digest.py --second-frontier frontier2.json
 """
@@ -38,6 +47,7 @@ import argparse
 import hashlib
 import json
 import pathlib
+from collections import defaultdict
 
 from chainplace import io as _io
 from chainplace.scenario import ScenarioSpec, generate
@@ -55,6 +65,8 @@ SECOND_FRONTIER = [
     (8, 8, 10, 12), (10, 10, 7, 9), (10, 10, 9, 11), (12, 12, 8, 10),
 ]
 SECOND_FRONTIER_LIMIT = 10.0  # seconds per solve
+EFFORT = ("nodes", "dive_nodes", "incumbent_updates")
+ANSWER = ("status", "total", "plan_sha256")
 
 
 def frontier_cases(sizes, group="frontier"):
@@ -125,25 +137,61 @@ def second_frontier_digest() -> dict:
     return out
 
 
-def main() -> None:
+def compare(old: dict, new: dict) -> int:
+    """Print the effort sums per group and case, old -> new, and every solve
+    whose answer differs; return 1 if any does, else 0."""
+    sums = defaultdict(lambda: defaultdict(lambda: [0, 0]))
+    for side, solved in enumerate((old, new)):
+        for label, solve in solved.items():
+            group = f"{label.split('/')[0]}/{label.rsplit('/', 1)[1]}"
+            for field in EFFORT:
+                if field in solve:
+                    sums[group][field][side] += solve[field]
+    for group, fields in sorted(sums.items()):
+        moved = "  ".join(f"{field} {a} -> {b}" for field, (a, b) in fields.items())
+        print(f"{group}: {moved}")
+    differ = []
+    for label in sorted(old.keys() | new.keys()):
+        was, now = old.get(label), new.get(label)
+        if was is None or now is None:
+            differ.append(f"{label}: only in {'new' if was is None else 'old'}")
+        elif was["status"] != STATUS_TIME_LIMIT:
+            changed = [
+                f"{field} {was.get(field)} -> {now.get(field)}"
+                for field in ANSWER
+                if was.get(field) != now.get(field)
+            ]
+            if changed:
+                differ.append(f"{label}: " + ", ".join(changed))
+    print(f"{len(differ)} of {len(old.keys() | new.keys())} solves differ")
+    for line in differ:
+        print(f"  {line}")
+    return 1 if differ else 0
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", type=pathlib.Path, help="where to write the JSON")
     parser.add_argument("--second-frontier", action="store_true",
                         help="digest the second-frontier group instead")
+    parser.add_argument("--against", type=pathlib.Path, metavar="OLD.json",
+                        help="compare the new digest with an earlier one")
     args = parser.parse_args()
+    old = json.loads(args.against.read_text()) if args.against else None
     if args.second_frontier:
         solved = second_frontier_digest()
         args.output.write_text(json.dumps(solved, indent=2, sort_keys=True) + "\n")
         done = [solve for solve in solved.values() if "nodes" in solve]
         nodes = sum(solve["nodes"] for solve in done)
         print(f"{len(done)} of {len(solved)} solves finish in {nodes} nodes; wrote {args.output}")
-        return
-    solved = digest(cases())
-    args.output.write_text(json.dumps(solved, indent=2, sort_keys=True) + "\n")
-    nodes = sum(solve["nodes"] for solve in solved.values())
-    dive = sum(solve["dive_nodes"] for solve in solved.values())
-    print(f"{len(solved)} solves, {nodes} nodes and {dive} dive nodes; wrote {args.output}")
+    else:
+        solved = digest(cases())
+        args.output.write_text(json.dumps(solved, indent=2, sort_keys=True) + "\n")
+        nodes = sum(solve["nodes"] for solve in solved.values())
+        dive = sum(solve["dive_nodes"] for solve in solved.values())
+        print(f"{len(solved)} solves, {nodes} nodes and {dive} dive nodes; wrote {args.output}")
+    return compare(old, solved) if old is not None else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

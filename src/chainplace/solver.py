@@ -26,8 +26,8 @@ the parent checks the bound on the floor it has before it prices the
 longer prefix, since deciding a type never lowers the floor. The search
 carries the floor's per-request terms beside it, and at a type end
 reprices from them only the requests whose chains use the type, reading
-the cheapest route of each from a memo by the request's end links and its
-slots' server masks. At the placement leaf every type is decided, so the
+the cheapest route of each from a memo by the request and its slots'
+server masks. At the placement leaf every type is decided, so the
 assignment bound is the committed cost plus the floor's tail: each
 unrouted request's cheapest route over the deployed servers.
 ``brute_force`` is the independent oracle: it enumerates the same decision
@@ -78,7 +78,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from . import costs as _costs
@@ -144,10 +143,9 @@ def derive_routes(
     return routes
 
 
-def _instances_for(demand: int, limit: int | Fraction) -> int | float:
+def _instances_for(demand: int, limit: int) -> int | float:
     """The fewest instances, at least one, whose usage limits together carry
-    ``demand``; inf when the limit is 0 and the demand is not. The ceiling is
-    exact for int and Fraction limits alike."""
+    ``demand``; inf when the limit is 0 and the demand is not."""
     if not limit:
         return math.inf if demand else 1
     return max(1, -(-demand // limit))
@@ -161,8 +159,8 @@ class _Decision:
     after: int | None  # the type's previous fresh decision, activated first
     resource_req: int
     # (option, exact micro-money) pairs in the order the search tries them
-    # (the dive's order is _Problem.cheapest_first); an option is a server
-    # position, or None for not deployed
+    # (the dive sorts them, see _Dive); an option is a server position, or
+    # None for not deployed
     options: tuple
     # deploying it covers its type (see _Problem.deploy_min); a request that
     # skips snapshot instances may use only qualifying ones
@@ -201,10 +199,13 @@ class _Problem:
     Decision types (``ProblemInstance.required_types``: the catalog types
     some chain uses) are numbered in catalog order, and every per-type fact
     is a list by that position, kept once: ``slots[ri]`` names request ``ri``'s chain
-    by these positions. ``type_cap[k]`` is type ``k``'s usage limit per
-    instance and ``type_delay[k]`` its processing delay by server position.
-    ``need[k]`` is the fewest instances, at least one, whose usage limit
-    carries the traffic of every request that uses type ``k``.
+    by these positions. Usage limits are floored to ints (inf for a
+    self-link): loads are sums of ints, so a load fits under a limit exactly
+    when it fits under its floor; the model, ILP and checker keep the exact
+    ones. ``type_cap[k]`` is type ``k``'s limit per instance and
+    ``type_delay[k]`` its processing delay by server position.
+    ``need[k]`` is the fewest instances, at least one, whose usage limits
+    carry the traffic of every request that uses type ``k``.
     ``need_qualified[k]`` is the same count for the new requests' traffic
     when the type is fresh-only (no_reuse, and some new request uses it),
     else 1. A count is inf when the limit is 0 and the traffic is not.
@@ -223,11 +224,6 @@ class _Problem:
     floor's first entry, the assignment stage its tail, where each request
     takes one of its ``columns``. The cheapest-route memo of ``reprice`` and
     the columns' memo are attributes of the ``_Problem`` and go with it.
-
-    ``cheapest_first[di]`` is decision ``di``'s options in the order the
-    warm-start dive tries them: sorted by micro-money, ties in the search's
-    order. ``dive_budget`` is the most nodes the dive visits: about four
-    root-to-leaf paths.
 
     The tables number nodes by their position in the network's node list.
     Servers come first, so a server's number is its index in ``servers``.
@@ -248,7 +244,7 @@ class _Problem:
         net = instance.network
         self.servers = net.servers
         self.requests = instance.requests
-        limit_of = functools.cache(instance.usage_limit)
+        limit_of = functools.cache(lambda capacity: math.floor(instance.usage_limit(capacity)))
 
         n = self.n_nodes = len(net.nodes)
         self.server_cap = [limit_of(net.server_capacity[s]) for s in net.servers]
@@ -283,7 +279,7 @@ class _Problem:
         self.skip: list[int] = []
         self.need: list[int | float] = []
         self.need_qualified: list[int | float] = []
-        self.type_cap: list[int | Fraction] = []
+        self.type_cap: list[int] = []
         self.type_delay: list[tuple[int, ...]] = []
         type_pos = {}  # type name -> type position
         positions = range(len(net.servers))
@@ -378,10 +374,6 @@ class _Problem:
                 least = min(least, extra)
             self.deploy_min[di] = least
 
-        self.cheapest_first = [
-            tuple(sorted(d.options, key=lambda option: option[1])) for d in self.decisions
-        ]
-
         # per request, by request index: the user's position, the candidate
         # content servers' positions, and its chain slots' type positions
         self.user_at = [net.position(r.user) for r in self.requests]
@@ -389,16 +381,9 @@ class _Problem:
             tuple(s for s in positions if net.servers[s] in r.candidate_servers)
             for r in self.requests
         ]
-        # the end links _cheapest_route reads, one table per distinct (user,
-        # candidates) pair; end[ri] numbers request ri's pair
-        ends: dict[tuple, int] = {}
-        self.end = [ends.setdefault(pair, len(ends)) for pair in zip(self.user_at, self.candidates)]
-        self.end_links = [self._end_links(user, candidates) for user, candidates in ends]
+        # per request, the end links _cheapest_route reads
+        self.end_links = list(map(self._end_links, self.user_at, self.candidates))
         self.slots = [tuple(type_pos[k] for k in r.chain) for r in self.requests]
-        # about four root-to-leaf paths: a path has at most a node per
-        # decision and per request, and its leaf
-        path = len(self.decisions) + len(self.requests) + 1
-        self.dive_budget = 4 * path
         # new requests under no_reuse may not use snapshot instances
         self.skips_snapshot = [
             options.no_reuse and r.status == STATUS_NEW for r in self.requests
@@ -419,7 +404,7 @@ class _Problem:
         self.p_off = [off for row in pair for off in row]
         # the only state that changes after construction, filled on first
         # use: reprice's one memo, the cheapest route per traffic unit by
-        # (end, server mask per chain slot); the server positions of each
+        # (request, server mask per chain slot); the server positions of each
         # mask; and columns' memo, by (request, eligible pairs per slot)
         self._route_min: dict[tuple, int | float] = {}
         self._mask_servers = _MaskServers()
@@ -512,38 +497,36 @@ class _Problem:
         Deciding one more type never lowers the floor: a request's counted
         links stay counted, and only requests that use the new type change.
         So the search reprices just those requests, from the terms of the
-        floor it holds; the cheapest routes are memoized by the request's
-        end links and its slots' masks, so requests and prefixes that share
-        them price each once."""
+        floor it holds; the cheapest routes are memoized by the request and
+        its slots' masks, so prefixes that share them price each once."""
         terms = terms.copy()
         route_min = self._route_min
         for ri, shape in repriced:
             masks = tuple(map(hosts[self.skips_snapshot[ri]].__getitem__, self.slots[ri]))
-            key = (self.end[ri], masks)
+            key = (ri, masks)
             route = route_min.get(key)
             if route is None:
-                route = route_min[key] = self._cheapest_route(self.end[ri], masks, shape)
+                route = route_min[key] = self._cheapest_route(ri, masks, shape)
             terms[ri] = self.requests[ri].traffic * route - self.credit[ri]
         tail = list(itertools.accumulate(reversed(terms), initial=0))
         tail.reverse()
         return tail, terms
 
-    def _cheapest_route(self, end: int, masks: tuple, shape: tuple) -> int | float:
-        """The cheapest route per traffic unit of a request with end links
-        ``end_links[end]`` when chain slot ``pos`` is hosted on a server of
-        ``masks[pos]``, or anywhere when that is None (undecided). Only the
-        decided slots' hosts are enumerated. The route counts, as a set of
-        links: the entry link from a candidate content server if the first
-        slot is decided, the links between consecutive decided slots, and
-        the user link from the last host if the last slot is decided. An
-        undecided last slot pays the cheapest server->user link instead,
-        which is none of the counted links: the user is not a server. A link
-        that touches an undecided slot is dropped. A link used twice is
-        priced once, as the objective prices it, and a self-link costs
-        nothing: so the entry link is free when some candidate's entry link
-        is already a hop of the route, and else costs the cheapest one. The
-        user link is never a hop."""
-        to_user, entries, entry_min, open_end = self.end_links[end]
+    def _cheapest_route(self, ri: int, masks: tuple, shape: tuple) -> int | float:
+        """The cheapest route per traffic unit of request ``ri`` when chain
+        slot ``pos`` is hosted on a server of ``masks[pos]``, or anywhere
+        when that is None (undecided). Only the decided slots' hosts are
+        enumerated. The route counts, as a set of links: the entry link from
+        a candidate content server if the first slot is decided, the links
+        between consecutive decided slots, and the user link from the last
+        host if the last slot is decided. An undecided last slot pays the
+        cheapest server->user link instead, which is none of the counted
+        links: the user is not a server. A link that touches an undecided
+        slot is dropped. A link used twice is priced once, as the objective
+        prices it, and a self-link costs nothing: so the entry link is free
+        when some candidate's entry link is already a hop of the route, and
+        else costs the cheapest one. The user link is never a hop."""
+        to_user, entries, entry_min, open_end = self.end_links[ri]
         spots, hops, first, last = shape
         n, canon, cost = self.n_nodes, self.canon, self.link_cost
         servers_of = self._mask_servers
@@ -883,16 +866,19 @@ class _DiveOver(Exception):
 
 
 class _Dive(_Search):
-    """The warm start: the search's code with each decision's options in
-    ``_Problem.cheapest_first`` order, stopped once it has offered its
-    first leaf or visited ``_Problem.dive_budget`` nodes. A stop is not a
-    time-limit abort: ``aborted`` still means only that the deadline
-    struck, and the dive's ``abort_lb`` is never read. A stop unwinds the
-    whole path at once, without restoring the state, so a dive runs once."""
+    """The warm start: the search's code with each decision's options tried
+    cheapest first (ties in the search's order), stopped once it has
+    offered its first leaf or visited ``budget`` nodes, about four
+    root-to-leaf paths. A stop is not a time-limit abort: ``aborted``
+    still means only that the deadline struck, and the dive's ``abort_lb``
+    is never read. A stop unwinds the whole path at once, without restoring
+    the state, so a dive runs once."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
         super().__init__(problem, incumbent, deadline)
-        self.options = problem.cheapest_first
+        self.options = [tuple(sorted(o, key=lambda option: option[1])) for o in self.options]
+        # a path has at most a node per decision and per request, and its leaf
+        self.budget = 4 * (len(problem.decisions) + len(problem.requests) + 1)
 
     def run(self) -> None:
         try:
@@ -901,7 +887,7 @@ class _Dive(_Search):
             pass
 
     def _expired(self) -> bool:
-        if self.nodes == self.p.dive_budget:
+        if self.nodes == self.budget:
             raise _DiveOver
         return super()._expired()
 

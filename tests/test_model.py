@@ -472,6 +472,9 @@ class TestUsageLimit:
 
     @pytest.mark.parametrize("mu", [1.0, 0.5, 0.75, 0.3])
     def test_solver_limits_are_the_instance_limits(self, mu):
+        """The search's limits are the floors of the instance's, as ints:
+        loads are sums of ints, so a load fits under a limit exactly when it
+        fits under its floor."""
         net = mk_network(n_servers=3, n_users=2, capacity=9)
         n = len(net.nodes)
         # a symmetric bandwidth matrix with a distinct value per link
@@ -483,7 +486,10 @@ class TestUsageLimit:
         requests = [mk_request(net, chain=("k1", "k0"))]
         inst = mk_instance(net, types=types, requests=requests, mu=mu)
         p = _Problem(inst, SolveOptions())
-        limit = inst.usage_limit
+
+        def limit(capacity):
+            return math.floor(inst.usage_limit(capacity))
+
         assert p.server_cap == [limit(9)] * 3
         # slots name each chain type by its position in catalog order, and
         # the type's usage limit sits at that position
@@ -497,7 +503,31 @@ class TestUsageLimit:
                 assert got == math.inf
             else:
                 assert got == limit(bandwidth(a, b))
-                assert type(got) is type(limit(bandwidth(a, b)))
+                assert type(got) is int
+
+    @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
+    def test_fractional_limits_search_in_ints(self, no_reuse):
+        """At a usage threshold of 0.75 every limit here is a Fraction (15/2
+        per server, 3/2 per instance, 9/4 per link); the search's tables
+        hold their floors, and it still returns the oracle's plan. Three
+        requests of traffic 1 need three instances of the type: an instance
+        carries one request under the floor 1, where 3/2 would count two."""
+        net = mk_network(capacity=10, bandwidth=3)
+        inst = mk_instance(
+            net,
+            types=[mk_type(net, capacity=2, instances=3)],
+            requests=[mk_request(net, rid=f"r{i}") for i in range(3)],
+            mu=0.75,
+        )
+        p = _Problem(inst, SolveOptions(no_reuse=no_reuse))
+        tables = [p.server_cap, p.type_cap, p.link_cap, p.need, p.need_qualified]
+        assert not any(isinstance(v, Fraction) for table in tables for v in table)
+        assert p.need == [3]
+        fast = solve_exact(inst, SolveOptions(no_reuse=no_reuse))
+        slow = brute_force(inst, SolveOptions(no_reuse=no_reuse))
+        assert fast.status == slow.status == "optimal"
+        assert fast.plan == slow.plan
+        assert fast.breakdown.total == slow.breakdown.total
 
     def test_each_distinct_capacity_is_read_once_per_call(self, monkeypatch):
         """The solver's set-up and the checker each work out a usage limit

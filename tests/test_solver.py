@@ -766,8 +766,10 @@ def demand_rule(deployed, qualified, limit, demand_all, demand_new, fresh_only):
 
 class TestTypeCounts:
     """``_type_demand_covered`` compares counts; it must accept exactly the
-    states the capacity products accept. Existing and new traffic of 0, 1
-    and 7 (or no new request) give every demand the rule tells apart."""
+    states the capacity products accept, over the floor of the usage limit
+    (loads are sums of int traffic, so no instance carries more than the
+    floor). Existing and new traffic of 0, 1 and 7 (or no new request) give
+    every demand the rule tells apart."""
 
     @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
     @pytest.mark.parametrize(
@@ -792,7 +794,7 @@ class TestTypeCounts:
                 for qualified in range(deployed + 1) if fresh_only else [deployed]:
                     search.deployed[0] = [0] * deployed
                     search.qualified[0] = qualified
-                    expect = demand_rule(deployed, qualified, limit,
+                    expect = demand_rule(deployed, qualified, math.floor(limit),
                                          old_traffic + demand_new, demand_new, fresh_only)
                     got = search._type_demand_covered(0)
                     assert got == expect, (old_traffic, new_traffic, deployed, qualified)
@@ -878,6 +880,11 @@ class TestTieBreakKey:
         assert_keys_order_as_plan_vector(problem, offers)
 
 
+def dive_budget(problem) -> int:
+    """The most nodes the warm-start dive visits on ``problem``."""
+    return _Dive(problem, _Incumbent(problem.leaf_key), deadline=math.inf).budget
+
+
 class TestWarmStart:
     """The dive only seeds the incumbent. The search after it returns what
     a plain search from an empty incumbent returns, down to the winning
@@ -913,7 +920,7 @@ class TestWarmStart:
         instance = generate(ScenarioSpec.table_row(3, seed=DEFAULT_SEED, reduced=True))
         problem = _Problem(instance, SolveOptions(no_reuse=True, clamp_instantiation=True))
         self.assert_same_as_plain_search(problem)
-        assert _solve_exact(problem).stats.dive_nodes <= problem.dive_budget
+        assert _solve_exact(problem).stats.dive_nodes <= dive_budget(problem)
 
     def test_dive_stops_at_its_budget_on_an_infeasible_instance(self):
         """No delay budget can be met, so no leaf exists; the tree of three
@@ -923,17 +930,18 @@ class TestWarmStart:
             net, types=[mk_type(net, instances=3)], requests=[mk_request(net, budget=1)]
         )
         problem = _Problem(inst, SolveOptions())
+        budget = dive_budget(problem)
         plain = _Search(problem, _Incumbent(problem.leaf_key), deadline=math.inf)
         plain.run()
-        assert plain.nodes > problem.dive_budget
+        assert plain.nodes > budget
         incumbent = _Incumbent(problem.leaf_key)
         dive = _Dive(problem, incumbent, deadline=math.inf)
         dive.run()
-        assert dive.nodes == problem.dive_budget and not dive.aborted
+        assert dive.nodes == budget and not dive.aborted
         assert incumbent.payload is None and incumbent.updates == 0
         result = _solve_exact(problem)
         assert result.status == "infeasible"
-        assert result.stats.dive_nodes == problem.dive_budget
+        assert result.stats.dive_nodes == budget
         assert result.stats.incumbent_updates == 0
 
     def test_deadline_in_the_dive_still_stops_the_solve(self):
@@ -946,10 +954,10 @@ class TestWarmStart:
         inst = generate(SLOW_SPEC)
         options = SolveOptions(time_limit=1e-9, no_reuse=True, clamp_instantiation=True)
         problem = _Problem(inst, options)
-        assert problem.dive_budget < 256
+        assert dive_budget(problem) < 256
         result = _solve_exact(problem)
         assert result.status == "time_limit"
-        assert 0 < result.stats.dive_nodes <= problem.dive_budget
+        assert 0 < result.stats.dive_nodes <= dive_budget(problem)
         assert result.stats.nodes == 256
         assert check_feasibility(inst, result.plan).feasible
         assert 0 <= result.stats.gap < result.breakdown.total
