@@ -15,7 +15,7 @@ search and of the warm-start dive before it, and the incumbent updates,
 and writes them as sorted JSON to the given path. Two runs of the script
 on two versions of the code diff cleanly when the search returns the same
 answers; the ``nodes`` and ``dive_nodes`` lines show how much the search
-effort moved. The 86 solves take about 2.4 s of CPU on a 2-vCPU Xeon
+effort moved. The 86 solves take about 0.4 s of CPU on a 2-vCPU Xeon
 host. ``tests/data/search_digest.json`` is this script's output, all 86
 solves; ``tests/test_search_digest.py`` reruns all 86 against it. A change
 that moves their node counts writes the file again with the second command

@@ -17,9 +17,11 @@ is assigned, and priced, over qualifying instances. Routes are priced by
 one method, ``_Problem.reprice``, over the decided types: a type is
 decided, and its servers are final, once its last instance is. The
 placement bound is the committed cost plus ``place_tail`` (the undecided
-instances and the later types' deployments), plus ``deploy_min`` while the
-current decision's type has no qualifying instance deployed, plus the
-route floor over the types decided so far. A placement node's parent
+instances and the later types' demands), plus the demand of the current
+decision's type (``_Problem.demand``): the least extra its remaining
+decisions must pay to meet both counts, 0 at the type's end exactly when
+they are met and inf when they cannot be, plus the route floor over the
+types decided so far. A placement node's parent
 computes that bound, once per option, before it commits and descends, so
 a child over the incumbent costs no call; where the option decides a type,
 the parent checks the bound on the floor it has before it prices the
@@ -151,6 +153,20 @@ def _instances_for(demand: int, limit: int) -> int | float:
     return max(1, -(-demand // limit))
 
 
+def _demand_rows(extras: list, need: int | float) -> list[list]:
+    """Per position from a type's first decision to its end, by how many of
+    its instances are deployed (none to all): the sum of the fewest
+    cheapest ``extras`` from the position on that lift the count to
+    ``need``, inf when too few remain, 0 (not summed) from ``need`` on."""
+    short = min(need, len(extras) + 1)
+    rows = []
+    for j in range(len(extras) + 1):
+        rest = sorted(extras[j:])
+        row = [sum(rest[: need - c]) if need - c <= len(rest) else math.inf for c in range(short)]
+        rows.append(row + [0] * (len(extras) + 1 - short))
+    return rows
+
+
 @dataclass(frozen=True)
 class _Decision:
     vnf_name: str
@@ -162,8 +178,8 @@ class _Decision:
     # (the dive sorts them, see _Dive); an option is a server position, or
     # None for not deployed
     options: tuple
-    # deploying it covers its type (see _Problem.deploy_min); a request that
-    # skips snapshot instances may use only qualifying ones
+    # deploying it counts toward its type's need_qualified (see _Problem);
+    # a request that skips snapshot instances may use only qualifying ones
     qualifies: bool
 
 
@@ -211,10 +227,11 @@ class _Problem:
     else 1. A count is inf when the limit is 0 and the traffic is not.
 
     ``place_tail[di]`` is the least placement cost still to come once
-    decisions before ``di`` are made; ``deploy_min[di]`` is what the
-    placement bound adds while di's type has no qualifying instance
-    deployed. Both have an entry past the last decision, 0, which is the
-    bound of the assignment stage's root. ``skip[di]`` is where the search
+    decisions before ``di`` are made, with an entry past the last decision,
+    0, which is the bound of the assignment stage's root. ``demand[j]``, for
+    each position ``j`` after a type's first decision up to the type's end,
+    is the pair of lists the placement bound reads there for the type's
+    counts (see ``__init__``). ``skip[di]`` is where the search
     goes from ``di`` when the next decision is a fresh instance that can no
     longer activate: the type's next snapshot decision, or its end.
     Routes are priced apart, by ``reprice`` over per-type server masks of
@@ -267,10 +284,7 @@ class _Problem:
             self.base_load[net.position(s)] += instance.catalog.get(k).resource_req
 
         self.decisions: list[_Decision] = []
-        # once the last instance of a type is decided, the deployed instances
-        # must already meet the type's counts; type_end holds the index
-        # after it, so checking at the boundary keeps the placement stage
-        # from wading through dead subtrees
+        # the index after each type's last decision, where the type is decided
         self.type_end: set[int] = set()
         # skip[di]: the type's first snapshot decision after di, or the index
         # after its last decision. Fresh instances activate in identifier
@@ -281,6 +295,20 @@ class _Problem:
         self.need_qualified: list[int | float] = []
         self.type_cap: list[int] = []
         self.type_delay: list[tuple[int, ...]] = []
+        # Admissible placement tails; reprice adds the routes. demand[j], for
+        # j after a type's first decision up to its end, holds two lists by
+        # how many of its instances are deployed, all and qualifying: the least
+        # total extra (cheapest deploying option less cheapest option) its
+        # decisions from j on add to reach need[k], and need_qualified[k].
+        # Every leaf below deploys that many more, each paying its extra over
+        # the cheapest option place_tail counts, so either sum, and their
+        # larger, is a lower bound. place_tail[di] adds each later type's
+        # demand at its first decision; inf passes through. So no bound
+        # exceeds a leaf below it, and pruning only above the incumbent
+        # returns the optimum, the tie-break plan and the incumbent updates
+        # of a search without the demand and routing terms, in no more nodes.
+        self.demand: list[tuple[list, list] | None] = [None]
+        least = []  # per decision, what place_tail counts for it
         type_pos = {}  # type name -> type position
         positions = range(len(net.servers))
         for vnf in instance.required_types():
@@ -332,6 +360,16 @@ class _Problem:
             end = len(self.decisions)
             self.type_end.add(end)
             self.skip += [next((j for j in held if j > di), end) for di in range(start, end)]
+            extras, extras_qualified = [], []
+            for d in self.decisions[start:]:
+                cheapest = min(c for _t, c in d.options)
+                extras.append(min(c for t, c in d.options if t is not None) - cheapest)
+                extras_qualified.append(extras[-1] if d.qualifies else math.inf)
+                least.append(cheapest)
+            every = _demand_rows(extras, self.need[k])
+            qualified = _demand_rows(extras_qualified, self.need_qualified[k])
+            least[start] += max(every[0][0], qualified[0][0])
+            self.demand += zip(every[1:], qualified[1:])
 
         # per request, by request index: the cost of its current links,
         # which its new route replaces
@@ -340,39 +378,7 @@ class _Problem:
             links = normalize_route(net, r.current_route)
             self.credit.append(r.traffic * sum(net.cost_between(a, b) for a, b in links))
 
-        # Admissible placement tails; reprice adds the routes.
-        # place_tail[di]: each undecided instance takes its cheapest option
-        # and each later type adds deploy_min at its first decision; inf
-        # passes through.
-        # deploy_min[di]: the least extra over the cheapest option among the
-        # qualifying decisions from di to the end of di's type, inf when
-        # there are none. Every leaf deploys a qualifying instance of each
-        # decision type: _type_demand_covered asks for need_qualified of
-        # them, at least one. A type's term reads only its own undecided
-        # instances, which place_tail counts at their cheapest option, and
-        # adds one extra per type, so nothing is counted twice. So the bound
-        # never exceeds the total of a leaf below it, and pruning only when
-        # it is strictly above the incumbent still visits every leaf that
-        # could improve or tie: a search that finishes returns the optimum,
-        # the tie-break plan and the incumbent updates of a search without
-        # the deployment and routing terms (reprice's too), in no more
-        # nodes.
-        count = len(self.decisions)
-        self.deploy_min = [math.inf] * count + [0]
-        self.place_tail = [0] * (count + 1)
-        least = math.inf
-        for di in range(count - 1, -1, -1):
-            d = self.decisions[di]
-            tail = self.place_tail[di + 1]
-            if di + 1 in self.type_end:  # di is the last of its type
-                tail += self.deploy_min[di + 1]
-                least = math.inf
-            cheapest = min(c for _t, c in d.options)
-            self.place_tail[di] = tail + cheapest
-            if d.qualifies:
-                extra = min(c for t, c in d.options if t is not None) - cheapest
-                least = min(least, extra)
-            self.deploy_min[di] = least
+        self.place_tail = list(itertools.accumulate(reversed(least), initial=0))[::-1]
 
         # per request, by request index: the user's position, the candidate
         # content servers' positions, and its chain slots' type positions
@@ -661,7 +667,7 @@ class _Search:
         self.deployed: list[list[int]] = [[] for _k in problem.need]
         self.server_load = list(problem.base_load)
         # qualifying instances deployed, per type position (see
-        # _Problem.deploy_min)
+        # _Problem.demand)
         self.qualified = [0] * len(problem.need)
         # per request: its columns at the current placement leaf, and the
         # column that routes it (see _Problem.columns)
@@ -686,30 +692,23 @@ class _Search:
             self.aborted = True
         return self.aborted
 
-    def _type_demand_covered(self, k: int) -> bool:
-        p = self.p
-        return len(self.deployed[k]) >= p.need[k] and self.qualified[k] >= p.need_qualified[k]
-
     def run(self) -> None:
         """Search from the root, where no instance is placed."""
-        bound = self._bound(0, 0, False)
+        bound = self._bound(0)
         if self._open(bound):
             self._descend(0, bound)
 
-    def _bound(self, di: int, committed: int, covered: bool) -> int | float:
+    def _bound(self, di: int) -> int | float:
         """The placement bound at decision ``di`` (past the last one, the
-        assignment stage's root) with ``committed`` spent: that, plus
-        ``place_tail[di]``, plus ``deploy_min[di]`` unless ``covered``
-        (di's type has a qualifying instance deployed), plus the route floor
+        assignment stage's root) before the demand of the type under way:
+        the committed cost, plus ``place_tail[di]``, plus the route floor
         over the decided types."""
-        p = self.p
-        bound = committed + p.place_tail[di] + self.floor[0]
-        return bound if covered else bound + p.deploy_min[di]
+        return self.committed + self.p.place_tail[di] + self.floor[0]
 
     def _open(self, bound: int | float) -> bool:
         """Whether a child with this bound is visited: it is finite (else a
-        type can no longer deploy a qualifying instance) and not above the
-        incumbent's total."""
+        type can no longer meet its counts) and not above the incumbent's
+        total."""
         inc = self.incumbent.total
         return bound != math.inf and (inc is None or bound <= inc)
 
@@ -739,7 +738,6 @@ class _Search:
             return
         p = self.p
         d = p.decisions[di]
-        k = d.type_pos
         # every option that deploys the instance leads to one child, and
         # leaving it out to another; an option adds its delta to the bound
         placed, left_out = self._child(di, True), self._child(di, False)
@@ -754,24 +752,24 @@ class _Search:
             if not self._open(bound):
                 continue
             self._commit_tau(di, target, delta)
-            if not ends:
+            if ends:
+                self._end_type(d.type_pos, child)
+            else:
                 self._branch_tau(child, bound)
-            elif self._type_demand_covered(k):
-                self._end_type(k, child)
             self._undo_tau(di, target, delta)
 
     def _end_type(self, k: int, child: int) -> None:
         """Descend to ``child`` past the end of type position ``k``, whose
-        deployed instances meet its counts. Its servers are final, so the
-        floor prices routes over them too: the requests that use the type
-        are repriced from the terms of the floor in hand. The floor never
-        falls, so the bound on the floor in hand was checked first."""
+        deployed instances meet its counts (else its demand was inf). Its
+        servers are final, so the floor prices routes over them too: the
+        requests that use the type are repriced from the terms of the floor
+        in hand. The floor never falls, so the bound on it was checked first."""
         p = self.p
         every, qualified = self.hosts
         every[k], qualified[k] = self._type_masks(k)
         floor, terms = self.floor, self.terms
         self.floor, self.terms = p.reprice(terms, p.repriced[k], self.hosts)
-        bound = self._bound(child, self.committed, False)
+        bound = self._bound(child)
         if self._open(bound):
             self._descend(child, bound)
         self.floor, self.terms = floor, terms
@@ -783,18 +781,19 @@ class _Search:
         type, and the child's bound before the option's delta. Fresh
         instances activate in identifier order, so when the next decision is
         a fresh one whose predecessor is left out, it and the type's later
-        fresh ones are forced out too, and the child is ``skip[di]``. A
-        child that ends the type starts a new one, with no qualifying
-        instance deployed."""
+        fresh ones are forced out too, and the child is ``skip[di]``. The
+        bound charges di's type the demand at the child for the instances
+        deployed with this choice (see ``_Problem.demand``)."""
         p = self.p
         d = p.decisions[di]
         child = di + 1
         after = p.decisions[child].after if child < len(p.decisions) else None
         if after is not None and not (deploys if after == di else self.target[after] is not None):
             child = p.skip[di]
-        ends = child in p.type_end
-        covered = not ends and (self.qualified[d.type_pos] > 0 or deploys and d.qualifies)
-        return child, ends, self._bound(child, self.committed, covered)
+        k = d.type_pos
+        every, qualified = p.demand[child]
+        n, q = len(self.deployed[k]) + deploys, self.qualified[k] + d.qualifies * deploys
+        return child, child in p.type_end, self._bound(child) + max(every[n], qualified[q])
 
     def _type_masks(self, k: int) -> tuple[int, int]:
         """The bitmasks of the servers deploying type position ``k`` and of
@@ -814,8 +813,7 @@ class _Search:
             self.target[di] = target
             self.deployed[d.type_pos].append(di)
             self.server_load[target] += d.resource_req
-            if d.qualifies:
-                self.qualified[d.type_pos] += 1
+            self.qualified[d.type_pos] += d.qualifies
 
     def _undo_tau(self, di: int, target: int | None, delta: int) -> None:
         self.committed -= delta
@@ -824,8 +822,7 @@ class _Search:
             self.target[di] = None
             self.deployed[d.type_pos].pop()
             self.server_load[target] -= d.resource_req
-            if d.qualifies:
-                self.qualified[d.type_pos] -= 1
+            self.qualified[d.type_pos] -= d.qualifies
 
     # stage (b): routes, one column per request (see _Problem.columns)
     def _assign(self, ri: int) -> None:
@@ -901,9 +898,10 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     time limit strikes. Equal-cost optima resolve to the lexicographically
     smallest canonical variable vector, so results are unique and
     repeatable. The bound at each node adds the exact committed cost, the
-    cheapest contribution of each undecided instance, for each type with no
-    qualifying instance deployed yet the least extra cost of deploying one,
-    the credit of the current routes not yet replaced and, for each request
+    cheapest contribution of each undecided instance, for each type the
+    least extra cost of the instances its counts still ask for (inf when
+    too few remain), the credit of the current routes not yet replaced and,
+    for each request
     not yet routed, a route floor: its cheapest route over the servers of
     the types whose instances are all placed, leaving out the links that
     touch a chain slot of another type, with an open last slot paying the

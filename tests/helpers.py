@@ -88,7 +88,10 @@ def solve_mps_with_highs(text: str):
     if result.status == 2:  # proven infeasible
         return None
     assert result.success, result.message
-    assert result.mip_gap == 0, result.mip_gap
+    # every objective is a whole number of micro-money, so a bound within a
+    # micro of the solution proves it optimal; a gap of 0 can come back as a
+    # rounding residue (8.5e-16 on one binding-set program)
+    assert result.mip_gap * max(1.0, abs(result.fun)) < 1e-6, result.mip_gap
     constant = -rhs.get(obj_name, 0.0)
     values = {v: float(result.x[vidx[v]]) for v in var_order}
     return result.fun + constant, values

@@ -6,7 +6,7 @@ and incumbent updates of every solve it runs, and
 solves (reduced scale seeds 3-5 and full scale seeds 3-8, scenarios 1-3,
 online and no_reuse) and the 32 frontier solves past the table. This test
 runs all 86 again through the script's own case list and digest code, in
-about 2.5 s of CPU, and compares them with the file, so the frontier's
+about 0.4 s of CPU, and compares them with the file, so the frontier's
 plans are checked as well as the table's. A change that keeps the answers
 but moves the node counts writes the file again, with one command, and
 says so:

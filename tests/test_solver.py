@@ -140,6 +140,27 @@ class TestSolveExact:
         assert result.status == "infeasible"
         assert result.plan is None
 
+    @pytest.mark.parametrize(
+        "capacity, requests",
+        [(0, 1), (1, 4)],
+        ids=["no-capacity", "pool-too-small"],
+    )
+    def test_type_that_can_never_meet_its_count_is_refuted_at_the_root(
+        self, net2, capacity, requests
+    ):
+        """A pool of three instances that no placement can make carry the
+        traffic: none carries any, or each carries one of four requests.
+        The bound charges the type inf before any instance is placed, so
+        neither the dive nor the search visits a node."""
+        inst = mk_instance(
+            net2,
+            types=[mk_type(net2, capacity=capacity, instances=3)],
+            requests=[mk_request(net2, rid=f"r{i}") for i in range(requests)],
+        )
+        result = solve_exact(inst)
+        assert result.status == "infeasible"
+        assert result.stats.nodes == result.stats.dive_nodes == 0
+
     def test_candidate_choice_follows_route_costs(self):
         base = mk_network(n_servers=2)
         rows = [list(r) for r in base.link_cost]
@@ -175,7 +196,7 @@ class TestSolveExact:
         assert ("r0", "s0") in plan2.content_server
 
     def test_time_limited_gap_stays_below_the_incumbent(self):
-        # the deployment term keeps the lower bound positive on a full-scale
+        # the demand term keeps the lower bound positive on a full-scale
         # case; without it the gap exceeds the incumbent. The clock is read
         # every 256 nodes, so the case must take more: full-scale seed-5
         # scenario 1 under no_reuse takes the nodes the search digest pins
@@ -424,10 +445,48 @@ def route_floor(p, prefix: tuple) -> list:
     return tail
 
 
+def demand(p, k: int, first: int, deployed: int, qualified: int) -> int | float:
+    """What the search bound charges type position ``k`` when its decisions
+    from ``first`` on are undecided, ``deployed`` of its instances are
+    deployed and ``qualified`` of those qualify: the larger of the least
+    extras that bring the deployed instances to ``need[k]`` and the
+    qualifying ones to ``need_qualified[k]``, inf when too few decisions
+    remain. A decision's extra is its cheapest deploying option less its
+    cheapest option."""
+    rest = [d for d in p.decisions[first:] if d.type_pos == k]
+
+    def extra(d):
+        return min(c for t, c in d.options if t is not None) - min(c for _t, c in d.options)
+
+    def cheapest(pool, more):
+        if more <= 0:
+            return 0
+        if more > len(pool):
+            return math.inf
+        return sum(sorted(map(extra, pool))[:more])
+
+    return max(
+        cheapest(rest, p.need[k] - deployed),
+        cheapest([d for d in rest if d.qualifies], p.need_qualified[k] - qualified),
+    )
+
+
+def placement_tail(p, di: int, deployed: list, qualified: list) -> int | float:
+    """The search bound's placement terms at decision ``di`` when
+    ``deployed[k]`` instances of each type position ``k`` are deployed,
+    ``qualified[k]`` of them qualifying: each undecided decision's cheapest
+    option, plus the demand of di's type and of every later one."""
+    tail = sum(min(c for _t, c in d.options) for d in p.decisions[di:])
+    types = range(p.decisions[di].type_pos, len(p.need))
+    return tail + sum(demand(p, k, di, deployed[k], qualified[k]) for k in types)
+
+
 def root_bound(p) -> int:
     """The search bound at the root, before any instance is placed and so
     before any type is decided."""
-    return p.place_tail[0] + route_floor(p, ())[0] + (p.deploy_min[0] if p.decisions else 0)
+    none = [0] * len(p.need)
+    placement = placement_tail(p, 0, none, none) if p.decisions else 0
+    return placement + route_floor(p, ())[0]
 
 
 def host_masks(p, plan) -> tuple:
@@ -459,23 +518,24 @@ def path_bounds(p, plan) -> tuple[list[int], int]:
     """The search bound at each node on the path to ``plan``: placements in
     decision order, then one node per request before it is routed. Also
     returns the committed cost at the leaf, which is the plan's total. The
-    placement bounds count, per type, the qualifying instances the path has
-    deployed so far, as the search does, and add the route floor over the
-    types decided before them: decisions run by type, so those are the
-    types at lower positions. A decision's options are keyed by server
-    position. The assignment bounds read the floor over every type."""
+    placement bounds count, per type, the instances and the qualifying ones
+    the path has deployed so far, as the search does (see ``demand``), and
+    add the route floor over the types decided before them: decisions run
+    by type, so those are the types at lower positions. A decision's
+    options are keyed by server position. The assignment bounds read the
+    floor over every type."""
     placed = {(k, i): p.instance.network.position(s) for k, i, s in plan.deployment}
     masks = host_masks(p, plan)
-    qualified = [0] * len(p.need)
+    deployed, qualified = [0] * len(p.need), [0] * len(p.need)
     committed, bounds = 0, []
     for di, d in enumerate(p.decisions):
-        missing = p.deploy_min[di] if not qualified[d.type_pos] else 0
         floor = route_floor(p, masks[: d.type_pos])[0]
-        bounds.append(committed + p.place_tail[di] + floor + missing)
+        bounds.append(committed + placement_tail(p, di, deployed, qualified) + floor)
         target = placed.get((d.vnf_name, d.instance_id))
         committed += dict(d.options)[target]
-        if target is not None and d.qualifies:
-            qualified[d.type_pos] += 1
+        if target is not None:
+            deployed[d.type_pos] += 1
+            qualified[d.type_pos] += d.qualifies
     tail = route_floor(p, masks)
     for ri, r in enumerate(p.requests):
         bounds.append(committed + tail[ri])
@@ -514,10 +574,16 @@ class TestAdmissibleBound:
     The oracle's optimum is a leaf below the root and below every node on
     the path to it, so none of those bounds may exceed its total."""
 
+    # three instances of one type each carry one request: one existing and
+    # two new, so need is 3 and, under no_reuse, need_qualified is 2
     @given(instance=binding_instances(), options=st.sampled_from(OPTION_SETS))
+    @example(instance=snapshot_among_fresh_instances(1, 2), options=SolveOptions())
+    @example(instance=snapshot_among_fresh_instances(1, 2), options=SolveOptions(no_reuse=True))
     @settings(max_examples=200, deadline=None)
     def test_bound_never_exceeds_the_optimum(self, instance, options):
         p = _Problem(instance, options)
+        search = _Search(p, _Incumbent(p.leaf_key), deadline=math.inf)
+        assert search._bound(0) == root_bound(p)
         slow = _brute_force(p)
         if slow.breakdown is None:
             return
@@ -765,11 +831,14 @@ def demand_rule(deployed, qualified, limit, demand_all, demand_new, fresh_only):
 
 
 class TestTypeCounts:
-    """``_type_demand_covered`` compares counts; it must accept exactly the
-    states the capacity products accept, over the floor of the usage limit
-    (loads are sums of int traffic, so no instance carries more than the
-    floor). Existing and new traffic of 0, 1 and 7 (or no new request) give
-    every demand the rule tells apart."""
+    """At a type's end no decision is left, so the demand the search bound
+    charges there (``_Problem.demand``, the larger of its two entries for
+    the deployed and the qualifying counts) is 0 on exactly the states the
+    capacity products accept, over the floor of the usage limit (loads are
+    sums of int traffic, so no instance carries more than the floor), and
+    inf on every other. Existing and new traffic of 0, 1 and 7 (or no new
+    request) give every demand the rule tells apart; the type's pool holds
+    four instances, so every count tried can be deployed."""
 
     @pytest.mark.parametrize("no_reuse", [False, True], ids=["online", "no_reuse"])
     @pytest.mark.parametrize(
@@ -778,7 +847,7 @@ class TestTypeCounts:
         ids=["limit0", "limit1", "limit3", "limit5/2"],
     )
     def test_counts_match_the_capacity_rule(self, net2, capacity, mu, limit, no_reuse):
-        vnf = mk_type(net2, capacity=capacity)
+        vnf = mk_type(net2, capacity=capacity, instances=4)
         for old_traffic, new_traffic in itertools.product([0, 1, 7], [None, 0, 1, 7]):
             requests = [mk_request(net2, rid="old", traffic=old_traffic, status="existing")]
             if new_traffic is not None:
@@ -786,18 +855,18 @@ class TestTypeCounts:
             inst = mk_instance(net2, types=[vnf], requests=requests, mu=mu)
             assert inst.usage_limit(capacity) == limit
             p = _Problem(inst, SolveOptions(no_reuse=no_reuse))
-            search = _Search(p, _Incumbent(p.leaf_key), deadline=0.0)
+            every, fresh = p.demand[len(p.decisions)]
             demand_new = new_traffic or 0
             fresh_only = no_reuse and new_traffic is not None
             for deployed in range(5):
                 # every deployed instance qualifies unless the type is fresh-only
                 for qualified in range(deployed + 1) if fresh_only else [deployed]:
-                    search.deployed[0] = [0] * deployed
-                    search.qualified[0] = qualified
                     expect = demand_rule(deployed, qualified, math.floor(limit),
                                          old_traffic + demand_new, demand_new, fresh_only)
-                    got = search._type_demand_covered(0)
-                    assert got == expect, (old_traffic, new_traffic, deployed, qualified)
+                    got = max(every[deployed], fresh[qualified])
+                    assert got == (0 if expect else math.inf), (
+                        old_traffic, new_traffic, deployed, qualified
+                    )
 
 
 class TestSearchEffort:
@@ -986,6 +1055,53 @@ class TestFullScaleOracle:
             assert case.status == "optimal"
             assert case.breakdown.total == expect[case.label]["total_micro"]
             assert len(case.delta.migrated) == expect[case.label]["migration_count"]
+
+
+BINDING_SET = json.loads((DATA / "binding_set.json").read_text())
+# the route floor ignores delay budgets, so no placement is pruned for them
+STALLS = {("tight_delay/seed4", "online"), ("tight_delay/seed4", "no_reuse")}
+
+
+class TestBindingSet:
+    """The search proves HiGHS's optimum, found at a gap of 0 by
+    ``scripts/freeze_binding_set.py``, on 24 generated solves where link
+    bandwidth, VNF capacity, the usage threshold, the delay budget or
+    server capacity binds. Each that is proven takes well under a second
+    of CPU. The two tight-delay seed-4 solves stop without an incumbent,
+    at a 20 s limit too, so they get 1 s."""
+
+    @pytest.mark.parametrize(
+        "case, mode",
+        [
+            pytest.param(
+                case, mode, id=f"{case}-{mode}",
+                marks=[pytest.mark.xfail(
+                    strict=True,
+                    reason="needs the delay-aware route floor (ROADMAP item 4)",
+                )] if (case, mode) in STALLS else [],
+            )
+            for case in sorted(BINDING_SET["cases"])
+            for mode in ("online", "no_reuse")
+        ],
+    )
+    def test_search_proves_the_highs_optimum(self, case, mode):
+        entry = BINDING_SET["cases"][case]
+        spec = ScenarioSpec(
+            seed=entry["seed"],
+            overrides=BINDING_SET["overrides"][entry["overrides"]],
+            **BINDING_SET["size"],
+        )
+        options = SolveOptions(
+            time_limit=1.0 if (case, mode) in STALLS else 10.0,
+            no_reuse=mode == "no_reuse",
+            clamp_instantiation=True,
+        )
+        result = solve_exact(generate(spec), options)
+        if entry[mode] is None:
+            assert result.status == "infeasible"
+        else:
+            assert result.status == "optimal"
+            assert result.breakdown.total == entry[mode]
 
 
 class TestFrontier:
