@@ -16,12 +16,15 @@ in each layer per pass:
   and route pricing;
 - ``online`` and ``no_reuse``: each case's ``solve_exact`` less its set-up
   and route pricing;
-- ``floor``: route pricing (``solver._Problem.reprice``), the root floor of
-  every set-up and each floor the searches price, bootstrap included;
+- ``floor``: route pricing (``solver._Problem._cheapest_route``, which
+  ``reprice`` calls where its memo misses), for the root terms of every
+  set-up and for each request the searches reprice at a type end,
+  bootstrap included; the memo lookups stay in the layer that reprices;
 - ``report``: ``scenario._case``, ``report_to_document`` and ``io.dumps``.
 
 It also prints, per comparison, how many instance reports were made and how
-many times a plan was checked against its instance (``ensure_plan_matches``).
+many times a plan was checked against its instance (``ensure_plan_matches``),
+and per pass how many routes were priced (``_cheapest_route`` calls).
 The layers are timed by wrapping module attributes, which adds a little to
 each wrapped call; the whole pass is timed with the wrappers in place.
 Needs only the standard library. Run from the repository root:
@@ -104,7 +107,7 @@ def install(clock: Clock) -> None:
     clock.wrap(scenario, "solve_exact", solve_layer)
     clock.wrap(solver._Problem, "__init__", setup_layer)
     clock.wrap(model, "_instance_report", lambda outer, instance: "validate")
-    clock.wrap(solver._Problem, "reprice", lambda outer, *args: "floor")
+    clock.wrap(solver._Problem, "_cheapest_route", lambda outer, *args: "floor")
     for owner, attr in ((scenario, "_case"), (scenario, "report_to_document"), (io, "dumps")):
         clock.wrap(owner, attr, lambda outer, *args, **kwargs: "report")
     # costs reads it under its own name, check_feasibility under model's
@@ -145,7 +148,9 @@ def main() -> int:
         print(f"{table} comparisons={len(specs)} passes={args.passes} {figures}")
         reports = clock.calls["_instance_report"] / len(specs)
         checks = clock.calls["ensure_plan_matches"] / len(specs)
-        print(f"{table} per_comparison reports={reports:g} plan_checks={checks:g}", flush=True)
+        print(f"{table} per_comparison reports={reports:g} plan_checks={checks:g}")
+        # the same in every pass: each builds its problems, and their memos, anew
+        print(f"{table} per_pass route_prices={clock.calls['_cheapest_route']}", flush=True)
     return 0
 
 

@@ -248,10 +248,12 @@ def breakdown_to_document(breakdown: CostBreakdown) -> dict:
 
 
 def stats_to_document(stats, include_timing: bool) -> dict:
-    """The search stats of one solve. ``nodes`` counts the search and
-    ``dive_nodes`` the warm-start dive before it; ``incumbent_updates``
-    counts the offers accepted from both. Timing is zeroed unless requested,
-    so report bytes are stable; ``gap_micro`` appears on time-limited runs."""
+    """The search stats of one solve. ``nodes`` counts the search's nodes
+    visited with an open bound (a placement or assignment child that its
+    parent prunes is not visited) and ``dive_nodes`` the warm-start dive's
+    before it; ``incumbent_updates`` counts the offers accepted from both.
+    Timing is zeroed unless requested, so report bytes are stable;
+    ``gap_micro`` appears on time-limited runs."""
     doc = {
         "nodes": stats.nodes,
         "dive_nodes": stats.dive_nodes,

@@ -105,7 +105,11 @@ class ScenarioParams:
                 if not (isinstance(value, tuple) and len(value) == 2):
                     raise ValueError(f"{f.name} must be a pair [low, high], got {value!r}")
                 _check_int(f.name, value[0], low)
-                _check_int(f.name, value[1], value[0])
+                _check_int(f.name, value[1], low)
+                if value[1] < value[0]:
+                    raise ValueError(
+                        f"{f.name} has its high end {value[1]} below its low end {value[0]}"
+                    )
             else:
                 _check_int(f.name, value, low)
         if self.chain_length_range[0] > self.vnf_types:

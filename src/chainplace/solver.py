@@ -26,12 +26,16 @@ computes that bound, once per option, before it commits and descends, so
 a child over the incumbent costs no call; where the option decides a type,
 the parent checks the bound on the floor it has before it prices the
 longer prefix, since deciding a type never lowers the floor. The search
-carries the floor's per-request terms beside it, and at a type end
-reprices from them only the requests whose chains use the type, reading
-the cheapest route of each from a memo by the request and its slots'
-server masks. At the placement leaf every type is decided, so the
-assignment bound is the committed cost plus the floor's tail: each
-unrouted request's cheapest route over the deployed servers.
+carries the floor as one number beside its per-request terms, and at a
+type end reprices in place only the requests whose chains use the type,
+one at a time, reading the cheapest route of each from a memo by the
+request and its slots' server masks. No term falls, so it stops at the
+first one that prunes the node, as pricing them all would. At the
+placement leaf every type is decided, so the assignment bound is the
+committed cost plus the floor's tail, the suffix sums of its terms: each
+unrouted request's cheapest route over the deployed servers. An
+assignment node's parent bounds it too, once per column, so the search's
+node count holds only nodes visited with an open bound.
 ``brute_force`` is the independent oracle: it enumerates the same decision
 space exhaustively and filters with the model module's constraint checker
 instead of the incremental bookkeeping used here. Both take the
@@ -105,9 +109,10 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 
 @dataclass
 class SolveStats:
-    """``nodes`` counts the search's nodes and ``dive_nodes`` the warm-start
-    dive's before it (see ``_Dive``). ``incumbent_updates`` counts the
-    offers the incumbent accepted from both."""
+    """``nodes`` counts the search's nodes, each visited with an open bound
+    (see ``_Search``), and ``dive_nodes`` the warm-start dive's before it
+    (see ``_Dive``). ``incumbent_updates`` counts the offers the incumbent
+    accepted from both."""
 
     nodes: int = 0
     dive_nodes: int = 0
@@ -234,12 +239,13 @@ class _Problem:
     counts (see ``__init__``). ``skip[di]`` is where the search
     goes from ``di`` when the next decision is a fresh instance that can no
     longer activate: the type's next snapshot decision, or its end.
-    Routes are priced apart, by ``reprice`` over per-type server masks of
-    the types whose last instance is decided: ``root_floor`` before any
-    is, and then, as each type is decided, the floor in hand with only the
-    requests in ``repriced[k]`` priced again. The placement stage reads the
-    floor's first entry, the assignment stage its tail, where each request
-    takes one of its ``columns``. The cheapest-route memo of ``reprice`` and
+    Routes are priced apart, one request's term at a time, by ``reprice``
+    over per-type server masks of the types whose last instance is
+    decided: ``root_terms`` before any is, and then, as each type is
+    decided, only the requests in ``repriced[k]`` priced again. The
+    placement stage reads the terms' sum, the floor, and the assignment
+    stage their suffix sums, where each request takes one of its
+    ``columns``. The cheapest-route memo of ``reprice`` and
     the columns' memo are attributes of the ``_Problem`` and go with it.
 
     The tables number nodes by their position in the network's node list.
@@ -367,7 +373,11 @@ class _Problem:
                 extras_qualified.append(extras[-1] if d.qualifies else math.inf)
                 least.append(cheapest)
             every = _demand_rows(extras, self.need[k])
-            qualified = _demand_rows(extras_qualified, self.need_qualified[k])
+            # every instance of a type that is not fresh-only qualifies and
+            # need_qualified is 1, so its qualifying rows never exceed these
+            qualified = (
+                _demand_rows(extras_qualified, self.need_qualified[k]) if fresh_only else every
+            )
             least[start] += max(every[0][0], qualified[0][0])
             self.demand += zip(every[1:], qualified[1:])
 
@@ -415,11 +425,13 @@ class _Problem:
         self._route_min: dict[tuple, int | float] = {}
         self._mask_servers = _MaskServers()
         self._columns: dict[tuple, tuple] = {}
-        # the floor and its terms before any type is decided; every floor
-        # the search reads is repriced from it, one type at a time
+        # the floor's terms before any type is decided; every floor the
+        # search reads is repriced from them, one type at a time
         undecided = [None] * len(self.need)
-        everyone = [(ri, _route_shape(slots, 0)) for ri, slots in enumerate(self.slots)]
-        self.root_floor = self.reprice([0] * len(self.requests), everyone, (undecided, undecided))
+        self.root_terms = [
+            self.reprice(ri, _route_shape(slots, 0), (undecided, undecided))
+            for ri, slots in enumerate(self.slots)
+        ]
 
     def columns(self, ri: int, eligible: tuple) -> tuple:
         """Request ``ri``'s route columns, memoized, when its chain slot
@@ -484,39 +496,35 @@ class _Problem:
         entry_costs = zip(*[cost[cs * n : cs * n + servers] for cs in candidates])
         return to_user, list(map(frozenset, entries)), list(map(min, entry_costs)), min(to_user)
 
-    def reprice(self, terms: list, repriced, hosts: tuple[list, list]) -> tuple[list, list]:
-        """The route floor and its per-request terms: ``terms`` with each
-        (request, route shape) in ``repriced`` priced again over ``hosts``. The floor's
-        entry ``ri`` is the least cost of routing the requests from ``ri``
-        on. ``hosts[0][k]`` is the bitmask of the servers deploying type
+    def reprice(self, ri: int, shape: tuple, hosts: tuple[list, list]) -> int | float:
+        """Request ``ri``'s term of the route floor, when its chain has the
+        route ``shape`` (see ``_route_shape``) over ``hosts``. The floor is
+        the sum of the terms of every request, and its suffix from ``ri``
+        on is the least cost of routing the requests from ``ri`` on.
+        ``hosts[0][k]`` is the bitmask of the servers deploying type
         position ``k`` and ``hosts[1][k]`` of those deploying a qualifying
         instance of it, both None while the type is undecided. A request
         that skips snapshot instances reads the qualifying masks, since
-        every type it uses is fresh-only. Each request pays traffic x its
+        every type it uses is fresh-only. The request pays traffic x its
         cheapest route over the servers of its decided chain slots (see
         ``_cheapest_route``), minus its credit. Capacities and delay are
         ignored, and the route's links are a subset of those of any route
-        its leaves take: no leaf below pays less. With no type decided each
-        request pays its cheapest server->user link; with every type decided
-        this is the assignment stage's tail.
+        its leaves take: no leaf below pays less. With no type decided it
+        pays its cheapest server->user link; with every type decided the
+        terms' suffix sums are the assignment stage's tail.
 
-        Deciding one more type never lowers the floor: a request's counted
+        Deciding one more type never lowers a term: the request's counted
         links stay counted, and only requests that use the new type change.
-        So the search reprices just those requests, from the terms of the
-        floor it holds; the cheapest routes are memoized by the request and
-        its slots' masks, so prefixes that share them price each once."""
-        terms = terms.copy()
-        route_min = self._route_min
-        for ri, shape in repriced:
-            masks = tuple(map(hosts[self.skips_snapshot[ri]].__getitem__, self.slots[ri]))
-            key = (ri, masks)
-            route = route_min.get(key)
-            if route is None:
-                route = route_min[key] = self._cheapest_route(ri, masks, shape)
-            terms[ri] = self.requests[ri].traffic * route - self.credit[ri]
-        tail = list(itertools.accumulate(reversed(terms), initial=0))
-        tail.reverse()
-        return tail, terms
+        So the search reprices just those requests, one at a time, and
+        stops as soon as the floor so far prunes the node; the cheapest
+        routes are memoized by the request and its slots' masks, so
+        prefixes that share them price each once."""
+        masks = tuple(map(hosts[self.skips_snapshot[ri]].__getitem__, self.slots[ri]))
+        key = (ri, masks)
+        route = self._route_min.get(key)
+        if route is None:
+            route = self._route_min[key] = self._cheapest_route(ri, masks, shape)
+        return self.requests[ri].traffic * route - self.credit[ri]
 
     def _cheapest_route(self, ri: int, masks: tuple, shape: tuple) -> int | float:
         """The cheapest route per traffic unit of request ``ri`` when chain
@@ -643,15 +651,18 @@ class _Search:
     the incumbent's total. A placement node is bounded by its parent (see
     ``_child``) and visited only when that bound is open, so the forced
     placements ``_Problem.skip`` jumps and the children over the incumbent
-    cost no node. An assignment node routes one request: it fetches the
-    request's columns once per placement leaf and tries each in turn that
-    the instances' usage limits and the links' capacities still admit."""
+    cost no node. An assignment node routes one request: the columns of
+    every request are fetched once per placement leaf, and the node tries
+    each column in turn that its bound, the committed cost plus the
+    column's and the tail after the request, leaves open and that the
+    instances' usage limits and the links' capacities still admit. So
+    ``nodes`` counts only nodes visited with an open bound: an assignment
+    child its parent prunes is not visited, nor counted."""
 
     def __init__(self, problem: _Problem, incumbent: _Incumbent, deadline: float):
         """Start at the root: nothing placed, no type decided, and the root
-        floor in hand. The floor and its terms are replaced, never changed
-        in place, as types are decided (see ``_end_type``), so the floor in
-        hand before a type end is restored by reference after it."""
+        floor in hand. The floor's terms are changed in place as types are
+        decided and restored on backtrack (see ``_end_type``)."""
         self.p = problem
         self.incumbent = incumbent
         self.deadline = deadline
@@ -680,9 +691,12 @@ class _Search:
         # per type position, the bitmasks of the servers deploying it and of
         # those deploying a qualifying instance, None until the type is
         # decided (once its last instance is); and the route floor over the
-        # decided types with its per-request terms (see _Problem.reprice)
+        # decided types, its per-request terms (see _Problem.reprice), and
+        # at a placement leaf the terms' suffix sums, the assignment tail
         self.hosts = ([None] * len(problem.need), [None] * len(problem.need))
-        self.floor, self.terms = problem.root_floor
+        self.terms = list(problem.root_terms)
+        self.floor = sum(self.terms)
+        self.tail: list = []
 
     def _expired(self) -> bool:
         if self.aborted:
@@ -703,7 +717,7 @@ class _Search:
         assignment stage's root) before the demand of the type under way:
         the committed cost, plus ``place_tail[di]``, plus the route floor
         over the decided types."""
-        return self.committed + self.p.place_tail[di] + self.floor[0]
+        return self.committed + self.p.place_tail[di] + self.floor
 
     def _open(self, bound: int | float) -> bool:
         """Whether a child with this bound is visited: it is finite (else a
@@ -715,9 +729,12 @@ class _Search:
     def _descend(self, di: int, bound: int | float) -> None:
         p = self.p
         if di == len(p.decisions):
-            # every type is decided and met its counts, so the floor is the
-            # assignment stage's tail. Each type's deployed (decision,
-            # server) pairs, all and qualifying, key the requests' columns
+            # every type is decided and met its counts, so the floor's
+            # suffix sums are the assignment stage's tail. Each type's
+            # deployed (decision, server) pairs, all and qualifying, key the
+            # requests' columns
+            self.tail = list(itertools.accumulate(reversed(self.terms), initial=0))
+            self.tail.reverse()
             pairs = []
             for deployed in self.deployed:
                 every = tuple((d, self.target[d]) for d in deployed)
@@ -726,7 +743,7 @@ class _Search:
                 p.columns(ri, tuple(pairs[k][fresh] for k in slots))
                 for ri, (slots, fresh) in enumerate(zip(p.slots, p.skips_snapshot))
             ]
-            self._assign(0)
+            self._assign(0, bound)
         else:
             self._branch_tau(di, bound)
 
@@ -762,17 +779,28 @@ class _Search:
         """Descend to ``child`` past the end of type position ``k``, whose
         deployed instances meet its counts (else its demand was inf). Its
         servers are final, so the floor prices routes over them too: the
-        requests that use the type are repriced from the terms of the floor
-        in hand. The floor never falls, so the bound on it was checked first."""
+        requests that use the type are repriced one at a time, in place.
+        No term falls, so the floor never does: the bound on the floor in
+        hand was checked first, and each partial repricing is a bound too.
+        The first one over the incumbent prunes the child, as the whole
+        repricing would; either way the terms it changed are restored."""
         p = self.p
         every, qualified = self.hosts
         every[k], qualified[k] = self._type_masks(k)
-        floor, terms = self.floor, self.terms
-        self.floor, self.terms = p.reprice(terms, p.repriced[k], self.hosts)
-        bound = self._bound(child)
-        if self._open(bound):
-            self._descend(child, bound)
-        self.floor, self.terms = floor, terms
+        floor, terms, was = self.floor, self.terms, []
+        base = self.committed + p.place_tail[child]
+        for ri, shape in p.repriced[k]:
+            term = p.reprice(ri, shape, self.hosts)
+            was.append(terms[ri])
+            self.floor += term - terms[ri]
+            terms[ri] = term
+            if not self._open(base + self.floor):
+                break
+        else:
+            self._descend(child, base + self.floor)
+        for (ri, _shape), term in zip(p.repriced[k], was):
+            terms[ri] = term
+        self.floor = floor
         every[k] = qualified[k] = None
 
     def _child(self, di: int, deploys: bool) -> tuple[int, bool, int | float]:
@@ -824,29 +852,32 @@ class _Search:
             self.server_load[target] -= d.resource_req
             self.qualified[d.type_pos] -= d.qualifies
 
-    # stage (b): routes, one column per request (see _Problem.columns)
-    def _assign(self, ri: int) -> None:
-        bound = self.committed + self.floor[ri]
+    # stage (b): routes, one column per request (see _Problem.columns). A
+    # node's bound was computed, and found open, by its parent.
+    def _assign(self, ri: int, bound: int | float) -> None:
         if self._expired():
             self.abort_lb = min(self.abort_lb, bound)
-            return
-        inc = self.incumbent.total
-        if inc is not None and bound > inc:
             return
         if ri == len(self.route):
             self._offer_leaf()
             return
         traffic = self.p.requests[ri].traffic
         room = self.room
+        # a column adds its cost to the committed cost and the tail after ri
+        base = self.committed + self.tail[ri + 1]
         for column in self.columns[ri]:
             _cs, _picks, _links, uses, cost = column
+            bound = base + cost
+            inc = self.incumbent.total
+            if inc is not None and bound > inc:
+                continue
             if min(map(room.__getitem__, uses)) < traffic:  # uses is never empty
                 continue
             for u in uses:
                 room[u] -= traffic
             self.route[ri] = column
             self.committed += cost
-            self._assign(ri + 1)
+            self._assign(ri + 1, bound)
             self.committed -= cost
             for u in uses:
                 room[u] += traffic
@@ -910,8 +941,9 @@ def solve_exact(instance: ProblemInstance, options: SolveOptions | None = None) 
     least bound left unexplored gives ``stats.gap``. A bounded
     cheapest-first dive seeds the incumbent first (see ``_Dive``), which
     changes the node count but not the result. ``stats.nodes`` counts the
-    nodes visited: a placement child whose bound is above the incumbent,
-    and a fresh instance that can no longer activate, are not visited."""
+    nodes visited, each with an open bound: a placement or assignment
+    child whose bound is above the incumbent, and a fresh instance that
+    can no longer activate, are not visited."""
     return _solve_exact(_Problem(instance, options or SolveOptions()))
 
 

@@ -402,6 +402,8 @@ class TestUsage:
              "vnf_types must be an integer of at least 1, got 'abc'"),
             (["generate", "--set", "vnf_types=0"],
              "vnf_types must be an integer of at least 1, got 0"),
+            (["compare", "--set", "chain_length_range=[3,1]"],
+             "chain_length_range has its high end 1 below its low end 3"),
             (["generate", "--new", "-1"],
              "new_requests must be an integer of at least 0, got -1"),
             (["generate", "--reduced", "--servers", "0"],
@@ -431,7 +433,7 @@ class TestUsage:
         ],
         ids=["generate-scenario-0", "generate-scenario-7", "compare-scenario-7",
              "compare-scenario-text", "vnf-types-text", "vnf-types-zero",
-             "new-negative", "reduced-servers-zero", "generate-scenario-range",
+             "reversed-range", "new-negative", "reduced-servers-zero", "generate-scenario-range",
              "compare-empty-range-csv", "compare-empty-range-json", "generate-empty-range",
              "compare-repeated-id-csv", "compare-repeated-id-json", "generate-repeated-id",
              "compare-empty-scenario", "generate-scenario-with-sizes",

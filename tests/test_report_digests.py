@@ -22,15 +22,15 @@ from test_cli import TINY, run
 CASES = {
     "solve-online": (
         ["solve", "{reduced}"],
-        "f2e2962a5eda5e8605bd81bdf476210dd7950dd32104a5fb52d3ce7fba1145c3",
+        "e834e67559365580f056175f17a10fee27fed61fa4243695bcf1832cf196c0b1",
     ),
     "solve-no-reuse": (
         ["solve", "{reduced}", "--no-reuse"],
-        "b7ff6d1e93a2261a294c8c56956cd42b35c26da412c842eb88f62c2bbcc070c5",
+        "40e364a1cba63e5dd74c138130917c869814b7354d1e85e1ed0925e2ae0a0988",
     ),
     "solve-tiny-no-reuse-oracle": (
         ["solve", "{tiny}", "--no-reuse", "--oracle"],
-        "456527803dcabf1c0d3595559ac00dc569332f6e92472009e52dc8d3a1de861a",
+        "7979b6632d847fe7b22e1fe6406b4247ca68d5f99dd644ad28301ea42e41cfc6",
     ),
     "compare-csv": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4"],
@@ -38,12 +38,12 @@ CASES = {
     ),
     "compare-json": (
         ["compare", "--reduced", "--scenario", "1..3", "--seed", "4", "--format", "json"],
-        "88dc60425b38cac17eb4ac34c78be64ca41dfcba7f6524892a2b3e9dc710d2e3",
+        "959a213660c35c49583f0881cd1c1089bc29aefd426178ae261597366a94b30f",
     ),
     "compare-refunds-json": (
         ["compare", "--reduced", "--scenario", "2", "--seed", "5", "--license-refunds",
          "--format", "json"],
-        "bc9974ac80b2057a8eb926a74befc4e85bdef8ebf865375e82cfa8d84b52d170",
+        "50bd1dd08190d23e756c9199752f2848c7bc263e0d6bdb5bf6cb0e70b53d088c",
     ),
 }
 

@@ -432,17 +432,21 @@ class TestBindingRegimes:
 
 
 def route_floor(p, prefix: tuple) -> list:
-    """The route floor over the types of ``prefix``, priced from the root
-    one type at a time through ``_Problem.reprice``, as the search prices
-    it. ``prefix[k]`` holds two server bitmasks for each decided type
-    position ``k``: the servers deploying it, and those deploying a
-    qualifying instance of it."""
+    """The route floor over the types of ``prefix`` as the suffix sums of
+    its per-request terms: entry ``ri`` is the least cost of routing the
+    requests from ``ri`` on, entry 0 the floor. The terms are priced from
+    the root's, one type at a time, through ``_Problem.reprice``: every
+    request that uses the type, as the search prices them when no
+    repricing prunes. ``prefix[k]`` holds two server bitmasks for each
+    decided type position ``k``: the servers deploying it, and those
+    deploying a qualifying instance of it."""
     every, qualified = [None] * len(p.need), [None] * len(p.need)
-    tail, terms = p.root_floor
+    terms = list(p.root_terms)
     for k, masks in enumerate(prefix):
         every[k], qualified[k] = masks
-        tail, terms = p.reprice(terms, p.repriced[k], (every, qualified))
-    return tail
+        for ri, shape in p.repriced[k]:
+            terms[ri] = p.reprice(ri, shape, (every, qualified))
+    return list(itertools.accumulate(terms[::-1], initial=0))[::-1]
 
 
 def demand(p, k: int, first: int, deployed: int, qualified: int) -> int | float:
@@ -645,11 +649,14 @@ class TestAdmissibleBound:
     @given(instance=binding_instances(), options=st.sampled_from(OPTION_SETS), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_carried_floor_is_the_floor_priced_from_the_root(self, instance, options, data):
-        """At each type end the search reprices only the requests that use
-        the type, from the terms of the floor it holds. Replaying a drawn
-        placement through it, the floor and terms it holds at the root and
-        after each type end are those ``route_floor`` prices from the root
-        over the types decided so far, also after backtracking."""
+        """At each type end the search reprices, in place, only the requests
+        that use the type, and restores their terms on backtrack. Replaying
+        a drawn placement through it, the floor and terms it holds at the
+        root and after each type end it descends past are those
+        ``route_floor`` prices from the root over the types decided so far,
+        also after backtracking, and at each placement leaf the assignment
+        tail is the floor's suffix sums. The search ends holding the root's
+        terms again."""
         p = _Problem(instance, options)
         search = _Search(p, _Incumbent(p.leaf_key), deadline=math.inf)
         # each decision keeps one or two drawn options, so the tree stays small
@@ -658,22 +665,85 @@ class TestAdmissibleBound:
             for d in p.decisions
         ]
         seen = []
-        descend = search._descend
+        descend, assign = search._descend, search._assign
 
         def record(di, bound):
             every, qualified = search.hosts
             # decisions run type by type: the types before di's are decided
             decided = p.decisions[di].type_pos if di < len(p.decisions) else len(p.need)
             assert every[decided:] == qualified[decided:] == [None] * (len(every) - decided)
-            seen.append((tuple(zip(every, qualified))[:decided], search.floor, search.terms))
+            prefix = tuple(zip(every, qualified))[:decided]
+            seen.append((prefix, search.floor, list(search.terms)))
             descend(di, bound)
 
-        search._descend = record
+        def leaf(ri, bound):
+            if ri == 0:
+                assert search.tail == route_floor(p, tuple(zip(*search.hosts)))
+            assign(ri, bound)
+
+        search._descend, search._assign = record, leaf
         search.run()
         assert seen or root_bound(p) == math.inf
-        for prefix, tail, terms in seen:
-            assert tail == route_floor(p, prefix)
+        for prefix, floor, terms in seen:
+            tail = route_floor(p, prefix)
+            assert floor == tail[0]
             assert terms == [a - b for a, b in zip(tail, tail[1:])]
+        assert search.terms == p.root_terms and search.floor == sum(p.root_terms)
+
+    @staticmethod
+    def assert_visits_only_open_nodes(p) -> list[bool]:
+        """A node's parent bounds it: every placement and assignment node
+        the search visits after the warm-start dive has a bound no higher
+        than the incumbent's total as it is visited. A type end stops
+        repricing once the floor so far prunes, so it descends exactly when
+        the floor repriced over every request that uses the type, by
+        ``route_floor``, leaves the bound open. Returns, per type end in
+        visiting order, whether it descended."""
+        incumbent = _Incumbent(p.leaf_key)
+        _Dive(p, incumbent, deadline=math.inf).run()
+        search = _Search(p, incumbent, deadline=math.inf)
+        visited = []
+
+        def visiting(method):
+            def visit(index, bound):
+                assert bound != math.inf
+                assert incumbent.total is None or bound <= incumbent.total
+                visited.append(bound)
+                method(index, bound)
+
+            return visit
+
+        search._branch_tau = visiting(search._branch_tau)
+        search._assign = visiting(search._assign)
+        end_type = search._end_type
+        ends = []
+
+        def ending(k, child):
+            masks = tuple(search._type_masks(j) for j in range(k + 1))
+            floor = route_floor(p, masks)[0]
+            opens = search._open(search.committed + p.place_tail[child] + floor)
+            before = len(visited)
+            end_type(k, child)
+            assert (len(visited) > before) == opens
+            ends.append(opens)
+
+        search._end_type = ending
+        search.run()
+        assert bool(visited) == search._open(root_bound(p))
+        return ends
+
+    @given(instance=binding_instances(), options=st.sampled_from(OPTION_SETS))
+    @settings(max_examples=200, deadline=None)
+    def test_nodes_are_visited_only_with_an_open_bound(self, instance, options):
+        self.assert_visits_only_open_nodes(_Problem(instance, options))
+
+    def test_full_scale_type_ends_prune_as_the_whole_floor(self):
+        """Full-scale seed-3 scenario 1 under no_reuse, where the floor
+        prunes 48 of the search's 60 type ends."""
+        instance = generate(ScenarioSpec.table_row(1, seed=DEFAULT_SEED))
+        options = SolveOptions(no_reuse=True, clamp_instantiation=True)
+        ends = self.assert_visits_only_open_nodes(_Problem(instance, options))
+        assert (len(ends), ends.count(False)) == (60, 48)
 
     def test_a_link_used_twice_is_priced_once(self):
         """Content on s0, k0 only on s1 and k1 only on s0: the one route is
@@ -1110,7 +1180,7 @@ class TestFrontier:
     on the exported MPS file, in about 50 s of CPU on a 2-vCPU Xeon host;
     the search took 6.3 s and 3 139 225 nodes before the assignment stage
     priced routes over the deployed servers, and takes about 0.01 s and
-    796 nodes (after a 20-node warm-start dive) now."""
+    452 nodes (after a 20-node warm-start dive) now."""
 
     NODE_CEILING = 3_139_225
 
